@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification")
     common.add_argument("--cap", type=int, default=graphcomp.DEFAULT_VERTEX_CAP,
-                        help="vertex cap for the graph subset DP")
+                        help="vertex cap on each biconnected block's subset DP")
 
     parser = argparse.ArgumentParser(
         prog="compcount",

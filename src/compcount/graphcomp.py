@@ -3,10 +3,11 @@
 A composition of a graph is a partition of its vertex set into blocks that
 each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). ``count_compositions_graph``
-runs a subset dynamic program over bitmask states; ``reduce_and_count`` first
-splits the graph at connected components, cut vertices, and bridges, using
-the multiplicative rules C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-
-vertex unions and C = 2 C(G1)C(G2) across a bridge.
+runs a subset dynamic program over bitmask states; ``reduce_and_count``
+finds the biconnected blocks of the graph in one linear-time DFS and returns
+the product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-
+shared-vertex unions, so a bridge (a two-vertex block) contributes 2 and
+only blocks with at least 3 vertices reach the subset DP.
 """
 
 import heapq
@@ -69,6 +70,11 @@ class LabeledGraph:
         return masks
 
 
+def _is_label(field: str) -> bool:
+    """ASCII digits only: str.isdigit alone also admits '²' and '٣'."""
+    return field.isascii() and field.isdigit()
+
+
 def parse_edge_list(text: str) -> LabeledGraph:
     """Parse an edge-list file: the first nonblank line is the vertex count,
     every further nonblank line is "u v"; lines starting with '#' are
@@ -81,11 +87,11 @@ def parse_edge_list(text: str) -> LabeledGraph:
             continue
         fields = line.split()
         if vertex_count is None:
-            if len(fields) != 1 or not fields[0].isdigit():
+            if len(fields) != 1 or not _is_label(fields[0]):
                 raise GraphParseError(f"line {lineno}: expected the vertex count, got {line!r}")
             vertex_count = int(fields[0])
             continue
-        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        if len(fields) != 2 or not all(_is_label(f) for f in fields):
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = int(fields[0]), int(fields[1])
         if u == v:
@@ -187,8 +193,9 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
     Subset DP: ways(S) sums, over connected blocks T inside S that contain
     S's lowest vertex, the value ways(S minus T), with ways(empty) = 1.
     The empty graph counts 1. Graphs above the vertex cap raise a resource
-    error (state space is 2^n); reduce_and_count handles larger graphs when
-    they split at components, cut vertices, or bridges.
+    error (state space is 2^n); reduce_and_count handles larger graphs whose
+    biconnected blocks each fit under the cap, since it applies the cap to
+    each block on its own.
     """
     cap = DEFAULT_VERTEX_CAP if cap is None else cap
     n = graph.vertex_count
@@ -359,122 +366,67 @@ def ladder_binet(n: int) -> int:
     return yp - ym
 
 
-def _components(graph: LabeledGraph, skip: int | None = None) -> list[list[int]]:
-    """Connected components as sorted vertex lists; ``skip`` removes a vertex."""
-    n = graph.vertex_count
-    adj = graph.adjacency()
-    seen = [False] * n
-    if skip is not None:
-        seen[skip] = True
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
+    """Edge lists of the biconnected blocks, by one iterative lowlink DFS
+    (Hopcroft and Tarjan) that keeps the edges of the open blocks on a stack.
 
-
-def _induced(graph: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:
-    order = sorted(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    keep = set(order)
-    edges = {
-        (index[u], index[v]) for u, v in graph.edges if u in keep and v in keep
-    }
-    return LabeledGraph(len(order), frozenset(edges))
-
-
-def _bridges_and_cuts(graph: LabeledGraph) -> tuple[list[tuple[int, int]], set[int]]:
-    """Bridges and articulation vertices by one iterative lowlink DFS."""
+    A bridge comes out as a one-edge block; isolated vertices yield nothing.
+    """
     n = graph.vertex_count
     adj = graph.adjacency()
     pre = [-1] * n
     low = [0] * n
-    parent = [-1] * n
-    bridges: list[tuple[int, int]] = []
-    cuts: set[int] = set()
+    edge_stack: list[tuple[int, int]] = []
     counter = 0
     for root in range(n):
         if pre[root] != -1:
             continue
         pre[root] = low[root] = counter
         counter += 1
-        root_children = 0
-        stack = [(root, iter(adj[root]))]
+        # frames: (vertex, DFS parent, neighbor iterator, edge-stack length
+        # before the tree edge into the vertex was pushed)
+        stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
-            v, neighbors = stack[-1]
-            advanced = False
+            v, parent, neighbors, mark = stack[-1]
             for w in neighbors:
                 if pre[w] == -1:
-                    parent[w] = v
                     pre[w] = low[w] = counter
                     counter += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                    edge_stack.append((v, w))
                     break
-                if w != parent[v] and pre[w] < low[v]:
-                    low[v] = pre[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] > pre[u]:
-                    bridges.append((min(u, v), max(u, v)))
-                if u != root and low[v] >= pre[u]:
-                    cuts.add(u)
-        if root_children >= 2:
-            cuts.add(root)
-    return bridges, cuts
+                if w != parent and pre[w] < pre[v]:
+                    edge_stack.append((v, w))
+                    if pre[w] < low[v]:
+                        low[v] = pre[w]
+            else:
+                stack.pop()
+                if parent == -1:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= pre[parent]:
+                    yield edge_stack[mark:]
+                    del edge_stack[mark:]
 
 
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
-    """Count compositions by multiplicative decomposition.
+    """Count compositions as a product over the biconnected blocks.
 
-    Splits at connected components and cut vertices (plain products) and at
-    bridges (product times 2, for the block that does or does not straddle
-    the bridge), then runs the subset DP on whatever irreducible pieces
-    remain; each such piece is subject to the vertex cap.
+    C(G) is the product of C(B) over the blocks B of every component (the
+    cut-vertex rule); a bridge is a K2 block and contributes 2. Each block
+    with at least 3 vertices goes to the subset DP, relabelled in vertex
+    order, so the vertex cap applies to each block on its own.
     """
     result = 1
-    pieces = [_induced(graph, comp) for comp in _components(graph)]
-    while pieces:
-        piece = pieces.pop()
-        n = piece.vertex_count
-        if n <= 1:
-            continue
-        if n == 2:
+    for block in _blocks(graph):
+        if len(block) == 1:
             result *= 2
             continue
-        bridges, cuts = _bridges_and_cuts(piece)
-        if bridges:
-            result *= 2
-            remaining = LabeledGraph(n, piece.edges - {bridges[0]})
-            pieces.extend(_induced(remaining, comp) for comp in _components(remaining))
-            continue
-        if cuts:
-            cut = min(cuts)
-            sides = _components(piece, skip=cut)
-            first = sides[0] + [cut]
-            rest = [v for v in range(n) if v not in sides[0]]
-            pieces.append(_induced(piece, first))
-            pieces.append(_induced(piece, rest))
-            continue
-        result *= count_compositions_graph(piece, cap)
+        order = sorted({v for edge in block for v in edge})
+        index = {v: i for i, v in enumerate(order)}
+        relabelled = LabeledGraph(len(order), frozenset((index[u], index[v]) for u, v in block))
+        result *= count_compositions_graph(relabelled, cap)
     return result
 
 

@@ -140,6 +140,14 @@ def test_graph_count_parse_error(tmp_path):
     assert "line 2" in err
 
 
+def test_graph_count_rejects_non_ascii_digits(tmp_path):
+    target = tmp_path / "superscript.txt"
+    target.write_text("3\n0 \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(["graph", "count", "--file", str(target)])
+    assert (code, out) == (1, "")
+    assert "line 2" in err
+
+
 def test_emit_graph_round_trips(tmp_path):
     code, out, _ = run_cli(["graph", "family", "--name", "cycle", "--n", "5", "--emit-graph"])
     assert code == 0

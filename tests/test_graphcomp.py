@@ -68,6 +68,11 @@ def test_parse_error_cases():
         graphcomp.parse_edge_list("3\n0 1\n0 7\n")
     with pytest.raises(GraphParseError, match="line 1"):
         graphcomp.parse_edge_list("x\n0 1\n")
+    # str.isdigit admits these; only ASCII digits are labels
+    with pytest.raises(GraphParseError, match="line 2"):
+        graphcomp.parse_edge_list("3\n0 \u00b2\n")
+    with pytest.raises(GraphParseError, match="line 1"):
+        graphcomp.parse_edge_list("\u0663\n0 1\n")
 
 
 def test_format_round_trip():
@@ -248,6 +253,9 @@ def test_reduce_known_examples():
     assert graphcomp.reduce_and_count(shared_vertex) == 25
     bridged = LabeledGraph(6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)})
     assert graphcomp.reduce_and_count(bridged) == 50
+    windmill = LabeledGraph(11, {e for i in range(5) for e in
+                                 ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))})
+    assert graphcomp.reduce_and_count(windmill) == 5 ** 5
 
 
 def test_reduce_matches_dp_on_random_graphs():
@@ -263,6 +271,65 @@ def test_reduce_handles_large_reducible_graphs():
     assert graphcomp.reduce_and_count(path(40)) == 1 << 39
     tall_tree = graphcomp.build_family("tree", 33)
     assert graphcomp.reduce_and_count(tall_tree) == 1 << 32
+    # deeper than the interpreter's recursion limit
+    assert graphcomp.reduce_and_count(path(10 ** 4)) == 1 << (10 ** 4 - 1)
+
+
+def _glued_graph(rng):
+    """Components glued from cycles, ladders, complete graphs and bridges,
+    each piece sharing one vertex with what is already there, under a random
+    relabelling. Returns the graph, the product of the pieces' family counts,
+    and the vertex counts of the pieces that are not bridges."""
+    edges = []
+    vertex_count = 0
+    expected = 1
+    block_sizes = []
+    pieces = [("cycle", 3, 8), ("ladder", 2, 4), ("complete", 3, 6), ("path", 2, 2)]
+
+    def attach(at):
+        nonlocal vertex_count, expected
+        family, low, high = rng.choice(pieces)
+        size = rng.randint(low, high)
+        piece = graphcomp.build_family(family, size)
+        # vertex 0 of the piece is the shared vertex, the rest are new
+        label = [at] + list(range(vertex_count, vertex_count + piece.vertex_count - 1))
+        vertex_count += piece.vertex_count - 1
+        edges.extend((label[u], label[v]) for u, v in piece.edges)
+        expected *= graphcomp.family_count(family, size)
+        if piece.vertex_count > 2:
+            block_sizes.append(piece.vertex_count)
+
+    for _ in range(4):
+        hub = vertex_count
+        vertex_count += 1
+        for _ in range(3):  # a cut vertex shared by at least three blocks
+            attach(hub)
+        for _ in range(30):
+            attach(rng.randrange(hub, vertex_count))
+    vertex_count += 5  # isolated vertices
+    relabel = list(range(vertex_count))
+    rng.shuffle(relabel)
+    graph = LabeledGraph(vertex_count, {(relabel[u], relabel[v]) for u, v in edges})
+    return graph, expected, block_sizes
+
+
+def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
+    rng = Random(314)
+    dp_sizes = []
+    dp = graphcomp.count_compositions_graph
+
+    def recording_dp(graph, cap=None):
+        dp_sizes.append(graph.vertex_count)
+        return dp(graph, cap)
+
+    monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_dp)
+    for _ in range(5):
+        graph, expected, block_sizes = _glued_graph(rng)
+        assert graph.vertex_count >= 300
+        dp_sizes.clear()
+        assert graphcomp.reduce_and_count(graph) == expected
+        # the subset DP runs once per block with at least 3 vertices
+        assert sorted(dp_sizes) == sorted(block_sizes)
 
 
 def test_reduce_respects_cap_on_irreducible_pieces():
