@@ -40,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification")
     common.add_argument("--cap", type=int, default=graphcomp.DEFAULT_VERTEX_CAP,
-                        help="vertex cap on each biconnected block's subset DP")
+                        help="limits for each biconnected block: at most 2^cap DP states (so the "
+                             "subset DP takes blocks of at most cap vertices) and the subset DP's "
+                             "estimated cost on the complete graph with cap vertices "
+                             "(default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="compcount",
@@ -275,9 +278,24 @@ def _emit_checks(record: dict, fmt: str, out) -> None:
 
 
 def run(argv: list[str], out=None, err=None) -> int:
-    """Parse argv, execute, and return the exit code (no sys.exit)."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+    """Parse argv, execute, and return the exit code (no sys.exit).
+
+    Python caps int-to-decimal conversion at 4300 digits by default; the cap
+    is lifted while the command runs, so answers of any length print, and
+    restored afterwards.
+    """
+    limited = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, sys.stdout if out is None else out, sys.stderr if err is None else err)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str], out, err) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

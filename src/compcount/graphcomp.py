@@ -2,17 +2,24 @@
 
 A composition of a graph is a partition of its vertex set into blocks that
 each induce a connected subgraph (the induced subgraph on a block is unique,
-so the partition alone identifies the composition). ``count_compositions_graph``
-runs a subset dynamic program over bitmask states; ``reduce_and_count``
-finds the biconnected blocks of the graph in one linear-time DFS and returns
-the product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-
-shared-vertex unions, so a bridge (a two-vertex block) contributes 2 and
-only blocks with at least 3 vertices reach the subset DP.
+so the partition alone identifies the composition). Two exact counters:
+``count_compositions_graph`` runs a subset dynamic program over bitmask
+states, 2^n of them, and suits small dense graphs; ``count_compositions_frontier``
+runs a frontier DP along a vertex order, whose states follow the frontier
+width instead, and suits thin graphs of any size. ``reduce_and_count`` finds
+the biconnected blocks of the graph in one linear-time DFS and returns the
+product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-
+vertex unions, so a bridge (a two-vertex block) contributes 2, and each
+block with at least 3 vertices goes to the counter with the lower estimated
+cost.
 """
 
 import heapq
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
@@ -193,9 +200,9 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
     Subset DP: ways(S) sums, over connected blocks T inside S that contain
     S's lowest vertex, the value ways(S minus T), with ways(empty) = 1.
     The empty graph counts 1. Graphs above the vertex cap raise a resource
-    error (state space is 2^n); reduce_and_count handles larger graphs whose
-    biconnected blocks each fit under the cap, since it applies the cap to
-    each block on its own.
+    error (state space is 2^n); reduce_and_count handles larger graphs,
+    since it splits them into biconnected blocks and counts thin blocks
+    with the frontier DP.
     """
     cap = DEFAULT_VERTEX_CAP if cap is None else cap
     n = graph.vertex_count
@@ -217,6 +224,154 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
                 acc += ways[state ^ block]
         ways[state] = acc
     return ways[-1]
+
+
+def _far_vertex(adj: list[list[int]], start: int) -> int:
+    """A lowest-degree vertex of the last breadth-first level from start."""
+    seen = {start}
+    level = [start]
+    while True:
+        below = []
+        for v in level:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    below.append(w)
+        if not below:
+            return min(level, key=lambda v: len(adj[v]))
+        level = below
+
+
+def _frontier_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """A vertex order that keeps the frontier small, with the frontier size
+    before each of its steps.
+
+    The frontier is the set of processed vertices that still have an
+    unprocessed neighbour. Each component starts at a pseudo-peripheral
+    vertex (the far end of two breadth-first sweeps); each step then takes the
+    vertex whose processing grows the frontier least, and among those the one
+    with the most processed neighbours. Keys sit in a lazy heap and each edge
+    changes at most three of them, so the order costs O(m log n).
+    """
+    n = len(adj)
+    done = [False] * n
+    unprocessed = [len(neighbours) for neighbours in adj]
+    processed = [0] * n
+    closing = [0] * n  # processed neighbours whose one unprocessed neighbour is v
+
+    def key(v: int) -> tuple[int, int]:
+        return (1 if unprocessed[v] else 0) - closing[v], -processed[v]
+
+    order: list[int] = []
+    widths: list[int] = []
+    size = 0
+    tick = 0
+    for root in range(n):
+        if done[root]:
+            continue
+        start = _far_vertex(adj, _far_vertex(adj, root))
+        heap = [(key(start), tick, start)]
+        while heap:
+            stored, _, v = heapq.heappop(heap)
+            if done[v] or stored != key(v):
+                continue
+            done[v] = True
+            order.append(v)
+            widths.append(size)
+            size += stored[0]
+            last_links = [v] if unprocessed[v] == 1 else []
+            for w in adj[v]:
+                unprocessed[w] -= 1
+                if not done[w]:
+                    processed[w] += 1
+                    tick += 1
+                    heapq.heappush(heap, (key(w), tick, w))
+                elif unprocessed[w] == 1:
+                    last_links.append(w)
+            for u in last_links:
+                z = next(x for x in adj[u] if not done[x])
+                closing[z] += 1
+                tick += 1
+                heapq.heappush(heap, (key(z), tick, z))
+    return order, widths
+
+
+def count_compositions_frontier(graph: LabeledGraph) -> int:
+    """Number of partitions of the vertex set into connected blocks, by a
+    frontier (transfer-matrix) DP in the style of frontier-based search.
+
+    Vertices are processed in a min-frontier order. A state gives every
+    frontier vertex its block and its connected component inside that block,
+    both relabelled by first appearance, and maps to the number of partial
+    compositions that reach it. The next vertex opens a block or joins one,
+    merging the components of that block it is adjacent to. A component
+    whose vertices have all left the frontier can grow no more, so it must be
+    all of its block: a state is dropped when such a component leaves while
+    another frontier vertex of its block remains, or when two components of
+    one block leave together. Work follows the number of states, at most the
+    two-level Bell number of the frontier width, not 2^n.
+    """
+    adj = graph.adjacency()
+    return _count_frontier(adj, _frontier_order(adj)[0])
+
+
+def _count_frontier(adj: list[list[int]], order: list[int]) -> int:
+    """The frontier DP of count_compositions_frontier along the given order."""
+    rank = [0] * len(adj)
+    for i, v in enumerate(order):
+        rank[v] = i
+    later = [sum(1 for w in neighbours if rank[w] > rank[v]) for v, neighbours in enumerate(adj)]
+    frontier: list[int] = []
+    states = {(): 1}  # block labels, then component labels, per frontier vertex
+    for v in order:
+        width = len(frontier)
+        where = {u: i for i, u in enumerate(frontier)}
+        hits = []
+        for u in adj[v]:
+            if rank[u] < rank[v]:
+                hits.append(where[u])
+                later[u] -= 1
+        keep = [i for i, u in enumerate(frontier) if later[u]]
+        gone = [i for i, u in enumerate(frontier) if not later[u]]
+        frontier = [frontier[i] for i in keep]
+        stays = later[v] > 0
+        if stays:
+            keep.append(width)
+            frontier.append(v)
+        else:
+            gone.append(width)
+        advanced: dict[tuple, int] = {}
+        for state, ways in states.items():
+            blocks = state[:width]
+            comps = state[width:]
+            opened = max(blocks) + 1 if width else 0
+            for b in range(opened + 1):  # b == opened: v opens a new block
+                merged = {comps[i] for i in hits if blocks[i] == b}
+                if merged:
+                    vc = min(merged)
+                    cs = [vc if c in merged else c for c in comps]
+                elif stays or b == opened:
+                    vc = width  # a fresh component label
+                    cs = list(comps)
+                else:
+                    continue  # v leaves without touching block b
+                cs.append(vc)
+                bs = blocks + (b,)
+                if gone:
+                    kept = {cs[i] for i in keep}
+                    kept_blocks = {bs[i] for i in keep}
+                    closed: dict[int, int] = {}
+                    if any(cs[i] not in kept
+                           and (bs[i] in kept_blocks or closed.setdefault(bs[i], cs[i]) != cs[i])
+                           for i in gone):
+                        continue
+                block_ids: dict[int, int] = {}
+                comp_ids: dict[int, int] = {}
+                key = tuple([block_ids.setdefault(bs[i], len(block_ids)) for i in keep]
+                            + [comp_ids.setdefault(cs[i], len(comp_ids)) for i in keep])
+                advanced[key] = advanced.get(key, 0) + ways
+        states = advanced
+    return states[()]
 
 
 def _set_partitions_masks(n: int) -> Iterator[tuple[int, ...]]:
@@ -410,23 +565,117 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                     del edge_stack[mark:]
 
 
+# The cost model that routes each block to a counter, in estimated seconds.
+# Fitted to timings of both counters (CPython 3.11, 2-vCPU x86-64 guest) on
+# 110 cycles, ladders, grids, complete graphs and random graphs of 3-16
+# vertices; the frontier constants on those with frontier width at most 3,
+# where the state bound is nearly tight, so that on wider frontiers the
+# estimate errs high and a block stays with the subset DP when in doubt.
+SUBSET_CALL_S = 1.0e-5
+SUBSET_STEP_S = 4.0e-8  # per (state, connected set) pair the subset DP scans
+FRONTIER_CALL_S = 1.5e-5
+FRONTIER_MOVE_S = 2.1e-6  # per (state, block choice) pair of the frontier DP
+# Frontier widths past this count as unbounded. The state bound at width 40
+# is about 1e47, or 2^156: over the state limit of any cap under 156 and far
+# over the time budget of any cap under 63.
+MAX_BOUNDED_WIDTH = 40
+
+
+@cache
+def _state_bounds() -> tuple[float, ...]:
+    """Two-level Bell numbers 1, 1, 3, 12, 60, 358, 2471, ...: the ways to
+    split w frontier vertices into blocks and each block into components, a
+    bound on the frontier DP's states at width w. By the exponential formula,
+    a(n+1) = sum over k of C(n, k) a(k) Bell(n+1-k)."""
+    bell, two = [1], [1]
+    for n in range(MAX_BOUNDED_WIDTH):
+        bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+        two.append(sum(math.comb(n, k) * two[k] * bell[n + 1 - k] for k in range(n + 1)))
+    return tuple(float(x) for x in two)
+
+
+def _frontier_cost(widths: list[int]) -> tuple[float, float]:
+    """Estimated seconds of the frontier DP, given the frontier width before
+    each step, and the bound on its states at the widest step: every state
+    tries at most width + 1 blocks for the next vertex."""
+    bounds = _state_bounds()
+    widest = max(widths, default=0)
+    if widest >= len(bounds):
+        return math.inf, math.inf
+    seconds = FRONTIER_CALL_S + FRONTIER_MOVE_S * sum(bounds[w] * (w + 1) for w in widths)
+    return seconds, bounds[widest]
+
+
+@lru_cache(maxsize=1024)
+def _subset_cost(n: int, m: int) -> float:
+    """Estimated seconds of the subset DP on n vertices and m edges.
+
+    Its work is the number of (state, connected set through the state's
+    lowest vertex) pairs. States whose lowest vertex has j vertices above it
+    number 2^j, and such a vertex lies in about sum over k of C(j, k-1) P(k)
+    connected sets, where P(k) is the chance that a random graph on k
+    vertices with the block's edge density is connected. This is exact for
+    complete graphs, within about 25% on random graphs, and high for cycles
+    and ladders.
+    """
+    if n > 62:  # no list can hold 2^n states, so no budget admits it
+        return math.inf
+    missing = 1 - m / (n * (n - 1) // 2) if n > 1 else 0.0
+    connected = [0.0, 1.0]
+    for k in range(2, n + 1):
+        apart = sum(math.comb(k - 1, i - 1) * connected[i] * missing ** (i * (k - i))
+                    for i in range(1, k))
+        connected.append(max(0.0, 1 - apart))  # apart sums disjoint events
+    work = sum(2.0 ** j * sum(math.comb(j, k - 1) * connected[k] for k in range(1, j + 2))
+               for j in range(n))
+    return SUBSET_CALL_S + SUBSET_STEP_S * work
+
+
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2. Each block
-    with at least 3 vertices goes to the subset DP, relabelled in vertex
-    order, so the vertex cap applies to each block on its own.
+    with at least 3 vertices is relabelled in vertex order and goes to the
+    counter with the lower estimated cost: the frontier DP, whose cost
+    follows the frontier widths of a min-frontier order, or the subset DP,
+    whose cost follows 2^n and the edge density. The cap limits both. Neither
+    may hold more than 2^cap states: the subset DP runs only on blocks within
+    the cap, and the frontier DP only where its state bound at the widest
+    step is at most 2^cap. And a block is refused when its cheaper counter's
+    estimate exceeds the subset DP's estimate for the complete graph on cap
+    vertices. So thin blocks of any size are counted.
     """
+    cap = DEFAULT_VERTEX_CAP if cap is None else cap
+    budget = min(_subset_cost(cap, cap * (cap - 1) // 2), sys.float_info.max)
+    state_limit = 2.0 ** min(cap, 1000)
     result = 1
     for block in _blocks(graph):
         if len(block) == 1:
             result *= 2
             continue
-        order = sorted({v for edge in block for v in edge})
-        index = {v: i for i, v in enumerate(order)}
-        relabelled = LabeledGraph(len(order), frozenset((index[u], index[v]) for u, v in block))
-        result *= count_compositions_graph(relabelled, cap)
+        vertices = sorted({v for edge in block for v in edge})
+        index = {v: i for i, v in enumerate(vertices)}
+        relabelled = LabeledGraph(len(vertices), frozenset((index[u], index[v]) for u, v in block))
+        n = relabelled.vertex_count
+        adj = relabelled.adjacency()
+        order, widths = _frontier_order(adj)
+        frontier_s, states = _frontier_cost(widths)
+        subset_s = _subset_cost(n, len(relabelled.edges))
+        frontier = frontier_s if states <= state_limit else math.inf
+        subset = subset_s if n <= cap else math.inf
+        if min(frontier, subset) > budget:
+            raise ResourceLimitError(
+                f"a block of {n} vertices is over the limits that cap={cap} sets, 2^{cap} "
+                f"states and an estimated {budget:.3g} s (the subset DP's estimate for the "
+                f"complete graph on {cap} vertices): the subset DP would hold 2^{n} states "
+                f"for an estimated {subset_s:.3g} s, the frontier DP up to {states:.3g} "
+                f"states for {frontier_s:.3g} s"
+            )
+        if subset <= frontier:
+            result *= count_compositions_graph(relabelled, cap)
+        else:
+            result *= _count_frontier(adj, order)
     return result
 
 

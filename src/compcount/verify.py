@@ -278,4 +278,24 @@ def _graph_checks(max_n: int, seed: int, cap: int | None) -> list[Check]:
             bad.append(f"n={n} edge={extra}")
     checks.append(_check("adding an edge never lowers the count", bad))
 
+    bad = []
+    top = min(max_n, 12)
+    graphs = [graphcomp.random_graph(rng, rng.randint(0, top), rng.uniform(0.05, 0.7))
+              for _ in range(20)]
+    graphs += [graphcomp.build_family("cycle", n) for n in range(3, top + 1)]
+    graphs += [graphcomp.build_family("ladder", rungs) for rungs in range(1, top // 2 + 1)]
+    grid = {(v, v + 1) for v in range(12) if v % 4 != 3} | {(v, v + 4) for v in range(8)}
+    graphs.append(graphcomp.LabeledGraph(12, grid))  # 3 rows of 4
+    for graph in graphs:
+        if graphcomp.count_compositions_frontier(graph) != graphcomp.count_compositions_graph(graph, cap):
+            bad.append(f"n={graph.vertex_count} edges={sorted(graph.edges)}")
+    checks.append(_check("frontier DP matches subset DP", bad))
+
+    bad = []
+    for rungs in range(1, 201):
+        count = graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", rungs))
+        if not count == graphcomp.family_count("ladder", rungs) == graphcomp.ladder_binet(rungs):
+            bad.append(f"rungs={rungs}")
+    checks.append(_check("ladder recurrence matches the frontier DP", bad))
+
     return checks

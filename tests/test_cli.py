@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -27,6 +28,22 @@ def test_graph_family_ladder():
     code, out, _ = run_cli(["graph", "family", "--name", "ladder", "--n", "2"])
     assert code == 0
     assert out == "12\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_answers_print_past_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(["graph", "family", "--name", "ladder", "--n", "8000"])
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(graphcomp.ladder_binet(8000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+    assert out == expected + "\n"
 
 
 def test_triangle_single_row_plain():
@@ -201,6 +218,13 @@ def test_cap_flag_lowers_the_guard(tmp_path):
     assert code == 3
 
 
+def test_long_cycle_is_counted_past_the_vertex_cap(tmp_path):
+    target = tmp_path / "c30.txt"
+    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("cycle", 30)))
+    code, out, _ = run_cli(["graph", "count", "--file", str(target)])
+    assert (code, out) == (0, f"{(1 << 30) - 30}\n")
+
+
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
@@ -244,3 +268,17 @@ def test_verify_detects_injected_graph_error(monkeypatch):
     code, out, _ = run_cli(["verify", "--suite", "graphs", "--max-n", "6"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_detects_injected_frontier_error(monkeypatch):
+    true_count = graphcomp.count_compositions_frontier
+
+    def skewed(graph):
+        value = true_count(graph)
+        return value + 1 if graph.vertex_count > 5 else value
+
+    monkeypatch.setattr(graphcomp, "count_compositions_frontier", skewed)
+    code, out, _ = run_cli(["verify", "--suite", "graphs", "--max-n", "8"])
+    assert code == 1
+    assert "FAIL frontier DP matches subset DP" in out
+    assert "FAIL ladder recurrence matches the frontier DP" in out

@@ -313,28 +313,118 @@ def _glued_graph(rng):
     return graph, expected, block_sizes
 
 
+def _record_counters(monkeypatch):
+    """Route both block counters through recorders; returns the lists of
+    vertex counts each one receives."""
+    subset_sizes, frontier_sizes = [], []
+    subset = graphcomp.count_compositions_graph
+    frontier = graphcomp._count_frontier
+
+    def recording_subset(graph, cap=None):
+        subset_sizes.append(graph.vertex_count)
+        return subset(graph, cap)
+
+    def recording_frontier(adj, order):
+        frontier_sizes.append(len(adj))
+        return frontier(adj, order)
+
+    monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_subset)
+    monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
+    return subset_sizes, frontier_sizes
+
+
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
-    dp_sizes = []
-    dp = graphcomp.count_compositions_graph
-
-    def recording_dp(graph, cap=None):
-        dp_sizes.append(graph.vertex_count)
-        return dp(graph, cap)
-
-    monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_dp)
+    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
-        dp_sizes.clear()
+        subset_sizes.clear()
+        frontier_sizes.clear()
         assert graphcomp.reduce_and_count(graph) == expected
-        # the subset DP runs once per block with at least 3 vertices
-        assert sorted(dp_sizes) == sorted(block_sizes)
+        # each block with at least 3 vertices reaches exactly one counter, once
+        assert sorted(subset_sizes + frontier_sizes) == sorted(block_sizes)
+        assert subset_sizes and frontier_sizes
+
+
+def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
+    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
+    for m in range(6, 12):
+        assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
+    assert subset_sizes == list(range(6, 12)) and not frontier_sizes
+    subset_sizes.clear()
+    for n in (12, 13, 16, 20, 40):
+        assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
+    for rungs in (5, 6, 10, 30):
+        ladder = graphcomp.build_family("ladder", rungs)
+        assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
+    assert not subset_sizes
+    assert frontier_sizes == [12, 13, 16, 20, 40, 10, 12, 20, 60]
 
 
 def test_reduce_respects_cap_on_irreducible_pieces():
     with pytest.raises(ResourceLimitError):
         graphcomp.reduce_and_count(complete(8), cap=6)
+
+
+def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
+    with pytest.raises(ResourceLimitError, match=r"26 vertices.*cap=24"):
+        graphcomp.reduce_and_count(complete(26))
+    # within the time budget of cap 24, but a frontier of width 11 is bounded
+    # by 188378402 states, over 2^24
+    with pytest.raises(ResourceLimitError,
+                       match=r"330 vertices.*cap=24.*frontier DP up to 1.88e\+08 states for 1.26e\+06 s"):
+        graphcomp.reduce_and_count(grid(11, 30))
+    # far past the subset DP's vertex cap, but a frontier of width 2
+    assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=8) == (1 << 30) - 30
+    with pytest.raises(ResourceLimitError):
+        graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=3)
+
+
+# --- the frontier DP --------------------------------------------------------------------------
+
+def grid(rows, columns):
+    """Vertex r * columns + c sits in row r, column c."""
+    across = {(v, v + 1) for v in range(rows * columns) if v % columns != columns - 1}
+    down = {(v, v + columns) for v in range((rows - 1) * columns)}
+    return LabeledGraph(rows * columns, across | down)
+
+
+def relabelled(graph, rng):
+    perm = list(range(graph.vertex_count))
+    rng.shuffle(perm)
+    return LabeledGraph(graph.vertex_count, {(perm[u], perm[v]) for u, v in graph.edges})
+
+
+def test_frontier_matches_subset_dp_and_enumeration_on_random_graphs():
+    rng = Random(4096)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        g = graphcomp.random_graph(rng, n, rng.uniform(0.05, 0.9))
+        count = graphcomp.count_compositions_frontier(g)
+        assert count == graphcomp.count_compositions_graph(g), sorted(g.edges)
+        if n <= 8:
+            assert count == len(graphcomp.enumerate_graph_compositions(g))
+
+
+def test_frontier_known_graphs():
+    assert graphcomp.count_compositions_frontier(LabeledGraph(0)) == 1
+    assert graphcomp.count_compositions_frontier(LabeledGraph(3)) == 1
+    assert graphcomp.count_compositions_frontier(complete(4)) == 15
+    assert graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", 4)) == 456
+
+
+def test_frontier_scales_without_recursion():
+    n = 10 ** 4
+    assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
+    ladder = graphcomp.build_family("ladder", 2000)
+    assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(2000)
+    assert graphcomp.count_compositions_frontier(grid(4, 4)) == \
+        graphcomp.count_compositions_graph(grid(4, 4))
+    rng = Random(540)
+    wide = grid(5, 40)
+    assert graphcomp.count_compositions_frontier(relabelled(wide, rng)) == \
+        graphcomp.count_compositions_frontier(relabelled(wide, rng))
 
 
 # --- structural invariants ------------------------------------------------------------------
