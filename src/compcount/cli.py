@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 
-from . import compositions, graphcomp, series, verify
+from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
 from .errors import ResourceLimitError
 from .graphcomp import GraphParseError
@@ -40,10 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification")
     common.add_argument("--cap", type=int, default=graphcomp.DEFAULT_VERTEX_CAP,
-                        help="limits for each biconnected block: at most 2^cap DP states (so the "
-                             "subset DP takes blocks of at most cap vertices) and the subset DP's "
-                             "estimated cost on the complete graph with cap vertices "
-                             "(default %(default)s)")
+                        help="limits for each biconnected block: a counter may hold at most "
+                             "2^cap states and take at most 3^cap/2 steps, as many as the subset "
+                             "DP takes on the complete graph with cap vertices, so the subset DP "
+                             "takes blocks of at most cap vertices (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="compcount",
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the edge list instead of the count (plain format only)")
 
     p = commands.add_parser("verify", parents=[common], help="run the cross-check suites")
-    p.add_argument("--suite", choices=verify.SUITES, default="all")
+    p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
 
     return parser
@@ -206,6 +206,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _single("graph family", params, graphcomp.family_count(family, args.n))
 
     if command == "verify":
+        from . import verify  # only this command needs it, so start-up skips it
+
         checks = verify.run_suite(args.suite, args.max_n, args.seed, args.cap)
         return {
             "command": "verify",
@@ -270,7 +272,8 @@ def _emit_checks(record: dict, fmt: str, out) -> None:
     out.write(f"# verify suite={params['suite']} max-n={params['max-n']} seed={params['seed']}\n")
     for check in checks:
         if check["ok"]:
-            out.write(f"ok   {check['name']}\n")
+            note = f" ({check['detail']})" if check["detail"] else ""
+            out.write(f"ok   {check['name']}{note}\n")
         else:
             out.write(f"FAIL {check['name']}: {check['detail']}\n")
     passed = sum(1 for c in checks if c["ok"])

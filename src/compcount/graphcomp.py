@@ -3,23 +3,21 @@
 A composition of a graph is a partition of its vertex set into blocks that
 each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). Two exact counters:
-``count_compositions_graph`` runs a subset dynamic program over bitmask
-states, 2^n of them, and suits small dense graphs; ``count_compositions_frontier``
+``count_compositions_graph`` runs a subset dynamic program over the 2^n
+bitmask states, summing over the connected submasks of each connected state
+in about 3^n/2 steps, and suits small dense graphs; ``count_compositions_frontier``
 runs a frontier DP along a vertex order, whose states follow the frontier
 width instead, and suits thin graphs of any size. ``reduce_and_count`` finds
 the biconnected blocks of the graph in one linear-time DFS and returns the
 product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-
 vertex unions, so a bridge (a two-vertex block) contributes 2, and each
 block with at least 3 vertices goes to the counter with the lower estimated
-cost.
-"""
+time."""
 
 import heapq
 import math
-import sys
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
@@ -154,55 +152,22 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-def _connected_masks_by_min(graph: LabeledGraph) -> list[list[int]]:
-    """All connected vertex subsets as bitmasks, grouped by lowest vertex.
-
-    Grown breadth-first from singletons: a set is connected iff it can be
-    reached by repeatedly attaching a neighboring vertex.
-    """
-    n = graph.vertex_count
-    nbr = graph.neighbor_masks()
-    seen: set[int] = set()
-    queue: deque[int] = deque()
-    for v in range(n):
-        mask = 1 << v
-        seen.add(mask)
-        queue.append(mask)
-    masks: list[int] = []
-    while queue:
-        mask = queue.popleft()
-        masks.append(mask)
-        reach = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            reach |= nbr[low.bit_length() - 1]
-            bits ^= low
-        growth = reach & ~mask
-        while growth:
-            low = growth & -growth
-            grown = mask | low
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
-            growth ^= low
-    by_min: list[list[int]] = [[] for _ in range(n)]
-    for mask in masks:
-        by_min[(mask & -mask).bit_length() - 1].append(mask)
-    for group in by_min:
-        group.sort()
-    return by_min
-
-
 def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
-    Subset DP: ways(S) sums, over connected blocks T inside S that contain
-    S's lowest vertex, the value ways(S minus T), with ways(empty) = 1.
-    The empty graph counts 1. Graphs above the vertex cap raise a resource
-    error (state space is 2^n); reduce_and_count handles larger graphs,
-    since it splits them into biconnected blocks and counts thin blocks
-    with the frontier DP.
+    Subset DP over the vertex subsets S in increasing order, with
+    ways(empty) = 1. A bit-parallel search grows the component C of S's
+    lowest vertex inside S. If C is not all of S, no edge joins C to the
+    rest, so ways(S) = ways(C) ways(S minus C). Otherwise S is marked in a
+    table of connected sets, and ways(S) sums ways(S minus T) over the
+    connected T inside S that hold its lowest vertex: every submask of S
+    through that vertex is looked up in the table, which the subsets below S
+    have already filled in. A connected S has 2^(|S|-1) such submasks, so a
+    dense graph takes about 3^n/2 steps and a sparse one fewer, since most of
+    its states take the product step. The empty graph counts 1. Graphs above
+    the vertex cap raise a resource error (state space is 2^n);
+    reduce_and_count handles larger graphs, since it splits them into
+    biconnected blocks and counts thin blocks with the frontier DP.
     """
     cap = DEFAULT_VERTEX_CAP if cap is None else cap
     n = graph.vertex_count
@@ -211,17 +176,33 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
             f"{n} vertices exceed the subset-DP cap of {cap}; "
             "reduce_and_count can split the graph first"
         )
-    if n == 0:
-        return 1
-    by_min = _connected_masks_by_min(graph)
+    nbr = graph.neighbor_masks()
     ways = [0] * (1 << n)
     ways[0] = 1
+    connected = bytearray(1 << n)
     for state in range(1, 1 << n):
-        lowest = (state & -state).bit_length() - 1
-        acc = 0
-        for block in by_min[lowest]:
-            if block & state == block:
-                acc += ways[state ^ block]
+        low = state & -state
+        component = frontier = low
+        while frontier:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                grown |= nbr[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grown & state & ~component
+            component |= frontier
+        if component != state:
+            ways[state] = ways[component] * ways[state ^ component]
+            continue
+        connected[state] = 1
+        # each block T through low is state ^ other for a submask other of rest
+        rest = state ^ low
+        acc = 1  # T = state
+        other = rest
+        while other:
+            if connected[state ^ other]:
+                acc += ways[other]
+            other = (other - 1) & rest
         ways[state] = acc
     return ways[-1]
 
@@ -568,16 +549,19 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
 # The cost model that routes each block to a counter, in estimated seconds.
 # Fitted to timings of both counters (CPython 3.11, 2-vCPU x86-64 guest) on
 # 110 cycles, ladders, grids, complete graphs and random graphs of 3-16
-# vertices; the frontier constants on those with frontier width at most 3,
-# where the state bound is nearly tight, so that on wider frontiers the
-# estimate errs high and a block stays with the subset DP when in doubt.
-SUBSET_CALL_S = 1.0e-5
-SUBSET_STEP_S = 4.0e-8  # per (state, connected set) pair the subset DP scans
+# vertices, each constant pair on the graphs where its step count is nearly
+# tight: the frontier constants on those with frontier width at most 3, the
+# subset constants on those where the 3^n/2 steps of the complete graph are
+# within 10% of the DP's true step count. Both step counts err high on other
+# graphs: a wide frontier keeps a block with the subset DP, a sparse block
+# goes to the frontier DP.
+SUBSET_CALL_S = 4.5e-6
+SUBSET_STEP_S = 1.4e-7  # per (connected state, submask through its lowest vertex) pair
 FRONTIER_CALL_S = 1.5e-5
 FRONTIER_MOVE_S = 2.1e-6  # per (state, block choice) pair of the frontier DP
 # Frontier widths past this count as unbounded. The state bound at width 40
 # is about 1e47, or 2^156: over the state limit of any cap under 156 and far
-# over the time budget of any cap under 63.
+# over the step limit of any cap under 63.
 MAX_BOUNDED_WIDTH = 40
 
 
@@ -594,41 +578,22 @@ def _state_bounds() -> tuple[float, ...]:
     return tuple(float(x) for x in two)
 
 
-def _frontier_cost(widths: list[int]) -> tuple[float, float]:
-    """Estimated seconds of the frontier DP, given the frontier width before
-    each step, and the bound on its states at the widest step: every state
+def _frontier_steps(widths: list[int]) -> tuple[float, float]:
+    """Bounds on the frontier DP's steps, given the frontier width before
+    each of its vertices, and on its states at the widest one: every state
     tries at most width + 1 blocks for the next vertex."""
     bounds = _state_bounds()
     widest = max(widths, default=0)
     if widest >= len(bounds):
         return math.inf, math.inf
-    seconds = FRONTIER_CALL_S + FRONTIER_MOVE_S * sum(bounds[w] * (w + 1) for w in widths)
-    return seconds, bounds[widest]
+    return sum(bounds[w] * (w + 1) for w in widths), bounds[widest]
 
 
-@lru_cache(maxsize=1024)
-def _subset_cost(n: int, m: int) -> float:
-    """Estimated seconds of the subset DP on n vertices and m edges.
-
-    Its work is the number of (state, connected set through the state's
-    lowest vertex) pairs. States whose lowest vertex has j vertices above it
-    number 2^j, and such a vertex lies in about sum over k of C(j, k-1) P(k)
-    connected sets, where P(k) is the chance that a random graph on k
-    vertices with the block's edge density is connected. This is exact for
-    complete graphs, within about 25% on random graphs, and high for cycles
-    and ladders.
-    """
-    if n > 62:  # no list can hold 2^n states, so no budget admits it
-        return math.inf
-    missing = 1 - m / (n * (n - 1) // 2) if n > 1 else 0.0
-    connected = [0.0, 1.0]
-    for k in range(2, n + 1):
-        apart = sum(math.comb(k - 1, i - 1) * connected[i] * missing ** (i * (k - i))
-                    for i in range(1, k))
-        connected.append(max(0.0, 1 - apart))  # apart sums disjoint events
-    work = sum(2.0 ** j * sum(math.comb(j, k - 1) * connected[k] for k in range(1, j + 2))
-               for j in range(n))
-    return SUBSET_CALL_S + SUBSET_STEP_S * work
+def _subset_steps(n: int) -> float:
+    """The subset DP's steps on the complete graph with n vertices, the most
+    it takes on any n-vertex graph: every state is connected and tries the
+    2^(|S|-1) submasks through its lowest vertex, about 3^n/2 in all."""
+    return 3.0 ** n / 2 if n <= 62 else math.inf  # no list holds 2^63 states
 
 
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
@@ -637,18 +602,17 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2. Each block
     with at least 3 vertices is relabelled in vertex order and goes to the
-    counter with the lower estimated cost: the frontier DP, whose cost
-    follows the frontier widths of a min-frontier order, or the subset DP,
-    whose cost follows 2^n and the edge density. The cap limits both. Neither
-    may hold more than 2^cap states: the subset DP runs only on blocks within
-    the cap, and the frontier DP only where its state bound at the widest
-    step is at most 2^cap. And a block is refused when its cheaper counter's
-    estimate exceeds the subset DP's estimate for the complete graph on cap
-    vertices. So thin blocks of any size are counted.
+    counter with the lower estimated time: the frontier DP, whose steps
+    follow the frontier widths of a min-frontier order, or the subset DP,
+    whose steps follow 3^n/2. The cap limits both, in states and in steps:
+    a counter may hold at most 2^cap states and take at most 3^cap/2 steps,
+    the subset DP's on the complete graph with cap vertices. So the subset
+    DP runs only on blocks within the cap, the frontier DP on blocks of any
+    size whose frontier stays thin, and a block that neither fits is refused.
     """
     cap = DEFAULT_VERTEX_CAP if cap is None else cap
-    budget = min(_subset_cost(cap, cap * (cap - 1) // 2), sys.float_info.max)
     state_limit = 2.0 ** min(cap, 1000)
+    step_limit = _subset_steps(cap)
     result = 1
     for block in _blocks(graph):
         if len(block) == 1:
@@ -660,17 +624,18 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
         n = relabelled.vertex_count
         adj = relabelled.adjacency()
         order, widths = _frontier_order(adj)
-        frontier_s, states = _frontier_cost(widths)
-        subset_s = _subset_cost(n, len(relabelled.edges))
-        frontier = frontier_s if states <= state_limit else math.inf
+        frontier_steps, states = _frontier_steps(widths)
+        frontier_s = FRONTIER_CALL_S + FRONTIER_MOVE_S * frontier_steps
+        subset_s = SUBSET_CALL_S + SUBSET_STEP_S * _subset_steps(n)
+        frontier = frontier_s if states <= state_limit and frontier_steps <= step_limit else math.inf
         subset = subset_s if n <= cap else math.inf
-        if min(frontier, subset) > budget:
+        if frontier == subset == math.inf:
             raise ResourceLimitError(
                 f"a block of {n} vertices is over the limits that cap={cap} sets, 2^{cap} "
-                f"states and an estimated {budget:.3g} s (the subset DP's estimate for the "
-                f"complete graph on {cap} vertices): the subset DP would hold 2^{n} states "
-                f"for an estimated {subset_s:.3g} s, the frontier DP up to {states:.3g} "
-                f"states for {frontier_s:.3g} s"
+                f"states and {step_limit:.3g} steps (the subset DP's on the complete graph "
+                f"on {cap} vertices): the subset DP would hold 2^{n} states for an estimated "
+                f"{subset_s:.3g} s, the frontier DP up to {states:.3g} states for "
+                f"{frontier_s:.3g} s in {frontier_steps:.3g} steps"
             )
         if subset <= frontier:
             result *= count_compositions_graph(relabelled, cap)

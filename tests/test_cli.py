@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from compcount import cli, compositions, graphcomp
+from compcount import VERIFY_SUITES, cli, compositions, graphcomp
 
 
 def run_cli(argv):
@@ -237,6 +240,29 @@ def test_verify_passes_on_correct_build():
     assert code == 0
     assert "FAIL" not in out
     assert out.startswith("# verify suite=all max-n=10 seed=1\n")
+
+
+def test_verify_with_a_low_cap_skips_the_graphs_over_it():
+    argv = ["verify", "--suite", "graphs", "--cap", "8", "--max-n", "10"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert "FAIL" not in out and out.endswith("passed 9/9 checks\n")
+    assert "ok   family closed forms match the subset DP (skipped 13 over the cap: path n=9," in out
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    checks = json.loads(out)["checks"]
+    skipping = [c["name"] for c in checks if "over the cap" in c["detail"]]
+    assert len(skipping) == 6 and all(c["ok"] for c in checks)
+
+
+def test_verify_suites_are_offered_without_importing_verify():
+    code = ("import sys, compcount.cli; compcount.cli.build_parser(); "
+            "print('compcount.verify' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout == "False\n", done.stderr
+    assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
+    assert run_cli(["verify", "--suite", "everything"])[0] == 2
 
 
 def test_verify_json_reports_checks():

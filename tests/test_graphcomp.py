@@ -1,5 +1,8 @@
 """Tests for graph construction, parsing, and composition counting."""
 
+import json
+from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -7,6 +10,9 @@ import pytest
 from compcount import exactnum, graphcomp
 from compcount.errors import ResourceLimitError
 from compcount.graphcomp import GraphParseError, LabeledGraph
+
+
+PINNED_DENSE = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_dense.json"
 
 
 def path(n):
@@ -111,6 +117,14 @@ def test_count_known_graphs():
 def test_count_multiplies_over_disjoint_pieces():
     two_edges = LabeledGraph(4, {(0, 1), (2, 3)})
     assert graphcomp.count_compositions_graph(two_edges) == 4
+    # the lowest vertex's component is not a prefix of the labels, so the
+    # product step runs on scattered masks
+    evens = set(combinations(range(0, 10, 2), 2))
+    odds = set(combinations(range(1, 10, 2), 2))
+    assert graphcomp.count_compositions_graph(LabeledGraph(10, evens | odds)) == exactnum.bell(5) ** 2
+    # K4 on 0, 3, 6, 8; a path 1-7-4; 2 and 5 isolated
+    mixed = set(combinations((0, 3, 6, 8), 2)) | {(1, 7), (4, 7)}
+    assert graphcomp.count_compositions_graph(LabeledGraph(9, mixed)) == 15 * 4
 
 
 def test_count_cap_guard():
@@ -150,6 +164,9 @@ def test_enumeration_matches_dp():
     graphs += [complete(n) for n in range(1, 7)]
     graphs += [graphcomp.build_family("cycle", n) for n in (3, 4, 5, 6)]
     graphs += [graphcomp.random_graph(rng, n, 0.4) for n in (4, 5, 6, 7, 8)]
+    pairs = list(combinations(range(5), 2))
+    graphs += [LabeledGraph(5, {pair for i, pair in enumerate(pairs) if bits >> i & 1})
+               for bits in range(1 << len(pairs))]  # every graph on 5 vertices
     for g in graphs:
         assert graphcomp.count_compositions_graph(g) == len(
             graphcomp.enumerate_graph_compositions(g)
@@ -360,6 +377,14 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
         assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
     assert not subset_sizes
     assert frontier_sizes == [12, 13, 16, 20, 40, 10, 12, 20, 60]
+    # dense pinned blocks of the benchmark, where the frontier DP's state
+    # bound is loose
+    frontier_sizes.clear()
+    pinned = json.loads(PINNED_DENSE.read_text())
+    for entry in [e for e in pinned if e["n"] == 10 and e["p"] == 0.7]:
+        block = LabeledGraph(10, {tuple(edge) for edge in entry["edges"]})
+        assert graphcomp.reduce_and_count(block) == int(entry["count"])
+    assert subset_sizes == [10, 10, 10] and not frontier_sizes
 
 
 def test_reduce_respects_cap_on_irreducible_pieces():
@@ -370,8 +395,8 @@ def test_reduce_respects_cap_on_irreducible_pieces():
 def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
     with pytest.raises(ResourceLimitError, match=r"26 vertices.*cap=24"):
         graphcomp.reduce_and_count(complete(26))
-    # within the time budget of cap 24, but a frontier of width 11 is bounded
-    # by 188378402 states, over 2^24
+    # a frontier of width 11 is bounded by 188378402 states, over 2^24 (and
+    # by about 6e11 steps, over the 1.4e11 of cap 24)
     with pytest.raises(ResourceLimitError,
                        match=r"330 vertices.*cap=24.*frontier DP up to 1.88e\+08 states for 1.26e\+06 s"):
         graphcomp.reduce_and_count(grid(11, 30))
@@ -405,6 +430,14 @@ def test_frontier_matches_subset_dp_and_enumeration_on_random_graphs():
         assert count == graphcomp.count_compositions_graph(g), sorted(g.edges)
         if n <= 8:
             assert count == len(graphcomp.enumerate_graph_compositions(g))
+
+
+def test_frontier_matches_subset_dp_on_random_graphs_up_to_twelve_vertices():
+    rng = Random(12)
+    for _ in range(300):
+        g = graphcomp.random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.9))
+        assert graphcomp.count_compositions_frontier(g) == \
+            graphcomp.count_compositions_graph(g), sorted(g.edges)
 
 
 def test_frontier_known_graphs():
