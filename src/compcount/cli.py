@@ -6,27 +6,24 @@ error, 3 resource-guard error.
 """
 
 import argparse
-import csv
-import json
+import math
 import sys
 
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_work
 from .graphcomp import GraphParseError
 
 TRIANGLE_KIND_FLAGS = {
     "pi": compositions.PARTITIONS_DISTINCT,
     "cdistinct": compositions.COMPOSITIONS_DISTINCT,
 }
-FAMILY_FLAGS = {
-    "path": "path",
-    "tree": "tree",
-    "complete": "complete",
-    "kminus": "complete_minus_edge",
-    "cycle": "cycle",
-    "ladder": "ladder",
-}
+# --name flags: each family's own name, except kminus for complete_minus_edge.
+FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name
+                for name in graphcomp.FAMILIES}
+# --family flags of the rational series; distinct-total is not rational.
+SERIES_FAMILIES = {"fstrict": series.gf_leading_strict, "fweak": series.gf_leading_weak,
+                   "avoid": series.gf_avoiding, "contain": series.gf_containing}
 
 
 class UsageError(Exception):
@@ -43,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="limits for each biconnected block: a counter may hold at most "
                              "2^cap states and take at most 3^cap/2 steps, as many as the subset "
                              "DP takes on the complete graph with cap vertices, so the subset DP "
-                             "takes blocks of at most cap vertices (default %(default)s)")
+                             "takes blocks of at most cap vertices, and never more than "
+                             f"{graphcomp.SUBSET_MAX_VERTICES} (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="compcount",
@@ -85,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("series", parents=[common],
                             help="generating-function coefficients")
-    p.add_argument("--family",
-                   choices=("fstrict", "fweak", "avoid", "contain", "distinct-total"),
-                   required=True)
+    p.add_argument("--family", choices=(*SERIES_FAMILIES, "distinct-total"), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
 
@@ -110,6 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct_table(n: int) -> tuple[float, float]:
+    """Entries of the distinct-part table up to row n (about 0.94 n^1.5), and
+    a bound on their bits: k! e^(pi sqrt(n/3)) for the largest k."""
+    n = max(n, 0)
+    top = (math.isqrt(8 * n + 1) - 1) // 2
+    bits = (math.lgamma(top + 1) + math.pi * math.sqrt(n / 3)) / math.log(2) + 1
+    return 0.95 * n ** 1.5 + n + 1, bits
+
+
 def _single(command: str, parameters: dict, value: int) -> dict:
     return {"command": command, "parameters": parameters, "values": [("0", str(value))]}
 
@@ -125,6 +130,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _single("count restricted", params, value)
 
     if command == "count" and sub == "distinct":
+        entries, bits = _distinct_table(args.n)
+        check_work(f"count distinct --n {args.n}", entries, bits, held=entries)
         if args.k is None:
             value = compositions.count_compositions_distinct_total(args.n)
         else:
@@ -132,16 +139,17 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _single("count distinct", {"n": args.n, "k": args.k}, value)
 
     if command == "count" and sub == "leading":
-        if args.mode == "strict":
-            if args.k is None:
-                value = compositions.count_leading_strict_total(args.n)
-            else:
-                value = compositions.count_leading_strict(args.n, args.k)
+        n, strict = max(args.n, 1), args.mode == "strict"
+        if args.k is None:  # 2(n/k + 1) binomials of n bits for each k, each
+            # log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)
+            products = n * (math.log(n) + 2) * math.log2(n + 1) / 2
+            check_work(f"count leading --n {args.n}", products * (n / 64 + 1) ** 0.585, n, held=1)
+            total = compositions.count_leading_strict_total if strict else compositions.leading_weak_total
+            value = total(args.n)
         else:
-            if args.k is None:
-                value = compositions.leading_weak_total(args.n)
-            else:
-                value = compositions.count_leading_weak(args.n, args.k)
+            check_work(f"count leading --n {args.n}", n, n, held=n)
+            per_k = compositions.count_leading_strict if strict else compositions.count_leading_weak
+            value = per_k(args.n, args.k)
         return _single("count leading", {"mode": args.mode, "n": args.n, "k": args.k}, value)
 
     if command == "count" and sub == "avoid":
@@ -153,34 +161,34 @@ def _dispatch(args: argparse.Namespace) -> dict:
                        compositions.count_containing(args.n, args.k))
 
     if command == "triangle":
+        entries, bits = _distinct_table(args.rows - 1)
+        cells = max(args.rows, 0) * (args.rows + 1) / 2
+        check_work(f"triangle --rows {args.rows}", entries + cells, bits,
+                   held=entries + cells, printed=cells)
         tri = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
-        values = [
-            (f"{n}:{k}", str(entry))
-            for n, row in enumerate(tri.rows)
-            for k, entry in enumerate(row)
-        ]
-        return {
-            "command": "triangle",
-            "parameters": {"kind": args.kind, "rows": args.rows},
-            "values": values,
-            "triangle_rows": [[str(entry) for entry in row] for row in tri.rows],
-        }
+        record = {"command": "triangle", "parameters": {"kind": args.kind, "rows": args.rows}}
+        if args.format == "plain":  # each entry is converted once, for its format only
+            record["text"] = "".join(" ".join(map(str, row)) + "\n" for row in tri.rows)
+        else:
+            record["values"] = [(f"{n}:{k}", str(entry))
+                                for n, row in enumerate(tri.rows) for k, entry in enumerate(row)]
+        return record
 
     if command == "series":
         if args.family == "distinct-total":
             if args.k is not None:
                 raise UsageError("--k does not apply to the distinct-total series")
-            expansion = series.gf_distinct_total(args.order)
+            terms = (math.isqrt(8 * max(args.order, 0) + 1) - 1) // 2  # factors 1 - z^k
+            expand = series.gf_distinct_total
         else:
             if args.k is None:
                 raise UsageError(f"--k is required for the {args.family} series")
-            builder = {
-                "fstrict": series.gf_leading_strict,
-                "fweak": series.gf_leading_weak,
-                "avoid": series.gf_avoiding,
-                "contain": series.gf_containing,
-            }[args.family]
-            expansion = builder(args.k).expand(args.order)
+            gf = SERIES_FAMILIES[args.family](args.k)
+            terms, expand = sum(1 for d in gf.denominator[1:] if d), gf.expand
+        # every coefficient counts compositions of at most order, so has at most order bits
+        size = max(args.order, 0) + 1
+        check_work(f"series --order {args.order}", size * max(terms, 1), size, held=size, printed=size)
+        expansion = expand(args.order)
         values = [(str(n), str(c)) for n, c in enumerate(expansion.coefficients)]
         return {
             "command": "series",
@@ -203,6 +211,10 @@ def _dispatch(args: argparse.Namespace) -> dict:
             built = graphcomp.build_family(family, args.n)
             return {"command": "graph family", "parameters": params,
                     "text": graphcomp.format_edge_list(built)}
+        if family in ("complete", "complete_minus_edge"):  # Bell triangle rows up to n
+            n = max(args.n, 0)
+            check_work(f"graph family --name {args.name} --n {args.n}", n * (n + 1) / 2,
+                       n * math.log2(n + 1), held=2 * n + 2)
         return _single("graph family", params, graphcomp.family_count(family, args.n))
 
     if command == "verify":
@@ -226,6 +238,7 @@ def _emit(record: dict, fmt: str, out) -> None:
         return
 
     if fmt == "json":
+        import json  # json output alone needs it, so start-up skips it
         json.dump(record_as_json(record), out, indent=2)
         out.write("\n")
         return
@@ -235,18 +248,11 @@ def _emit(record: dict, fmt: str, out) -> None:
         return
 
     if fmt == "plain":
-        if "triangle_rows" in record:
-            for row in record["triangle_rows"]:
-                out.write(" ".join(row) + "\n")
-        else:
-            for _, value in record["values"]:
-                out.write(value + "\n")
+        out.write("".join(value + "\n" for _, value in record["values"]))
         return
 
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "value"])
-    for index, value in record["values"]:
-        writer.writerow([index, value])
+    # indices and decimal values hold no character that csv would quote
+    out.write("index,value\n" + "".join(f"{index},{value}\n" for index, value in record["values"]))
 
 
 def record_as_json(record: dict) -> dict:
@@ -263,6 +269,7 @@ def record_as_json(record: dict) -> dict:
 def _emit_checks(record: dict, fmt: str, out) -> None:
     checks = record["checks"]
     if fmt == "csv":
+        import csv  # only verify's csv output needs it
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["name", "ok"])
         for check in checks:

@@ -11,7 +11,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 
 def exact_div(numerator: int, divisor: int) -> int:
@@ -52,30 +53,47 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+# Bell numbers 0..len-1 and the last Bell-triangle row, which starts with the last.
+_BELLS = [1]
+_BELL_ROW = [1]
+
+
+@lru_cache(maxsize=16)
 def bell(n: int) -> int:
-    """Number of set partitions of an n-element set; bell(0) == 1."""
+    """Number of set partitions of an n-element set; bell(0) == 1.
+
+    Row m of the Bell triangle starts with Bell(m), the last entry of row
+    m - 1, and adds the entry above at every step. The numbers found so far
+    and the last row are kept, so a larger n costs only the rows it adds.
+    """
     if n < 0:
         return 0
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]
+    global _BELL_ROW
+    while len(_BELLS) <= n:
+        _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
+        _BELLS.append(_BELL_ROW[0])
+    return _BELLS[n]
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            above = prev[k] if k < m else 0
-            row[k] = k * above + prev[k - 1]
-    return tuple(row)
+# Per kind (True for the first), the index and entries of the last row built.
+_STIRLING_LAST = {False: (0, (1,)), True: (0, (1,))}
+
+
+@lru_cache(maxsize=64)
+def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
+    """Row n of the Stirling triangle of either kind (see stirling1 and
+    stirling2), continued from the last row built unless that is past n, so
+    an increasing sweep builds each row once and keeps only the cached ones."""
+    m, row = _STIRLING_LAST[first_kind]
+    if m > n:
+        m, row = 0, (1,)
+    while m < n:
+        m += 1
+        above = row + (0,)
+        row = (0,) + tuple((m - 1 if first_kind else k) * above[k] + above[k - 1]
+                           for k in range(1, m + 1))
+    _STIRLING_LAST[first_kind] = (m, row)
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
@@ -83,19 +101,7 @@ def stirling2(n: int, k: int) -> int:
     recurrence {n,k} = k*{n-1,k} + {n-1,k-1} with {0,0} = 1."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            above = prev[k] if k < m else 0
-            row[k] = (m - 1) * above + prev[k - 1]
-    return tuple(row)
+    return _stirling_row(n, False)[k]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -103,18 +109,39 @@ def stirling1(n: int, k: int) -> int:
     elements with k cycles), via [n,k] = (n-1)[n-1,k] + [n-1,k-1]."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling1_row(n)[k]
+    return _stirling_row(n, True)[k]
 
 
-def _positive_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n."""
+def nested_parts(n: int, k: int, choices: Callable) -> Iterator[tuple[int, ...]]:
+    """The k-tuples that nested loops build, part by part, from
+    choices(remaining, parts_left, previous_part) (previous_part is None for
+    the first part), keeping those that use up n exactly, in loop order.
+    Iterative, so the depth of Python recursion does not grow with k."""
     if k == 0:
         if n == 0:
             yield ()
         return
-    for first in range(1, n - k + 2):
-        for rest in _positive_compositions(n - first, k - 1):
-            yield (first,) + rest
+    prefix: list[int] = []
+    loops = [iter(choices(n, k, None))]
+    remaining = n
+    while loops:
+        part = next(loops[-1], None)
+        if part is None:
+            loops.pop()
+            if prefix:
+                remaining += prefix.pop()
+        elif len(prefix) == k - 1:
+            if part == remaining:
+                yield (*prefix, part)
+        else:
+            prefix.append(part)
+            remaining -= part
+            loops.append(iter(choices(remaining, k - len(prefix), part)))
+
+
+def _positive_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Ordered k-tuples of positive integers summing to n, lexicographically."""
+    return nested_parts(n, k, lambda rest, left, previous: range(1, rest - left + 2))
 
 
 def stirling2_via_compositions(n: int, k: int) -> int:
@@ -159,18 +186,16 @@ def equal_block_partitions(eta: int, kappa: int, lam: int) -> int:
     return exact_div(factorial(eta), factorial(kappa) * factorial(lam) ** kappa)
 
 
-def _partitions_into_k_parts(n: int, k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing k-tuples of positive integers summing to n."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    top = n - k + 1 if largest is None else min(largest, n - k + 1)
-    for first in range(top, 0, -1):
-        if n - first > (k - 1) * first:
-            break
-        for rest in _partitions_into_k_parts(n - first, k - 1, first):
-            yield (first,) + rest
+def _partitions_into_k_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing k-tuples of positive integers summing to n, in reverse
+    lexicographic order: each part is at most the one before, and at least
+    the mean of what is left for it and the parts after it."""
+
+    def choices(rest: int, left: int, previous: int | None) -> range:
+        top = rest - left + 1 if previous is None else min(previous, rest - left + 1)
+        return range(top, max(-(-rest // left), 1) - 1, -1)
+
+    return nested_parts(n, k, choices)
 
 
 def binomial_via_partition_multiplicities(n: int, k: int) -> int:

@@ -26,9 +26,16 @@ from . import exactnum
 from .errors import ResourceLimitError
 
 DEFAULT_VERTEX_CAP = 24
+# The subset DP keeps 2^n counts and a 2^n-byte table, 9 bytes a state at
+# least: 2^40 states are about 10 TB, more than any host holds, so no cap
+# lets it take a graph of more vertices.
+SUBSET_MAX_VERTICES = 40
 ENUMERATION_VERTEX_LIMIT = 10
 
-FAMILIES = ("path", "tree", "complete", "complete_minus_edge", "cycle", "ladder")
+# Each named family with its smallest size (rungs for the ladder).
+FAMILY_MIN_SIZE = {"path": 0, "tree": 0, "complete": 0, "complete_minus_edge": 2,
+                   "cycle": 3, "ladder": 1}
+FAMILIES = tuple(FAMILY_MIN_SIZE)
 
 
 class GraphParseError(ValueError):
@@ -169,7 +176,7 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
     reduce_and_count handles larger graphs, since it splits them into
     biconnected blocks and counts thin blocks with the frontier DP.
     """
-    cap = DEFAULT_VERTEX_CAP if cap is None else cap
+    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
     n = graph.vertex_count
     if n > cap:
         raise ResourceLimitError(
@@ -407,18 +414,8 @@ def enumerate_graph_compositions(graph: LabeledGraph) -> list[tuple[tuple[int, .
 def _check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family in ("path", "tree", "complete"):
-        if n < 0:
-            raise ValueError(f"{family} needs n >= 0")
-    elif family == "complete_minus_edge":
-        if n < 2:
-            raise ValueError("complete_minus_edge needs n >= 2")
-    elif family == "cycle":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-    elif family == "ladder":
-        if n < 1:
-            raise ValueError("ladder needs n >= 1")
+    if n < FAMILY_MIN_SIZE[family]:
+        raise ValueError(f"{family} needs n >= {FAMILY_MIN_SIZE[family]}")
 
 
 def family_count(family: str, n: int) -> int:
@@ -593,7 +590,7 @@ def _subset_steps(n: int) -> float:
     """The subset DP's steps on the complete graph with n vertices, the most
     it takes on any n-vertex graph: every state is connected and tries the
     2^(|S|-1) submasks through its lowest vertex, about 3^n/2 in all."""
-    return 3.0 ** n / 2 if n <= 62 else math.inf  # no list holds 2^63 states
+    return 3.0 ** n / 2 if n < 640 else math.inf  # past the range of a float
 
 
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
@@ -628,13 +625,14 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
         frontier_s = FRONTIER_CALL_S + FRONTIER_MOVE_S * frontier_steps
         subset_s = SUBSET_CALL_S + SUBSET_STEP_S * _subset_steps(n)
         frontier = frontier_s if states <= state_limit and frontier_steps <= step_limit else math.inf
-        subset = subset_s if n <= cap else math.inf
+        subset = subset_s if n <= min(cap, SUBSET_MAX_VERTICES) else math.inf
         if frontier == subset == math.inf:
             raise ResourceLimitError(
                 f"a block of {n} vertices is over the limits that cap={cap} sets, 2^{cap} "
                 f"states and {step_limit:.3g} steps (the subset DP's on the complete graph "
-                f"on {cap} vertices): the subset DP would hold 2^{n} states for an estimated "
-                f"{subset_s:.3g} s, the frontier DP up to {states:.3g} states for "
+                f"on {cap} vertices; the subset DP never holds more than "
+                f"2^{SUBSET_MAX_VERTICES} states): the subset DP would hold 2^{n} states for "
+                f"an estimated {subset_s:.3g} s, the frontier DP up to {states:.3g} states for "
                 f"{frontier_s:.3g} s in {frontier_steps:.3g} steps"
             )
         if subset <= frontier:

@@ -5,6 +5,7 @@ shorter operand's order, and truncation order is always explicit at the call
 site; there is no implicit global precision.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import exactnum
@@ -129,7 +130,9 @@ def series_from_rational(gf: RationalGF, order: int) -> TruncatedSeries:
 
     With denominator d_0 + d_1 z + ... the coefficients satisfy
     c_m = (num_m - sum_{j>=1} d_j c_{m-j}) / d_0, and d_0 = +-1 keeps every
-    step in the integers.
+    step in the integers. The sum runs over the nonzero d_j only, so a
+    sparse denominator such as 1 - 2z + z^k costs O(order) steps, not
+    O(order k).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -137,12 +140,15 @@ def series_from_rational(gf: RationalGF, order: int) -> TruncatedSeries:
     lead = den[0]
     if lead not in (1, -1):
         raise ValueError("denominator constant term must be +1 or -1 for integer expansion")
-    coeffs = [0] * (order + 1)
+    terms = [(j, d) for j, d in enumerate(den) if j and d]
+    coeffs = list(num[: order + 1]) + [0] * (order + 1 - len(num))
     for m in range(order + 1):
-        acc = num[m] if m < len(num) else 0
-        for j in range(1, min(m, len(den) - 1) + 1):
-            acc -= den[j] * coeffs[m - j]
-        coeffs[m] = acc * lead
+        acc = coeffs[m]
+        for j, d in terms:
+            if j > m:
+                break
+            acc -= d * coeffs[m - j]
+        coeffs[m] = acc if lead == 1 else -acc
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -152,29 +158,29 @@ def gf_all_compositions() -> RationalGF:
     return RationalGF((0, 1), (1, -2))
 
 
+def _poly(*terms: tuple[int, int]) -> Polynomial:
+    """The sum of c z^e over the (e, c) terms, as a coefficient tuple."""
+    out = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        out[e] += c
+    return tuple(out)
+
+
+def _leading(k: int, gap: int) -> RationalGF:
+    if k < 1:
+        raise ValueError("k must be positive")
+    return RationalGF(_poly((k, 1), (k + 1, -1)), _poly((0, 1), (1, -2), (gap, 1)))
+
+
 def gf_leading_strict(k: int) -> RationalGF:
     """(1-z) z^k / (1 - 2z + z^k): counts compositions whose first part is
     exactly k with all later parts strictly below k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    num = [0] * k + [1, -1]
-    den = [0] * (k + 1)
-    den[0] += 1
-    den[1] += -2
-    den[k] += 1
-    return RationalGF(tuple(num), tuple(den))
+    return _leading(k, k)
 
 
 def gf_leading_weak(k: int) -> RationalGF:
     """(1-z) z^k / (1 - 2z + z^(k+1)): first part exactly k, later parts <= k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    num = [0] * k + [1, -1]
-    den = [0] * (k + 2)
-    den[0] += 1
-    den[1] += -2
-    den[k + 1] += 1
-    return RationalGF(tuple(num), tuple(den))
+    return _leading(k, k + 1)
 
 
 def gf_avoiding(k: int) -> RationalGF:
@@ -182,16 +188,8 @@ def gf_avoiding(k: int) -> RationalGF:
     part equal to k."""
     if k < 1:
         raise ValueError("k must be positive")
-    num = [0] * (k + 2)
-    num[1] += 1
-    num[k] += -1
-    num[k + 1] += 1
-    den = [0] * (k + 2)
-    den[0] += 1
-    den[1] += -2
-    den[k] += 1
-    den[k + 1] += -1
-    return RationalGF(tuple(num), tuple(den))
+    return RationalGF(_poly((1, 1), (k, -1), (k + 1, 1)),
+                      _poly((0, 1), (1, -2), (k, 1), (k + 1, -1)))
 
 
 def gf_containing(k: int) -> RationalGF:
@@ -209,19 +207,16 @@ def gf_containing(k: int) -> RationalGF:
 def gf_distinct_total(order: int) -> TruncatedSeries:
     """Series for the number of compositions into distinct parts.
 
-    Sums k! z^(k(k+1)/2) / ((1-z)(1-z^2)...(1-z^k)) over every k whose
-    minimal exponent k(k+1)/2 fits inside the order; larger k cannot touch
-    any retained coefficient.
+    Sums k! z^(k(k+1)/2) / ((1-z)(1-z^2)...(1-z^k)) over every k with
+    k(k+1)/2 within the order (larger k touch no retained coefficient),
+    Horner-style from the largest k down: add k! z^(k(k+1)/2), then divide
+    by 1 - z^k through series_from_rational, O(order) steps per factor.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     total = TruncatedSeries.zero(order)
-    k = 1
-    while k * (k + 1) // 2 <= order:
-        num = (0,) * (k * (k + 1) // 2) + (exactnum.factorial(k),)
-        den: Polynomial = (1,)
-        for i in range(1, k + 1):
-            den = _poly_mul(den, (1,) + (0,) * (i - 1) + (-1,))
-        total = total + series_from_rational(RationalGF(num, den), order)
-        k += 1
+    for k in range((math.isqrt(8 * order + 1) - 1) // 2, 0, -1):
+        coeffs = list(total.coefficients)
+        coeffs[k * (k + 1) // 2] += exactnum.factorial(k)
+        total = series_from_rational(RationalGF(coeffs, _poly((0, 1), (k, -1))), order)
     return total

@@ -107,6 +107,15 @@ def _composition_checks(max_n: int) -> list[Check]:
     checks.append(_check("strict total at n+1 equals weak total at n", bad))
 
     bad = []
+    for n in range(1, 4 * max_n):
+        for mode, total, per_k in (
+                ("strict", compositions.count_leading_strict_total, compositions.count_leading_strict),
+                ("weak", compositions.leading_weak_total, compositions.count_leading_weak)):
+            if total(n) != sum(per_k(n, k) for k in range(1, n + 1)):
+                bad.append(f"{mode} n={n}")
+    checks.append(_check("leading totals match the sums of the per-k recurrences", bad))
+
+    bad = []
     for n in range(1, top + 1):
         everything = _all_compositions(n)
         for k in range(1, min(n, 6) + 1):

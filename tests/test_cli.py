@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,9 @@ def test_domain_error_exit_code():
     code, _, err = run_cli(["graph", "family", "--name", "cycle", "--n", "2"])
     assert code == 1
     assert "cycle" in err
+    # a negative size is a domain error, not an oversized one
+    code, _, err = run_cli(["triangle", "--kind", "pi", "--rows", "-100000"])
+    assert (code, err) == (1, "error: need at least one row\n")
 
 
 def test_usage_error_exit_code():
@@ -308,3 +313,54 @@ def test_verify_detects_injected_frontier_error(monkeypatch):
     assert code == 1
     assert "FAIL frontier DP matches subset DP" in out
     assert "FAIL ladder recurrence matches the frontier DP" in out
+
+
+# --- output bytes, and the work guard -----------------------------------------
+
+# sha256 and length of each 40-row triangle as the earlier two-pass formatter
+# printed it (csv through csv.writer, plain through joined rows).
+TRIANGLE_40 = {
+    ("pi", "plain"): ("cf8507731b920106e8f872cdf41ea1f855385263e3ad1703abfe74b646f8bd7f", 1771),
+    ("pi", "csv"): ("4f78b7976d8853648b6fb1aa43211c3aecf4016a2c127768a79c05985594b310", 6293),
+    ("pi", "json"): ("25921f749e3553ee042a3d7f98e83c4978e579475fea2beac71f3e6663b6538a", 30983),
+    ("cdistinct", "plain"): ("5c186b85fa333486b219de0ee8ea6db157d3d61d1e75ae57a1419497a5feae76", 2010),
+    ("cdistinct", "csv"): ("7876c18de4f1862607462b76024a8e088ae045c1c1e448d3314061d85849c5d6", 6532),
+    ("cdistinct", "json"): ("64580ce0c7e94cd87731b5f99f5ce078c4ad8beeb7b8412d2780148b42f1f09a", 31229),
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(TRIANGLE_40))
+def test_triangle_output_bytes_are_unchanged(kind, fmt):
+    code, out, _ = run_cli(["triangle", "--kind", kind, "--rows", "40", "--format", fmt])
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == TRIANGLE_40[kind, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "distinct", "--n", "10000000"],
+    ["count", "distinct", "--n", "10000000", "--k", "5"],
+    ["triangle", "--kind", "pi", "--rows", "100000"],
+    ["series", "--family", "distinct-total", "--order", "1000000"],
+    ["series", "--family", "fstrict", "--k", "3", "--order", "1000000"],
+    ["count", "leading", "--mode", "strict", "--n", "1000000"],
+    ["count", "leading", "--mode", "weak", "--n", "100000000", "--k", "3"],
+    ["graph", "family", "--name", "complete", "--n", "100000"],
+    ["graph", "family", "--name", "kminus", "--n", "100000"],
+])
+def test_oversized_integer_commands_are_refused_up_front(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert "estimated" in err and "over the budget of" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):
+    target = tmp_path / "k48.txt"
+    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 48)))
+    start = time.perf_counter()
+    code, _, err = run_cli(["graph", "count", "--file", str(target), "--cap", "100"])
+    assert code == 3
+    assert "2^48 states" in err and "never holds more than 2^40 states" in err
+    assert time.perf_counter() - start < 5

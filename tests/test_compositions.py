@@ -1,5 +1,8 @@
 """Tests for composition enumeration and all the counters built on it."""
 
+import math
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -299,3 +302,89 @@ def test_triangle_rejects_bad_arguments():
         compositions.triangle("nonsense", 3)
     with pytest.raises(ValueError):
         compositions.triangle("partitions-distinct", 0)
+
+
+# --- the fast routes against the routes they replaced -------------------------
+
+def full_distinct_rows(last_row, ordered):
+    """The untruncated distinct-part array, k = 0..m in row m, by the same
+    unit-cutting recurrence over every k."""
+    rows = []
+    for m in range(last_row + 1):
+        row = [1] + [0] * m if m == 0 else [0] * (m + 1)
+        for k in range(1, m + 1):
+            src = rows[m - k]
+            same = src[k] if k < len(src) else 0
+            fewer = src[k - 1] if k - 1 < len(src) else 0
+            row[k] = same + (k * fewer if ordered else fewer)
+        rows.append(row)
+    return rows
+
+
+def test_truncated_rows_match_the_full_recurrence():
+    unordered, ordered = full_distinct_rows(300, False), full_distinct_rows(300, True)
+    for n in range(301):
+        for k in range(n + 3):
+            want = unordered[n][k] if k <= n else 0
+            assert compositions.count_partitions_distinct(n, k) == want
+            want = ordered[n][k] if k <= n else 0
+            assert compositions.count_compositions_distinct(n, k) == want
+        assert compositions.count_compositions_distinct_total(n) == (sum(ordered[n][1:]) if n else 0)
+    tri = compositions.triangle("partitions-distinct", 301)
+    assert [list(row) for row in tri.rows] == unordered
+
+
+def test_distinct_table_grows_to_the_largest_row_asked(monkeypatch):
+    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
+    sizes = list(range(1, 601))
+    Random(6).shuffle(sizes)
+    for n in sizes:
+        compositions.count_compositions_distinct_total(n)
+    table = compositions._DISTINCT_ROWS[True]
+    assert len(table) == 601
+    entries = sum(len(row) for row in table)
+    assert entries == sum((math.isqrt(8 * m + 1) - 1) // 2 + 1 for m in range(601))
+    assert entries < 601 ** 1.5  # about 0.94 n^1.5 + n, not n^2 / 2
+    assert compositions._DISTINCT_ROWS[False] == [(1,)]
+
+
+def test_leading_totals_match_the_sums_of_the_per_k_recurrences():
+    top = 400
+    for weak, total in ((False, compositions.count_leading_strict_total),
+                        (True, compositions.leading_weak_total)):
+        sums = [0] * (top + 1)
+        for k in range(1, top + 1):
+            for n, value in enumerate(compositions._leading_sequence(top, k, weak)):
+                sums[n] += value
+        assert [total(n) for n in range(top + 1)] == sums
+
+
+def test_fibonacci_higher_matches_its_recurrence():
+    for m in range(1, 12):
+        values = [1]
+        for j in range(1, 300):
+            values.append(sum(values[j - i] for i in range(1, min(m, j) + 1)))
+        assert [compositions.fibonacci_higher(m, n) for n in range(300)] == values
+
+
+def recursive_compositions(n, k, lo, hi):
+    """The recursive enumeration that the iterative one replaced."""
+    if k == 0:
+        return [()] if n == 0 else []
+    top = n if hi is None else min(hi, n)
+    return [(part,) + rest for part in range(lo, top + 1)
+            for rest in recursive_compositions(n - part, k - 1, lo, hi)]
+
+
+def test_iterative_enumeration_keeps_the_recursive_order():
+    for lo, hi in ((0, None), (1, None), (1, 3), (2, 5), (0, 2), (3, 3)):
+        for n in range(11):
+            for k in range(6):
+                assert compositions.enumerate_compositions(n, k, PartBounds(lo, hi)) == \
+                    recursive_compositions(n, k, lo, hi)
+
+
+def test_enumeration_depth_does_not_grow_with_the_part_count():
+    assert compositions.enumerate_compositions(0, 2000) == [(0,) * 2000]
+    assert compositions.enumerate_compositions(2001, 2000, POSITIVE_PARTS) == \
+        [(1,) * i + (2,) + (1,) * (1999 - i) for i in reversed(range(2000))]

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from compcount import exactnum
+from compcount import compositions, exactnum
 
 
 # --- independent oracles ------------------------------------------------
@@ -242,3 +243,84 @@ def test_exact_div():
     assert exactnum.exact_div(720, 48) == 15
     with pytest.raises(ArithmeticError):
         exactnum.exact_div(7, 2)
+
+
+# --- growing tables and iterative enumerators ---------------------------------
+
+def bell_triangle(top):
+    """Bell(0..top) from a Bell triangle built from scratch."""
+    row, bells = [1], [1]
+    for _ in range(top):
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+        bells.append(row[0])
+    return bells
+
+
+def test_bell_table_answers_any_order_of_arguments(monkeypatch):
+    monkeypatch.setattr(exactnum, "_BELLS", [1])
+    monkeypatch.setattr(exactnum, "_BELL_ROW", [1])
+    exactnum.bell.cache_clear()
+    try:
+        expected = bell_triangle(300)
+        sizes = list(range(301)) * 2
+        Random(4).shuffle(sizes)
+        for n in sizes:
+            assert exactnum.bell(n) == expected[n]
+            info = exactnum.bell.cache_info()
+            assert info.currsize <= info.maxsize
+        assert len(exactnum._BELLS) == 301 and len(exactnum._BELL_ROW) == 301
+    finally:
+        exactnum.bell.cache_clear()
+
+
+def test_no_unbounded_cache_is_left():
+    for module in (exactnum, compositions):
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters"):
+                assert value.cache_parameters()["maxsize"] is not None, value
+
+
+def test_stirling_rows_in_any_order_of_arguments():
+    first = [[1]]
+    second = [[1]]
+    for m in range(1, 121):
+        first.append([0] + [(m - 1) * (first[-1][k] if k < m else 0) + first[-1][k - 1]
+                            for k in range(1, m + 1)])
+        second.append([0] + [k * (second[-1][k] if k < m else 0) + second[-1][k - 1]
+                             for k in range(1, m + 1)])
+    sizes = list(range(121)) * 2
+    Random(9).shuffle(sizes)
+    for n in sizes:
+        assert [exactnum.stirling1(n, k) for k in range(n + 1)] == first[n]
+        assert [exactnum.stirling2(n, k) for k in range(n + 1)] == second[n]
+
+
+def recursive_positive(n, k):
+    if k == 0:
+        return [()] if n == 0 else []
+    return [(first,) + rest for first in range(1, n - k + 2)
+            for rest in recursive_positive(n - first, k - 1)]
+
+
+def recursive_partitions(n, k, largest=None):
+    if k == 0:
+        return [()] if n == 0 else []
+    top = n - k + 1 if largest is None else min(largest, n - k + 1)
+    return [(first,) + rest for first in range(top, 0, -1) if n - first <= (k - 1) * first
+            for rest in recursive_partitions(n - first, k - 1, first)]
+
+
+def test_iterative_enumerators_keep_the_recursive_order():
+    for n in range(13):
+        for k in range(n + 2):
+            assert list(exactnum._positive_compositions(n, k)) == recursive_positive(n, k)
+            assert list(exactnum._partitions_into_k_parts(n, k)) == recursive_partitions(n, k)
+
+
+def test_enumerator_depth_does_not_grow_with_the_part_count():
+    assert exactnum.stirling2_via_compositions(1200, 1200) == 1
+    assert exactnum.stirling1_via_compositions(1200, 1200) == 1
+    assert exactnum.binomial_via_partition_multiplicities(1500, 1500) == 1

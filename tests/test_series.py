@@ -1,5 +1,8 @@
 """Tests for truncated series arithmetic and the concrete generating functions."""
 
+import math
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,3 +210,45 @@ def test_expansion_is_multiplicative(na, nb, da, db, flip_a, flip_b):
     a = RationalGF(tuple(na), tuple(da))
     b = RationalGF(tuple(nb), tuple(db))
     assert (a * b).expand(20) == a.expand(20) * b.expand(20)
+
+
+# --- the fast routes against the routes they replaced -------------------------
+
+def dense_long_division(num, den, order):
+    """Long division over every denominator term, zero or not."""
+    coeffs = []
+    for m in range(order + 1):
+        acc = num[m] if m < len(num) else 0
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc -= den[j] * coeffs[m - j]
+        coeffs.append(acc * den[0])
+    return tuple(coeffs)
+
+
+def test_sparse_long_division_matches_the_dense_one():
+    rng = Random(8)
+    for _ in range(200):
+        num = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 8)))
+        den = (rng.choice((1, -1)),) + tuple(rng.choice((0, 0, 0, -2, -1, 1, 3))
+                                             for _ in range(rng.randint(0, 9)))
+        order = rng.randint(0, 40)
+        assert series.series_from_rational(RationalGF(num, den), order).coefficients == \
+            dense_long_division(num, den, order)
+
+
+def test_distinct_total_series_matches_the_per_k_rational_expansions():
+    order = 200
+    total = [0] * (order + 1)
+    k = 1
+    while k * (k + 1) // 2 <= order:
+        den = (1,)
+        for i in range(1, k + 1):  # multiply out (1-z)(1-z^2)...(1-z^k)
+            factor = (1,) + (0,) * (i - 1) + (-1,)
+            den = tuple(sum(den[a] * factor[b - a] for a in range(len(den)) if 0 <= b - a < len(factor))
+                        for b in range(len(den) + i))
+        num = (0,) * (k * (k + 1) // 2) + (math.factorial(k),)
+        for m, c in enumerate(dense_long_division(num, den, order)):
+            total[m] += c
+        k += 1
+    for top in (0, 1, 2, 3, 10, 57, order):
+        assert series.gf_distinct_total(top).coefficients == tuple(total[: top + 1])
