@@ -38,9 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized verification")
     common.add_argument("--cap", type=int, default=graphcomp.DEFAULT_VERTEX_CAP,
                         help="limits for each biconnected block: a counter may hold at most "
-                             "2^cap states and take at most 3^cap/2 steps, as many as the subset "
-                             "DP takes on the complete graph with cap vertices, so the subset DP "
-                             "takes blocks of at most cap vertices, and never more than "
+                             "2^cap states and take at most 3^cap/2 steps; caps above "
+                             f"{graphcomp.SUBSET_MAX_VERTICES} count as "
                              f"{graphcomp.SUBSET_MAX_VERTICES} (default %(default)s)")
 
     parser = argparse.ArgumentParser(

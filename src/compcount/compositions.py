@@ -8,6 +8,7 @@ linear recurrences, all in exact integer arithmetic.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -246,13 +247,11 @@ def count_avoiding(n: int, k: int) -> int:
     if n < 1:
         return 0
     seeded = min(n, k + 1)
-    values = [0] * (n + 1)
-    direct = _avoiding_direct(seeded, k)
-    for m in range(1, seeded + 1):
-        values[m] = direct[m]
-    for m in range(k + 2, n + 1):
-        values[m] = 2 * values[m - 1] - values[m - k] + values[m - k - 1]
-    return values[n]
+    # c(1..seeded), then only the last k + 1 values, which each step reads
+    window = deque(_avoiding_direct(seeded, k)[1:], maxlen=k + 1)
+    for _ in range(k + 2, n + 1):
+        window.append(2 * window[-1] - window[1] + window[0])
+    return window[-1]
 
 
 def count_containing(n: int, k: int) -> int:

@@ -9,7 +9,6 @@ accumulated as exact ``fractions.Fraction`` values, never floats.
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
@@ -162,6 +161,8 @@ def stirling1_via_compositions(n: int, k: int) -> int:
     The reciprocal sum is accumulated as an exact rational; the final product
     must come out an integer.
     """
+    from fractions import Fraction  # imported here, its only use, to keep start-up light
+
     if n < 1 or k < 1:
         raise ValueError("requires n >= 1 and k >= 1")
     total = Fraction(0)

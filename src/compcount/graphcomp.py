@@ -11,8 +11,8 @@ width instead, and suits thin graphs of any size. ``reduce_and_count`` finds
 the biconnected blocks of the graph in one linear-time DFS and returns the
 product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-
 vertex unions, so a bridge (a two-vertex block) contributes 2, and each
-block with at least 3 vertices goes to the counter with the lower estimated
-time."""
+block with at least 3 vertices goes to the counter with the lower cost,
+counted in steps."""
 
 import heapq
 import math
@@ -423,7 +423,7 @@ def family_count(family: str, n: int) -> int:
 
     path/tree: 2^(n-1) (1 at n = 0); complete: the Bell number;
     complete_minus_edge: Bell(n) - Bell(n-2); cycle: 2^n - n;
-    ladder (n rungs): 2, 12, then 6 * previous + one before that.
+    ladder (n rungs): ladder_binet(n), the closed form of the rung recurrence.
     """
     _check_family(family, n)
     if family in ("path", "tree"):
@@ -434,12 +434,7 @@ def family_count(family: str, n: int) -> int:
         return exactnum.bell(n) - exactnum.bell(n - 2)
     if family == "cycle":
         return (1 << n) - n
-    older, newer = 2, 12
-    if n == 1:
-        return older
-    for _ in range(n - 2):
-        older, newer = newer, 6 * newer + older
-    return newer
+    return ladder_binet(n)
 
 
 def build_family(family: str, n: int) -> LabeledGraph:
@@ -543,22 +538,13 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                     del edge_stack[mark:]
 
 
-# The cost model that routes each block to a counter, in estimated seconds.
-# Fitted to timings of both counters (CPython 3.11, 2-vCPU x86-64 guest) on
-# 110 cycles, ladders, grids, complete graphs and random graphs of 3-16
-# vertices, each constant pair on the graphs where its step count is nearly
-# tight: the frontier constants on those with frontier width at most 3, the
-# subset constants on those where the 3^n/2 steps of the complete graph are
-# within 10% of the DP's true step count. Both step counts err high on other
-# graphs: a wide frontier keeps a block with the subset DP, a sparse block
-# goes to the frontier DP.
-SUBSET_CALL_S = 4.5e-6
-SUBSET_STEP_S = 1.4e-7  # per (connected state, submask through its lowest vertex) pair
-FRONTIER_CALL_S = 1.5e-5
-FRONTIER_MOVE_S = 2.1e-6  # per (state, block choice) pair of the frontier DP
+# The frontier DP's time per step over the subset DP's, both measured on
+# cycles, ladders, grids, complete and random graphs (CPython 3.11, 2-vCPU
+# x86-64 guest): a frontier step builds and relabels a state tuple, a subset
+# step is a table lookup and an add.
+FRONTIER_STEP_COST = 15
 # Frontier widths past this count as unbounded. The state bound at width 40
-# is about 1e47, or 2^156: over the state limit of any cap under 156 and far
-# over the step limit of any cap under 63.
+# is about 1e47, far over the 2^40 states of the largest cap.
 MAX_BOUNDED_WIDTH = 40
 
 
@@ -586,30 +572,22 @@ def _frontier_steps(widths: list[int]) -> tuple[float, float]:
     return sum(bounds[w] * (w + 1) for w in widths), bounds[widest]
 
 
-def _subset_steps(n: int) -> float:
-    """The subset DP's steps on the complete graph with n vertices, the most
-    it takes on any n-vertex graph: every state is connected and tries the
-    2^(|S|-1) submasks through its lowest vertex, about 3^n/2 in all."""
-    return 3.0 ** n / 2 if n < 640 else math.inf  # past the range of a float
-
-
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2. Each block
-    with at least 3 vertices is relabelled in vertex order and goes to the
-    counter with the lower estimated time: the frontier DP, whose steps
-    follow the frontier widths of a min-frontier order, or the subset DP,
-    whose steps follow 3^n/2. The cap limits both, in states and in steps:
-    a counter may hold at most 2^cap states and take at most 3^cap/2 steps,
-    the subset DP's on the complete graph with cap vertices. So the subset
-    DP runs only on blocks within the cap, the frontier DP on blocks of any
-    size whose frontier stays thin, and a block that neither fits is refused.
+    with at least 3 vertices is relabelled in vertex order and counted in
+    steps: the subset DP takes at most 3^n/2 of them (its steps on the
+    complete graph), the frontier DP at most the bound that the widths of a
+    min-frontier order give, each worth FRONTIER_STEP_COST subset steps. The
+    cap, never above SUBSET_MAX_VERTICES, limits both counters to 2^cap
+    states and 3^cap/2 steps. A block of at most cap vertices goes to the
+    subset DP unless the frontier DP fits the limits and costs less; a
+    larger block goes to the frontier DP if it fits, and is refused if not.
     """
-    cap = DEFAULT_VERTEX_CAP if cap is None else cap
-    state_limit = 2.0 ** min(cap, 1000)
-    step_limit = _subset_steps(cap)
+    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
+    state_limit, step_limit = 2 ** cap, 3 ** cap / 2
     result = 1
     for block in _blocks(graph):
         if len(block) == 1:
@@ -622,23 +600,17 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
         adj = relabelled.adjacency()
         order, widths = _frontier_order(adj)
         frontier_steps, states = _frontier_steps(widths)
-        frontier_s = FRONTIER_CALL_S + FRONTIER_MOVE_S * frontier_steps
-        subset_s = SUBSET_CALL_S + SUBSET_STEP_S * _subset_steps(n)
-        frontier = frontier_s if states <= state_limit and frontier_steps <= step_limit else math.inf
-        subset = subset_s if n <= min(cap, SUBSET_MAX_VERTICES) else math.inf
-        if frontier == subset == math.inf:
-            raise ResourceLimitError(
-                f"a block of {n} vertices is over the limits that cap={cap} sets, 2^{cap} "
-                f"states and {step_limit:.3g} steps (the subset DP's on the complete graph "
-                f"on {cap} vertices; the subset DP never holds more than "
-                f"2^{SUBSET_MAX_VERTICES} states): the subset DP would hold 2^{n} states for "
-                f"an estimated {subset_s:.3g} s, the frontier DP up to {states:.3g} states for "
-                f"{frontier_s:.3g} s in {frontier_steps:.3g} steps"
-            )
-        if subset <= frontier:
+        fits = states <= state_limit and frontier_steps <= step_limit
+        if n <= cap and not (fits and FRONTIER_STEP_COST * frontier_steps < 3 ** n / 2):
             result *= count_compositions_graph(relabelled, cap)
-        else:
+        elif fits:
             result *= _count_frontier(adj, order)
+        else:
+            raise ResourceLimitError(
+                f"a block of {n} vertices is over the limits of cap={cap}, 2^{cap} states and "
+                f"{step_limit:.3g} steps: the subset DP would hold 2^{n} states, the frontier "
+                f"DP up to {states:.3g} states in {frontier_steps:.3g} steps"
+            )
     return result
 
 

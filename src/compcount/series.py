@@ -22,13 +22,6 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return tuple(out)
 
 
-def _poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    size = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(size)
-    )
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """A power series known exactly through z^order."""
@@ -193,15 +186,12 @@ def gf_avoiding(k: int) -> RationalGF:
 
 
 def gf_containing(k: int) -> RationalGF:
-    """Compositions with at least one part equal to k: the difference of
-    gf_all_compositions and gf_avoiding(k), put over a common denominator."""
-    avoid = gf_avoiding(k)
-    every = gf_all_compositions()
-    num = _poly_sub(
-        _poly_mul(every.numerator, avoid.denominator),
-        _poly_mul(avoid.numerator, every.denominator),
-    )
-    return RationalGF(num, _poly_mul(every.denominator, avoid.denominator))
+    """z^k (1-z)^2 / ((1-2z)(1 - 2z + z^k - z^(k+1))): compositions with at
+    least one part equal to k. It is gf_all_compositions minus gf_avoiding(k)
+    over their common denominator (1-2z) D, D = 1 - 2z + z^k - z^(k+1):
+    z D - (z - z^k + z^(k+1))(1-2z) = z^k - 2z^(k+1) + z^(k+2)."""
+    denominator = _poly_mul((1, -2), gf_avoiding(k).denominator)
+    return RationalGF(_poly((k, 1), (k + 1, -2), (k + 2, 1)), denominator)
 
 
 def gf_distinct_total(order: int) -> TruncatedSeries:

@@ -209,6 +209,15 @@ def _series_checks(max_n: int) -> list[Check]:
     return checks
 
 
+def _ladder_recurrence(rungs: int) -> list[int]:
+    """Ladder counts for 1..rungs rungs by the rung recurrence: 2, 12, then
+    6 * previous + one before that."""
+    counts = [2, 12]
+    while len(counts) < rungs:
+        counts.append(6 * counts[-1] + counts[-2])
+    return counts[:rungs]
+
+
 def _graph_checks(max_n: int, seed: int, cap: int | None) -> list[Check]:
     """Graph checks. Those that run the subset DP skip the graphs over the
     cap, where it would refuse, and name them in their detail."""
@@ -275,10 +284,8 @@ def _graph_checks(max_n: int, seed: int, cap: int | None) -> list[Check]:
             bad.append(f"n={n} edges={sorted(graph.edges)}")
     checks.append(_check("decomposition product matches the subset DP", bad, skipped))
 
-    bad = []
-    for n in range(1, 51):
-        if graphcomp.ladder_binet(n) != graphcomp.family_count("ladder", n):
-            bad.append(f"n={n}")
+    bad = [f"n={n}" for n, count in enumerate(_ladder_recurrence(50), start=1)
+           if graphcomp.ladder_binet(n) != count]
     checks.append(_check("ladder closed form matches the recurrence", bad))
 
     bad, skipped = [], []
@@ -328,9 +335,9 @@ def _graph_checks(max_n: int, seed: int, cap: int | None) -> list[Check]:
     checks.append(_check("frontier DP matches subset DP", bad, skipped))
 
     bad = []
-    for rungs in range(1, 201):
+    for rungs, expected in enumerate(_ladder_recurrence(200), start=1):
         count = graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", rungs))
-        if not count == graphcomp.family_count("ladder", rungs) == graphcomp.ladder_binet(rungs):
+        if not count == expected == graphcomp.family_count("ladder", rungs):
             bad.append(f"rungs={rungs}")
     checks.append(_check("ladder recurrence matches the frontier DP", bad))
 

@@ -1,6 +1,7 @@
 """Tests for composition enumeration and all the counters built on it."""
 
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -243,6 +244,17 @@ def test_avoid_contain_complement():
         for k in range(1, 8):
             total = compositions.count_avoiding(n, k) + compositions.count_containing(n, k)
             assert total == 1 << (n - 1)
+
+
+def test_avoiding_keeps_only_the_values_its_recurrence_reads():
+    # all 20001 values of about 2.5 KB each would peak near 25 MB
+    tracemalloc.start()
+    try:
+        compositions.count_avoiding(20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_avoid_rejects_nonpositive_part():

@@ -1,6 +1,7 @@
 """Tests for graph construction, parsing, and composition counting."""
 
 import json
+import time
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -252,8 +253,10 @@ def test_ladder_binet_values():
 
 
 def test_ladder_binet_matches_recurrence():
+    older, newer = 2, 12
     for n in range(1, 51):
-        assert graphcomp.ladder_binet(n) == graphcomp.family_count("ladder", n)
+        assert graphcomp.ladder_binet(n) == graphcomp.family_count("ladder", n) == older
+        older, newer = newer, 6 * newer + older
 
 
 def test_ladder_binet_rejects_zero():
@@ -377,14 +380,16 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
         assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
     assert not subset_sizes
     assert frontier_sizes == [12, 13, 16, 20, 40, 10, 12, 20, 60]
-    # dense pinned blocks of the benchmark, where the frontier DP's state
-    # bound is loose
+    # pinned blocks of the benchmark on both sides of the step ratio: the
+    # frontier DP's state bound is loose on the denser ones
     frontier_sizes.clear()
     pinned = json.loads(PINNED_DENSE.read_text())
-    for entry in [e for e in pinned if e["n"] == 10 and e["p"] == 0.7]:
-        block = LabeledGraph(10, {tuple(edge) for edge in entry["edges"]})
-        assert graphcomp.reduce_and_count(block) == int(entry["count"])
-    assert subset_sizes == [10, 10, 10] and not frontier_sizes
+    for n, p in ((10, 0.7), (10, 0.4), (12, 0.4)):
+        for entry in [e for e in pinned if e["n"] == n and e["p"] == p]:
+            block = LabeledGraph(n, {tuple(edge) for edge in entry["edges"]})
+            assert graphcomp.reduce_and_count(block) == int(entry["count"])
+    assert subset_sizes == [10, 10, 10]
+    assert frontier_sizes == [10, 10, 10, 12, 12, 12]
 
 
 def test_reduce_respects_cap_on_irreducible_pieces():
@@ -398,12 +403,22 @@ def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_an
     # a frontier of width 11 is bounded by 188378402 states, over 2^24 (and
     # by about 6e11 steps, over the 1.4e11 of cap 24)
     with pytest.raises(ResourceLimitError,
-                       match=r"330 vertices.*cap=24.*frontier DP up to 1.88e\+08 states for 1.26e\+06 s"):
+                       match=r"330 vertices.*cap=24.*frontier DP up to 1.88e\+08 states in 6.01e\+11 steps"):
         graphcomp.reduce_and_count(grid(11, 30))
     # far past the subset DP's vertex cap, but a frontier of width 2
     assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=8) == (1 << 30) - 30
     with pytest.raises(ResourceLimitError):
         graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=3)
+
+
+def test_a_cap_past_the_subset_dp_limit_also_limits_the_frontier_dp():
+    # the frontier DP's state bound on a 16x30 grid is about 8.9e13, over
+    # 2^40: a cap of 100 counts as 40 for both counters, so the grid is
+    # refused before either starts
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"480 vertices.*cap=40, 2\^40 states"):
+        graphcomp.reduce_and_count(grid(16, 30), cap=100)
+    assert time.perf_counter() - start < 1
 
 
 # --- the frontier DP --------------------------------------------------------------------------
