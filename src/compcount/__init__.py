@@ -66,6 +66,7 @@ from .graphcomp import (
 from .series import (
     RationalGF,
     TruncatedSeries,
+    family_series,
     gf_all_compositions,
     gf_avoiding,
     gf_containing,

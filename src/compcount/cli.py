@@ -6,12 +6,11 @@ error, 3 resource-guard error.
 """
 
 import argparse
-import math
 import sys
 
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
-from .errors import ResourceLimitError, check_work
+from .errors import ResourceLimitError
 from .graphcomp import GraphParseError
 
 TRIANGLE_KIND_FLAGS = {
@@ -21,9 +20,6 @@ TRIANGLE_KIND_FLAGS = {
 # --name flags: each family's own name, except kminus for complete_minus_edge.
 FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name
                 for name in graphcomp.FAMILIES}
-# --family flags of the rational series; distinct-total is not rational.
-SERIES_FAMILIES = {"fstrict": series.gf_leading_strict, "fweak": series.gf_leading_weak,
-                   "avoid": series.gf_avoiding, "contain": series.gf_containing}
 
 
 class UsageError(Exception):
@@ -82,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("series", parents=[common],
                             help="generating-function coefficients")
-    p.add_argument("--family", choices=(*SERIES_FAMILIES, "distinct-total"), required=True)
+    p.add_argument("--family", choices=(*series.SERIES_FAMILIES, "distinct-total"), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
 
@@ -105,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _distinct_table(n: int) -> tuple[float, float]:
-    """Entries of the distinct-part table up to row n (about 0.94 n^1.5), and
-    a bound on their bits: k! e^(pi sqrt(n/3)) for the largest k."""
-    n = max(n, 0)
-    top = (math.isqrt(8 * n + 1) - 1) // 2
-    bits = (math.lgamma(top + 1) + math.pi * math.sqrt(n / 3)) / math.log(2) + 1
-    return 0.95 * n ** 1.5 + n + 1, bits
-
-
 def _single(command: str, parameters: dict, value: int) -> dict:
     return {"command": command, "parameters": parameters, "values": [("0", str(value))]}
 
@@ -129,8 +116,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _single("count restricted", params, value)
 
     if command == "count" and sub == "distinct":
-        entries, bits = _distinct_table(args.n)
-        check_work(f"count distinct --n {args.n}", entries, bits, held=entries)
         if args.k is None:
             value = compositions.count_compositions_distinct_total(args.n)
         else:
@@ -138,15 +123,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _single("count distinct", {"n": args.n, "k": args.k}, value)
 
     if command == "count" and sub == "leading":
-        n, strict = max(args.n, 1), args.mode == "strict"
-        if args.k is None:  # 2(n/k + 1) binomials of n bits for each k, each
-            # log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)
-            products = n * (math.log(n) + 2) * math.log2(n + 1) / 2
-            check_work(f"count leading --n {args.n}", products * (n / 64 + 1) ** 0.585, n, held=1)
+        strict = args.mode == "strict"
+        if args.k is None:
             total = compositions.count_leading_strict_total if strict else compositions.leading_weak_total
             value = total(args.n)
         else:
-            check_work(f"count leading --n {args.n}", n, n, held=n)
             per_k = compositions.count_leading_strict if strict else compositions.count_leading_weak
             value = per_k(args.n, args.k)
         return _single("count leading", {"mode": args.mode, "n": args.n, "k": args.k}, value)
@@ -160,10 +141,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
                        compositions.count_containing(args.n, args.k))
 
     if command == "triangle":
-        entries, bits = _distinct_table(args.rows - 1)
-        cells = max(args.rows, 0) * (args.rows + 1) / 2
-        check_work(f"triangle --rows {args.rows}", entries + cells, bits,
-                   held=entries + cells, printed=cells)
         tri = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
         record = {"command": "triangle", "parameters": {"kind": args.kind, "rows": args.rows}}
         if args.format == "plain":  # each entry is converted once, for its format only
@@ -177,17 +154,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
         if args.family == "distinct-total":
             if args.k is not None:
                 raise UsageError("--k does not apply to the distinct-total series")
-            terms = (math.isqrt(8 * max(args.order, 0) + 1) - 1) // 2  # factors 1 - z^k
-            expand = series.gf_distinct_total
+            expansion = series.gf_distinct_total(args.order)
         else:
             if args.k is None:
                 raise UsageError(f"--k is required for the {args.family} series")
-            gf = SERIES_FAMILIES[args.family](args.k)
-            terms, expand = sum(1 for d in gf.denominator[1:] if d), gf.expand
-        # every coefficient counts compositions of at most order, so has at most order bits
-        size = max(args.order, 0) + 1
-        check_work(f"series --order {args.order}", size * max(terms, 1), size, held=size, printed=size)
-        expansion = expand(args.order)
+            expansion = series.family_series(args.family, args.k, args.order)
         values = [(str(n), str(c)) for n, c in enumerate(expansion.coefficients)]
         return {
             "command": "series",
@@ -210,10 +181,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
             built = graphcomp.build_family(family, args.n)
             return {"command": "graph family", "parameters": params,
                     "text": graphcomp.format_edge_list(built)}
-        if family in ("complete", "complete_minus_edge"):  # Bell triangle rows up to n
-            n = max(args.n, 0)
-            check_work(f"graph family --name {args.name} --n {args.n}", n * (n + 1) / 2,
-                       n * math.log2(n + 1), held=2 * n + 2)
         return _single("graph family", params, graphcomp.family_count(family, args.n))
 
     if command == "verify":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import exactnum
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_work
 
 Composition = tuple[int, ...]
 
@@ -87,24 +87,37 @@ def count_restricted(n: int, k: int, bounds: PartBounds = NONNEGATIVE_PARTS) -> 
     """Number of k-part compositions of n with every part inside the bounds.
 
     Bounds [0, inf) and [1, inf) use the stars-and-bars closed forms
-    binomial(n+k-1, k-1) and binomial(n-1, k-1); anything else runs the
-    dynamic program over (parts used, running sum). Total: returns 0 whenever
-    no solution exists.
+    binomial(n+k-1, k-1) and binomial(n-1, k-1), one binomial each; anything
+    else runs the dynamic program over (parts used, running sum). Total:
+    returns 0 whenever no solution exists.
     """
     if n < 0 or k < 0:
         return 0
     if k == 0:
         return 1 if n == 0 else 0
-    if bounds.lower == 0 and bounds.upper is None:
-        return exactnum.binomial(n + k - 1, k - 1)
-    if bounds.lower == 1 and bounds.upper is None:
-        return exactnum.binomial(n - 1, k - 1)
+    if bounds.upper is None and bounds.lower < 2:
+        check_work(f"count_restricted({n}, {k})", 1, _count_bits(n, k), held=1)
+        return exactnum.binomial(n + k - 1 if bounds.lower == 0 else n - 1, k - 1)
     return _count_by_dp(n, k, bounds.lower, bounds.upper)
 
 
+def _count_bits(n: int, k: int) -> float:
+    """Bits of binomial(n+k-1, k-1), the k-part compositions of n >= 0 into
+    parts >= 0, which bounds every count, and every partial count of the
+    dynamic program, of k-part compositions of at most n."""
+    if k < 1:
+        return 1
+    lg = math.lgamma
+    return (lg(n + k) - lg(k) - lg(n + 1)) / math.log(2) + 1
+
+
 def _count_by_dp(n: int, k: int, lower: int, upper: int | None) -> int:
-    """General bounded-part count; also the cross-check for the closed forms."""
+    """General bounded-part count; also the cross-check for the closed forms.
+    It takes at most k (n+1) additions per part value in range."""
     top = n if upper is None else upper
+    parts = max(min(top, n) - lower + 1, 0)
+    check_work(f"count_restricted({n}, {k}) with parts in [{lower}, {upper}]",
+               k * (n + 1) * parts, _count_bits(n, k), held=2 * (n + 1))
     ways = [1] + [0] * n
     for _ in range(k):
         nxt = [0] * (n + 1)
@@ -120,6 +133,15 @@ def _count_by_dp(n: int, k: int, lower: int, upper: int | None) -> int:
 _DISTINCT_ROWS: dict[bool, list[tuple[int, ...]]] = {False: [(1,)], True: [(1,)]}
 
 
+def _distinct_table_size(last_row: int) -> tuple[float, float]:
+    """Entries of the distinct-part table up to last_row (about 0.94 n^1.5),
+    and a bound on their bits: k! e^(pi sqrt(n/3)) for the largest k."""
+    n = max(last_row, 0)
+    top = exactnum.triangular_root(n)
+    bits = (math.lgamma(top + 1) + math.pi * math.sqrt(n / 3)) / math.log(2) + 1
+    return 0.95 * n ** 1.5 + n + 1, bits
+
+
 def _distinct_rows(last_row: int, ordered: bool) -> list[tuple[int, ...]]:
     """Rows 0..last_row, at least, of the distinct-nonzero-part array.
 
@@ -129,12 +151,15 @@ def _distinct_rows(last_row: int, ordered: bool) -> list[tuple[int, ...]]:
     the k positions. Row m stops at the largest k with k(k+1)/2 <= m, the
     least sum of k distinct parts, since every later entry is zero. Each table
     grows to the largest row asked for, at the cost of the rows it adds only:
-    about 0.94 n^1.5 entries up to row n.
+    about 0.94 n^1.5 entries up to row n. The work is priced as if the table
+    were empty, so a refusal does not depend on the queries before it.
     """
+    entries, bits = _distinct_table_size(last_row)
+    check_work(f"the distinct-part table to row {last_row}", entries, bits, held=entries)
     rows = _DISTINCT_ROWS[ordered]
     for m in range(len(rows), last_row + 1):
         row = [0]
-        for k in range(1, (math.isqrt(8 * m + 1) - 1) // 2 + 1):
+        for k in range(1, exactnum.triangular_root(m) + 1):
             src = rows[m - k]
             same = src[k] if k < len(src) else 0
             row.append(same + (k * src[k - 1] if ordered else src[k - 1]))
@@ -172,8 +197,10 @@ def _leading_sequence(limit: int, k: int, weak: bool) -> list[int]:
     """Values 0..limit of the leading-summand count by its linear recurrence.
 
     f(m) = 2 f(m-1) - f(m-gap) + [m == k] - [m == k+1], zero below m = k,
-    where gap is k for the strict variant and k+1 for the weak one.
+    where gap is k for the strict variant and k+1 for the weak one: at most
+    limit additions of numbers of at most limit bits, all of them kept.
     """
+    check_work(f"the leading-part sequence to {limit}", limit, limit, held=limit)
     gap = k + 1 if weak else k
     values = [0] * (limit + 1)
     for m in range(k, limit + 1):
@@ -204,6 +231,13 @@ def count_leading_weak(n: int, k: int) -> int:
     return _leading_sequence(n, k, weak=True)[n]
 
 
+def _check_leading_total(name: str, n: int) -> None:
+    """Refuse a leading total of n: 2(n/k + 1) binomials of n bits for each
+    k, each log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)."""
+    products = n * (math.log(n) + 2) * math.log2(n + 1) / 2
+    check_work(f"{name}({n})", products * (n / 64 + 1) ** 0.585, n, held=1)
+
+
 def count_leading_strict_total(n: int) -> int:
     """Compositions of n whose first part is strictly larger than the rest:
     over every first part k, those of n - k into parts of at most k - 1
@@ -211,6 +245,7 @@ def count_leading_strict_total(n: int) -> int:
     second route."""
     if n < 1:
         return 0
+    _check_leading_total("count_leading_strict_total", n)
     return int(n == 1) + sum(fibonacci_higher(k - 1, n - k) for k in range(2, n + 1))
 
 
@@ -221,35 +256,32 @@ def leading_weak_total(n: int) -> int:
     neither is computed from the other."""
     if n < 1:
         return 0
+    _check_leading_total("leading_weak_total", n)
     return sum(fibonacci_higher(k, n - k) for k in range(1, n + 1))
-
-
-def _avoiding_direct(limit: int, k: int) -> list[int]:
-    """Counts of compositions of 0..limit with no part equal to k, by the
-    full convolution over the first part. Index 0 holds the empty composition."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for m in range(1, limit + 1):
-        counts[m] = sum(counts[m - j] for j in range(1, m + 1) if j != k)
-    return counts
 
 
 def count_avoiding(n: int, k: int) -> int:
     """Compositions of n into positive parts none of which equals k.
 
-    Seeded with direct counts up to n = k + 1 and continued with the
-    four-term recurrence c(m) = 2c(m-1) - c(m-k) + c(m-k-1); the published
-    form of this recurrence with +c(m-k+1) as the final term is wrong
-    (k = 2, m = 4 gives 5 instead of 4), which the test suite pins down.
+    The recurrence of gf_avoiding's numerator over its denominator,
+    c(m) = 2c(m-1) - c(m-k) + c(m-k-1) + [m=1] - [m=k] + [m=k+1] with
+    c(m <= 0) = 0: n steps of additions of at most n bits, holding the last
+    k + 1 values. The published form of this recurrence with +c(m-k+1) as
+    the final term is wrong (k = 2, m = 4 gives 5 instead of 4), which the
+    test suite pins down.
     """
     if k < 1:
         raise ValueError("the avoided part must be positive")
     if n < 1:
         return 0
+    check_work(f"count_avoiding({n}, {k})", n, n, held=min(k, n) + 1)
+    # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
+    # one of these zeros, so min(k, n) + 1 of them suffice
+    window = deque([0] * (min(k, n) + 1), maxlen=k + 1)
     seeded = min(n, k + 1)
-    # c(1..seeded), then only the last k + 1 values, which each step reads
-    window = deque(_avoiding_direct(seeded, k)[1:], maxlen=k + 1)
-    for _ in range(k + 2, n + 1):
+    for m in range(1, seeded + 1):
+        window.append(2 * window[-1] - window[1] + window[0] + (m == 1) - (m == k) + (m == k + 1))
+    for _ in range(seeded + 1, n + 1):
         window.append(2 * window[-1] - window[1] + window[0])
     return window[-1]
 
@@ -261,7 +293,8 @@ def count_containing(n: int, k: int) -> int:
         raise ValueError("the required part must be positive")
     if n < 1:
         return 0
-    return (1 << (n - 1)) - count_avoiding(n, k)
+    avoiding = count_avoiding(n, k)  # guarded, so before the shift
+    return (1 << (n - 1)) - avoiding
 
 
 def fibonacci_higher(m: int, n: int) -> int:
@@ -290,6 +323,10 @@ def triangle(kind: str, rows: int) -> Triangle:
         raise ValueError(f"unknown triangle kind {kind!r}; expected one of {TRIANGLE_KINDS}")
     if rows < 1:
         raise ValueError("need at least one row")
+    entries, bits = _distinct_table_size(rows - 1)
+    cells = rows * (rows + 1) / 2  # held and printed, padding included
+    check_work(f"triangle({kind!r}, {rows})", entries + cells, bits,
+               held=entries + cells, printed=cells)
     table = _distinct_rows(rows - 1, kind == COMPOSITIONS_DISTINCT)
     return Triangle(kind, tuple(row + (0,) * (n + 1 - len(row))
                                 for n, row in enumerate(table[:rows])))

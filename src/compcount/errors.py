@@ -1,5 +1,29 @@
-"""Exceptions shared across the package, and the work guard of the integer
-commands."""
+"""Exceptions shared across the package, and the work guard of the counters.
+
+Each counter calls check_work before its loops start, with an estimate from
+its arguments alone, never from what a cache already holds:
+
+- the distinct-part table to row n (compositions._distinct_rows): about
+  0.95 n^1.5 entries of at most log2(k! e^(pi sqrt(n/3))) bits for the
+  largest k; triangle adds its padded cells, held and printed;
+- the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
+  cost (fit to timings); the per-k sequence: n additions of n bits;
+- count_avoiding, and count_containing through it: n additions of at most
+  n bits, min(k, n) + 1 of them held;
+- count_restricted: one binomial for the closed forms, k(n+1) additions per
+  part value in range for the dynamic program;
+- the composition series (series.gf_distinct_total, series.family_series):
+  order + 1 coefficients of at most order bits, each one product per factor
+  or denominator term, all printed;
+- exactnum.bell: n(n+1)/2 additions over the Bell-triangle rows;
+- graphcomp.family_count: one shift of n bits for path, tree and cycle;
+  graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
+  graphcomp.build_family: 40 operations and 7 held numbers per edge.
+
+A counter also prices one decimal conversion of each number it returns, as
+its caller usually prints it. Graph counting (graphcomp.reduce_and_count)
+has its own guard: the states and steps of each block under the cap.
+"""
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus
 # one per 64-bit word of its operands, and printing a number of w words about

@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
+from .errors import check_work
+
 
 def exact_div(numerator: int, divisor: int) -> int:
     """Divide two integers, insisting on a zero remainder."""
@@ -34,6 +36,12 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def triangular_root(n: int) -> int:
+    """The largest k with k(k+1)/2 <= n, for n >= 0: the most distinct
+    nonzero parts that a composition of n can have."""
+    return (math.isqrt(8 * n + 1) - 1) // 2
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:
@@ -64,9 +72,12 @@ def bell(n: int) -> int:
     Row m of the Bell triangle starts with Bell(m), the last entry of row
     m - 1, and adds the entry above at every step. The numbers found so far
     and the last row are kept, so a larger n costs only the rows it adds.
+    The work is priced as if no row were kept: n(n+1)/2 additions of numbers
+    of at most n log2(n+1) bits, two rows held at once.
     """
     if n < 0:
         return 0
+    check_work(f"bell({n})", n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
     global _BELL_ROW
     while len(_BELLS) <= n:
         _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))

@@ -5,10 +5,10 @@ shorter operand's order, and truncation order is always explicit at the call
 site; there is no implicit global precision.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import exactnum
+from .errors import check_work
 
 Polynomial = tuple[int, ...]
 
@@ -194,6 +194,30 @@ def gf_containing(k: int) -> RationalGF:
     return RationalGF(_poly((k, 1), (k + 1, -2), (k + 2, 1)), denominator)
 
 
+# The --family flags of the rational composition series. Each coefficient m
+# counts compositions of m, so it is below 2^m.
+SERIES_FAMILIES = {"fstrict": gf_leading_strict, "fweak": gf_leading_weak,
+                   "avoid": gf_avoiding, "contain": gf_containing}
+
+
+def _check_expansion(what: str, order: int, terms: int) -> None:
+    """Refuse coefficients 0..order of a composition series, each the sum of
+    `terms` products, if their steps and their printing exceed the budget.
+    Each counts compositions of at most order, so is below 2^order; it is
+    priced at order + 1 bits."""
+    size = max(order, 0) + 1
+    check_work(what, size * max(terms, 1), size, held=size, printed=size)
+
+
+def family_series(family: str, k: int, order: int) -> TruncatedSeries:
+    """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
+    by long division over the nonzero denominator terms."""
+    gf = SERIES_FAMILIES[family](k)
+    _check_expansion(f"the {family} series with k = {k} to order {order}", order,
+                     sum(1 for d in gf.denominator[1:] if d))
+    return gf.expand(order)
+
+
 def gf_distinct_total(order: int) -> TruncatedSeries:
     """Series for the number of compositions into distinct parts.
 
@@ -204,8 +228,10 @@ def gf_distinct_total(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    factors = exactnum.triangular_root(order)
+    _check_expansion(f"the distinct-total series to order {order}", order, factors)
     total = TruncatedSeries.zero(order)
-    for k in range((math.isqrt(8 * order + 1) - 1) // 2, 0, -1):
+    for k in range(factors, 0, -1):
         coeffs = list(total.coefficients)
         coeffs[k * (k + 1) // 2] += exactnum.factorial(k)
         total = series_from_rational(RationalGF(coeffs, _poly((0, 1), (k, -1))), order)

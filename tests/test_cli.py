@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from compcount import VERIFY_SUITES, cli, compositions, graphcomp
+from compcount import (VERIFY_SUITES, ResourceLimitError, cli, compositions, exactnum, graphcomp,
+                       series)
 
 
 def run_cli(argv):
@@ -347,6 +349,13 @@ def test_triangle_output_bytes_are_unchanged(kind, fmt):
     ["count", "leading", "--mode", "weak", "--n", "100000000", "--k", "3"],
     ["graph", "family", "--name", "complete", "--n", "100000"],
     ["graph", "family", "--name", "kminus", "--n", "100000"],
+    ["count", "avoid", "--k", "3", "--n", "100000000"],
+    ["count", "contain", "--k", "3", "--n", "100000000"],
+    ["count", "restricted", "--n", "300000", "--k", "1000", "--min", "1", "--max", "50"],
+    ["count", "restricted", "--n", "1000000000000", "--k", "1000000000000"],
+    ["graph", "family", "--name", "path", "--n", "1000000000"],
+    ["graph", "family", "--name", "ladder", "--n", "100000000"],
+    ["graph", "family", "--name", "complete", "--n", "100000", "--emit-graph"],
 ])
 def test_oversized_integer_commands_are_refused_up_front(argv):
     start = time.perf_counter()
@@ -354,6 +363,63 @@ def test_oversized_integer_commands_are_refused_up_front(argv):
     assert (code, out) == (3, "")
     assert "estimated" in err and "over the budget of" in err
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compositions.count_compositions_distinct_total(10 ** 7),
+    lambda: compositions.count_compositions_distinct(10 ** 7, 5),
+    lambda: compositions.triangle(compositions.PARTITIONS_DISTINCT, 10 ** 5),
+    lambda: compositions.count_leading_strict_total(10 ** 6),
+    lambda: compositions.leading_weak_total(10 ** 6),
+    lambda: compositions.count_leading_weak(10 ** 8, 3),
+    lambda: series.gf_distinct_total(10 ** 6),
+    lambda: series.family_series("fstrict", 3, 10 ** 6),
+    lambda: exactnum.bell(10 ** 5),
+    lambda: compositions.count_avoiding(10 ** 8, 3),
+    lambda: compositions.count_containing(10 ** 8, 3),
+    lambda: compositions.count_restricted(3 * 10 ** 5, 1000, compositions.PartBounds(1, 50)),
+    lambda: graphcomp.family_count("cycle", 10 ** 9),
+    lambda: graphcomp.ladder_binet(10 ** 8),
+    lambda: graphcomp.build_family("complete", 10 ** 5),
+])
+def test_library_calls_are_refused_like_the_cli(call):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="over the budget of"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_a_refusal_does_not_depend_on_the_table_grown_before_it(monkeypatch):
+    # the first sizes the guards refuse; each estimate counts the whole table
+    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
+    for argv, smaller in ((["count", "distinct", "--n", "24409"], ["count", "distinct", "--n", "3000"]),
+                          (["triangle", "--kind", "pi", "--rows", "3821"],
+                           ["triangle", "--kind", "pi", "--rows", "3000"]),
+                          (["graph", "family", "--name", "complete", "--n", "2771"],
+                           ["graph", "family", "--name", "complete", "--n", "1500"])):
+        assert run_cli(argv)[0] == 3
+        assert run_cli(smaller)[0] == 0
+        assert run_cli(argv)[0] == 3
+
+
+def test_avoid_and_contain_with_k_near_n_are_linear():
+    n, k = 20000, 19999
+    for command, want in (("avoid", (1 << k) - 2), ("contain", 2)):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["count", command, "--k", str(k), "--n", str(n)])
+        assert time.perf_counter() - start < 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert (code, int(out)) == (0, want)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_closed_form_restricted_counts_answer_at_any_size():
+    n = 10 ** 12
+    code, out, _ = run_cli(["count", "restricted", "--n", str(n), "--k", "5"])
+    assert (code, out) == (0, f"{math.comb(n + 4, 4)}\n")
 
 
 def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):
