@@ -17,7 +17,7 @@ from .errors import ResourceLimitError, check_work
 
 Composition = tuple[int, ...]
 
-DEFAULT_ENUMERATION_LIMIT = 10_000_000
+ENUMERATION_LIMIT = 10_000_000
 
 PARTITIONS_DISTINCT = "partitions-distinct"
 COMPOSITIONS_DISTINCT = "compositions-distinct"
@@ -55,19 +55,18 @@ def enumerate_compositions(
     k: int,
     bounds: PartBounds = NONNEGATIVE_PARTS,
     predicate: Callable[[Composition], bool] | None = None,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[Composition]:
     """List every k-part composition of n within the bounds, in lexicographic
     order, optionally filtered by a predicate on the whole tuple.
 
     This is the reference oracle for the counters in this module. The number
-    of unfiltered solutions is checked against ``limit`` up front and a
-    ResourceLimitError is raised if it would be exceeded.
+    of unfiltered solutions is checked against ENUMERATION_LIMIT up front
+    and a ResourceLimitError is raised if it would be exceeded.
     """
     total = count_restricted(n, k, bounds)
-    if total > limit:
+    if total > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"{total} compositions would exceed the enumeration limit of {limit}"
+            f"{total} compositions would exceed the enumeration limit of {ENUMERATION_LIMIT}"
         )
     if n < 0 or k < 0:
         return []

@@ -15,14 +15,18 @@ its arguments alone, never from what a cache already holds:
 - the composition series (series.gf_distinct_total, series.family_series):
   order + 1 coefficients of at most order bits, each one product per factor
   or denominator term, all printed;
-- exactnum.bell: n(n+1)/2 additions over the Bell-triangle rows;
+- exactnum.bell, and exactnum._stirling_row behind stirling1 and
+  stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. Graph counting (graphcomp.reduce_and_count)
-has its own guard: the states and steps of each block under the cap.
+has its own guard: the states and steps of each block under the cap, after
+its block split, 4 numbers held and 20 operations per vertex and edge.
+graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
+character, and reads no further than the first character over the budget.
 """
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus

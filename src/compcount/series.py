@@ -211,8 +211,10 @@ def _check_expansion(what: str, order: int, terms: int) -> None:
 
 def family_series(family: str, k: int, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
-    by long division over the nonzero denominator terms."""
-    gf = SERIES_FAMILIES[family](k)
+    by long division over the nonzero denominator terms. Every exponent that
+    depends on k is at least k, so a k past order + 1 is built as order + 1,
+    which changes no coefficient up to z^order."""
+    gf = SERIES_FAMILIES[family](min(k, max(order, 0) + 1))
     _check_expansion(f"the {family} series with k = {k} to order {order}", order,
                      sum(1 for d in gf.denominator[1:] if d))
     return gf.expand(order)

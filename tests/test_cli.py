@@ -240,6 +240,27 @@ def test_help_exits_zero():
     assert code == 0
 
 
+def test_seed_and_cap_are_accepted_only_where_they_act(tmp_path):
+    target = tmp_path / "c5.txt"
+    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("cycle", 5)))
+    leaves = {
+        "count restricted": ["count", "restricted", "--n", "4", "--k", "2"],
+        "count distinct": ["count", "distinct", "--n", "6"],
+        "count leading": ["count", "leading", "--mode", "weak", "--n", "5"],
+        "count avoid": ["count", "avoid", "--k", "2", "--n", "4"],
+        "count contain": ["count", "contain", "--k", "2", "--n", "4"],
+        "triangle": ["triangle", "--kind", "pi", "--rows", "3"],
+        "series": ["series", "--family", "fweak", "--k", "2", "--order", "4"],
+        "graph count": ["graph", "count", "--file", str(target)],
+        "graph family": ["graph", "family", "--name", "ladder", "--n", "2"],
+        "verify": ["verify", "--suite", "series", "--max-n", "2"],
+    }
+    for leaf, argv in leaves.items():
+        assert run_cli(argv)[0] == 0, leaf
+        assert run_cli(argv + ["--seed", "1"])[0] == (0 if leaf == "verify" else 2), leaf
+        assert run_cli(argv + ["--cap", "8"])[0] == (0 if leaf == "graph count" else 2), leaf
+
+
 # --- verification -------------------------------------------------------------------
 
 def test_verify_passes_on_correct_build():
@@ -247,18 +268,6 @@ def test_verify_passes_on_correct_build():
     assert code == 0
     assert "FAIL" not in out
     assert out.startswith("# verify suite=all max-n=10 seed=1\n")
-
-
-def test_verify_with_a_low_cap_skips_the_graphs_over_it():
-    argv = ["verify", "--suite", "graphs", "--cap", "8", "--max-n", "10"]
-    code, out, _ = run_cli(argv)
-    assert code == 0
-    assert "FAIL" not in out and out.endswith("passed 9/9 checks\n")
-    assert "ok   family closed forms match the subset DP (skipped 13 over the cap: path n=9," in out
-    code, out, _ = run_cli(argv + ["--format", "json"])
-    checks = json.loads(out)["checks"]
-    skipping = [c["name"] for c in checks if "over the cap" in c["detail"]]
-    assert len(skipping) == 6 and all(c["ok"] for c in checks)
 
 
 def test_verify_suites_are_offered_without_importing_verify():
@@ -270,6 +279,16 @@ def test_verify_suites_are_offered_without_importing_verify():
     assert done.stdout == "False\n", done.stderr
     assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
     assert run_cli(["verify", "--suite", "everything"])[0] == 2
+
+
+def test_verify_csv_needs_no_quoting():
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "csv"])
+    assert code == 0
+    code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
+    names = [check["name"] for check in json.loads(listed)["checks"]]
+    assert len(names) == 23
+    assert not any(char in name for name in names for char in ',"\r\n')
+    assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
 
 def test_verify_json_reports_checks():
@@ -381,6 +400,8 @@ def test_oversized_integer_commands_are_refused_up_front(argv):
     lambda: graphcomp.family_count("cycle", 10 ** 9),
     lambda: graphcomp.ladder_binet(10 ** 8),
     lambda: graphcomp.build_family("complete", 10 ** 5),
+    lambda: exactnum.stirling1(10 ** 5, 2),
+    lambda: exactnum.stirling2(10 ** 5, 2),
 ])
 def test_library_calls_are_refused_like_the_cli(call):
     start = time.perf_counter()
@@ -420,6 +441,34 @@ def test_closed_form_restricted_counts_answer_at_any_size():
     n = 10 ** 12
     code, out, _ = run_cli(["count", "restricted", "--n", str(n), "--k", "5"])
     assert (code, out) == (0, f"{math.comb(n + 4, 4)}\n")
+
+
+def test_series_with_a_huge_k_is_built_at_order_size():
+    start = time.perf_counter()
+    huge = run_cli(["series", "--family", "contain", "--k", "1000000000", "--order", "3"])
+    assert time.perf_counter() - start < 1
+    assert huge == run_cli(["series", "--family", "contain", "--k", "4", "--order", "3"])
+
+
+def test_an_edge_list_over_the_limit_is_refused_unparsed(tmp_path):
+    target = tmp_path / "comments.txt"
+    size = graphcomp.EDGE_LIST_MAX_CHARS + 1
+    target.write_text("#\n" * (size // 2) + "#" * (size % 2))
+    assert target.stat().st_size == size
+    start = time.perf_counter()
+    code, out, err = run_cli(["graph", "count", "--file", str(target)])
+    assert (code, out) == (3, "")
+    assert f"an edge list of more than {size - 1} characters" in err and "over the budget of" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_a_huge_vertex_count_is_refused_before_the_block_split(tmp_path):
+    target = tmp_path / "empty.txt"
+    target.write_text("1000000000\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(["graph", "count", "--file", str(target)])
+    assert code == 3 and "1000000000 vertices" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):

@@ -54,7 +54,7 @@ def test_enumeration_empty_cases():
 
 def test_enumeration_limit_guard():
     with pytest.raises(ResourceLimitError):
-        compositions.enumerate_compositions(40, 20, limit=1000)
+        compositions.enumerate_compositions(40, 20)
 
 
 # --- restricted counts ----------------------------------------------------

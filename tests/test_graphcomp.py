@@ -66,6 +66,28 @@ def test_parse_comments_blanks_crlf_and_duplicates():
     assert graphcomp.parse_edge_list(text) == path(3)
 
 
+class _Reader:
+    """A text handle of `size` '#' characters that records what was asked."""
+
+    def __init__(self, size):
+        self.size, self.asked = size, []
+
+    def read(self, n):
+        self.asked.append(n)
+        return "#" * min(n, self.size)
+
+
+def test_read_edge_list_refuses_exactly_past_its_limit(monkeypatch):
+    limit = graphcomp.EDGE_LIST_MAX_CHARS
+    monkeypatch.setattr(graphcomp, "parse_edge_list", len)  # only the guard is under test
+    reader = _Reader(limit)
+    assert graphcomp.read_edge_list(reader) == limit
+    assert reader.asked == [limit + 1]
+    for size in (limit + 1, 10 ** 12):
+        with pytest.raises(ResourceLimitError, match=f"more than {limit} characters"):
+            graphcomp.read_edge_list(_Reader(size))
+
+
 def test_parse_error_cases():
     with pytest.raises(GraphParseError, match="line 1"):
         graphcomp.parse_edge_list("")

@@ -252,3 +252,11 @@ def test_distinct_total_series_matches_the_per_k_rational_expansions():
         k += 1
     for top in (0, 1, 2, 3, 10, 57, order):
         assert series.gf_distinct_total(top).coefficients == tuple(total[: top + 1])
+
+
+@pytest.mark.parametrize("family", sorted(series.SERIES_FAMILIES))
+def test_a_k_past_the_order_changes_no_coefficient(family):
+    assert series.family_series(family, 10 ** 9, 20) == series.family_series(family, 21, 20)
+    for order in range(8):
+        for k in range(order + 1, order + 5):
+            assert series.family_series(family, k, order) == series.SERIES_FAMILIES[family](k).expand(order)
