@@ -7,12 +7,16 @@ so the partition alone identifies the composition). Two exact counters:
 bitmask states, summing over the connected submasks of each connected state
 in about 3^n/2 steps, and suits small dense graphs; ``count_compositions_frontier``
 runs a frontier DP along a vertex order, whose states follow the frontier
-width instead, and suits thin graphs of any size. ``reduce_and_count`` finds
-the biconnected blocks of the graph in one linear-time DFS and returns the
-product of their counts: C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-
-vertex unions, so a bridge (a two-vertex block) contributes 2, and each
-block with at least 3 vertices goes to the counter with the lower cost,
-counted in steps."""
+width instead, and suits thin graphs of any size; ``count_compositions_universal``
+runs the subset DP on the vertices that are not universal (adjacent to all
+others) only, and adds the universal ones by a Stirling sum, so K_n costs
+one Bell number (the first step of join decomposition: Gallai 1967; Corneil,
+Perl and Stewart 1985). ``reduce_and_count`` finds the biconnected blocks of
+the graph in one linear-time DFS and returns the product of their counts:
+C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
+bridge (a two-vertex block) contributes 2, and each block with at least 3
+vertices goes to the side with the lower cost, counted in steps: the subset
+DP through the universal vertices, or the frontier DP."""
 
 import heapq
 import math
@@ -200,7 +204,13 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
             f"{n} vertices exceed the subset-DP cap of {cap}; "
             "reduce_and_count can split the graph first"
         )
-    nbr = graph.neighbor_masks()
+    return _subset_ways(graph.neighbor_masks(), n)[-1]
+
+
+def _subset_ways(nbr: list[int], n: int) -> list[int]:
+    """The table of count_compositions_graph: ways[S] counts the compositions
+    of the subgraph induced by the vertex set S, for every S, given the
+    neighbour masks of n vertices."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -228,7 +238,70 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
                 acc += ways[other]
             other = (other - 1) & rest
         ways[state] = acc
-    return ways[-1]
+    return ways
+
+
+def _non_universal(graph: LabeledGraph) -> list[int]:
+    """The vertices not adjacent to every other vertex, in increasing order."""
+    n = graph.vertex_count
+    degree = [0] * n
+    for u, v in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return [v for v in range(n) if degree[v] < n - 1]
+
+
+def _universal_sums(u: int, h: int) -> list[int]:
+    """T(u, m) = sum over j of S(u, j) j^m for m = 0..h: the partitions of
+    u + m points in which every block meets the first u (split those into j
+    blocks, then put each other point in one of them). Priced as 2u(h + 1)
+    operations on numbers of at most log2 Bell(u + h) < (u + h) log2(u + h + 1)
+    bits, 2u + h + 2 of them held; the Stirling row prices itself."""
+    check_work(f"the universal-vertex sums T({u}, 0..{h})", 2 * u * (h + 1),
+               (u + h) * math.log2(u + h + 1), held=2 * u + h + 2, printed=0)
+    terms = list(exactnum._stirling_row(u, False))  # S(u, j) j^m at m = 0
+    sums = [sum(terms)]
+    for _ in range(h):
+        terms = [j * term for j, term in enumerate(terms)]
+        sums.append(sum(terms))
+    return sums
+
+
+def _count_universal(graph: LabeledGraph, rest: list[int]) -> int:
+    """C(G) through its universal vertices U, given the others, W = rest.
+
+    A block of a composition that meets U is connected through a universal
+    vertex; one inside W must be connected in G[W]. So with u = |U| and
+    h = |W|, C(G) is the sum over Y inside W of C(G[Y]) T(u, h - |Y|), and one
+    subset DP on G[W] gives every C(G[Y]): 2^h states and about 3^h/2 steps.
+    Its table is summed by |Y| first, so only h + 1 products are big."""
+    h = len(rest)
+    sums = _universal_sums(graph.vertex_count - h, h)
+    position = {v: i for i, v in enumerate(rest)}
+    nbr = [0] * h
+    for a, b in graph.edges:
+        if a in position and b in position:
+            nbr[position[a]] |= 1 << position[b]
+            nbr[position[b]] |= 1 << position[a]
+    by_size = [0] * (h + 1)
+    for subset, ways in enumerate(_subset_ways(nbr, h)):
+        by_size[subset.bit_count()] += ways
+    return sum(s * t for s, t in zip(by_size, reversed(sums)))
+
+
+def count_compositions_universal(graph: LabeledGraph, cap: int | None = None) -> int:
+    """Number of partitions of the vertex set into connected blocks, through
+    the universal vertices (see _count_universal). Without a universal vertex
+    T(0, m) is 0 past m = 0, so the sum is the subset DP's own count. The cap
+    bounds the vertices that are not universal, as the subset DP's bounds all
+    of them."""
+    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
+    rest = _non_universal(graph)
+    if len(rest) > cap:
+        raise ResourceLimitError(
+            f"{len(rest)} vertices that are not universal exceed the subset-DP cap of {cap}"
+        )
+    return _count_universal(graph, rest)
 
 
 def _far_vertex(adj: list[list[int]], start: int) -> int:
@@ -601,19 +674,33 @@ def _frontier_steps(widths: list[int]) -> tuple[float, float]:
     return sum(bounds[w] * (w + 1) for w in widths), bounds[widest]
 
 
+def _balanced_product(values: list[int]) -> int:
+    """The product of the values, multiplied in pairs, then pairs of pairs:
+    each round multiplies numbers of about equal size, so k factors cost
+    O(log k) rounds instead of k products with one growing number."""
+    while len(values) > 1:
+        values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return values[0] if values else 1
+
+
 def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
-    cut-vertex rule); a bridge is a K2 block and contributes 2. Each block
-    with at least 3 vertices is relabelled in vertex order and counted in
-    steps: the subset DP takes at most 3^n/2 of them (its steps on the
-    complete graph), the frontier DP at most the bound that the widths of a
-    min-frontier order give, each worth FRONTIER_STEP_COST subset steps. The
-    cap, never above SUBSET_MAX_VERTICES, limits both counters to 2^cap
-    states and 3^cap/2 steps. A block of at most cap vertices goes to the
-    subset DP unless the frontier DP fits the limits and costs less; a
-    larger block goes to the frontier DP if it fits, and is refused if not.
+    cut-vertex rule); a bridge is a K2 block and contributes 2, so the
+    bridges make one shift and the other blocks one balanced product. Each
+    block with at least 3 vertices is relabelled in vertex order and counted
+    in steps. Its universal vertices (adjacent to all others) cost the subset
+    side nothing: with h vertices not universal it takes 2^h states and at
+    most 3^h/2 steps, as the subset DP on them, summed through
+    _count_universal if any vertex is universal. The frontier DP takes at
+    most the bound that the widths of a min-frontier order give, each step
+    worth FRONTIER_STEP_COST subset steps, and at least one step a vertex, so
+    the order is not built where that already loses. The cap, never above
+    SUBSET_MAX_VERTICES, limits both sides to 2^cap states and 3^cap/2
+    steps. A block with h <= cap goes to the subset side unless the frontier
+    DP fits the limits and costs less; any other block goes to the frontier
+    DP if it fits, and is refused if not.
     """
     cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
     state_limit, step_limit = 2 ** cap, 3 ** cap / 2
@@ -622,30 +709,39 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     size = graph.vertex_count + len(graph.edges)
     check_work(f"the block split of {graph.vertex_count} vertices and {len(graph.edges)} edges",
                20 * size, 0, held=4 * size, printed=0)
-    result = 1
+    bridges = 0
+    counts = []
     for block in _blocks(graph):
         if len(block) == 1:
-            result *= 2
+            bridges += 1
             continue
         vertices = sorted({v for edge in block for v in edge})
         index = {v: i for i, v in enumerate(vertices)}
         relabelled = LabeledGraph(len(vertices), frozenset((index[u], index[v]) for u, v in block))
         n = relabelled.vertex_count
-        adj = relabelled.adjacency()
-        order, widths = _frontier_order(adj)
-        frontier_steps, states = _frontier_steps(widths)
-        fits = states <= state_limit and frontier_steps <= step_limit
-        if n <= cap and not (fits and FRONTIER_STEP_COST * frontier_steps < 3 ** n / 2):
-            result *= count_compositions_graph(relabelled, cap)
-        elif fits:
-            result *= _count_frontier(adj, order)
+        rest = _non_universal(relabelled)
+        h = len(rest)
+        subset_side = h <= cap
+        # the frontier DP takes at least n steps, so only a dearer subset side needs its order
+        if not (subset_side and 3 ** h / 2 <= FRONTIER_STEP_COST * n):
+            adj = relabelled.adjacency()
+            order, widths = _frontier_order(adj)
+            frontier_steps, states = _frontier_steps(widths)
+            if states <= state_limit and frontier_steps <= step_limit and (
+                    not subset_side or FRONTIER_STEP_COST * frontier_steps < 3 ** h / 2):
+                counts.append(_count_frontier(adj, order))
+                continue
+            if not subset_side:
+                raise ResourceLimitError(
+                    f"a block of {n} vertices is over the limits of cap={cap}, 2^{cap} states and "
+                    f"{step_limit:.3g} steps: the subset DP would hold 2^{h} states, the frontier "
+                    f"DP up to {states:.3g} states in {frontier_steps:.3g} steps"
+                )
+        if h == n:
+            counts.append(count_compositions_graph(relabelled, cap))
         else:
-            raise ResourceLimitError(
-                f"a block of {n} vertices is over the limits of cap={cap}, 2^{cap} states and "
-                f"{step_limit:.3g} steps: the subset DP would hold 2^{n} states, the frontier "
-                f"DP up to {states:.3g} states in {frontier_steps:.3g} steps"
-            )
-    return result
+            counts.append(_count_universal(relabelled, rest))
+    return _balanced_product(counts) << bridges
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

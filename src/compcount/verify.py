@@ -300,4 +300,12 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
             bad.append(f"rungs={rungs}")
     checks.append(_check("ladder recurrence matches the frontier DP", bad))
 
+    bad = []
+    for _ in range(20):
+        n = rng.randint(2, min(max_n, 12))
+        graph = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97))
+        if graphcomp.count_compositions_universal(graph) != graphcomp.count_compositions_graph(graph):
+            bad.append(f"n={n} edges={sorted(graph.edges)}")
+    checks.append(_check("universal-vertex route matches the subset DP", bad))
+
     return checks

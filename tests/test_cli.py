@@ -210,20 +210,31 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def complete_minus_cycle(n):
+    """K_n minus the Hamiltonian cycle 0-1-...-(n-1)-0: no vertex is universal."""
+    return graphcomp.LabeledGraph(n, {(u, v) for u in range(n) for v in range(u + 2, n)
+                                      if (u, v) != (0, n - 1)})
+
+
 def test_resource_error_exit_code(tmp_path):
-    big = graphcomp.build_family("complete", 26)
-    target = tmp_path / "k26.txt"
-    target.write_text(graphcomp.format_edge_list(big))
+    target = tmp_path / "k26-c26.txt"
+    target.write_text(graphcomp.format_edge_list(complete_minus_cycle(26)))
     code, _, err = run_cli(["graph", "count", "--file", str(target)])
     assert code == 3
     assert "cap" in err
 
 
+def test_complete_graphs_count_through_their_universal_vertices(tmp_path):
+    target = tmp_path / "k26.txt"
+    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 26)))
+    assert run_cli(["graph", "count", "--file", str(target)]) == (0, f"{exactnum.bell(26)}\n", "")
+
+
 def test_cap_flag_lowers_the_guard(tmp_path):
-    target = tmp_path / "k10.txt"
-    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 10)))
+    target = tmp_path / "k10-c10.txt"
+    target.write_text(graphcomp.format_edge_list(complete_minus_cycle(10)))
     code, out, _ = run_cli(["graph", "count", "--file", str(target)])
-    assert (code, out) == (0, "115975\n")
+    assert (code, out) == (0, "75128\n")
     code, _, _ = run_cli(["graph", "count", "--file", str(target), "--cap", "8"])
     assert code == 3
 
@@ -238,6 +249,23 @@ def test_long_cycle_is_counted_past_the_vertex_cap(tmp_path):
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_a_second_run_in_one_process_behaves_like_the_first(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)  # the first run below builds it
+    queries = (["count", "distinct", "--n", "6", "--format", "csv"],
+               ["count", "restricted", "--n", "3", "--badflag"],
+               ["graph", "family", "--name", "ladder", "--n", "2"],
+               ["--help"],
+               ["series", "--family", "fstrict", "--order", "5"],
+               ["count", "leading", "--mode", "weak", "--n", "5", "--format", "json"])
+    first = [run_cli(argv) for argv in queries]
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 0]
+    parser = cli._parser
+    capsys.readouterr()  # argparse writes usage and help to the process streams
+    assert [run_cli(argv) for argv in queries] == first
+    assert [run_cli(argv) for argv in reversed(queries)] == first[::-1]
+    assert cli._parser is parser
 
 
 def test_seed_and_cap_are_accepted_only_where_they_act(tmp_path):
@@ -286,7 +314,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 23
+    assert len(names) == 24
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -472,10 +500,14 @@ def test_a_huge_vertex_count_is_refused_before_the_block_split(tmp_path):
 
 
 def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):
-    target = tmp_path / "k48.txt"
-    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 48)))
+    target = tmp_path / "k48-c48.txt"
+    target.write_text(graphcomp.format_edge_list(complete_minus_cycle(48)))
     start = time.perf_counter()
     code, _, err = run_cli(["graph", "count", "--file", str(target), "--cap", "100"])
     assert code == 3
     assert "2^48 states" in err and "2^40 states" in err
     assert time.perf_counter() - start < 5
+    # K48 itself has 48 universal vertices, so the subset side holds one state
+    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 48)))
+    assert run_cli(["graph", "count", "--file", str(target), "--cap", "100"]) == \
+        (0, f"{exactnum.bell(48)}\n", "")

@@ -24,6 +24,13 @@ def complete(n):
     return graphcomp.build_family("complete", n)
 
 
+def complete_minus_cycle(n):
+    """K_n minus the Hamiltonian cycle 0-1-...-(n-1)-0: for n >= 5 no vertex
+    is universal and the complement is connected, so no shortcut applies."""
+    return LabeledGraph(n, {(u, v) for u, v in combinations(range(n), 2)
+                            if v - u >= 2 and (u, v) != (0, n - 1)})
+
+
 # --- graph values -----------------------------------------------------------
 
 def test_graph_normalizes_and_validates():
@@ -317,6 +324,15 @@ def test_reduce_handles_large_reducible_graphs():
     assert graphcomp.reduce_and_count(path(10 ** 4)) == 1 << (10 ** 4 - 1)
 
 
+def test_reduce_multiplies_many_blocks_without_a_growing_product():
+    n = 2 * 10 ** 5
+    assert graphcomp.reduce_and_count(path(n)) == 1 << (n - 1)
+    # a chain of 10^4 triangles, each sharing one vertex with the next
+    triangles = LabeledGraph(2 * 10 ** 4 + 1, {e for i in range(0, 2 * 10 ** 4, 2)
+                                               for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))})
+    assert graphcomp.reduce_and_count(triangles) == 5 ** (10 ** 4)
+
+
 def _glued_graph(rng):
     """Components glued from cycles, ladders, complete graphs and bridges,
     each piece sharing one vertex with what is already there, under a random
@@ -356,11 +372,13 @@ def _glued_graph(rng):
 
 
 def _record_counters(monkeypatch):
-    """Route both block counters through recorders; returns the lists of
-    vertex counts each one receives."""
-    subset_sizes, frontier_sizes = [], []
+    """Route the three block counters through recorders; returns the lists of
+    vertex counts the subset DP, the frontier DP and the universal-vertex
+    route each receive."""
+    subset_sizes, frontier_sizes, universal_sizes = [], [], []
     subset = graphcomp.count_compositions_graph
     frontier = graphcomp._count_frontier
+    universal = graphcomp._count_universal
 
     def recording_subset(graph, cap=None):
         subset_sizes.append(graph.vertex_count)
@@ -371,30 +389,35 @@ def _record_counters(monkeypatch):
         return frontier(adj, order)
 
     monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_subset)
+    def recording_universal(graph, rest):
+        universal_sizes.append(graph.vertex_count)
+        return universal(graph, rest)
+
     monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
-    return subset_sizes, frontier_sizes
+    monkeypatch.setattr(graphcomp, "_count_universal", recording_universal)
+    return subset_sizes, frontier_sizes, universal_sizes
 
 
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
-    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
+    recorded = _record_counters(monkeypatch)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
-        subset_sizes.clear()
-        frontier_sizes.clear()
+        for sizes in recorded:
+            sizes.clear()
         assert graphcomp.reduce_and_count(graph) == expected
         # each block with at least 3 vertices reaches exactly one counter, once
-        assert sorted(subset_sizes + frontier_sizes) == sorted(block_sizes)
-        assert subset_sizes and frontier_sizes
+        assert sorted(sum(recorded, [])) == sorted(block_sizes)
+        assert all(recorded)
 
 
 def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
-    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
+    subset_sizes, frontier_sizes, universal_sizes = _record_counters(monkeypatch)
     for m in range(6, 12):
         assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
-    assert subset_sizes == list(range(6, 12)) and not frontier_sizes
-    subset_sizes.clear()
+    assert universal_sizes == list(range(6, 12)) and not subset_sizes and not frontier_sizes
+    universal_sizes.clear()
     for n in (12, 13, 16, 20, 40):
         assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
     for rungs in (5, 6, 10, 30):
@@ -412,16 +435,71 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
     assert subset_sizes == [10, 10, 10]
     assert frontier_sizes == [10, 10, 10, 12, 12, 12]
+    assert not universal_sizes
+
+
+# --- the universal-vertex route --------------------------------------------------------------
+
+def _with_universal(rng, n, p, planted):
+    """A random graph in which `planted` random vertices are joined to all others."""
+    hubs = rng.sample(range(n), planted)
+    joins = {(min(h, v), max(h, v)) for h in hubs for v in range(n) if v != h}
+    return LabeledGraph(n, graphcomp.random_graph(rng, n, p).edges | joins)
+
+
+def test_universal_route_matches_subset_dp_and_enumeration_on_dense_graphs():
+    rng = Random(1967)
+    for trial in range(320):
+        n = rng.randint(0, 12)
+        graph = _with_universal(rng, n, rng.uniform(0.5, 0.97), rng.randint(0, n // 3) if trial % 2 else 0)
+        count = graphcomp.count_compositions_universal(graph)
+        assert count == graphcomp.count_compositions_graph(graph), sorted(graph.edges)
+        if n <= 8:
+            assert count == len(graphcomp.enumerate_graph_compositions(graph)), sorted(graph.edges)
+    for n in (9, 10):
+        graph = _with_universal(rng, n, 0.6, 2)
+        assert graphcomp.count_compositions_universal(graph) == \
+            len(graphcomp.enumerate_graph_compositions(graph))
+
+
+def test_universal_route_gives_the_closed_forms_of_dense_families():
+    for n in list(range(40)) + [100, 200]:
+        graph = complete(n)
+        start = time.perf_counter()
+        assert graphcomp.reduce_and_count(graph) == exactnum.bell(n)
+        assert time.perf_counter() - start < 1
+    for n in range(2, 40):
+        k_minus_e = graphcomp.build_family("complete_minus_edge", n)
+        assert graphcomp.reduce_and_count(k_minus_e) == exactnum.bell(n) - exactnum.bell(n - 2)
+    assert graphcomp.count_compositions_universal(complete(30)) == exactnum.bell(30)
+
+
+def test_universal_route_caps_the_vertices_that_are_not_universal():
+    # K_30 minus a perfect matching: no vertex is universal
+    matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
+    with pytest.raises(ResourceLimitError, match="30 vertices that are not universal"):
+        graphcomp.count_compositions_universal(matching)
+    with pytest.raises(ResourceLimitError, match="universal-vertex sums"):
+        graphcomp._universal_sums(10 ** 6, 3)
+
+
+def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
+    def no_order(adj):
+        raise AssertionError("the frontier order was built")
+
+    monkeypatch.setattr(graphcomp, "_frontier_order", no_order)
+    assert graphcomp.reduce_and_count(complete(120)) == exactnum.bell(120)
+    assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 4)) == 12
 
 
 def test_reduce_respects_cap_on_irreducible_pieces():
     with pytest.raises(ResourceLimitError):
-        graphcomp.reduce_and_count(complete(8), cap=6)
+        graphcomp.reduce_and_count(complete_minus_cycle(8), cap=6)
 
 
 def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
     with pytest.raises(ResourceLimitError, match=r"26 vertices.*cap=24"):
-        graphcomp.reduce_and_count(complete(26))
+        graphcomp.reduce_and_count(complete_minus_cycle(26))
     # a frontier of width 11 is bounded by 188378402 states, over 2^24 (and
     # by about 6e11 steps, over the 1.4e11 of cap 24)
     with pytest.raises(ResourceLimitError,
