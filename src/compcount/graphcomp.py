@@ -289,17 +289,16 @@ def _count_universal(graph: LabeledGraph, rest: list[int]) -> int:
     return sum(s * t for s, t in zip(by_size, reversed(sums)))
 
 
-def count_compositions_universal(graph: LabeledGraph, cap: int | None = None) -> int:
+def count_compositions_universal(graph: LabeledGraph) -> int:
     """Number of partitions of the vertex set into connected blocks, through
     the universal vertices (see _count_universal). Without a universal vertex
-    T(0, m) is 0 past m = 0, so the sum is the subset DP's own count. The cap
-    bounds the vertices that are not universal, as the subset DP's bounds all
-    of them."""
-    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
+    T(0, m) is 0 past m = 0, so the sum is the subset DP's own count. The
+    default cap bounds the vertices that are not universal, as it bounds all
+    of them in the subset DP."""
     rest = _non_universal(graph)
-    if len(rest) > cap:
+    if len(rest) > DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(
-            f"{len(rest)} vertices that are not universal exceed the subset-DP cap of {cap}"
+            f"{len(rest)} vertices that are not universal exceed the subset-DP cap of {DEFAULT_VERTEX_CAP}"
         )
     return _count_universal(graph, rest)
 

@@ -302,8 +302,11 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
 
     bad = []
     for _ in range(20):
-        n = rng.randint(2, min(max_n, 12))
-        graph = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97))
+        n = rng.randint(3, max(3, min(max_n, 12)))
+        hubs = rng.sample(range(n), rng.randint(1, n // 3))
+        joins = {(min(h, v), max(h, v)) for h in hubs for v in range(n) if v != h}
+        edges = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97)).edges | joins
+        graph = graphcomp.LabeledGraph(n, edges)
         if graphcomp.count_compositions_universal(graph) != graphcomp.count_compositions_graph(graph):
             bad.append(f"n={n} edges={sorted(graph.edges)}")
     checks.append(_check("universal-vertex route matches the subset DP", bad))
