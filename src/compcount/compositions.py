@@ -274,6 +274,7 @@ def count_avoiding(n: int, k: int) -> int:
     if n < 1:
         return 0
     check_work(f"count_avoiding({n}, {k})", n, n, held=min(k, n) + 1)
+    k = min(k, n + 1)  # no part of a composition of n exceeds n
     # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
     # one of these zeros, so min(k, n) + 1 of them suffice
     window = deque([0] * (min(k, n) + 1), maxlen=k + 1)

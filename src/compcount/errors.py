@@ -24,12 +24,14 @@ its arguments alone, never from what a cache already holds:
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. Graph counting (graphcomp.reduce_and_count)
 has its own guard: the states and steps of each block under the cap, after
-its block split, 4 numbers held and 20 operations per vertex and edge; a
-block with u universal vertices and h others also prices its sums
-T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1) operations on numbers of
-(u + h) log2(u + h + 1) bits, after the Stirling row u prices itself.
-graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
-character, and reads no further than the first character over the budget.
+its block split, 4 numbers held and 20 operations per vertex and edge.
+graphcomp.count_compositions_graph, on a graph of u universal vertices and
+h others, prices its sums T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1)
+operations on numbers of (u + h) log2(u + h + 1) bits, after the Stirling
+row u prices itself. graphcomp.read_edge_list prices an edge-list file at
+36 bytes held a character, and reads no further than the first character
+over the budget. verify.run_suite prices the checks that grow with max_n:
+(4 max_n)^3 operations for the leading totals, 20 order^2 for the series.
 """
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus

@@ -3,20 +3,19 @@
 A composition of a graph is a partition of its vertex set into blocks that
 each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). Two exact counters:
-``count_compositions_graph`` runs a subset dynamic program over the 2^n
-bitmask states, summing over the connected submasks of each connected state
-in about 3^n/2 steps, and suits small dense graphs; ``count_compositions_frontier``
-runs a frontier DP along a vertex order, whose states follow the frontier
-width instead, and suits thin graphs of any size; ``count_compositions_universal``
-runs the subset DP on the vertices that are not universal (adjacent to all
-others) only, and adds the universal ones by a Stirling sum, so K_n costs
-one Bell number (the first step of join decomposition: Gallai 1967; Corneil,
-Perl and Stewart 1985). ``reduce_and_count`` finds the biconnected blocks of
-the graph in one linear-time DFS and returns the product of their counts:
+``count_compositions_graph`` runs a subset dynamic program over the 2^h
+bitmask states of the h vertices that are not universal (adjacent to all
+others), summing over the connected submasks of each connected state in
+about 3^h/2 steps, and adds the universal vertices by a Stirling sum, so it
+suits small dense graphs and K_n costs one Bell number (the first step of
+join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
+``count_compositions_frontier`` runs a frontier DP along a vertex order,
+whose states follow the frontier width instead, and suits thin graphs of
+any size. ``reduce_and_count`` finds the biconnected blocks of the graph in
+one linear-time DFS and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
-vertices goes to the side with the lower cost, counted in steps: the subset
-DP through the universal vertices, or the frontier DP."""
+vertices goes to the counter with the lower cost, counted in steps."""
 
 import heapq
 import math
@@ -183,34 +182,52 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
 def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
-    Subset DP over the vertex subsets S in increasing order, with
-    ways(empty) = 1. A bit-parallel search grows the component C of S's
-    lowest vertex inside S. If C is not all of S, no edge joins C to the
-    rest, so ways(S) = ways(C) ways(S minus C). Otherwise S is marked in a
-    table of connected sets, and ways(S) sums ways(S minus T) over the
-    connected T inside S that hold its lowest vertex: every submask of S
-    through that vertex is looked up in the table, which the subsets below S
-    have already filled in. A connected S has 2^(|S|-1) such submasks, so a
-    dense graph takes about 3^n/2 steps and a sparse one fewer, since most of
-    its states take the product step. The empty graph counts 1. Graphs above
-    the vertex cap raise a resource error (state space is 2^n);
-    reduce_and_count handles larger graphs, since it splits them into
-    biconnected blocks and counts thin blocks with the frontier DP.
+    With u universal vertices (adjacent to all others) and the h others W, a
+    block that meets a universal vertex is connected through it and one inside
+    W must be connected in G[W], so C(G) is the sum over Y inside W of
+    C(G[Y]) T(u, h - |Y|). One subset DP on G[W] gives every C(G[Y]) in 2^h
+    states and about 3^h/2 steps, so K_n costs one Bell number; its table is
+    summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
+    its last entry. More than cap vertices that are not universal raise a
+    resource error; reduce_and_count splits a graph into biconnected blocks
+    first and counts thin ones with the frontier DP.
     """
     cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
     n = graph.vertex_count
-    if n > cap:
+    rest = _non_universal(graph)
+    h = len(rest)
+    if h > cap:
         raise ResourceLimitError(
-            f"{n} vertices exceed the subset-DP cap of {cap}; "
+            f"{h} vertices that are not universal exceed the subset-DP cap of {cap}; "
             "reduce_and_count can split the graph first"
         )
-    return _subset_ways(graph.neighbor_masks(), n)[-1]
+    position = {v: i for i, v in enumerate(rest)}
+    nbr = [0] * h
+    for a, b in graph.edges:
+        if a in position and b in position:
+            nbr[position[a]] |= 1 << position[b]
+            nbr[position[b]] |= 1 << position[a]
+    if h == n:
+        return _subset_ways(nbr, n)[-1]
+    sums = _universal_sums(n - h, h)
+    by_size = [0] * (h + 1)
+    for subset, ways in enumerate(_subset_ways(nbr, h)):
+        by_size[subset.bit_count()] += ways
+    return sum(s * t for s, t in zip(by_size, reversed(sums)))
 
 
 def _subset_ways(nbr: list[int], n: int) -> list[int]:
-    """The table of count_compositions_graph: ways[S] counts the compositions
-    of the subgraph induced by the vertex set S, for every S, given the
-    neighbour masks of n vertices."""
+    """The subset DP: ways[S] counts the compositions of G[S] for every
+    vertex set S, given the neighbour masks of n vertices; over all n it is
+    the reference that the tests and verify compare against.
+
+    States go in increasing order from ways(empty) = 1. A bit-parallel search
+    grows the component C of S's lowest vertex inside S. If C is not S, no
+    edge leaves C, so ways(S) = ways(C) ways(S minus C). Otherwise S is marked
+    connected and ways(S) sums ways(S minus T) over the connected T inside S
+    through its lowest vertex, looked up in that table: 2^(|S|-1) submasks, so
+    about 3^n/2 steps on a dense graph and fewer on a sparse one, whose states
+    mostly take the product step."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -265,42 +282,6 @@ def _universal_sums(u: int, h: int) -> list[int]:
         terms = [j * term for j, term in enumerate(terms)]
         sums.append(sum(terms))
     return sums
-
-
-def _count_universal(graph: LabeledGraph, rest: list[int]) -> int:
-    """C(G) through its universal vertices U, given the others, W = rest.
-
-    A block of a composition that meets U is connected through a universal
-    vertex; one inside W must be connected in G[W]. So with u = |U| and
-    h = |W|, C(G) is the sum over Y inside W of C(G[Y]) T(u, h - |Y|), and one
-    subset DP on G[W] gives every C(G[Y]): 2^h states and about 3^h/2 steps.
-    Its table is summed by |Y| first, so only h + 1 products are big."""
-    h = len(rest)
-    sums = _universal_sums(graph.vertex_count - h, h)
-    position = {v: i for i, v in enumerate(rest)}
-    nbr = [0] * h
-    for a, b in graph.edges:
-        if a in position and b in position:
-            nbr[position[a]] |= 1 << position[b]
-            nbr[position[b]] |= 1 << position[a]
-    by_size = [0] * (h + 1)
-    for subset, ways in enumerate(_subset_ways(nbr, h)):
-        by_size[subset.bit_count()] += ways
-    return sum(s * t for s, t in zip(by_size, reversed(sums)))
-
-
-def count_compositions_universal(graph: LabeledGraph) -> int:
-    """Number of partitions of the vertex set into connected blocks, through
-    the universal vertices (see _count_universal). Without a universal vertex
-    T(0, m) is 0 past m = 0, so the sum is the subset DP's own count. The
-    default cap bounds the vertices that are not universal, as it bounds all
-    of them in the subset DP."""
-    rest = _non_universal(graph)
-    if len(rest) > DEFAULT_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"{len(rest)} vertices that are not universal exceed the subset-DP cap of {DEFAULT_VERTEX_CAP}"
-        )
-    return _count_universal(graph, rest)
 
 
 def _far_vertex(adj: list[list[int]], start: int) -> int:
@@ -690,9 +671,8 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
     bridges make one shift and the other blocks one balanced product. Each
     block with at least 3 vertices is relabelled in vertex order and counted
     in steps. Its universal vertices (adjacent to all others) cost the subset
-    side nothing: with h vertices not universal it takes 2^h states and at
-    most 3^h/2 steps, as the subset DP on them, summed through
-    _count_universal if any vertex is universal. The frontier DP takes at
+    side, count_compositions_graph, nothing: with h vertices not universal it
+    takes 2^h states and at most 3^h/2 steps. The frontier DP takes at
     most the bound that the widths of a min-frontier order give, each step
     worth FRONTIER_STEP_COST subset steps, and at least one step a vertex, so
     the order is not built where that already loses. The cap, never above
@@ -718,8 +698,7 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
         index = {v: i for i, v in enumerate(vertices)}
         relabelled = LabeledGraph(len(vertices), frozenset((index[u], index[v]) for u, v in block))
         n = relabelled.vertex_count
-        rest = _non_universal(relabelled)
-        h = len(rest)
+        h = len(_non_universal(relabelled))
         subset_side = h <= cap
         # the frontier DP takes at least n steps, so only a dearer subset side needs its order
         if not (subset_side and 3 ** h / 2 <= FRONTIER_STEP_COST * n):
@@ -736,10 +715,7 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
                     f"{step_limit:.3g} steps: the subset DP would hold 2^{h} states, the frontier "
                     f"DP up to {states:.3g} states in {frontier_steps:.3g} steps"
                 )
-        if h == n:
-            counts.append(count_compositions_graph(relabelled, cap))
-        else:
-            counts.append(_count_universal(relabelled, rest))
+        counts.append(count_compositions_graph(relabelled, cap))
     return _balanced_product(counts) << bridges
 
 

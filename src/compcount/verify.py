@@ -11,6 +11,7 @@ from random import Random
 
 from . import VERIFY_SUITES, compositions, exactnum, graphcomp, series
 from .compositions import PartBounds
+from .errors import check_work
 
 Check = tuple[str, bool, str]
 
@@ -20,6 +21,7 @@ def run_suite(suite: str, max_n: int = 10, seed: int = 0) -> list[Check]:
         raise ValueError(f"unknown suite {suite!r}; expected one of {VERIFY_SUITES}")
     if max_n < 1:
         raise ValueError("max_n must be positive")
+    _check_suite_work(suite, max_n)
     checks: list[Check] = []
     if suite in ("all", "compositions"):
         checks.extend(_composition_checks(max_n))
@@ -28,6 +30,22 @@ def run_suite(suite: str, max_n: int = 10, seed: int = 0) -> list[Check]:
     if suite in ("all", "graphs"):
         checks.extend(_graph_checks(max_n, seed))
     return checks
+
+
+def _check_suite_work(suite: str, max_n: int) -> None:
+    """Refuse a suite whose checks that grow with max_n are over the budget
+    (fit to timings at max_n = 50-800; CPython 3.11, 2-vCPU x86-64 guest):
+    the leading totals take about top^3 operations on top-bit numbers for
+    top = 4 max_n, the series about 20 order^2 on order-bit numbers, in about
+    4 series of order + 1 terms, for order = max(40, 2 max_n)."""
+    top, order = 4 * max_n, max(40, 2 * max_n)
+    operations = held = 0
+    if suite in ("all", "compositions"):
+        operations, held = top ** 3, top
+    if suite in ("all", "series"):
+        operations, held = operations + 20 * order ** 2, held + 4 * order
+    check_work(f"verify --suite {suite} --max-n {max_n}", operations, max(top, order),
+               held=held, printed=0)
 
 
 def _check(name: str, mismatches: list[str]) -> Check:
@@ -307,7 +325,7 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
         joins = {(min(h, v), max(h, v)) for h in hubs for v in range(n) if v != h}
         edges = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97)).edges | joins
         graph = graphcomp.LabeledGraph(n, edges)
-        if graphcomp.count_compositions_universal(graph) != graphcomp.count_compositions_graph(graph):
+        if graphcomp.count_compositions_graph(graph) != graphcomp._subset_ways(graph.neighbor_masks(), n)[-1]:
             bad.append(f"n={n} edges={sorted(graph.edges)}")
     checks.append(_check("universal-vertex route matches the subset DP", bad))
 

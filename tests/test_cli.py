@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from compcount import (VERIFY_SUITES, ResourceLimitError, cli, compositions, exactnum, graphcomp,
-                       series)
+                       series, verify)
 
 
 def run_cli(argv):
@@ -86,6 +86,9 @@ def test_count_avoid_and_contain():
     assert (code, out) == (0, "4\n")
     code, out, _ = run_cli(["count", "contain", "--k", "2", "--n", "3"])
     assert (code, out) == (0, "2\n")
+    # a part past n, even past 2^63, is avoided by every composition
+    for command, want in (("avoid", "16\n"), ("contain", "0\n")):
+        assert run_cli(["count", command, "--k", "10000000000000000000", "--n", "5"]) == (0, want, "")
 
 
 # --- machine formats ------------------------------------------------------------
@@ -296,6 +299,16 @@ def test_verify_passes_on_correct_build():
     assert code == 0
     assert "FAIL" not in out
     assert out.startswith("# verify suite=all max-n=10 seed=1\n")
+
+
+def test_verify_refuses_a_max_n_whose_cubic_checks_are_over_the_budget():
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "--max-n", "1000000"])
+    assert (code, out) == (3, "")
+    assert "verify --suite all --max-n 1000000" in err and "over the budget of" in err
+    assert time.perf_counter() - start < 1
+    for max_n in (10, 40):  # priced only: the suite at 40 takes seconds
+        verify._check_suite_work("all", max_n)
 
 
 def test_verify_suites_are_offered_without_importing_verify():

@@ -221,13 +221,16 @@ def test_avoiding_values():
     assert compositions.count_avoiding(4, 2) == 4
     assert compositions.count_avoiding(1, 1) == 0
     assert compositions.count_avoiding(0, 3) == 0
+    # a k past 2^63 does not fit a deque length; no part of n exceeds n anyway
+    for k in (2 ** 63 - 1, 2 ** 63, 10 ** 19):
+        assert compositions.count_avoiding(5, k) == 16
 
 
 def test_containing_values():
     assert compositions.count_containing(2, 1) == 1
     assert compositions.count_containing(3, 2) == 2
     for n in range(1, 9):
-        assert compositions.count_containing(n, n + 1) == 0
+        assert compositions.count_containing(n, n + 1) == compositions.count_containing(n, 10 ** 19) == 0
 
 
 def test_avoid_contain_match_enumeration():

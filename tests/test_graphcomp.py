@@ -372,13 +372,11 @@ def _glued_graph(rng):
 
 
 def _record_counters(monkeypatch):
-    """Route the three block counters through recorders; returns the lists of
-    vertex counts the subset DP, the frontier DP and the universal-vertex
-    route each receive."""
-    subset_sizes, frontier_sizes, universal_sizes = [], [], []
+    """Route the two block counters through recorders; returns the lists of
+    vertex counts the subset DP and the frontier DP each receive."""
+    subset_sizes, frontier_sizes = [], []
     subset = graphcomp.count_compositions_graph
     frontier = graphcomp._count_frontier
-    universal = graphcomp._count_universal
 
     def recording_subset(graph, cap=None):
         subset_sizes.append(graph.vertex_count)
@@ -389,13 +387,8 @@ def _record_counters(monkeypatch):
         return frontier(adj, order)
 
     monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_subset)
-    def recording_universal(graph, rest):
-        universal_sizes.append(graph.vertex_count)
-        return universal(graph, rest)
-
     monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
-    monkeypatch.setattr(graphcomp, "_count_universal", recording_universal)
-    return subset_sizes, frontier_sizes, universal_sizes
+    return subset_sizes, frontier_sizes
 
 
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
@@ -413,11 +406,11 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
 
 
 def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
-    subset_sizes, frontier_sizes, universal_sizes = _record_counters(monkeypatch)
+    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
     for m in range(6, 12):
         assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
-    assert universal_sizes == list(range(6, 12)) and not subset_sizes and not frontier_sizes
-    universal_sizes.clear()
+    assert subset_sizes == list(range(6, 12)) and not frontier_sizes
+    subset_sizes.clear()
     for n in (12, 13, 16, 20, 40):
         assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
     for rungs in (5, 6, 10, 30):
@@ -435,7 +428,6 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
     assert subset_sizes == [10, 10, 10]
     assert frontier_sizes == [10, 10, 10, 12, 12, 12]
-    assert not universal_sizes
 
 
 # --- the universal-vertex route --------------------------------------------------------------
@@ -452,13 +444,13 @@ def test_universal_route_matches_subset_dp_and_enumeration_on_dense_graphs():
     for trial in range(320):
         n = rng.randint(0, 12)
         graph = _with_universal(rng, n, rng.uniform(0.5, 0.97), rng.randint(0, n // 3) if trial % 2 else 0)
-        count = graphcomp.count_compositions_universal(graph)
-        assert count == graphcomp.count_compositions_graph(graph), sorted(graph.edges)
+        count = graphcomp.count_compositions_graph(graph)
+        assert count == graphcomp._subset_ways(graph.neighbor_masks(), n)[-1], sorted(graph.edges)
         if n <= 8:
             assert count == len(graphcomp.enumerate_graph_compositions(graph)), sorted(graph.edges)
     for n in (9, 10):
         graph = _with_universal(rng, n, 0.6, 2)
-        assert graphcomp.count_compositions_universal(graph) == \
+        assert graphcomp.count_compositions_graph(graph) == \
             len(graphcomp.enumerate_graph_compositions(graph))
 
 
@@ -471,14 +463,15 @@ def test_universal_route_gives_the_closed_forms_of_dense_families():
     for n in range(2, 40):
         k_minus_e = graphcomp.build_family("complete_minus_edge", n)
         assert graphcomp.reduce_and_count(k_minus_e) == exactnum.bell(n) - exactnum.bell(n - 2)
-    assert graphcomp.count_compositions_universal(complete(30)) == exactnum.bell(30)
+    assert graphcomp.count_compositions_graph(complete(30)) == exactnum.bell(30)
 
 
 def test_universal_route_caps_the_vertices_that_are_not_universal():
     # K_30 minus a perfect matching: no vertex is universal
     matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
-    with pytest.raises(ResourceLimitError, match="30 vertices that are not universal"):
-        graphcomp.count_compositions_universal(matching)
+    with pytest.raises(ResourceLimitError,
+                       match="30 vertices that are not universal exceed the subset-DP cap of 24; reduce_and_count"):
+        graphcomp.count_compositions_graph(matching)
     with pytest.raises(ResourceLimitError, match="universal-vertex sums"):
         graphcomp._universal_sums(10 ** 6, 3)
 
