@@ -45,7 +45,6 @@ from .exactnum import (
     stirling2_via_compositions,
 )
 from .graphcomp import (
-    DEFAULT_VERTEX_CAP,
     FAMILIES,
     GraphParseError,
     LabeledGraph,

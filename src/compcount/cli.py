@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = graphs.add_parser("count", parents=[common], help="count a graph from an edge-list file")
     p.add_argument("--file", required=True)
-    p.add_argument("--cap", type=int, default=graphcomp.DEFAULT_VERTEX_CAP,
-                   help="limits for each biconnected block: a counter may hold at most "
-                        "2^cap states and take at most 3^cap/2 steps; caps above "
-                        f"{graphcomp.SUBSET_MAX_VERTICES} count as "
-                        f"{graphcomp.SUBSET_MAX_VERTICES} (default %(default)s)")
 
     p = graphs.add_parser("family", parents=[common], help="count a named graph family member")
     p.add_argument("--name", choices=sorted(FAMILY_FLAGS), required=True)
@@ -173,7 +168,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
     if command == "graph" and sub == "count":
         with open(args.file, encoding="utf-8") as handle:
             graph = graphcomp.read_edge_list(handle)
-        value = graphcomp.reduce_and_count(graph, args.cap)
+        value = graphcomp.reduce_and_count(graph)
         return _single("graph count", {"file": args.file}, value)
 
     if command == "graph" and sub == "family":

@@ -19,19 +19,22 @@ its arguments alone, never from what a cache already holds:
   stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
-  graphcomp.build_family: 40 operations and 7 held numbers per edge.
+  graphcomp.build_family: 40 operations and 7 held numbers per edge;
+- the graph block counters: the subset DP on n vertices (graphcomp.
+  _subset_ways) 3^n/2 steps of 1.5 operations, 2^n counts of n log2(n + 1)
+  bits held; the frontier DP (graphcomp._count_frontier) 22.5 one-word
+  operations a step of its bounds (_frontier_price), their states held.
 
 A counter also prices one decimal conversion of each number it returns, as
-its caller usually prints it. Graph counting (graphcomp.reduce_and_count)
-has its own guard: the states and steps of each block under the cap, after
-its block split, 4 numbers held and 20 operations per vertex and edge.
-graphcomp.count_compositions_graph, on a graph of u universal vertices and
-h others, prices its sums T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1)
-operations on numbers of (u + h) log2(u + h + 1) bits, after the Stirling
-row u prices itself. graphcomp.read_edge_list prices an edge-list file at
-36 bytes held a character, and reads no further than the first character
-over the budget. verify.run_suite prices the checks that grow with max_n:
-(4 max_n)^3 operations for the leading totals, 20 order^2 for the series.
+its caller usually prints it. graphcomp.reduce_and_count prices its block
+split: 4 numbers held and 20 operations per vertex and edge. On u universal
+vertices and h others, count_compositions_graph also prices its sums
+T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1) operations on numbers of
+(u + h) log2(u + h + 1) bits, after the Stirling row u prices itself.
+graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
+character, and reads no further than the first character over the budget.
+verify.run_suite prices the checks that grow with max_n: (4 max_n)^3
+operations for the leading totals, 20 order^2 for the series.
 """
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus

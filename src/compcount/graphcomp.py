@@ -15,7 +15,8 @@ any size. ``reduce_and_count`` finds the biconnected blocks of the graph in
 one linear-time DFS and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
-vertices goes to the counter with the lower cost, counted in steps."""
+vertices goes to the counter with the lower cost, counted in steps. Each
+counter prices itself under the shared work budget (errors.check_work)."""
 
 import heapq
 import math
@@ -28,11 +29,6 @@ from typing import Iterable, Iterator
 from . import exactnum
 from .errors import MEMORY_BUDGET, ResourceLimitError, check_work
 
-DEFAULT_VERTEX_CAP = 24
-# The subset DP keeps 2^n counts and a 2^n-byte table, 9 bytes a state at
-# least: 2^40 states are about 10 TB, more than any host holds, so no cap
-# lets it take a graph of more vertices.
-SUBSET_MAX_VERTICES = 40
 ENUMERATION_VERTEX_LIMIT = 10
 
 # Each named family with its smallest size (rungs for the ladder).
@@ -179,7 +175,7 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int:
+def count_compositions_graph(graph: LabeledGraph) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
     With u universal vertices (adjacent to all others) and the h others W, a
@@ -188,19 +184,13 @@ def count_compositions_graph(graph: LabeledGraph, cap: int | None = None) -> int
     C(G[Y]) T(u, h - |Y|). One subset DP on G[W] gives every C(G[Y]) in 2^h
     states and about 3^h/2 steps, so K_n costs one Bell number; its table is
     summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
-    its last entry. More than cap vertices that are not universal raise a
-    resource error; reduce_and_count splits a graph into biconnected blocks
-    first and counts thin ones with the frontier DP.
+    its last entry. The work budget refuses it past 16 vertices that are not
+    universal; reduce_and_count splits a graph into biconnected blocks first
+    and counts thin ones with the frontier DP.
     """
-    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
     n = graph.vertex_count
     rest = _non_universal(graph)
     h = len(rest)
-    if h > cap:
-        raise ResourceLimitError(
-            f"{h} vertices that are not universal exceed the subset-DP cap of {cap}; "
-            "reduce_and_count can split the graph first"
-        )
     position = {v: i for i, v in enumerate(rest)}
     nbr = [0] * h
     for a, b in graph.edges:
@@ -227,7 +217,11 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     connected and ways(S) sums ways(S minus T) over the connected T inside S
     through its lowest vertex, looked up in that table: 2^(|S|-1) submasks, so
     about 3^n/2 steps on a dense graph and fewer on a sparse one, whose states
-    mostly take the product step."""
+    mostly take the product step. It is priced at that bound, with 2^n counts
+    held of n log2(n + 1) bits, since a count is at most Bell(n)."""
+    steps, states = _subset_cost(n)
+    check_work(f"the subset DP over 2^{n} vertex sets", SUBSET_STEP_OPERATIONS * steps,
+               n * math.log2(n + 1), held=states)
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -370,11 +364,15 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     two-level Bell number of the frontier width, not 2^n.
     """
     adj = graph.adjacency()
-    return _count_frontier(adj, _frontier_order(adj)[0])
+    return _count_frontier(adj, *_frontier_order(adj))
 
 
-def _count_frontier(adj: list[list[int]], order: list[int]) -> int:
-    """The frontier DP of count_compositions_frontier along the given order."""
+def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -> int:
+    """The frontier DP of count_compositions_frontier along the given order,
+    priced from the frontier widths of the order by _frontier_price."""
+    steps, states = _frontier_price(widths)
+    check_work(f"the frontier DP on {len(adj)} vertices and up to {states:.3g} states",
+               FRONTIER_STEP_COST * SUBSET_STEP_OPERATIONS * steps, 0, held=states, printed=0)
     rank = [0] * len(adj)
     for i, v in enumerate(order):
         rank[v] = i
@@ -620,38 +618,57 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                     del edge_stack[mark:]
 
 
+# A subset-DP step in check_work operations: 1.5 of about 27 word steps.
+# scripts/step_costs.py measures 31-49 word steps (126-196 ns at 4 ns a word
+# step) on K12-K15 minus a Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64).
+SUBSET_STEP_OPERATIONS = 1.5
 # The frontier DP's time per step over the subset DP's, both measured on
-# cycles, ladders, grids, complete and random graphs (CPython 3.11, 2-vCPU
-# x86-64 guest): a frontier step builds and relabels a state tuple, a subset
-# step is a table lookup and an add.
+# cycles, ladders, grids, complete and random graphs: a frontier step builds
+# and relabels a state tuple, a subset step is a table lookup and an add. It
+# routes each block and prices a bound step of the frontier DP at 585 word
+# steps (2.3 us); the script measures 0.4-0.8 us at width 8, 0.9-1.8 us at
+# widths 4-6 (grids) and 2.7-5.1 us at width 2 (cycles and ladders).
 FRONTIER_STEP_COST = 15
-# Frontier widths past this count as unbounded. The state bound at width 40
-# is about 1e47, far over the 2^40 states of the largest cap.
-MAX_BOUNDED_WIDTH = 40
 
 
 @cache
-def _state_bounds() -> tuple[float, ...]:
-    """Two-level Bell numbers 1, 1, 3, 12, 60, 358, 2471, ...: the ways to
-    split w frontier vertices into blocks and each block into components, a
-    bound on the frontier DP's states at width w. By the exponential formula,
-    a(n+1) = sum over k of C(n, k) a(k) Bell(n+1-k)."""
+def _state_bounds() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Bell numbers, and two-level Bell numbers 1, 1, 3, 12, 60, 358, ...
+    (a(n+1) = sum over k of C(n, k) a(k) Bell(n+1-k)): the ways to split w
+    frontier vertices into blocks and each block into components, which bound
+    the frontier DP's states at width w. Both stop at 40 (B2(40) ~ 1e47)."""
     bell, two = [1], [1]
-    for n in range(MAX_BOUNDED_WIDTH):
+    for n in range(40):
         bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
         two.append(sum(math.comb(n, k) * two[k] * bell[n + 1 - k] for k in range(n + 1)))
-    return tuple(float(x) for x in two)
+    return tuple(map(float, bell)), tuple(map(float, two))
 
 
-def _frontier_steps(widths: list[int]) -> tuple[float, float]:
-    """Bounds on the frontier DP's steps, given the frontier width before
-    each of its vertices, and on its states at the widest one: every state
-    tries at most width + 1 blocks for the next vertex."""
-    bounds = _state_bounds()
-    widest = max(widths, default=0)
-    if widest >= len(bounds):
+def _subset_cost(n: int) -> tuple[float, float]:
+    """The subset DP's steps on n vertices, about 3^n/2, and its 2^n states,
+    both unbounded past n = 600, where a float no longer holds 3^n."""
+    return (3.0 ** n / 2, 2.0 ** n) if n <= 600 else (math.inf, math.inf)
+
+
+def _frontier_steps(widths: list[int]) -> float:
+    """A bound on the frontier DP's steps, given the frontier width before
+    each of its vertices: every state tries at most width + 1 blocks for the
+    next vertex. It routes blocks."""
+    bounds = _state_bounds()[1]
+    if max(widths, default=0) >= len(bounds):
+        return math.inf
+    return sum(bounds[w] * (w + 1) for w in widths)
+
+
+def _frontier_price(widths: list[int]) -> tuple[float, float]:
+    """The bound of _frontier_steps tightened for the price, and the largest
+    state bound: the states after i vertices are also at most Bell(i), as a
+    partition of those vertices into blocks fixes the state."""
+    bell, two = _state_bounds()
+    if max(widths, default=0) >= len(two):
         return math.inf, math.inf
-    return sum(bounds[w] * (w + 1) for w in widths), bounds[widest]
+    states = [min(two[w], b) for w, b in zip(widths, bell)] + [two[w] for w in widths[len(bell):]]
+    return sum(s * (w + 1) for s, w in zip(states, widths)), max(states, default=0)
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -663,26 +680,21 @@ def _balanced_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
-def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
+def reduce_and_count(graph: LabeledGraph) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2, so the
     bridges make one shift and the other blocks one balanced product. Each
-    block with at least 3 vertices is relabelled in vertex order and counted
-    in steps. Its universal vertices (adjacent to all others) cost the subset
-    side, count_compositions_graph, nothing: with h vertices not universal it
-    takes 2^h states and at most 3^h/2 steps. The frontier DP takes at
-    most the bound that the widths of a min-frontier order give, each step
-    worth FRONTIER_STEP_COST subset steps, and at least one step a vertex, so
-    the order is not built where that already loses. The cap, never above
-    SUBSET_MAX_VERTICES, limits both sides to 2^cap states and 3^cap/2
-    steps. A block with h <= cap goes to the subset side unless the frontier
-    DP fits the limits and costs less; any other block goes to the frontier
-    DP if it fits, and is refused if not.
+    block with at least 3 vertices is relabelled in vertex order and goes to
+    the counter with fewer steps, which prices it under the work budget. Its
+    universal vertices (adjacent to all others) cost the subset side,
+    count_compositions_graph, nothing: with h vertices not universal it
+    takes at most 3^h/2 steps. The frontier DP takes at most the bound that
+    the widths of a min-frontier order give, each step worth
+    FRONTIER_STEP_COST subset steps, and at least one step a vertex, so the
+    order is not built where that already loses.
     """
-    cap = min(DEFAULT_VERTEX_CAP if cap is None else cap, SUBSET_MAX_VERTICES)
-    state_limit, step_limit = 2 ** cap, 3 ** cap / 2
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
     size = graph.vertex_count + len(graph.edges)
@@ -697,25 +709,15 @@ def reduce_and_count(graph: LabeledGraph, cap: int | None = None) -> int:
         vertices = sorted({v for edge in block for v in edge})
         index = {v: i for i, v in enumerate(vertices)}
         relabelled = LabeledGraph(len(vertices), frozenset((index[u], index[v]) for u, v in block))
-        n = relabelled.vertex_count
-        h = len(_non_universal(relabelled))
-        subset_side = h <= cap
+        subset_steps = _subset_cost(len(_non_universal(relabelled)))[0]
         # the frontier DP takes at least n steps, so only a dearer subset side needs its order
-        if not (subset_side and 3 ** h / 2 <= FRONTIER_STEP_COST * n):
+        if subset_steps > FRONTIER_STEP_COST * relabelled.vertex_count:
             adj = relabelled.adjacency()
             order, widths = _frontier_order(adj)
-            frontier_steps, states = _frontier_steps(widths)
-            if states <= state_limit and frontier_steps <= step_limit and (
-                    not subset_side or FRONTIER_STEP_COST * frontier_steps < 3 ** h / 2):
-                counts.append(_count_frontier(adj, order))
+            if FRONTIER_STEP_COST * _frontier_steps(widths) < subset_steps:
+                counts.append(_count_frontier(adj, order, widths))
                 continue
-            if not subset_side:
-                raise ResourceLimitError(
-                    f"a block of {n} vertices is over the limits of cap={cap}, 2^{cap} states and "
-                    f"{step_limit:.3g} steps: the subset DP would hold 2^{h} states, the frontier "
-                    f"DP up to {states:.3g} states in {frontier_steps:.3g} steps"
-                )
-        counts.append(count_compositions_graph(relabelled, cap))
+        counts.append(count_compositions_graph(relabelled))
     return _balanced_product(counts) << bridges
 
 

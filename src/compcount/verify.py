@@ -312,7 +312,7 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks.append(_check("frontier DP matches subset DP", bad))
 
     bad = []
-    for rungs, expected in enumerate(_ladder_recurrence(200), start=1):
+    for rungs, expected in enumerate(_ladder_recurrence(2 * max_n), start=1):
         count = graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", rungs))
         if not count == expected == graphcomp.family_count("ladder", rungs):
             bad.append(f"rungs={rungs}")

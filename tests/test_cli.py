@@ -224,7 +224,7 @@ def test_resource_error_exit_code(tmp_path):
     target.write_text(graphcomp.format_edge_list(complete_minus_cycle(26)))
     code, _, err = run_cli(["graph", "count", "--file", str(target)])
     assert code == 3
-    assert "cap" in err
+    assert "the subset DP over 2^26 vertex sets needs" in err
 
 
 def test_complete_graphs_count_through_their_universal_vertices(tmp_path):
@@ -238,8 +238,6 @@ def test_cap_flag_lowers_the_guard(tmp_path):
     target.write_text(graphcomp.format_edge_list(complete_minus_cycle(10)))
     code, out, _ = run_cli(["graph", "count", "--file", str(target)])
     assert (code, out) == (0, "75128\n")
-    code, _, _ = run_cli(["graph", "count", "--file", str(target), "--cap", "8"])
-    assert code == 3
 
 
 def test_long_cycle_is_counted_past_the_vertex_cap(tmp_path):
@@ -289,7 +287,7 @@ def test_seed_and_cap_are_accepted_only_where_they_act(tmp_path):
     for leaf, argv in leaves.items():
         assert run_cli(argv)[0] == 0, leaf
         assert run_cli(argv + ["--seed", "1"])[0] == (0 if leaf == "verify" else 2), leaf
-        assert run_cli(argv + ["--cap", "8"])[0] == (0 if leaf == "graph count" else 2), leaf
+        assert run_cli(argv + ["--cap", "8"])[0] == 2, leaf
 
 
 # --- verification -------------------------------------------------------------------
@@ -516,11 +514,10 @@ def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):
     target = tmp_path / "k48-c48.txt"
     target.write_text(graphcomp.format_edge_list(complete_minus_cycle(48)))
     start = time.perf_counter()
-    code, _, err = run_cli(["graph", "count", "--file", str(target), "--cap", "100"])
+    code, _, err = run_cli(["graph", "count", "--file", str(target)])
     assert code == 3
-    assert "2^48 states" in err and "2^40 states" in err
+    assert "the subset DP over 2^48 vertex sets needs" in err
     assert time.perf_counter() - start < 5
     # K48 itself has 48 universal vertices, so the subset side holds one state
     target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 48)))
-    assert run_cli(["graph", "count", "--file", str(target), "--cap", "100"]) == \
-        (0, f"{exactnum.bell(48)}\n", "")
+    assert run_cli(["graph", "count", "--file", str(target)]) == (0, f"{exactnum.bell(48)}\n", "")

@@ -157,11 +157,6 @@ def test_count_multiplies_over_disjoint_pieces():
     assert graphcomp.count_compositions_graph(LabeledGraph(9, mixed)) == 15 * 4
 
 
-def test_count_cap_guard():
-    with pytest.raises(ResourceLimitError, match="reduce_and_count"):
-        graphcomp.count_compositions_graph(path(5), cap=4)
-
-
 # --- enumeration oracle ---------------------------------------------------------------
 
 def test_enumeration_small_graphs():
@@ -378,13 +373,13 @@ def _record_counters(monkeypatch):
     subset = graphcomp.count_compositions_graph
     frontier = graphcomp._count_frontier
 
-    def recording_subset(graph, cap=None):
+    def recording_subset(graph):
         subset_sizes.append(graph.vertex_count)
-        return subset(graph, cap)
+        return subset(graph)
 
-    def recording_frontier(adj, order):
+    def recording_frontier(adj, order, widths):
         frontier_sizes.append(len(adj))
-        return frontier(adj, order)
+        return frontier(adj, order, widths)
 
     monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_subset)
     monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
@@ -469,8 +464,7 @@ def test_universal_route_gives_the_closed_forms_of_dense_families():
 def test_universal_route_caps_the_vertices_that_are_not_universal():
     # K_30 minus a perfect matching: no vertex is universal
     matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
-    with pytest.raises(ResourceLimitError,
-                       match="30 vertices that are not universal exceed the subset-DP cap of 24; reduce_and_count"):
+    with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^30 vertex sets needs"):
         graphcomp.count_compositions_graph(matching)
     with pytest.raises(ResourceLimitError, match="universal-vertex sums"):
         graphcomp._universal_sums(10 ** 6, 3)
@@ -485,32 +479,43 @@ def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
     assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 4)) == 12
 
 
-def test_reduce_respects_cap_on_irreducible_pieces():
-    with pytest.raises(ResourceLimitError):
-        graphcomp.reduce_and_count(complete_minus_cycle(8), cap=6)
-
-
 def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
-    with pytest.raises(ResourceLimitError, match=r"26 vertices.*cap=24"):
+    with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^26 vertex sets needs"):
         graphcomp.reduce_and_count(complete_minus_cycle(26))
-    # a frontier of width 11 is bounded by 188378402 states, over 2^24 (and
-    # by about 6e11 steps, over the 1.4e11 of cap 24)
+    # a frontier of width 11 is bounded by 188378402 states and about 6e11
+    # steps, so the frontier DP, though far cheaper than 3^330/2 subset
+    # steps, is over the budget
     with pytest.raises(ResourceLimitError,
-                       match=r"330 vertices.*cap=24.*frontier DP up to 1.88e\+08 states in 6.01e\+11 steps"):
+                       match=r"the frontier DP on 330 vertices and up to 1.88e\+08 states needs"):
         graphcomp.reduce_and_count(grid(11, 30))
-    # far past the subset DP's vertex cap, but a frontier of width 2
-    assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=8) == (1 << 30) - 30
-    with pytest.raises(ResourceLimitError):
-        graphcomp.reduce_and_count(graphcomp.build_family("cycle", 30), cap=3)
 
 
 def test_a_cap_past_the_subset_dp_limit_also_limits_the_frontier_dp():
-    # the frontier DP's state bound on a 16x30 grid is about 8.9e13, over
-    # 2^40: a cap of 100 counts as 40 for both counters, so the grid is
-    # refused before either starts
+    # the frontier DP's state bound on a 16x30 grid is about 8.9e13: the
+    # grid is refused before either counter starts
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"480 vertices.*cap=40, 2\^40 states"):
-        graphcomp.reduce_and_count(grid(16, 30), cap=100)
+    with pytest.raises(ResourceLimitError, match=r"the frontier DP on 480 vertices"):
+        graphcomp.reduce_and_count(grid(16, 30))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n, p", [(17, 0.5), (18, 0.5), (19, 0.6), (20, 0.3), (21, 0.4), (26, 0.9),
+                                  (24, 0.15), (30, 0.1)])
+def test_blocks_that_would_run_past_the_budget_are_refused_at_once(n, p):
+    # from a block the unpriced counters take about 2 s on (24 vertices at
+    # p = .15) to ones they would take hours on: the counter each block is
+    # routed to prices it over the work budget
+    graph = graphcomp.random_connected_graph(Random(0), n, p)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="over the budget"):
+        graphcomp.reduce_and_count(graph)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_public_frontier_counter_is_guarded():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="the frontier DP on 330 vertices"):
+        graphcomp.count_compositions_frontier(grid(11, 30))
     assert time.perf_counter() - start < 1
 
 
