@@ -1,14 +1,20 @@
-"""Measure the time of a subset-DP step and of a frontier-DP bound step, in
-the word steps of compcount's work budget.
+"""Measure the steps that graphcomp prices its two block counters by, in the
+word steps of compcount's work budget, and refit the frontier DP's routing
+costs.
 
-graphcomp prices its two block counters through errors.check_work: the
-subset DP at SUBSET_STEP_OPERATIONS operations for each of its 3^n/2 steps,
-the frontier DP at FRONTIER_STEP_COST subset steps for each step of its
-pricing bound (graphcomp._frontier_price). This script times both loops
-with the guard switched off, divides by those step counts, and prints the
-cost of a step in nanoseconds and in word steps next to the price. Word
-steps are converted at --ns-per-word-step, the speed the budget assumes
-(errors.py).
+The subset DP (graphcomp._subset_ways) is priced at SUBSET_STEP_OPERATIONS
+operations a direct step (3^m for a cube of m <= DIRECT_CUBE_BITS vertices)
+and TRANSFORM_STEP_OPERATIONS a transform step (m 2^m for a larger cube),
+on the numbers of graphcomp._subset_cost. The frontier DP is routed at
+FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST a step of
+its routing bound (graphcomp._frontier_steps), and priced at
+FRONTIER_STEP_PRICE word steps and one addition a step of its pricing bound
+(graphcomp._frontier_price). This script times both DPs with the guard
+switched off, prints the cost of each step in nanoseconds and in word steps
+next to its price, searches the two routing costs that route small blocks
+best (the benchmark's pinned dense blocks among them), and checks the guard
+on a 100,000- and a 370,000-vertex cycle. Word steps are converted at
+--ns-per-word-step, the speed the budget assumes (errors.py).
 
     PYTHONPATH=src python3 scripts/step_costs.py [--repeat 3]
 
@@ -16,8 +22,10 @@ Standard library only; the package does not import this script.
 """
 
 import argparse
+import json
 import math
 import time
+from pathlib import Path
 from random import Random
 
 from compcount import errors, graphcomp
@@ -51,43 +59,133 @@ def largest_block(graph):
     return graphcomp.LabeledGraph(len(vertices), {(index[u], index[v]) for u, v in block})
 
 
+def subset_steps(word_ns, repeat):
+    """Direct steps with every cube summed state by state, then transform
+    steps at the shipped cutoff, on K_n minus a Hamiltonian cycle."""
+    shipped = graphcomp.DIRECT_CUBE_BITS
+    print("subset DP on K_n minus a Hamiltonian cycle")
+    print(f"direct steps, every cube summed state by state (priced "
+          f"{graphcomp.SUBSET_STEP_OPERATIONS} operations of n log2(n + 1) bits)")
+    print(f"{'n':>4} {'steps':>10} {'seconds':>9} {'ns/step':>8} {'word steps':>10} {'priced':>7}")
+    for n in range(shipped + 1, shipped + 6):
+        nbr = complete_minus_cycle(n).neighbor_masks()
+        steps = (3 ** n - 1) / 2
+        graphcomp.DIRECT_CUBE_BITS = n
+        seconds = best_time(lambda: graphcomp._subset_ways(nbr, n), repeat)
+        graphcomp.DIRECT_CUBE_BITS = shipped
+        priced = errors.word_steps(graphcomp.SUBSET_STEP_OPERATIONS, n * math.log2(n + 1))
+        ns = seconds / steps * 1e9
+        print(f"{n:>4} {steps:>10.3g} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} {priced:>7.1f}")
+    print(f"\ntransform steps, cubes past {shipped} bits convolved (priced "
+          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} operations of the packed bits; the whole DP "
+          f"against its price)")
+    print(f"{'n':>4} {'steps':>10} {'bits':>6} {'seconds':>9} {'ns/step':>8} {'word steps':>10} "
+          f"{'priced':>7} {'DP priced/taken':>15}")
+    direct = (3 ** (shipped + 1) - 1) / 2
+    for n in range(shipped + 3, 18):
+        nbr = complete_minus_cycle(n).neighbor_masks()
+        operations, bits, _ = graphcomp._subset_cost(n)
+        steps = ((operations - graphcomp.SUBSET_STEP_OPERATIONS * direct)
+                 / graphcomp.TRANSFORM_STEP_OPERATIONS)
+        seconds = best_time(lambda: graphcomp._subset_ways(nbr, n), repeat if n < 16 else 1)
+        priced = errors.word_steps(graphcomp.TRANSFORM_STEP_OPERATIONS, bits)
+        ns = seconds / steps * 1e9
+        ratio = errors.word_steps(operations, bits) * word_ns / 1e9 / seconds
+        print(f"{n:>4} {steps:>10.3g} {bits:>6.0f} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} "
+              f"{priced:>7.1f} {ratio:>15.2f}")
+
+
+def frontier_steps(word_ns, repeat):
+    graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in (6, 13, 200, 2000, 10000)]
+    graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in (6, 50, 200)]
+    graphs += [(f"grid {r}x{c}", grid(r, c)) for r, c in ((4, 4), (4, 30), (5, 20), (6, 12))]
+    for n, p, seed in ((24, 0.1, 1), (24, 0.15, 0), (28, 0.1, 2)):
+        graphs.append((f"block of random {n}/{p} seed {seed}",
+                       largest_block(graphcomp.random_connected_graph(Random(seed), n, p))))
+    print(f"\nfrontier DP, per step of its pricing bound (priced at {graphcomp.FRONTIER_STEP_PRICE} "
+          f"word steps and one addition)")
+    print(f"{'graph':<32} {'n':>5} {'width':>5} {'steps':>9} {'seconds':>9} {'us/step':>8} "
+          f"{'word steps':>10} {'priced':>7}")
+    for name, graph in graphs:
+        adj = graph.adjacency()
+        order, widths = graphcomp._frontier_order(adj)
+        steps = graphcomp._frontier_price(widths)[0]
+        seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
+        bits = min(len(graph.edges), graph.vertex_count * math.log2(graph.vertex_count + 1))
+        priced = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, bits)
+        us = seconds / steps * 1e6
+        print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {seconds:>9.4f} "
+              f"{us:>8.2f} {us * 1e3 / word_ns:>10.0f} {priced:>7.0f}")
+
+
+def routing_fit(word_ns, repeat):
+    """Time both counters on small blocks, where routing decides, and find
+    the frontier costs per vertex and per routing-bound step whose routes send
+    the fewest blocks to the slower counter, then lose the least time."""
+    graphs = [graphcomp.build_family("cycle", n) for n in range(4, 15)]
+    graphs += [graphcomp.build_family("ladder", r) for r in range(2, 8)]
+    rng = Random(7)
+    for n in range(6, 17):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            graphs.append(largest_block(graphcomp.random_connected_graph(rng, n, p)))
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_dense.json"
+    graphs += [graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]})
+               for e in json.loads(pinned.read_text())]
+    rows = []
+    for graph in graphs:
+        n = graph.vertex_count
+        adj = graph.adjacency()
+        order, widths = graphcomp._frontier_order(adj)
+        steps = graphcomp._frontier_steps(widths)
+        subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
+        # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
+        frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
+            best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
+        h = len(graphcomp._non_universal(n, graph.edges))
+        price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        rows.append((n, steps, price, subset, frontier))
+
+    def routed(vertex, step):
+        """The blocks sent to the slower counter, and their mean slowdown."""
+        slowdowns = [(f if vertex * n + step * s < p else t) / min(t, f) for n, s, p, t, f in rows]
+        return sum(x > 1 for x in slowdowns), sum(slowdowns) / len(slowdowns)
+
+    fits = sorted((routed(vertex, step), vertex, step)
+                  for vertex in range(0, 20001, 1000) for step in range(50, 801, 25))
+    print(f"\nrouting on {len(rows)} blocks of 4-16 vertices (cycles, ladders, random, and the "
+          f"benchmark's pinned dense blocks), "
+          f"the frontier DP's costs in word steps a vertex and a routing-bound step")
+    shipped = (routed(graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST),
+               graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST)
+    for label, ((slower, mean), vertex, step) in [("best", f) for f in fits[:8]] + [("shipped", shipped)]:
+        print(f"  {label:<7} {vertex:>5} {step:>4}: {slower} blocks on the slower counter, "
+              f"mean time {mean:.3f} of the faster")
+
+
+def long_cycles():
+    graphcomp.check_work = errors.check_work
+    print("\nthe guard on long cycles")
+    for n in (100_000, 370_000):
+        cycle = graphcomp.build_family("cycle", n)
+        start = time.perf_counter()
+        try:
+            graphcomp.reduce_and_count(cycle)
+            outcome = "counted"
+        except errors.ResourceLimitError as refusal:
+            outcome = f"refused: {refusal}"
+        print(f"cycle {n}: {outcome} in {time.perf_counter() - start:.2f} s")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3, help="runs per graph; the best counts")
     parser.add_argument("--ns-per-word-step", type=float, default=4.0)
     args = parser.parse_args()
-    word_ns = args.ns_per_word_step
     graphcomp.check_work = lambda *_, **__: None  # time the loops, not the guard
-
-    print("subset DP on K_n minus a Hamiltonian cycle, per step of 3^n/2")
-    print(f"{'n':>4} {'steps':>10} {'seconds':>9} {'ns/step':>8} {'word steps':>10} {'priced':>7}")
-    for n in range(12, 16):
-        nbr = complete_minus_cycle(n).neighbor_masks()
-        steps = 3 ** n / 2
-        seconds = best_time(lambda: graphcomp._subset_ways(nbr, n), args.repeat)
-        words = n * math.log2(n + 1) / 64 + 1
-        priced = graphcomp.SUBSET_STEP_OPERATIONS * (errors.OP_STEPS + words)
-        ns = seconds / steps * 1e9
-        print(f"{n:>4} {steps:>10.3g} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} {priced:>7.1f}")
-
-    graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in (200, 2000, 10000)]
-    graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in (50, 200)]
-    graphs += [(f"grid {r}x{c}", grid(r, c)) for r, c in ((4, 30), (5, 20), (6, 12))]
-    for n, p, seed in ((24, 0.1, 1), (24, 0.15, 0), (28, 0.1, 2)):
-        graphs.append((f"block of random {n}/{p} seed {seed}",
-                       largest_block(graphcomp.random_connected_graph(Random(seed), n, p))))
-    priced = graphcomp.FRONTIER_STEP_COST * graphcomp.SUBSET_STEP_OPERATIONS * (errors.OP_STEPS + 1)
-    print(f"\nfrontier DP, per step of its bound (priced at {priced:.0f} word steps)")
-    print(f"{'graph':<32} {'n':>5} {'states':>7} {'bound steps':>11} {'seconds':>9} "
-          f"{'us/step':>8} {'word steps':>10}")
-    for name, graph in graphs:
-        adj = graph.adjacency()
-        order, widths = graphcomp._frontier_order(adj)
-        steps, states = graphcomp._frontier_price(widths)
-        seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), args.repeat)
-        us = seconds / steps * 1e6
-        print(f"{name:<32} {graph.vertex_count:>5} {states:>7.3g} {steps:>11.3g} {seconds:>9.3f} "
-              f"{us:>8.2f} {us * 1e3 / word_ns:>10.0f}")
+    subset_steps(args.ns_per_word_step, args.repeat)
+    frontier_steps(args.ns_per_word_step, args.repeat)
+    routing_fit(args.ns_per_word_step, args.repeat)
+    long_cycles()
 
 
 if __name__ == "__main__":

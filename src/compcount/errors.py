@@ -21,9 +21,13 @@ its arguments alone, never from what a cache already holds:
   graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
 - the graph block counters: the subset DP on n vertices (graphcomp.
-  _subset_ways) 3^n/2 steps of 1.5 operations, 2^n counts of n log2(n + 1)
-  bits held; the frontier DP (graphcomp._count_frontier) 22.5 one-word
-  operations a step of its bounds (_frontier_price), their states held.
+  _subset_ways, priced by _subset_cost) 1.5 operations a direct step, 3^m of
+  them for each cube of m <= 7 vertices above a lowest vertex, and 2 a
+  transform step, m 2^m for each larger cube, all on the packed numbers of
+  the largest cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them
+  held; the frontier DP (graphcomp._count_frontier) 585 word steps and one
+  addition of min(edges, n log2(n + 1)) bits a step of its bounds
+  (_frontier_price), their states held.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
@@ -55,12 +59,18 @@ class ResourceLimitError(RuntimeError):
     """
 
 
+def word_steps(operations: float, bits: float) -> float:
+    """The word steps of `operations` big-integer operations on numbers of at
+    most `bits` bits."""
+    return operations * (OP_STEPS + bits / 64 + 1)
+
+
 def check_work(what: str, operations: float, bits: float, held: float, printed: float = 1) -> None:
     """Refuse a computation of `operations` big-integer operations on numbers
     of at most `bits` bits that holds `held` of them at once and prints
     `printed`, if its estimated steps or bytes exceed the budgets."""
     words = bits / 64 + 1
-    steps = operations * (OP_STEPS + words) + printed * (OP_STEPS + 2 * words * words)
+    steps = word_steps(operations, bits) + printed * (OP_STEPS + 2 * words * words)
     memory = held * (40 + 8 * words)
     if steps > WORK_BUDGET or memory > MEMORY_BUDGET:
         raise ResourceLimitError(

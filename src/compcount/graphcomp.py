@@ -5,10 +5,10 @@ each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). Two exact counters:
 ``count_compositions_graph`` runs a subset dynamic program over the 2^h
 bitmask states of the h vertices that are not universal (adjacent to all
-others), summing over the connected submasks of each connected state in
-about 3^h/2 steps, and adds the universal vertices by a Stirling sum, so it
-suits small dense graphs and K_n costs one Bell number (the first step of
-join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
+others), one ranked subset convolution per lowest vertex in about h 2^h
+steps, and adds the universal vertices by a Stirling sum, so it suits small
+dense graphs and K_n costs one Bell number (the first step of join
+decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 ``count_compositions_frontier`` runs a frontier DP along a vertex order,
 whose states follow the frontier width instead, and suits thin graphs of
 any size. ``reduce_and_count`` finds the biconnected blocks of the graph in
@@ -22,14 +22,18 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Iterable, Iterator
 
 from . import exactnum
-from .errors import MEMORY_BUDGET, ResourceLimitError, check_work
+from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, word_steps
 
 ENUMERATION_VERTEX_LIMIT = 10
+# The subset DP sums a cube of at most this many vertices above the lowest
+# vertex state by state, and a larger one by one ranked subset convolution.
+DIRECT_CUBE_BITS = 7
 
 # Each named family with its smallest size (rungs for the ladder).
 FAMILY_MIN_SIZE = {"path": 0, "tree": 0, "complete": 0, "complete_minus_edge": 2,
@@ -66,12 +70,17 @@ class LabeledGraph:
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
+    @classmethod
+    def _of_valid_edges(cls, vertex_count: int, edges: frozenset) -> "LabeledGraph":
+        """A graph from edges already in range, loop-free and written (u, v)
+        with u < v, built without checking them again."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return _adjacency(self.vertex_count, self.edges)
 
     def neighbor_masks(self) -> list[int]:
         masks = [0] * self.vertex_count
@@ -79,6 +88,15 @@ class LabeledGraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Neighbour lists of n vertices, each in the order of the sorted edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def _is_label(field: str) -> bool:
@@ -182,15 +200,16 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     block that meets a universal vertex is connected through it and one inside
     W must be connected in G[W], so C(G) is the sum over Y inside W of
     C(G[Y]) T(u, h - |Y|). One subset DP on G[W] gives every C(G[Y]) in 2^h
-    states and about 3^h/2 steps, so K_n costs one Bell number; its table is
+    states and about h 2^h steps, so K_n costs one Bell number; its table is
     summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
-    its last entry. The work budget refuses it past 16 vertices that are not
+    its last entry. The work budget refuses it past 19 vertices that are not
     universal; reduce_and_count splits a graph into biconnected blocks first
     and counts thin ones with the frontier DP.
     """
     n = graph.vertex_count
-    rest = _non_universal(graph)
+    rest = _non_universal(n, graph.edges)
     h = len(rest)
+    _price_subset_dp(h)  # before the h masks of up to h bits each
     position = {v: i for i, v in enumerate(rest)}
     nbr = [0] * h
     for a, b in graph.edges:
@@ -211,52 +230,116 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     vertex set S, given the neighbour masks of n vertices; over all n it is
     the reference that the tests and verify compare against.
 
-    States go in increasing order from ways(empty) = 1. A bit-parallel search
-    grows the component C of S's lowest vertex inside S. If C is not S, no
-    edge leaves C, so ways(S) = ways(C) ways(S minus C). Otherwise S is marked
-    connected and ways(S) sums ways(S minus T) over the connected T inside S
-    through its lowest vertex, looked up in that table: 2^(|S|-1) submasks, so
-    about 3^n/2 steps on a dense graph and fewer on a sparse one, whose states
-    mostly take the product step. It is priced at that bound, with 2^n counts
-    held of n log2(n + 1) bits, since a count is at most Bell(n)."""
-    steps, states = _subset_cost(n)
-    check_work(f"the subset DP over 2^{n} vertex sets", SUBSET_STEP_OPERATIONS * steps,
-               n * math.log2(n + 1), held=states)
+    The block through the lowest vertex v of S is {v} plus some Z inside the
+    rest Y of S, and the other blocks compose Y minus Z, which lies above v,
+    so ways({v} + Y) = sum over Z inside Y of connected({v} + Z) ways(Y - Z).
+    The states go by lowest vertex v = n - 1 down to 0, from ways(empty) = 1.
+    For each, a search over a table of neighbour unions grows the component C
+    of v inside every S = {v} + Y and marks the connected ones. If the cube
+    of the m = n - 1 - v vertices above v has at most DIRECT_CUBE_BITS of
+    them, each S is counted in turn: ways(C) ways(S minus C) if C is not S,
+    else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
+    3^m steps). A larger cube is counted all at once by _ranked_convolution
+    on strided slices of the two tables, in about m 2^m transform steps. The
+    price is _subset_cost."""
+    _price_subset_dp(n)
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
-    for state in range(1, 1 << n):
-        low = state & -state
-        component = frontier = low
-        while frontier:
-            grown = 0
-            while frontier:
-                bit = frontier & -frontier
-                grown |= nbr[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = grown & state & ~component
-            component |= frontier
-        if component != state:
-            ways[state] = ways[component] * ways[state ^ component]
-            continue
-        connected[state] = 1
-        # each block T through low is state ^ other for a submask other of rest
-        rest = state ^ low
-        acc = 1  # T = state
-        other = rest
-        while other:
-            if connected[state ^ other]:
-                acc += ways[other]
-            other = (other - 1) & rest
-        ways[state] = acc
+    reach = [0]  # reach[T]: the neighbours of the vertices of T
+    for mask in nbr:
+        reach += [r | mask for r in reach]
+    popcounts = [0]  # of the sets of the largest cube, when some cube is convolved
+    for _ in range(n - 1 if n - 1 > DIRECT_CUBE_BITS else 0):
+        popcounts += [c + 1 for c in popcounts]
+    for v in range(n - 1, -1, -1):
+        low = 1 << v
+        direct = n - 1 - v <= DIRECT_CUBE_BITS
+        for state in range(low, 1 << n, low << 1):
+            component, grown = 0, low
+            while grown != component:
+                component = grown
+                grown = reach[component] & state | component
+            if component != state:
+                if direct:
+                    ways[state] = ways[component] * ways[state ^ component]
+                continue
+            connected[state] = 1
+            if direct:
+                # each block T through low is state ^ other for a submask other of rest
+                rest = state ^ low
+                acc = 1  # T = state
+                other = rest
+                while other:
+                    if connected[state ^ other]:
+                        acc += ways[other]
+                    other = (other - 1) & rest
+                ways[state] = acc
+        if not direct:
+            ways[low::low << 1] = _ranked_convolution(connected[low::low << 1],
+                                                      ways[0::low << 1], popcounts)
     return ways
 
 
-def _non_universal(graph: LabeledGraph) -> list[int]:
-    """The vertices not adjacent to every other vertex, in increasing order."""
-    n = graph.vertex_count
+def _price_subset_dp(n: int) -> None:
+    """Refuse the subset DP on n vertices where _subset_cost puts it over the
+    work budget."""
+    operations, bits, held = _subset_cost(n)
+    check_work(f"the subset DP over 2^{n} vertex sets", operations, bits, held=held)
+
+
+def _ranked_convolution(blocks: bytes, rest: list[int], popcounts: list[int]) -> Iterator[int]:
+    """f(Y) = sum over Z inside Y of blocks[Z] rest[Y minus Z], for the 2^m
+    sets Y of an m-bit cube, as a ranked subset convolution (Björklund,
+    Husfeldt, Kaski and Koivisto, STOC 2007) in O(m 2^m) operations.
+
+    Each entry is shifted by w|Z| bits, so one int holds its rank polynomial
+    (Kronecker substitution) and one add, product or subtraction acts on all
+    ranks at once. Both sides are zeta-transformed, multiplied pointwise and
+    cut to ranks 0..m; the Möbius transform then gives, in rank |Y| of Y, the
+    sum over disjoint pairs. With blocks 0 or 1 and every rest entry at most
+    M, a rank-k coefficient counts at most C(2m, k) pairs of sets, so it is at
+    most M C(2m, m) < 2^w for w = bitlen(C(2m, m)) + bitlen(M), and every
+    partial transform is a sum of such terms, so no field overflows or borrows
+    and the packed arithmetic is exact. Here M is at most Bell(m), rest being
+    subset-DP counts of m vertices, so w <= 2m + bitlen(Bell(m))."""
+    m = len(rest).bit_length() - 1
+    width = math.comb(2 * m, m).bit_length() + max(rest).bit_length()
+    shifts = [width * c for c in popcounts[:len(rest)]]
+    packed_blocks = list(map(lshift, blocks, shifts))
+    packed_rest = list(map(lshift, rest, shifts))
+    _zeta(packed_blocks, add)
+    _zeta(packed_rest, add)
+    ranks = (1 << width * (m + 1)) - 1
+    product = list(map(and_, map(mul, packed_blocks, packed_rest), repeat(ranks)))
+    del packed_blocks, packed_rest
+    _zeta(product, sub)
+    return map(and_, map(rshift, product, shifts), repeat((1 << width) - 1))
+
+
+def _zeta(values: list[int], op) -> None:
+    """values[S] = op(values[S], values[S without j]) in place for each bit j
+    of the 2^m indices, one bit at a time: with add the sum over subsets (the
+    zeta transform), with sub its inverse (the Möbius transform). Each bit
+    takes whichever is fewer, strided slices or contiguous blocks."""
+    size = len(values)
+    step = 1
+    while step < size:
+        span = step << 1
+        if step * span < size:
+            for r in range(step):
+                values[step + r::span] = map(op, values[step + r::span], values[r::span])
+        else:
+            for base in range(0, size, span):
+                values[base + step:base + span] = map(op, values[base + step:base + span],
+                                                      values[base:base + step])
+        step = span
+
+
+def _non_universal(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The vertices of n not adjacent to every other one, in increasing order."""
     degree = [0] * n
-    for u, v in graph.edges:
+    for u, v in edges:
         degree[u] += 1
         degree[v] += 1
     return [v for v in range(n) if degree[v] < n - 1]
@@ -371,8 +454,10 @@ def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -
     """The frontier DP of count_compositions_frontier along the given order,
     priced from the frontier widths of the order by _frontier_price."""
     steps, states = _frontier_price(widths)
-    check_work(f"the frontier DP on {len(adj)} vertices and up to {states:.3g} states",
-               FRONTIER_STEP_COST * SUBSET_STEP_OPERATIONS * steps, 0, held=states, printed=0)
+    n = len(adj)
+    bits = min(sum(map(len, adj)) / 2, n * math.log2(n + 1))
+    check_work(f"the frontier DP on {n} vertices and up to {states:.3g} states",
+               steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, held=states, printed=0)
     rank = [0] * len(adj)
     for i, v in enumerate(order):
         rank[v] = i
@@ -618,17 +703,28 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                     del edge_stack[mark:]
 
 
-# A subset-DP step in check_work operations: 1.5 of about 27 word steps.
-# scripts/step_costs.py measures 31-49 word steps (126-196 ns at 4 ns a word
-# step) on K12-K15 minus a Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64).
+# A direct subset-DP step in check_work operations: 1.5 of about 27 word
+# steps; a transform step (one element of a zeta or Möbius pass, with the
+# search, packing and product of each set folded in) 2 of the packed numbers
+# of the largest cube. scripts/step_costs.py measures 19-23 word steps a
+# direct step at 8-12 vertices and 42-56 a transform step at 10-17 (priced
+# 67-104), so the whole DP at 1.6-2.1 times its time, on K_n minus a
+# Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
-# The frontier DP's time per step over the subset DP's, both measured on
-# cycles, ladders, grids, complete and random graphs: a frontier step builds
-# and relabels a state tuple, a subset step is a table lookup and an add. It
-# routes each block and prices a bound step of the frontier DP at 585 word
-# steps (2.3 us); the script measures 0.4-0.8 us at width 8, 0.9-1.8 us at
-# widths 4-6 (grids) and 2.7-5.1 us at width 2 (cycles and ladders).
-FRONTIER_STEP_COST = 15
+TRANSFORM_STEP_OPERATIONS = 2
+# The frontier DP's cost in word steps a vertex (the lists of each step) and
+# a step of its routing bound (a state tuple built and relabelled), which
+# route each block. Over 137 blocks of 4-16 vertices, the script's search
+# finds 10000-14000 and 225-300 best, 2-3 blocks on the slower counter and
+# 1.003 times the faster counters' time; these give 4 blocks and 1.005, and
+# move no block of the benchmark's graph workloads to a slower counter.
+FRONTIER_VERTEX_COST = 6000
+FRONTIER_STEP_COST = 250
+# Its price in word steps a step of its pricing bound, on top of one
+# addition of its counts: an upper bound, not a best guess. The script
+# measures 550-1060 word steps a step at width 2 (cycles and ladders), 160-270
+# at widths 4-6 (grids) and 65-110 at widths 7-8 (random blocks of 23-27).
+FRONTIER_STEP_PRICE = 585
 
 
 @cache
@@ -644,10 +740,29 @@ def _state_bounds() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(map(float, bell)), tuple(map(float, two))
 
 
-def _subset_cost(n: int) -> tuple[float, float]:
-    """The subset DP's steps on n vertices, about 3^n/2, and its 2^n states,
-    both unbounded past n = 600, where a float no longer holds 3^n."""
-    return (3.0 ** n / 2, 2.0 ** n) if n <= 600 else (math.inf, math.inf)
+def _subset_cost(n: int) -> tuple[float, float, float]:
+    """The subset DP on n vertices: its operations, the bits of the numbers
+    they act on and how many numbers it holds at once, all infinite past
+    n = 600, where a float no longer holds 3^n.
+
+    A cube of m <= DIRECT_CUBE_BITS vertices takes at most 3^m direct steps,
+    a larger one m 2^m transform steps: the passes of its zeta and Möbius
+    transforms, with the search, packing and product of each of its sets
+    folded into their price. When some cube is convolved, every step is
+    priced on the packed numbers of the largest, m = n - 1: m + 1 fields of
+    at most 2m + m log2(m + 1) + 1 bits (a count of m vertices is at most
+    Bell(m)); otherwise on counts of n log2(n + 1) bits."""
+    if n > 600:
+        return math.inf, math.inf, math.inf
+    top = n - 1
+    if top <= DIRECT_CUBE_BITS:
+        return SUBSET_STEP_OPERATIONS * (3.0 ** n - 1) / 2, n * math.log2(n + 1), 2.0 ** n
+    low = DIRECT_CUBE_BITS
+    direct = (3.0 ** (low + 1) - 1) / 2
+    transform = (top - 1) * 2.0 ** (top + 1) - (low - 1) * 2.0 ** (low + 1)  # m 2^m for m > low
+    bits = n * (2 * top + top * math.log2(n) + 1)
+    return (SUBSET_STEP_OPERATIONS * direct + TRANSFORM_STEP_OPERATIONS * transform, bits,
+            2 * 2.0 ** n)
 
 
 def _frontier_steps(widths: list[int]) -> float:
@@ -687,13 +802,13 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     cut-vertex rule); a bridge is a K2 block and contributes 2, so the
     bridges make one shift and the other blocks one balanced product. Each
     block with at least 3 vertices is relabelled in vertex order and goes to
-    the counter with fewer steps, which prices it under the work budget. Its
-    universal vertices (adjacent to all others) cost the subset side,
-    count_compositions_graph, nothing: with h vertices not universal it
-    takes at most 3^h/2 steps. The frontier DP takes at most the bound that
-    the widths of a min-frontier order give, each step worth
-    FRONTIER_STEP_COST subset steps, and at least one step a vertex, so the
-    order is not built where that already loses.
+    the counter with fewer estimated word steps, which prices it under the
+    work budget. Its universal vertices (adjacent to all others) cost the
+    subset side, count_compositions_graph, nothing: with h vertices not
+    universal it takes the steps of _subset_cost(h). The frontier DP is
+    estimated at FRONTIER_VERTEX_COST a vertex and FRONTIER_STEP_COST a step
+    of the bound that the widths of a min-frontier order give, at least one
+    step a vertex, so the order is not built where that already loses.
     """
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
@@ -708,16 +823,17 @@ def reduce_and_count(graph: LabeledGraph) -> int:
             continue
         vertices = sorted({v for edge in block for v in edge})
         index = {v: i for i, v in enumerate(vertices)}
-        relabelled = LabeledGraph(len(vertices), frozenset((index[u], index[v]) for u, v in block))
-        subset_steps = _subset_cost(len(_non_universal(relabelled)))[0]
-        # the frontier DP takes at least n steps, so only a dearer subset side needs its order
-        if subset_steps > FRONTIER_STEP_COST * relabelled.vertex_count:
-            adj = relabelled.adjacency()
+        n = len(vertices)
+        edges = [(index[u], index[v]) if u < v else (index[v], index[u]) for u, v in block]
+        subset_steps = word_steps(*_subset_cost(len(_non_universal(n, edges)))[:2])
+        # the frontier DP takes at least a step a vertex, so only a dearer subset side needs its order
+        if subset_steps > (FRONTIER_VERTEX_COST + FRONTIER_STEP_COST) * n:
+            adj = _adjacency(n, edges)
             order, widths = _frontier_order(adj)
-            if FRONTIER_STEP_COST * _frontier_steps(widths) < subset_steps:
+            if FRONTIER_VERTEX_COST * n + FRONTIER_STEP_COST * _frontier_steps(widths) < subset_steps:
                 counts.append(_count_frontier(adj, order, widths))
                 continue
-        counts.append(count_compositions_graph(relabelled))
+        counts.append(count_compositions_graph(LabeledGraph._of_valid_edges(n, frozenset(edges))))
     return _balanced_product(counts) << bridges
 
 

@@ -248,9 +248,10 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks.append(_check("family closed forms match the subset DP", bad))
 
     bad = []
-    for n in range(min(max_n, 7) + 1):
+    # past 8 vertices the subset DP convolves its largest cubes
+    for n in range(min(max_n, 9) + 1):
         for graph in (graphcomp.build_family("path", n), graphcomp.build_family("complete", n),
-                      graphcomp.random_graph(rng, n, 0.4)):
+                      graphcomp.random_graph(rng, n, 0.4), graphcomp.random_graph(rng, n, 0.7)):
             if graphcomp.count_compositions_graph(graph) != len(
                 graphcomp.enumerate_graph_compositions(graph)
             ):

@@ -1,7 +1,9 @@
 """Tests for graph construction, parsing, and composition counting."""
 
 import json
+import operator
 import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -155,6 +157,66 @@ def test_count_multiplies_over_disjoint_pieces():
     # K4 on 0, 3, 6, 8; a path 1-7-4; 2 and 5 isolated
     mixed = set(combinations((0, 3, 6, 8), 2)) | {(1, 7), (4, 7)}
     assert graphcomp.count_compositions_graph(LabeledGraph(9, mixed)) == 15 * 4
+
+
+def per_state_ways(nbr, n):
+    """The subset DP state by state in increasing order, the oracle of the
+    ranked convolution: a state that is not connected multiplies the counts of
+    its lowest vertex's component and of the rest, a connected one sums over
+    its connected submasks through its lowest vertex."""
+    ways = [0] * (1 << n)
+    ways[0] = 1
+    connected = bytearray(1 << n)
+    for state in range(1, 1 << n):
+        low = state & -state
+        component = frontier = low
+        while frontier:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                grown |= nbr[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grown & state & ~component
+            component |= frontier
+        if component != state:
+            ways[state] = ways[component] * ways[state ^ component]
+            continue
+        connected[state] = 1
+        rest = state ^ low
+        acc = 1
+        other = rest
+        while other:
+            if connected[state ^ other]:
+                acc += ways[other]
+            other = (other - 1) & rest
+        ways[state] = acc
+    return ways
+
+
+def test_ranked_convolution_tables_match_the_per_state_dp(monkeypatch):
+    rng = Random(2007)
+    graphs = [graphcomp.random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1)
+              for n in [14] + [rng.randint(0, 13) for _ in range(5)]]
+    shipped = graphcomp.DIRECT_CUBE_BITS
+    for graph in graphs:
+        nbr = graph.neighbor_masks()
+        expected = per_state_ways(nbr, graph.vertex_count)
+        # every cube through the convolution, then only those past the cutoff
+        for cutoff in (0, shipped):
+            monkeypatch.setattr(graphcomp, "DIRECT_CUBE_BITS", cutoff)
+            assert graphcomp._subset_ways(nbr, graph.vertex_count) == expected, \
+                (cutoff, sorted(graph.edges))
+
+
+def test_the_moebius_pass_inverts_the_zeta_pass():
+    rng = Random(1967)
+    for m in range(9):
+        values = [rng.getrandbits(rng.randint(0, 300)) for _ in range(1 << m)]
+        summed = list(values)
+        graphcomp._zeta(summed, operator.add)
+        assert summed == [sum(values[t] for t in range(1 << m) if t & s == t) for s in range(1 << m)]
+        graphcomp._zeta(summed, operator.sub)
+        assert summed == values
 
 
 # --- enumeration oracle ---------------------------------------------------------------
@@ -470,6 +532,19 @@ def test_universal_route_caps_the_vertices_that_are_not_universal():
         graphcomp._universal_sums(10 ** 6, 3)
 
 
+def test_the_subset_side_prices_itself_before_building_its_masks():
+    # the neighbour masks of a 20000-vertex path alone hold about 29 MB
+    graph = path(20000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^20000 vertex sets"):
+            graphcomp.count_compositions_graph(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
     def no_order(adj):
         raise AssertionError("the frontier order was built")
@@ -499,8 +574,20 @@ def test_a_cap_past_the_subset_dp_limit_also_limits_the_frontier_dp():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("n, p", [(17, 0.5), (18, 0.5), (19, 0.6), (20, 0.3), (21, 0.4), (26, 0.9),
-                                  (24, 0.15), (30, 0.1)])
+# counts of random_connected_graph(Random(0), n, p), which the state-by-state
+# subset DP gave in 6.4 s, 20 s and 57 s (2-vCPU x86-64, CPython 3.11)
+OLD_PRICE_REFUSED = {(17, 0.5): 2214265144, (18, 0.5): 28103598583, (19, 0.6): 749757342031}
+
+
+@pytest.mark.parametrize("n, p", OLD_PRICE_REFUSED)
+def test_blocks_the_old_subset_price_refused_are_counted(n, p):
+    # priced at 3^h/2 steps they were refused; the ranked convolution counts
+    # them in about 0.5, 1.2 and 3 s under the budget
+    graph = graphcomp.random_connected_graph(Random(0), n, p)
+    assert graphcomp.reduce_and_count(graph) == OLD_PRICE_REFUSED[n, p]
+
+
+@pytest.mark.parametrize("n, p", [(20, 0.3), (21, 0.4), (26, 0.9), (24, 0.15), (30, 0.1)])
 def test_blocks_that_would_run_past_the_budget_are_refused_at_once(n, p):
     # from a block the unpriced counters take about 2 s on (24 vertices at
     # p = .15) to ones they would take hours on: the counter each block is
