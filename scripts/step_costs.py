@@ -5,16 +5,18 @@ costs.
 The subset DP (graphcomp._subset_ways) is priced at SUBSET_STEP_OPERATIONS
 operations a direct step (3^m for a cube of m <= DIRECT_CUBE_BITS vertices)
 and TRANSFORM_STEP_OPERATIONS a transform step (m 2^m for a larger cube),
-on the numbers of graphcomp._subset_cost. The frontier DP is routed at
-FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST a step of
-its routing bound (graphcomp._frontier_steps), and priced at
-FRONTIER_STEP_PRICE word steps and one addition a step of its pricing bound
-(graphcomp._frontier_price). This script times both DPs with the guard
-switched off, prints the cost of each step in nanoseconds and in word steps
-next to its price, searches the two routing costs that route small blocks
-best (the benchmark's pinned dense blocks among them), and checks the guard
-on a 100,000- and a 370,000-vertex cycle. Word steps are converted at
---ns-per-word-step, the speed the budget assumes (errors.py).
+on the numbers of graphcomp._subset_cost. The frontier DP is priced at
+FRONTIER_STEP_PRICE word steps and one addition of its counts a step of its
+state bound (graphcomp._frontier_price, by graphcomp._price_frontier), and
+routed at FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST
+and the same addition a step of that bound. This script times both DPs with
+the guard switched off, prints the cost of each step in nanoseconds and in
+word steps next to its price, searches the two routing costs that route
+small blocks best (the benchmark's pinned dense blocks among them) and lists
+the blocks that the shipped costs put on the slower counter, and checks the
+guard on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one,
+which is refused before its frontier order is built. Word steps are
+converted at --ns-per-word-step, the speed the budget assumes (errors.py).
 
     PYTHONPATH=src python3 scripts/step_costs.py [--repeat 3]
 
@@ -111,7 +113,7 @@ def frontier_steps(word_ns, repeat):
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
         seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
-        bits = min(len(graph.edges), graph.vertex_count * math.log2(graph.vertex_count + 1))
+        bits = graphcomp._count_bits(graph.vertex_count, len(graph.edges))
         priced = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, bits)
         us = seconds / steps * 1e6
         print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {seconds:>9.4f} "
@@ -120,46 +122,60 @@ def frontier_steps(word_ns, repeat):
 
 def routing_fit(word_ns, repeat):
     """Time both counters on small blocks, where routing decides, and find
-    the frontier costs per vertex and per routing-bound step whose routes send
-    the fewest blocks to the slower counter, then lose the least time."""
-    graphs = [graphcomp.build_family("cycle", n) for n in range(4, 15)]
-    graphs += [graphcomp.build_family("ladder", r) for r in range(2, 8)]
+    the frontier costs per vertex and per bound step whose routes send the
+    fewest blocks to the slower counter, then lose the least time; list the
+    blocks that the shipped costs send to the slower counter."""
+    graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in range(4, 15)]
+    graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in range(2, 8)]
     rng = Random(7)
     for n in range(6, 17):
         for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-            graphs.append(largest_block(graphcomp.random_connected_graph(rng, n, p)))
+            graphs.append((f"block of random {n}/{p} #{len(graphs)}",
+                           largest_block(graphcomp.random_connected_graph(rng, n, p))))
     pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_dense.json"
-    graphs += [graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]})
+    graphs += [(f"pinned {e['n']}/{e['p']}",
+                graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]}))
                for e in json.loads(pinned.read_text())]
     rows = []
-    for graph in graphs:
+    for name, graph in graphs:
         n = graph.vertex_count
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
-        steps = graphcomp._frontier_steps(widths)
+        steps = graphcomp._frontier_price(widths)[0]
+        addition = errors.word_steps(1, graphcomp._count_bits(n, len(graph.edges)))
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
             best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
         h = len(graphcomp._non_universal(n, graph.edges))
         price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
-        rows.append((n, steps, price, subset, frontier))
+        rows.append((name, n, steps, addition, price, subset, frontier))
+
+    def frontier_first(vertex, step, n, steps, addition, price):
+        return vertex * n + (step + addition) * steps < price
 
     def routed(vertex, step):
         """The blocks sent to the slower counter, and their mean slowdown."""
-        slowdowns = [(f if vertex * n + step * s < p else t) / min(t, f) for n, s, p, t, f in rows]
+        slowdowns = [(f if frontier_first(vertex, step, *row[1:5]) else t) / min(t, f)
+                     for *row, t, f in rows]
         return sum(x > 1 for x in slowdowns), sum(slowdowns) / len(slowdowns)
 
     fits = sorted((routed(vertex, step), vertex, step)
                   for vertex in range(0, 20001, 1000) for step in range(50, 801, 25))
     print(f"\nrouting on {len(rows)} blocks of 4-16 vertices (cycles, ladders, random, and the "
-          f"benchmark's pinned dense blocks), "
-          f"the frontier DP's costs in word steps a vertex and a routing-bound step")
-    shipped = (routed(graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST),
-               graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST)
-    for label, ((slower, mean), vertex, step) in [("best", f) for f in fits[:8]] + [("shipped", shipped)]:
-        print(f"  {label:<7} {vertex:>5} {step:>4}: {slower} blocks on the slower counter, "
+          f"benchmark's pinned dense blocks), the frontier DP's costs in word steps a vertex and, "
+          f"with one addition of its counts, a bound step")
+    vertex, step = graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST
+    for label, ((slower, mean), v, s) in [("best", f) for f in fits[:8]] + \
+            [("shipped", (routed(vertex, step), vertex, step))]:
+        print(f"  {label:<7} {v:>5} {s:>4}: {slower} blocks on the slower counter, "
               f"mean time {mean:.3f} of the faster")
+    for name, n, steps, addition, price, subset, frontier in rows:
+        first = frontier_first(vertex, step, n, steps, addition, price)
+        if (frontier if first else subset) > min(subset, frontier):
+            print(f"    on the slower counter: {name} ({n} vertices), "
+                  f"{'frontier' if first else 'subset'} DP, "
+                  f"subset {subset * 1e3:.2f} ms, frontier {frontier * 1e3:.2f} ms")
 
 
 def long_cycles():

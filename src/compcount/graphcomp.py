@@ -15,17 +15,18 @@ any size. ``reduce_and_count`` finds the biconnected blocks of the graph in
 one linear-time DFS and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
-vertices goes to the counter with the lower cost, counted in steps. Each
-counter prices itself under the shared work budget (errors.check_work)."""
+vertices goes to the counter of fewer estimated steps among those whose price
+fits the shared work budget (errors.check_work)."""
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import exactnum
 from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, word_steps
@@ -69,15 +70,6 @@ class LabeledGraph:
                 )
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    @classmethod
-    def _of_valid_edges(cls, vertex_count: int, edges: frozenset) -> "LabeledGraph":
-        """A graph from edges already in range, loop-free and written (u, v)
-        with u < v, built without checking them again."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertex_count", vertex_count)
-        object.__setattr__(graph, "edges", edges)
-        return graph
 
     def adjacency(self) -> list[list[int]]:
         return _adjacency(self.vertex_count, self.edges)
@@ -193,7 +185,11 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-def count_compositions_graph(graph: LabeledGraph) -> int:
+# A block as reduce_and_count relabels it, with its vertices that are not universal.
+_Block = namedtuple("_Block", "vertex_count edges rest")
+
+
+def count_compositions_graph(graph: LabeledGraph | _Block) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
     With u universal vertices (adjacent to all others) and the h others W, a
@@ -203,11 +199,11 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     states and about h 2^h steps, so K_n costs one Bell number; its table is
     summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
     its last entry. The work budget refuses it past 19 vertices that are not
-    universal; reduce_and_count splits a graph into biconnected blocks first
-    and counts thin ones with the frontier DP.
+    universal; reduce_and_count splits a graph into biconnected blocks first,
+    counts thin ones with the frontier DP and hands others here as a _Block.
     """
     n = graph.vertex_count
-    rest = _non_universal(n, graph.edges)
+    rest = graph.rest if isinstance(graph, _Block) else _non_universal(n, graph.edges)
     h = len(rest)
     _price_subset_dp(h)  # before the h masks of up to h bits each
     position = {v: i for i, v in enumerate(rest)}
@@ -452,12 +448,8 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
 
 def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -> int:
     """The frontier DP of count_compositions_frontier along the given order,
-    priced from the frontier widths of the order by _frontier_price."""
-    steps, states = _frontier_price(widths)
-    n = len(adj)
-    bits = min(sum(map(len, adj)) / 2, n * math.log2(n + 1))
-    check_work(f"the frontier DP on {n} vertices and up to {states:.3g} states",
-               steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, held=states, printed=0)
+    priced by _price_frontier on the frontier widths of the order."""
+    _price_frontier(len(adj), sum(map(len, adj)) // 2, widths)
     rank = [0] * len(adj)
     for i, v in enumerate(order):
         rank[v] = i
@@ -712,18 +704,18 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
 # Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
-# The frontier DP's cost in word steps a vertex (the lists of each step) and
-# a step of its routing bound (a state tuple built and relabelled), which
-# route each block. Over 137 blocks of 4-16 vertices, the script's search
-# finds 10000-14000 and 225-300 best, 2-3 blocks on the slower counter and
-# 1.003 times the faster counters' time; these give 4 blocks and 1.005, and
-# move no block of the benchmark's graph workloads to a slower counter.
-FRONTIER_VERTEX_COST = 6000
-FRONTIER_STEP_COST = 250
-# Its price in word steps a step of its pricing bound, on top of one
-# addition of its counts: an upper bound, not a best guess. The script
-# measures 550-1060 word steps a step at width 2 (cycles and ladders), 160-270
-# at widths 4-6 (grids) and 65-110 at widths 7-8 (random blocks of 23-27).
+# The frontier DP's cost in word steps a vertex (the lists of each step) and,
+# with one addition of its counts, a step of its bound (a state tuple built
+# and relabelled), which route each block. On 137 blocks of 4-16 vertices,
+# three runs of the script find 8000-14000 and 300-375 best, 1-3 blocks on
+# the slower counter; these put 2-3 there, and the fewest of 605 random
+# blocks of 6-16 vertices (18).
+FRONTIER_VERTEX_COST = 12000
+FRONTIER_STEP_COST = 300
+# Its price in word steps a step of that bound, on top of one addition of
+# its counts: an upper bound, not a best guess. The script measures 550-1060
+# word steps a step at width 2 (cycles and ladders), 160-270 at widths 4-6
+# (grids) and 65-110 at widths 7-8 (random blocks of 23-27).
 FRONTIER_STEP_PRICE = 585
 
 
@@ -765,25 +757,46 @@ def _subset_cost(n: int) -> tuple[float, float, float]:
             2 * 2.0 ** n)
 
 
-def _frontier_steps(widths: list[int]) -> float:
-    """A bound on the frontier DP's steps, given the frontier width before
-    each of its vertices: every state tries at most width + 1 blocks for the
-    next vertex. It routes blocks."""
-    bounds = _state_bounds()[1]
-    if max(widths, default=0) >= len(bounds):
-        return math.inf
-    return sum(bounds[w] * (w + 1) for w in widths)
-
-
 def _frontier_price(widths: list[int]) -> tuple[float, float]:
-    """The bound of _frontier_steps tightened for the price, and the largest
-    state bound: the states after i vertices are also at most Bell(i), as a
-    partition of those vertices into blocks fixes the state."""
+    """The frontier DP's bound on its steps, given the frontier width before
+    each of its vertices, and its largest bound on the states: every state
+    tries at most width + 1 blocks for the next vertex, and the states at
+    width w after i vertices are at most the two-level Bell number of w and
+    Bell(i), as a partition of those vertices into blocks fixes the state.
+    The steps both route a block and price the DP."""
     bell, two = _state_bounds()
     if max(widths, default=0) >= len(two):
         return math.inf, math.inf
     states = [min(two[w], b) for w, b in zip(widths, bell)] + [two[w] for w in widths[len(bell):]]
     return sum(s * (w + 1) for s, w in zip(states, widths)), max(states, default=0)
+
+
+def _count_bits(n: int, edge_count: int) -> float:
+    """Bits that bound a composition count: its blocks' edges fix it, and it
+    is at most Bell(n) < (n + 1)^n."""
+    return min(edge_count, n * math.log2(n + 1))
+
+
+def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) -> None:
+    """Refuse the frontier DP on n vertices where it is over the work budget:
+    FRONTIER_STEP_PRICE word steps and one addition of its counts a step of
+    _frontier_price on the widths of its order, the largest state bound held;
+    without the widths, at its least price, one step a vertex."""
+    steps, states = (n, 1) if widths is None else _frontier_price(widths)
+    what = ", at one step a vertex," if widths is None else f" and up to {states:.3g} states"
+    bits = _count_bits(n, edge_count)
+    check_work(f"the frontier DP on {n} vertices{what}",
+               steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, held=states, printed=0)
+
+
+def _refusal(price: Callable[..., None], *args) -> ResourceLimitError | None:
+    """The refusal that a counter's price raises on the arguments, or None
+    where it fits the work budget."""
+    try:
+        price(*args)
+    except ResourceLimitError as refusal:
+        return refusal
+    return None
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -801,14 +814,8 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2, so the
     bridges make one shift and the other blocks one balanced product. Each
-    block with at least 3 vertices is relabelled in vertex order and goes to
-    the counter with fewer estimated word steps, which prices it under the
-    work budget. Its universal vertices (adjacent to all others) cost the
-    subset side, count_compositions_graph, nothing: with h vertices not
-    universal it takes the steps of _subset_cost(h). The frontier DP is
-    estimated at FRONTIER_VERTEX_COST a vertex and FRONTIER_STEP_COST a step
-    of the bound that the widths of a min-frontier order give, at least one
-    step a vertex, so the order is not built where that already loses.
+    block with at least 3 vertices is relabelled in vertex order once and
+    counted by _count_block.
     """
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
@@ -823,18 +830,38 @@ def reduce_and_count(graph: LabeledGraph) -> int:
             continue
         vertices = sorted({v for edge in block for v in edge})
         index = {v: i for i, v in enumerate(vertices)}
-        n = len(vertices)
         edges = [(index[u], index[v]) if u < v else (index[v], index[u]) for u, v in block]
-        subset_steps = word_steps(*_subset_cost(len(_non_universal(n, edges)))[:2])
-        # the frontier DP takes at least a step a vertex, so only a dearer subset side needs its order
-        if subset_steps > (FRONTIER_VERTEX_COST + FRONTIER_STEP_COST) * n:
-            adj = _adjacency(n, edges)
-            order, widths = _frontier_order(adj)
-            if FRONTIER_VERTEX_COST * n + FRONTIER_STEP_COST * _frontier_steps(widths) < subset_steps:
-                counts.append(_count_frontier(adj, order, widths))
-                continue
-        counts.append(count_compositions_graph(LabeledGraph._of_valid_edges(n, frozenset(edges))))
+        counts.append(_count_block(len(vertices), edges))
     return _balanced_product(counts) << bridges
+
+
+def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
+    """The count of a block on vertices 0..n-1, by the counter of fewer
+    estimated word steps among those whose price fits the work budget, or the
+    refusal of the cheaper where neither fits. The subset side is estimated at
+    the steps of _subset_cost on the vertices that are not universal, the
+    frontier DP at FRONTIER_VERTEX_COST a vertex and FRONTIER_STEP_COST and
+    one addition of its counts a step of _frontier_price, the bound its price
+    reads. That is at least one step a vertex, so the order is not built where
+    the subset side fits at no more, and a block the subset side does not fit
+    is refused before it where the frontier DP is over the budget even so."""
+    rest = _non_universal(n, edges)
+    subset_steps = word_steps(*_subset_cost(len(rest))[:2])
+    subset_refusal = _refusal(_price_subset_dp, len(rest))
+    step = FRONTIER_STEP_COST + word_steps(1, _count_bits(n, len(edges)))
+    if subset_refusal is None and subset_steps <= (FRONTIER_VERTEX_COST + step) * n:
+        return count_compositions_graph(_Block(n, edges, rest))
+    if subset_refusal:
+        _price_frontier(n, len(edges))  # its least price, before the order
+    adj = _adjacency(n, edges)
+    order, widths = _frontier_order(adj)
+    frontier_refusal = _refusal(_price_frontier, n, len(edges), widths)
+    frontier_first = FRONTIER_VERTEX_COST * n + step * _frontier_price(widths)[0] < subset_steps
+    if frontier_refusal is None and (frontier_first or subset_refusal):
+        return _count_frontier(adj, order, widths)
+    if subset_refusal is None:
+        return count_compositions_graph(_Block(n, edges, rest))
+    raise frontier_refusal if frontier_first else subset_refusal
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from compcount import exactnum, graphcomp
+from compcount import errors, exactnum, graphcomp
 from compcount.errors import ResourceLimitError
 from compcount.graphcomp import GraphParseError, LabeledGraph
 
@@ -552,6 +552,36 @@ def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
     monkeypatch.setattr(graphcomp, "_frontier_order", no_order)
     assert graphcomp.reduce_and_count(complete(120)) == exactnum.bell(120)
     assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 4)) == 12
+
+
+def test_a_block_over_the_budget_on_its_cheaper_counter_goes_to_the_other(monkeypatch):
+    # one 12-vertex block: the frontier DP is estimated cheaper (2.4e6 word
+    # steps against 3.2e6) but priced dearer (5.3e6 against 3.2e6)
+    rng = Random(5)
+    block = graphcomp.random_connected_graph(rng, rng.randint(10, 12), rng.uniform(0.1, 0.6))
+    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
+    count = graphcomp.reduce_and_count(block)
+    assert (subset_sizes, frontier_sizes) == ([], [12])
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4e6)
+    assert graphcomp.reduce_and_count(block) == count
+    assert (subset_sizes, frontier_sizes) == ([12], [12])
+    # over the budget on both sides, the counter it is routed to refuses it
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3e6)
+    with pytest.raises(ResourceLimitError, match="the frontier DP on 12 vertices and up to"):
+        graphcomp.reduce_and_count(block)
+
+
+def test_a_thin_block_over_the_budget_builds_no_frontier_order(monkeypatch):
+    def no_order(adj):
+        raise AssertionError("the frontier order was built")
+
+    cycle = graphcomp.build_family("cycle", 40000)
+    monkeypatch.setattr(graphcomp, "_frontier_order", no_order)
+    # its block split takes 4.2e7 word steps, its frontier DP at one step a vertex 4.9e7
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4.5e7)
+    with pytest.raises(ResourceLimitError,
+                       match="the frontier DP on 40000 vertices, at one step a vertex"):
+        graphcomp.reduce_and_count(cycle)
 
 
 def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
