@@ -7,9 +7,10 @@ operations a direct step (3^m for a cube of m <= DIRECT_CUBE_BITS vertices)
 and TRANSFORM_STEP_OPERATIONS a transform step (m 2^m for a larger cube),
 on the numbers of graphcomp._subset_cost. The frontier DP is priced at
 FRONTIER_STEP_PRICE word steps and one addition of its counts a step of its
-state bound (graphcomp._frontier_price, by graphcomp._price_frontier), and
-routed at FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST
-and the same addition a step of that bound. This script times both DPs with
+state bound (graphcomp._frontier_price, by graphcomp._price_frontier), timed
+here with its successor memo cold and warm, and routed at
+FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST and the same
+addition a step of that bound. This script times both DPs with
 the guard switched off, prints the cost of each step in nanoseconds and in
 word steps next to its price, searches the two routing costs that route
 small blocks best (the benchmark's pinned dense blocks among them) and lists
@@ -97,6 +98,12 @@ def subset_steps(word_ns, repeat):
               f"{priced:>7.1f} {ratio:>15.2f}")
 
 
+def cold_frontier(adj, order, widths):
+    """The frontier DP as a block new to it runs: its successor memo cleared."""
+    graphcomp._successors.cache_clear()
+    return graphcomp._count_frontier(adj, order, widths)
+
+
 def frontier_steps(word_ns, repeat):
     graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in (6, 13, 200, 2000, 10000)]
     graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in (6, 50, 200)]
@@ -105,23 +112,26 @@ def frontier_steps(word_ns, repeat):
         graphs.append((f"block of random {n}/{p} seed {seed}",
                        largest_block(graphcomp.random_connected_graph(Random(seed), n, p))))
     print(f"\nfrontier DP, per step of its pricing bound (priced at {graphcomp.FRONTIER_STEP_PRICE} "
-          f"word steps and one addition)")
-    print(f"{'graph':<32} {'n':>5} {'width':>5} {'steps':>9} {'seconds':>9} {'us/step':>8} "
-          f"{'word steps':>10} {'priced':>7}")
+          f"word steps and one addition), with its successor memo cleared before each run (cold) "
+          f"and left as the last run left it (warm)")
+    print(f"{'graph':<32} {'n':>5} {'width':>5} {'steps':>9} {'cold s':>8} {'warm s':>8} "
+          f"{'cold word steps':>15} {'warm word steps':>15} {'priced':>7}")
     for name, graph in graphs:
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
-        seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
+        cold_seconds = best_time(lambda: cold_frontier(adj, order, widths), repeat)
+        warm_seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
         bits = graphcomp._count_bits(graph.vertex_count, len(graph.edges))
         priced = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, bits)
-        us = seconds / steps * 1e6
-        print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {seconds:>9.4f} "
-              f"{us:>8.2f} {us * 1e3 / word_ns:>10.0f} {priced:>7.0f}")
+        cold_steps, warm_steps = (s / steps * 1e9 / word_ns for s in (cold_seconds, warm_seconds))
+        print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {cold_seconds:>8.4f} "
+              f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
 
 
 def routing_fit(word_ns, repeat):
-    """Time both counters on small blocks, where routing decides, and find
+    """Time both counters on small blocks, where routing decides (the
+    frontier DP with its memo cleared, as a block new to it), and find
     the frontier costs per vertex and per bound step whose routes send the
     fewest blocks to the slower counter, then lose the least time; list the
     blocks that the shipped costs send to the slower counter."""
@@ -146,7 +156,7 @@ def routing_fit(word_ns, repeat):
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
-            best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
+            best_time(lambda: cold_frontier(adj, order, widths), repeat)
         h = len(graphcomp._non_universal(n, graph.edges))
         price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
         rows.append((name, n, steps, addition, price, subset, frontier))

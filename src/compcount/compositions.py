@@ -230,11 +230,17 @@ def count_leading_weak(n: int, k: int) -> int:
     return _leading_sequence(n, k, weak=True)[n]
 
 
+def _check_binomial_sums(what: str, n: int, binomials: float) -> None:
+    """Refuse sums of the given number of binomials of n bits, each about
+    log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)."""
+    products = binomials * math.log2(n + 1) / 4
+    check_work(what, products * (n / 64 + 1) ** 0.585, n, held=1)
+
+
 def _check_leading_total(name: str, n: int) -> None:
-    """Refuse a leading total of n: 2(n/k + 1) binomials of n bits for each
-    k, each log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)."""
-    products = n * (math.log(n) + 2) * math.log2(n + 1) / 2
-    check_work(f"{name}({n})", products * (n / 64 + 1) ** 0.585, n, held=1)
+    """Refuse a leading total of n: 2(n/k + 1) binomials for each k, which
+    also bounds the window recurrence that _fibonacci_higher runs at small k."""
+    _check_binomial_sums(f"{name}({n})", n, 2 * n * (math.log(n) + 2))
 
 
 def count_leading_strict_total(n: int) -> int:
@@ -245,7 +251,7 @@ def count_leading_strict_total(n: int) -> int:
     if n < 1:
         return 0
     _check_leading_total("count_leading_strict_total", n)
-    return int(n == 1) + sum(fibonacci_higher(k - 1, n - k) for k in range(2, n + 1))
+    return int(n == 1) + sum(_fibonacci_higher(k - 1, n - k) for k in range(2, n + 1))
 
 
 def leading_weak_total(n: int) -> int:
@@ -256,7 +262,7 @@ def leading_weak_total(n: int) -> int:
     if n < 1:
         return 0
     _check_leading_total("leading_weak_total", n)
-    return sum(fibonacci_higher(k, n - k) for k in range(1, n + 1))
+    return sum(_fibonacci_higher(k, n - k) for k in range(1, n + 1))
 
 
 def count_avoiding(n: int, k: int) -> int:
@@ -299,14 +305,40 @@ def count_containing(n: int, k: int) -> int:
 
 def fibonacci_higher(m: int, n: int) -> int:
     """Order-m Fibonacci number: compositions of n into parts of size at most
-    m, with value 1 at n = 0 (the empty composition).
-
-    By inclusion-exclusion it is a(n) - a(n-1), where
-    a(t) = sum_i (-1)^i C(t-im, i) 2^(t-i(m+1)) is the coefficient of z^t in
-    1/(1 - 2z + z^(m+1)): O(n/m) binomials, not an O(nm) recurrence.
-    """
+    m, with value 1 at n = 0 (the empty composition). Priced by the route
+    _fibonacci_higher takes."""
     if m < 1:
         raise ValueError("the part-size bound must be positive")
+    if n < 0:
+        return 0
+    if _by_window(m, n):
+        check_work(f"fibonacci_higher({m}, {n})", 2 * n, n, held=m + 2)
+    else:
+        _check_binomial_sums(f"fibonacci_higher({m}, {n})", n, 2 * (n / (m + 1) + 1))
+    return _fibonacci_higher(m, n)
+
+
+def _by_window(m: int, n: int) -> bool:
+    """Whether the window recurrence beats the binomial sums: at m below about
+    0.41 sqrt(n) (measured crossovers: m = 5 at n = 200, 12-14 at 800-1300,
+    about 32 at 6000; at 20000 it is 46, where this rule says 57)."""
+    return 6 * m * m < n
+
+
+def _fibonacci_higher(m: int, n: int) -> int:
+    """fibonacci_higher, unpriced. Below the crossover of _by_window, the
+    window recurrence f(t) = 2f(t-1) - f(t-m-1) from f(0) = 1: n additions
+    of at most n bits, holding the last m + 1 values. Above it, by
+    inclusion-exclusion, a(n) - a(n-1), where
+    a(t) = sum_i (-1)^i C(t-im, i) 2^(t-i(m+1)) is the coefficient of z^t in
+    1/(1 - 2z + z^(m+1)): O(n/m) binomials."""
+    if _by_window(m, n):
+        # f(t-m..t) at t = 0, with f(-m) = 1 standing in so that the
+        # recurrence gives f(1) = 1
+        window = deque([1] + [0] * (m - 1) + [1], maxlen=m + 1)
+        for _ in range(n):
+            window.append(2 * window[-1] - window[0])
+        return window[-1]
 
     def a(t: int) -> int:
         return sum((-1) ** i * math.comb(t - i * m, i) << (t - i * (m + 1))

@@ -8,6 +8,8 @@ its arguments alone, never from what a cache already holds:
   largest k; triangle adds its padded cells, held and printed;
 - the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
   cost (fit to timings); the per-k sequence: n additions of n bits;
+  fibonacci_higher(m, n): 2n additions of n bits below 6m^2 < n, else
+  2(n/(m + 1) + 1) of those binomials;
 - count_avoiding, and count_containing through it: n additions of at most
   n bits, min(k, n) + 1 of them held;
 - count_restricted: one binomial for the closed forms, k(n+1) additions per

@@ -11,8 +11,10 @@ dense graphs and K_n costs one Bell number (the first step of join
 decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 ``count_compositions_frontier`` runs a frontier DP along a vertex order,
 whose states follow the frontier width instead, and suits thin graphs of
-any size. ``reduce_and_count`` finds the biconnected blocks of the graph in
-one linear-time DFS and returns the product of their counts:
+any size; the successors of a state in a step of a given shape come from a
+bounded memo (_successors) that every block shares. ``reduce_and_count``
+finds the biconnected blocks of the graph in one linear-time DFS and returns
+the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
 vertices goes to the counter of fewer estimated steps among those whose price
@@ -20,11 +22,12 @@ fits the shared work budget (errors.check_work)."""
 
 import heapq
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, repeat
-from operator import add, and_, lshift, mul, rshift, sub
+from operator import add, and_, eq, lshift, mul, rshift, sub
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -96,10 +99,47 @@ def _is_label(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
+# A plain edge list: after blank lines, the vertex count alone on its line,
+# then "u v" lines or blank lines, padded with spaces and tabs, with LF or
+# CRLF endings. Past the count, _NOT_PLAIN_CHARACTER and _NOT_PLAIN_LINE find
+# where a text is not plain. None repeats a group once a line, so none holds
+# a backtracking stack that grows with the lines.
+_PLAIN_HEADER = re.compile(r"[ \t\r\n]*\d+[ \t]*(?=\r?\n|\Z)", re.ASCII)
+_NOT_PLAIN_CHARACTER = re.compile(r"[^\d \t\r\n]", re.ASCII)
+_NOT_PLAIN_LINE = re.compile(r"\n(?![ \t]*(?:\d+[ \t]+\d+[ \t]*)?\r?(?:\n|\Z))", re.ASCII)
+
+
 def parse_edge_list(text: str) -> LabeledGraph:
     """Parse an edge-list file: the first nonblank line is the vertex count,
     every further nonblank line is "u v"; lines starting with '#' are
-    comments. LF and CRLF both work. Duplicate edges collapse silently."""
+    comments. LF and CRLF both work. Duplicate edges collapse silently.
+
+    A plain edge list is read in one split by _parse_plain. Anything else
+    goes to the line-by-line parser, which names the line of the first error."""
+    return _parse_plain(text) or _parse_edge_lines(text)
+
+
+def _parse_plain(text: str) -> LabeledGraph | None:
+    """The graph of a plain edge list with no loop and no label out of range,
+    from one map of int over its split, or None for any other text."""
+    header = _PLAIN_HEADER.match(text)
+    if not header or _NOT_PLAIN_CHARACTER.search(text, header.end()) \
+            or _NOT_PLAIN_LINE.search(text, header.end()):
+        return None
+    try:
+        vertex_count, *labels = map(int, text.split())
+    except ValueError:  # a label past int's digit limit
+        return None
+    us, vs = labels[0::2], labels[1::2]
+    del labels
+    if max(max(us, default=-1), max(vs, default=-1)) >= vertex_count \
+            or any(map(eq, us, vs)):
+        return None
+    return LabeledGraph(vertex_count, frozenset(zip(map(min, us, vs), map(max, us, vs))))
+
+
+def _parse_edge_lines(text: str) -> LabeledGraph:
+    """parse_edge_list line by line, on any text."""
     vertex_count: int | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,7 +169,9 @@ def parse_edge_list(text: str) -> LabeledGraph:
 
 # parse_edge_list holds up to 36 heap bytes and takes up to 0.25 us per input
 # character (1-16 MB files of distinct edges between 4-digit labels, the
-# densest shape at that size; CPython 3.11, 2-vCPU x86-64 guest).
+# densest shape at that size; CPython 3.11, 2-vCPU x86-64 guest). Its split
+# of a plain file holds less: 30.9-31.0 bytes a character against the line
+# parser's 33.4-33.6, in 0.24-0.30 us against 0.40-0.48 in the same runs.
 EDGE_LIST_MAX_CHARS = int(MEMORY_BUDGET / 36)
 
 
@@ -440,7 +482,11 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     all of its block: a state is dropped when such a component leaves while
     another frontier vertex of its block remains, or when two components of
     one block leave together. Work follows the number of states, at most the
-    two-level Bell number of the frontier width, not 2^n.
+    two-level Bell number of the frontier width, not 2^n. A step's
+    transitions depend only on its shape in frontier positions, so the
+    successors of each (shape, state) pair are kept in an LRU memo of
+    FRONTIER_MEMO_ENTRIES entries: cycles and ladders of any size and label
+    order use 13 of them.
     """
     adj = graph.adjacency()
     return _count_frontier(adj, *_frontier_order(adj))
@@ -448,7 +494,9 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
 
 def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -> int:
     """The frontier DP of count_compositions_frontier along the given order,
-    priced by _price_frontier on the frontier widths of the order."""
+    priced by _price_frontier on the frontier widths of the order. Each step
+    is described by its shape, in frontier positions, and each state is
+    advanced by the successors that _successors gives for that shape."""
     _price_frontier(len(adj), sum(map(len, adj)) // 2, widths)
     rank = [0] * len(adj)
     for i, v in enumerate(order):
@@ -473,38 +521,62 @@ def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -
             frontier.append(v)
         else:
             gone.append(width)
+        shape = (width, tuple(sorted(hits)), tuple(keep), tuple(gone), stays)
         advanced: dict[tuple, int] = {}
+        get = advanced.get
         for state, ways in states.items():
-            blocks = state[:width]
-            comps = state[width:]
-            opened = max(blocks) + 1 if width else 0
-            for b in range(opened + 1):  # b == opened: v opens a new block
-                merged = {comps[i] for i in hits if blocks[i] == b}
-                if merged:
-                    vc = min(merged)
-                    cs = [vc if c in merged else c for c in comps]
-                elif stays or b == opened:
-                    vc = width  # a fresh component label
-                    cs = list(comps)
-                else:
-                    continue  # v leaves without touching block b
-                cs.append(vc)
-                bs = blocks + (b,)
-                if gone:
-                    kept = {cs[i] for i in keep}
-                    kept_blocks = {bs[i] for i in keep}
-                    closed: dict[int, int] = {}
-                    if any(cs[i] not in kept
-                           and (bs[i] in kept_blocks or closed.setdefault(bs[i], cs[i]) != cs[i])
-                           for i in gone):
-                        continue
-                block_ids: dict[int, int] = {}
-                comp_ids: dict[int, int] = {}
-                key = tuple([block_ids.setdefault(bs[i], len(block_ids)) for i in keep]
-                            + [comp_ids.setdefault(cs[i], len(comp_ids)) for i in keep])
-                advanced[key] = advanced.get(key, 0) + ways
+            for key in _successors(shape, state):
+                advanced[key] = get(key, 0) + ways
         states = advanced
     return states[()]
+
+
+# The most (step shape, state) pairs whose successors the frontier DP keeps.
+# The frontier-routed blocks of the graph-sparse benchmark (cycles and
+# ladders) share 16; on a wide block almost every pair is new, and the memo
+# stays at this size (it held 3.0-3.6 MB after blocks of width 8).
+FRONTIER_MEMO_ENTRIES = 4096
+
+
+@lru_cache(maxsize=FRONTIER_MEMO_ENTRIES)
+def _successors(shape: tuple, state: tuple) -> tuple[tuple, ...]:
+    """The states that one frontier DP state leads to in one step, once for
+    each way, given the step's shape: the frontier width, the positions the
+    new vertex is adjacent to, the positions (the new vertex at position
+    width) that stay on the frontier and those that leave, and whether the
+    new vertex stays. The new vertex opens a block or joins one, merging the
+    components of that block it is adjacent to; a successor is dropped where
+    a component that leaves is not all of its block."""
+    width, hits, keep, gone, stays = shape
+    blocks = state[:width]
+    comps = state[width:]
+    opened = max(blocks) + 1 if width else 0
+    successors = []
+    for b in range(opened + 1):  # b == opened: the vertex opens a new block
+        merged = {comps[i] for i in hits if blocks[i] == b}
+        if merged:
+            vc = min(merged)
+            cs = [vc if c in merged else c for c in comps]
+        elif stays or b == opened:
+            vc = width  # a fresh component label
+            cs = list(comps)
+        else:
+            continue  # the vertex leaves without touching block b
+        cs.append(vc)
+        bs = blocks + (b,)
+        if gone:
+            kept = {cs[i] for i in keep}
+            kept_blocks = {bs[i] for i in keep}
+            closed: dict[int, int] = {}
+            if any(cs[i] not in kept
+                   and (bs[i] in kept_blocks or closed.setdefault(bs[i], cs[i]) != cs[i])
+                   for i in gone):
+                continue
+        block_ids: dict[int, int] = {}
+        comp_ids: dict[int, int] = {}
+        successors.append(tuple([block_ids.setdefault(bs[i], len(block_ids)) for i in keep]
+                                + [comp_ids.setdefault(cs[i], len(comp_ids)) for i in keep]))
+    return tuple(successors)
 
 
 def _set_partitions_masks(n: int) -> Iterator[tuple[int, ...]]:
@@ -713,9 +785,12 @@ TRANSFORM_STEP_OPERATIONS = 2
 FRONTIER_VERTEX_COST = 12000
 FRONTIER_STEP_COST = 300
 # Its price in word steps a step of that bound, on top of one addition of
-# its counts: an upper bound, not a best guess. The script measures 550-1060
-# word steps a step at width 2 (cycles and ladders), 160-270 at widths 4-6
-# (grids) and 65-110 at widths 7-8 (random blocks of 23-27).
+# its counts: an upper bound, not a best guess. Through the successor memo,
+# the script measures 180-480 word steps a step at width 2 (cycles and
+# ladders of 12-10000 vertices) with the memo warm and 190-750 cold, past
+# it only on a 6-cycle (1680 cold, 36 steps in 0.2 ms; 1300 before the
+# memo), 20-430 at widths 4-6 (grids) and 120-230 at widths 7-8 (random
+# blocks of 23-27).
 FRONTIER_STEP_PRICE = 585
 
 

@@ -1,6 +1,7 @@
 """Tests for composition enumeration and all the counters built on it."""
 
 import math
+import time
 import tracemalloc
 from random import Random
 
@@ -380,6 +381,28 @@ def test_fibonacci_higher_matches_its_recurrence():
         for j in range(1, 300):
             values.append(sum(values[j - i] for i in range(1, min(m, j) + 1)))
         assert [compositions.fibonacci_higher(m, n) for n in range(300)] == values
+
+
+def test_both_routes_of_fibonacci_higher_agree(monkeypatch):
+    cases = [(m, n) for m in (*range(1, 13), 20, 50, 150, 151, 152) for n in range(160)]
+    values = {}
+    for by_window in (True, False):
+        monkeypatch.setattr(compositions, "_by_window", lambda m, n: by_window)
+        values[by_window] = [compositions._fibonacci_higher(m, n) for m, n in cases]
+    assert values[True] == values[False]
+
+
+def test_fibonacci_higher_at_small_m_is_quick_and_huge_arguments_are_refused():
+    start = time.perf_counter()
+    assert compositions.fibonacci_higher(1, 20000) == 1
+    a, b = 1, 1
+    for _ in range(20000):
+        a, b = b, a + b
+    assert compositions.fibonacci_higher(2, 20000) == a
+    assert time.perf_counter() - start < 1
+    for m in (1, 40, 10 ** 6):
+        with pytest.raises(ResourceLimitError, match=f"fibonacci_higher\\({m}, 1000000000000\\)"):
+            compositions.fibonacci_higher(m, 10 ** 12)
 
 
 def recursive_compositions(n, k, lo, hi):

@@ -9,6 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compcount import errors, exactnum, graphcomp
 from compcount.errors import ResourceLimitError
@@ -73,6 +74,52 @@ def test_parse_edgeless():
 def test_parse_comments_blanks_crlf_and_duplicates():
     text = "# a path\r\n\r\n3\r\n0 1\r\n1 0\r\n\r\n# tail\r\n1 2\r\n"
     assert graphcomp.parse_edge_list(text) == path(3)
+
+
+# Lines for the parse property test. First lines: counts, or text before any
+# count (a comment, an edge, a letter, an Arabic-Indic three). Later lines:
+# edges with padding, loops, labels out of range and blank lines, which keep
+# a text plain, then further counts, three labels on a line, comments, form
+# feeds, a superscript two and a hex label. Lines end in LF, CRLF, a lone CR
+# or nothing. What keeps a text plain is drawn more often.
+_FIRST_LINES = ["3", "5", " 12\t", "0"] * 2 + ["# c", "2 1", "x", "\u0663"]
+_PLAIN_LINES = ["0 1", "1 2", " 2\t4 ", "4 3", "10 11", "1 1", "0 9", "01 1", "", "  ", "\t"]
+_OTHER_LINES = ["3", "0 1 2", "# a note", "  # 1 2", "\x0c", "0 \x0c1", "0 \u00b2", "1 0x1"]
+_LINE_ENDS = ["\n"] * 4 + ["\r\n"] * 2 + ["\r", ""]
+
+
+@settings(max_examples=400)
+@example("", ("3", "\n"), [("0 1 2", "\n")])
+@example("", ("3", "\r"), [("0 1 2", "\n")])
+@example("", ("3", "\n"), [("0 1", "\n"), ("1 1", "\r\n")])
+@example("\n", ("3", "\n"), [("0 9", "\n")])
+@example(" \r\n\t\n", (" 12\t", "\r\n"), [(" 2\t4 ", "\r\n"), ("\x0c", "\n"), ("10 11", "")])
+@example("", ("0", ""), [])
+@example("", ("3", "\n"), [("0 " + "1" * 5000, "\n")])  # past int's default digit limit
+@given(st.sampled_from(["", "\n", " \r\n\t\n"]),
+       st.tuples(st.sampled_from(_FIRST_LINES), st.sampled_from(_LINE_ENDS)),
+       st.lists(st.tuples(st.sampled_from(_PLAIN_LINES * 3 + _OTHER_LINES), st.sampled_from(_LINE_ENDS)),
+                max_size=8))
+def test_the_plain_parse_agrees_with_the_line_parser(blank, first, rest):
+    text = blank + "".join(line + end for line, end in [first] + rest)
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ValueError as error:  # GraphParseError among them
+            return type(error), str(error)
+
+    assert outcome(graphcomp.parse_edge_list) == outcome(graphcomp._parse_edge_lines)
+
+
+def test_a_plain_edge_list_is_read_without_the_line_parser(monkeypatch):
+    def no_lines(text):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(graphcomp, "_parse_edge_lines", no_lines)
+    text = "\n  \r\n5 \r\n0 1\r\n\t3\t1 \n\n4   2\n1 0\n"
+    assert graphcomp.parse_edge_list(text) == LabeledGraph(5, {(0, 1), (1, 3), (2, 4)})
+    assert graphcomp.parse_edge_list("2") == LabeledGraph(2)
 
 
 class _Reader:
@@ -649,6 +696,110 @@ def relabelled(graph, rng):
     perm = list(range(graph.vertex_count))
     rng.shuffle(perm)
     return LabeledGraph(graph.vertex_count, {(perm[u], perm[v]) for u, v in graph.edges})
+
+
+def per_state_frontier(adj, order):
+    """The frontier DP unpriced and without its memo, every transition
+    rebuilt from the vertex labels at every step: the oracle of the memoised
+    DP."""
+    rank = [0] * len(adj)
+    for i, v in enumerate(order):
+        rank[v] = i
+    later = [sum(1 for w in neighbours if rank[w] > rank[v]) for v, neighbours in enumerate(adj)]
+    frontier = []
+    states = {(): 1}
+    for v in order:
+        width = len(frontier)
+        where = {u: i for i, u in enumerate(frontier)}
+        hits = []
+        for u in adj[v]:
+            if rank[u] < rank[v]:
+                hits.append(where[u])
+                later[u] -= 1
+        keep = [i for i, u in enumerate(frontier) if later[u]]
+        gone = [i for i, u in enumerate(frontier) if not later[u]]
+        frontier = [frontier[i] for i in keep]
+        stays = later[v] > 0
+        if stays:
+            keep.append(width)
+            frontier.append(v)
+        else:
+            gone.append(width)
+        advanced = {}
+        for state, ways in states.items():
+            blocks = state[:width]
+            comps = state[width:]
+            opened = max(blocks) + 1 if width else 0
+            for b in range(opened + 1):
+                merged = {comps[i] for i in hits if blocks[i] == b}
+                if merged:
+                    vc = min(merged)
+                    cs = [vc if c in merged else c for c in comps]
+                elif stays or b == opened:
+                    vc = width
+                    cs = list(comps)
+                else:
+                    continue
+                cs.append(vc)
+                bs = blocks + (b,)
+                if gone:
+                    kept = {cs[i] for i in keep}
+                    kept_blocks = {bs[i] for i in keep}
+                    closed = {}
+                    if any(cs[i] not in kept
+                           and (bs[i] in kept_blocks or closed.setdefault(bs[i], cs[i]) != cs[i])
+                           for i in gone):
+                        continue
+                block_ids = {}
+                comp_ids = {}
+                key = tuple([block_ids.setdefault(bs[i], len(block_ids)) for i in keep]
+                            + [comp_ids.setdefault(cs[i], len(comp_ids)) for i in keep])
+                advanced[key] = advanced.get(key, 0) + ways
+        states = advanced
+    return states[()]
+
+
+def _frontier_both_ways(graph):
+    adj = graph.adjacency()
+    order, widths = graphcomp._frontier_order(adj)
+    return graphcomp._count_frontier(adj, order, widths), per_state_frontier(adj, order)
+
+
+def test_memoised_frontier_dp_matches_the_per_state_dp():
+    rng = Random(2017)
+    graphs = [graphcomp.random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.6))
+              for _ in range(300)]
+    graphs += [relabelled(graphcomp.build_family("cycle", n), rng) for n in range(4, 15)]
+    graphs += [relabelled(graphcomp.build_family("ladder", r), rng) for r in range(2, 7)]
+    for graph in graphs:
+        memoised, oracle = _frontier_both_ways(graph)
+        assert memoised == oracle, sorted(graph.edges)
+
+
+def test_the_successor_memo_stays_bounded_on_a_wide_block(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e12)
+    graph = graphcomp.random_connected_graph(Random(0), 15, 0.5)
+    adj = graph.adjacency()
+    order, widths = graphcomp._frontier_order(adj)
+    assert max(widths) == 8
+    graphcomp._successors.cache_clear()
+    assert graphcomp._count_frontier(adj, order, widths) == per_state_frontier(adj, order)
+    info = graphcomp._successors.cache_info()
+    assert info.maxsize == graphcomp.FRONTIER_MEMO_ENTRIES
+    assert info.misses > info.maxsize  # entries were evicted
+    assert info.currsize <= info.maxsize
+
+
+def test_cycles_and_ladders_share_a_few_memo_entries():
+    graphcomp._successors.cache_clear()
+    for n in range(4, 15):
+        assert graphcomp.count_compositions_frontier(graphcomp.build_family("cycle", n)) == \
+            (1 << n) - n
+    for r in range(2, 7):
+        assert graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", r)) == \
+            graphcomp.ladder_binet(r)
+    info = graphcomp._successors.cache_info()
+    assert info.currsize < 100 < info.hits
 
 
 def test_frontier_matches_subset_dp_and_enumeration_on_random_graphs():
