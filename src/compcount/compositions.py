@@ -85,19 +85,27 @@ def enumerate_compositions(
 def count_restricted(n: int, k: int, bounds: PartBounds = NONNEGATIVE_PARTS) -> int:
     """Number of k-part compositions of n with every part inside the bounds.
 
-    Bounds [0, inf) and [1, inf) use the stars-and-bars closed forms
-    binomial(n+k-1, k-1) and binomial(n-1, k-1), one binomial each; anything
-    else runs the dynamic program over (parts used, running sum). Total:
-    returns 0 whenever no solution exists.
+    With each part shifted down by a = bounds.lower, these are the k-part
+    compositions of r = n - k a into parts of at most b - a, counted by
+    inclusion-exclusion over the parts of at least s = b - a + 1:
+    sum_{i=0..t} (-1)^i C(k, i) C(r - i s + k - 1, k - 1), t = min(k, r // s)
+    (Stanley, EC1 1.2). Unbounded above, t = 0: the stars-and-bars binomial.
+    Total: returns 0 whenever no solution exists. _count_by_dp is its oracle
+    in verify and the tests.
     """
-    if n < 0 or k < 0:
+    if n < 0 or k < 1:
+        return int(n == k == 0)
+    r = n - k * bounds.lower
+    if r < 0 or bounds.upper is not None and r > k * (bounds.upper - bounds.lower):
         return 0
-    if k == 0:
-        return 1 if n == 0 else 0
-    if bounds.upper is None and bounds.lower < 2:
-        check_work(f"count_restricted({n}, {k})", 1, _count_bits(n, k), held=1)
-        return exactnum.binomial(n + k - 1 if bounds.lower == 0 else n - 1, k - 1)
-    return _count_by_dp(n, k, bounds.lower, bounds.upper)
+    s = r + 1 if bounds.upper is None else bounds.upper - bounds.lower + 1
+    t = min(k, r // s)
+    # math.comb(N, K) costs about min(K, N - K) products; no term, and no
+    # partial sum, exceeds 2^t times the count without an upper bound
+    check_work(f"count_restricted({n}, {k}) with parts in [{bounds.lower}, {bounds.upper}]",
+               (t + 1) * (min(k - 1, r) + 2), _count_bits(r, k) + t, held=3)
+    return sum((-1) ** i * math.comb(k, i) * math.comb(r - i * s + k - 1, k - 1)
+               for i in range(t + 1))
 
 
 def _count_bits(n: int, k: int) -> float:
@@ -111,8 +119,9 @@ def _count_bits(n: int, k: int) -> float:
 
 
 def _count_by_dp(n: int, k: int, lower: int, upper: int | None) -> int:
-    """General bounded-part count; also the cross-check for the closed forms.
-    It takes at most k (n+1) additions per part value in range."""
+    """The bounded-part count by a dynamic program over (parts used, running
+    sum): the oracle for count_restricted in verify and the tests, not a
+    route. It takes at most k (n+1) additions per part value in range."""
     top = n if upper is None else upper
     parts = max(min(top, n) - lower + 1, 0)
     check_work(f"count_restricted({n}, {k}) with parts in [{lower}, {upper}]",
@@ -192,42 +201,22 @@ def count_compositions_distinct_total(n: int) -> int:
     return sum(_distinct_rows(n, True)[n])
 
 
-def _leading_sequence(limit: int, k: int, weak: bool) -> list[int]:
-    """Values 0..limit of the leading-summand count by its linear recurrence.
-
-    f(m) = 2 f(m-1) - f(m-gap) + [m == k] - [m == k+1], zero below m = k,
-    where gap is k for the strict variant and k+1 for the weak one: at most
-    limit additions of numbers of at most limit bits, all of them kept.
-    """
-    check_work(f"the leading-part sequence to {limit}", limit, limit, held=limit)
-    gap = k + 1 if weak else k
-    values = [0] * (limit + 1)
-    for m in range(k, limit + 1):
-        acc = 2 * values[m - 1]
-        if m - gap >= 0:
-            acc -= values[m - gap]
-        if m == k:
-            acc += 1
-        elif m == k + 1:
-            acc -= 1
-        values[m] = acc
-    return values
-
-
 def count_leading_strict(n: int, k: int) -> int:
     """Compositions of n into positive parts whose first part is exactly k
-    and every later part is strictly smaller than k."""
+    and every later part is strictly smaller than k: those of n - k into
+    parts of at most k - 1. gf_leading_strict(k) is the second route."""
     if k < 1 or n < k:
         return 0
-    return _leading_sequence(n, k, weak=False)[n]
+    return int(n == 1) if k == 1 else fibonacci_higher(k - 1, n - k)
 
 
 def count_leading_weak(n: int, k: int) -> int:
     """Compositions of n into positive parts whose first part is exactly k
-    and no later part exceeds k."""
+    and no later part exceeds k: those of n - k into parts of at most k.
+    gf_leading_weak(k) is the second route."""
     if k < 1 or n < k:
         return 0
-    return _leading_sequence(n, k, weak=True)[n]
+    return fibonacci_higher(k, n - k)
 
 
 def _check_binomial_sums(what: str, n: int, binomials: float) -> None:
@@ -246,8 +235,8 @@ def _check_leading_total(name: str, n: int) -> None:
 def count_leading_strict_total(n: int) -> int:
     """Compositions of n whose first part is strictly larger than the rest:
     over every first part k, those of n - k into parts of at most k - 1
-    (fibonacci_higher). The per-k recurrence of count_leading_strict is the
-    second route."""
+    (fibonacci_higher). The sum over k of the gf_leading_strict(k) series is
+    the second route."""
     if n < 1:
         return 0
     _check_leading_total("count_leading_strict_total", n)

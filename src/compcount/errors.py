@@ -7,13 +7,15 @@ its arguments alone, never from what a cache already holds:
   0.95 n^1.5 entries of at most log2(k! e^(pi sqrt(n/3))) bits for the
   largest k; triangle adds its padded cells, held and printed;
 - the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
-  cost (fit to timings); the per-k sequence: n additions of n bits;
-  fibonacci_higher(m, n): 2n additions of n bits below 6m^2 < n, else
+  cost (fit to timings); fibonacci_higher(m, n), and the per-k leading
+  counts through it: 2n additions of n bits below 6m^2 < n, else
   2(n/(m + 1) + 1) of those binomials;
 - count_avoiding, and count_containing through it: n additions of at most
   n bits, min(k, n) + 1 of them held;
-- count_restricted: one binomial for the closed forms, k(n+1) additions per
-  part value in range for the dynamic program;
+- count_restricted: t + 1 terms of its inclusion-exclusion sum, each
+  min(k - 1, r) + 2 products for its binomials (math.comb(N, K) takes about
+  min(K, N - K)), on numbers of t bits more than the count without an upper
+  bound; its oracle _count_by_dp: k(n+1) additions per part value in range;
 - the composition series (series.gf_distinct_total, series.family_series):
   order + 1 coefficients of at most order bits, each one product per factor
   or denominator term, all printed;

@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import combinations, repeat
-from operator import add, and_, eq, lshift, mul, rshift, sub
+from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -128,14 +128,10 @@ def _parse_plain(text: str) -> LabeledGraph | None:
         return None
     try:
         vertex_count, *labels = map(int, text.split())
-    except ValueError:  # a label past int's digit limit
+        pairs = iter(labels)
+        return LabeledGraph(vertex_count, zip(pairs, pairs))
+    except ValueError:  # a label past int's digit limit, a loop or a label out of range
         return None
-    us, vs = labels[0::2], labels[1::2]
-    del labels
-    if max(max(us, default=-1), max(vs, default=-1)) >= vertex_count \
-            or any(map(eq, us, vs)):
-        return None
-    return LabeledGraph(vertex_count, frozenset(zip(map(min, us, vs), map(max, us, vs))))
 
 
 def _parse_edge_lines(text: str) -> LabeledGraph:

@@ -211,13 +211,14 @@ def _check_expansion(what: str, order: int, terms: int) -> None:
 
 def family_series(family: str, k: int, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
-    by long division over the nonzero denominator terms. Every exponent that
-    depends on k is at least k, so a k past order + 1 is built as order + 1,
-    which changes no coefficient up to z^order."""
-    gf = SERIES_FAMILIES[family](min(k, max(order, 0) + 1))
-    _check_expansion(f"the {family} series with k = {k} to order {order}", order,
-                     sum(1 for d in gf.denominator[1:] if d))
-    return gf.expand(order)
+    by long division over the nonzero denominator terms. It is priced before
+    its dense polynomials are built, at the terms of k = 3, where no two
+    exponents collide, so no k has more. Every exponent that depends on k is
+    at least k, so a k past order + 1 is built as order + 1, which changes no
+    coefficient up to z^order."""
+    terms = sum(1 for d in SERIES_FAMILIES[family](3).denominator[1:] if d)
+    _check_expansion(f"the {family} series with k = {k} to order {order}", order, terms)
+    return SERIES_FAMILIES[family](min(k, max(order, 0) + 1)).expand(order)
 
 
 def gf_distinct_total(order: int) -> TruncatedSeries:

@@ -81,6 +81,16 @@ def _composition_checks(max_n: int) -> list[Check]:
     checks.append(_check("restricted counts match enumeration", bad))
 
     bad = []
+    for n in range(2 * max_n + 1):
+        for k in range(7):
+            for lower, upper in ((0, 3), (1, 4), (2, 7), (2, None)):
+                got = compositions.count_restricted(n, k, PartBounds(lower, upper))
+                want = compositions._count_by_dp(n, k, lower, upper)
+                if got != want:
+                    bad.append(f"n={n} k={k} [{lower}, {upper}]: {got} != {want}")
+    checks.append(_check("bounded-part counts match the DP", bad))
+
+    bad = []
     distinct = lambda parts: len(set(parts)) == len(parts)
     for n in range(top + 1):
         for k in range(n + 1):
@@ -122,13 +132,14 @@ def _composition_checks(max_n: int) -> list[Check]:
     checks.append(_check("strict total at n+1 equals weak total at n", bad))
 
     bad = []
-    for n in range(1, 4 * max_n):
-        for mode, total, per_k in (
-                ("strict", compositions.count_leading_strict_total, compositions.count_leading_strict),
-                ("weak", compositions.leading_weak_total, compositions.count_leading_weak)):
-            if total(n) != sum(per_k(n, k) for k in range(1, n + 1)):
-                bad.append(f"{mode} n={n}")
-    checks.append(_check("leading totals match the sums of the per-k recurrences", bad))
+    last = 4 * max_n - 1
+    for mode, total, gf in (("strict", compositions.count_leading_strict_total, series.gf_leading_strict),
+                            ("weak", compositions.leading_weak_total, series.gf_leading_weak)):
+        sums = series.TruncatedSeries.zero(last)
+        for k in range(1, last + 1):
+            sums = sums + gf(k).expand(last)
+        bad += [f"{mode} n={n}" for n in range(1, last + 1) if total(n) != sums[n]]
+    checks.append(_check("leading totals match the sums of the per-k series", bad))
 
     bad = []
     for n in range(1, top + 1):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -325,7 +326,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 24
+    assert len(names) == 25
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -409,7 +410,7 @@ def test_triangle_output_bytes_are_unchanged(kind, fmt):
     ["graph", "family", "--name", "kminus", "--n", "100000"],
     ["count", "avoid", "--k", "3", "--n", "100000000"],
     ["count", "contain", "--k", "3", "--n", "100000000"],
-    ["count", "restricted", "--n", "300000", "--k", "1000", "--min", "1", "--max", "50"],
+    ["count", "restricted", "--n", "100000", "--k", "5000", "--min", "0", "--max", "25"],
     ["count", "restricted", "--n", "1000000000000", "--k", "1000000000000"],
     ["graph", "family", "--name", "path", "--n", "1000000000"],
     ["graph", "family", "--name", "ladder", "--n", "100000000"],
@@ -435,7 +436,7 @@ def test_oversized_integer_commands_are_refused_up_front(argv):
     lambda: exactnum.bell(10 ** 5),
     lambda: compositions.count_avoiding(10 ** 8, 3),
     lambda: compositions.count_containing(10 ** 8, 3),
-    lambda: compositions.count_restricted(3 * 10 ** 5, 1000, compositions.PartBounds(1, 50)),
+    lambda: compositions.count_restricted(10 ** 5, 5000, compositions.PartBounds(0, 25)),
     lambda: graphcomp.family_count("cycle", 10 ** 9),
     lambda: graphcomp.ladder_binet(10 ** 8),
     lambda: graphcomp.build_family("complete", 10 ** 5),
@@ -480,6 +481,32 @@ def test_closed_form_restricted_counts_answer_at_any_size():
     n = 10 ** 12
     code, out, _ = run_cli(["count", "restricted", "--n", str(n), "--k", "5"])
     assert (code, out) == (0, f"{math.comb(n + 4, 4)}\n")
+
+
+def test_restricted_counts_past_any_sum_of_the_parts_are_zero():
+    start = time.perf_counter()
+    code, out, _ = run_cli(["count", "restricted", "--n", "300000", "--k", "1000",
+                            "--min", "1", "--max", "50"])
+    assert (code, out) == (0, "0\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("family", ["fstrict", "fweak", "avoid", "contain"])
+def test_a_huge_series_is_refused_before_its_polynomials_are_built(family):
+    argv = ["series", "--family", family, "--order", "30000000", "--k", "30000000"]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "") and "over the budget of" in err
+    assert time.perf_counter() - start < 1
+    assert peak < 5e6
+    huge = ["series", "--family", family, "--order", "1000000000000", "--k", "1000000000000"]
+    code, out, err = run_cli(huge)
+    assert (code, out) == (3, "") and "over the budget of" in err
 
 
 def test_series_with_a_huge_k_is_built_at_order_size():

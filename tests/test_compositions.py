@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compcount import compositions
+from compcount import compositions, series
 from compcount.compositions import PartBounds, NONNEGATIVE_PARTS, POSITIVE_PARTS
 from compcount.errors import ResourceLimitError
 
@@ -85,6 +85,29 @@ def test_count_restricted_matches_enumeration():
                 assert compositions.count_restricted(n, k, bounds) == len(
                     compositions.enumerate_compositions(n, k, bounds)
                 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    k=st.integers(min_value=0, max_value=10),
+    lower=st.integers(min_value=0, max_value=4),
+    width=st.none() | st.integers(min_value=0, max_value=12),
+)
+def test_count_restricted_matches_the_dp(n, k, lower, width):
+    upper = None if width is None else lower + width
+    assert compositions.count_restricted(n, k, PartBounds(lower, upper)) == \
+        compositions._count_by_dp(n, k, lower, upper)
+
+
+def test_counts_the_bounded_dp_refused_are_answered_quickly():
+    start = time.perf_counter()
+    assert compositions.count_restricted(5000, 100, PartBounds(2, None)) == math.comb(4899, 99)
+    assert compositions.count_restricted(300000, 1000, PartBounds(1, 50)) == 0
+    assert compositions.count_restricted(10 ** 6, 1000, PartBounds(0, 2000)) > 0
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ResourceLimitError):
+        compositions._count_by_dp(5000, 100, 2, None)
 
 
 def test_closed_forms_match_general_dp():
@@ -187,6 +210,22 @@ def test_leading_weak_values():
     assert compositions.count_leading_weak(4, 1) == 1
     for n in range(1, 9):
         assert compositions.count_leading_weak(n, n) == 1
+
+
+def test_per_k_leading_counts_match_the_series():
+    top = 400
+    for k in range(1, 13):
+        strict = series.gf_leading_strict(k).expand(top).coefficients
+        weak = series.gf_leading_weak(k).expand(top).coefficients
+        assert [compositions.count_leading_strict(n, k) for n in range(top + 1)] == list(strict)
+        assert [compositions.count_leading_weak(n, k) for n in range(top + 1)] == list(weak)
+
+
+def test_a_large_per_k_leading_count_is_answered_by_fibonacci_higher():
+    start = time.perf_counter()
+    got = compositions.count_leading_strict(100000, 3)
+    assert time.perf_counter() - start < 1
+    assert got == compositions.fibonacci_higher(2, 99997)
 
 
 def test_leading_counters_match_enumeration():
@@ -366,11 +405,12 @@ def test_distinct_table_grows_to_the_largest_row_asked(monkeypatch):
 
 def test_leading_totals_match_the_sums_of_the_per_k_recurrences():
     top = 400
-    for weak, total in ((False, compositions.count_leading_strict_total),
-                        (True, compositions.leading_weak_total)):
+    # each series expansion runs its per-k recurrence by long division
+    for gf, total in ((series.gf_leading_strict, compositions.count_leading_strict_total),
+                      (series.gf_leading_weak, compositions.leading_weak_total)):
         sums = [0] * (top + 1)
         for k in range(1, top + 1):
-            for n, value in enumerate(compositions._leading_sequence(top, k, weak)):
+            for n, value in enumerate(gf(k).expand(top).coefficients):
                 sums[n] += value
         assert [total(n) for n in range(top + 1)] == sums
 
