@@ -1,7 +1,8 @@
 """Exceptions shared across the package, and the work guard of the counters.
 
 Each counter calls check_work before its loops start, with an estimate from
-its arguments alone, never from what a cache already holds:
+its arguments alone, never from what a cache already holds (a graph block
+found in the block memo runs no counter, so it is not priced):
 
 - the distinct-part table to row n (compositions._distinct_rows): about
   0.95 n^1.5 entries of at most log2(k! e^(pi sqrt(n/3))) bits for the
@@ -37,9 +38,11 @@ its arguments alone, never from what a cache already holds:
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge, and hands each
-block to a counter whose price fits. On u universal vertices and h others,
-count_compositions_graph also prices its sums T(u, 0..h)
-(graphcomp._universal_sums): 2u(h + 1) operations on numbers of
+block to a counter whose price fits, unless the block's count is in its
+memo of at most 4096 blocks of at most 64 vertices: a hit does no work and
+is not priced again, and a refused block is not kept. On u universal
+vertices and h others, count_compositions_graph also prices its sums
+T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1) operations on numbers of
 (u + h) log2(u + h + 1) bits, after the Stirling row u prices itself.
 graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
 character, and reads no further than the first character over the budget.

@@ -18,7 +18,11 @@ the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
 vertices goes to the counter of fewer estimated steps among those whose price
-fits the shared work budget (errors.check_work)."""
+fits the shared work budget (errors.check_work). A block's count depends only
+on the block, so the counts of blocks of at most BLOCK_MEMO_VERTICES = 64
+vertices are kept in an LRU memo of BLOCK_MEMO_ENTRIES = 4096 entries, keyed
+by the block relabelled in DFS discovery order as (n, bits), bit a n + b for
+each edge a < b; a hit runs no counter and is not priced again."""
 
 import heapq
 import math
@@ -26,7 +30,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -147,16 +151,19 @@ def _parse_edge_lines(text: str) -> LabeledGraph:
             if len(fields) != 1 or not _is_label(fields[0]):
                 raise GraphParseError(f"line {lineno}: expected the vertex count, got {line!r}")
             vertex_count = int(fields[0])
+            digits = len(str(vertex_count))
             continue
         if len(fields) != 2 or not all(_is_label(f) for f in fields):
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(fields[0]), int(fields[1])
+        # compared as digits first: int() refuses a label of over 4300 of them
+        u, v = (f.lstrip("0") or "0" for f in fields)
         if u == v:
             raise GraphParseError(f"line {lineno}: loop edge {u} {v}")
-        if u >= vertex_count or v >= vertex_count:
+        if max(len(u), len(v)) > digits or max(int(u), int(v)) >= vertex_count:
             raise GraphParseError(
                 f"line {lineno}: vertex label out of range 0..{vertex_count - 1}"
             )
+        u, v = int(u), int(v)
         edges.add((min(u, v), max(u, v)))
     if vertex_count is None:
         raise GraphParseError("line 1: missing vertex count")
@@ -726,7 +733,10 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
     A bridge comes out as a one-edge block; isolated vertices yield nothing.
     """
     n = graph.vertex_count
-    adj = graph.adjacency()
+    adj: list[list[int]] = [[] for _ in range(n)]  # in edge-set order: the split needs none
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     pre = [-1] * n
     low = [0] * n
     edge_stack: list[tuple[int, int]] = []
@@ -879,14 +889,33 @@ def _balanced_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
+# The most blocks whose counts reduce_and_count keeps, and the most vertices
+# of a block it keeps: a key is at most 64^2 bits and a count of at most 64
+# vertices at most Bell(64) < 2^217, so the memo holds at most about 3 MB.
+BLOCK_MEMO_ENTRIES = 4096
+BLOCK_MEMO_VERTICES = 64
+# Block counts by (n, bits), least recently used first: a dict keeps its
+# insertion order, and a hit is taken out and put back at the end.
+_block_counts: dict[tuple[int, int], int] = {}
+
+
 def reduce_and_count(graph: LabeledGraph) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge is a K2 block and contributes 2, so the
-    bridges make one shift and the other blocks one balanced product. Each
-    block with at least 3 vertices is relabelled in vertex order once and
-    counted by _count_block.
+    bridges make one shift and the other blocks one balanced product.
+
+    A block with at least 3 vertices and at most BLOCK_MEMO_VERTICES is
+    looked up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES
+    entries. Its key is (n, bits) with bit a n + b for each edge a < b, under
+    labels in order of first appearance in the block's edge list, the order
+    in which the DFS discovers them: every labelling of C_n or K_m gives one
+    key, and a key has at most n^2 bits. A hit runs no counter, so it is not
+    priced again. A miss, and any larger block, is counted by _count_block
+    on its vertices relabelled in increasing order instead: the frontier
+    order breaks ties by label, and DFS labels would move some dense blocks
+    to the other counter. A refusal raises before anything is kept.
     """
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
@@ -899,11 +928,30 @@ def reduce_and_count(graph: LabeledGraph) -> int:
         if len(block) == 1:
             bridges += 1
             continue
-        vertices = sorted({v for edge in block for v in edge})
-        index = {v: i for i, v in enumerate(vertices)}
-        edges = [(index[u], index[v]) if u < v else (index[v], index[u]) for u, v in block]
-        counts.append(_count_block(len(vertices), edges))
+        vertices = dict.fromkeys(chain.from_iterable(block))  # in DFS discovery order
+        n = len(vertices)
+        if n > BLOCK_MEMO_VERTICES:
+            counts.append(_count_block(n, _sorted_relabel(block, vertices)))
+            continue
+        label = {v: i for i, v in enumerate(vertices)}
+        pairs = ((label[u], label[v]) for u, v in block)
+        key = n, sum(1 << (a * n + b if a < b else b * n + a) for a, b in pairs)
+        found = _block_counts.pop(key, None)
+        if found is None:
+            found = _count_block(n, _sorted_relabel(block, vertices))
+            if len(_block_counts) >= BLOCK_MEMO_ENTRIES:
+                del _block_counts[next(iter(_block_counts))]
+        _block_counts[key] = found
+        counts.append(found)
     return _balanced_product(counts) << bridges
+
+
+def _sorted_relabel(block: list[tuple[int, int]], vertices: Iterable[int]) -> list[tuple[int, int]]:
+    """The block's edges (a, b), a < b, with its vertices relabelled 0..n-1
+    in increasing order: the labels that route a block, whatever the order
+    of its edges."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return [(index[u], index[v]) if u < v else (index[v], index[u]) for u, v in block]
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:

@@ -1,10 +1,11 @@
 """Tests for graph construction, parsing, and composition counting."""
 
 import json
+import math
 import operator
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 from random import Random
 
@@ -158,6 +159,15 @@ def test_parse_error_cases():
         graphcomp.parse_edge_list("3\n0 \u00b2\n")
     with pytest.raises(GraphParseError, match="line 1"):
         graphcomp.parse_edge_list("\u0663\n0 1\n")
+
+
+def test_a_label_past_the_digit_limit_of_int_is_out_of_range():
+    with pytest.raises(GraphParseError, match=r"^line 3: vertex label out of range 0\.\.1$"):
+        graphcomp.parse_edge_list("2\n0 1\n" + "9" * 5000 + " 1\n")
+    with pytest.raises(GraphParseError, match=r"^line 2: loop edge 1 1$"):
+        graphcomp.parse_edge_list("2\n" + "0" * 5000 + "1 01\n")
+    # leading zeros do not make a label out of range
+    assert graphcomp.parse_edge_list("2\n" + "0" * 5000 + "1 0\n").edges == {(0, 1)}
 
 
 def test_format_round_trip():
@@ -475,9 +485,22 @@ def _glued_graph(rng):
     return graph, expected, block_sizes
 
 
+class CountingMemo(dict):
+    """A block memo that counts its hits."""
+
+    hits = 0
+
+    def pop(self, key, default=None):
+        found = super().pop(key, default)
+        self.hits += found is not None
+        return found
+
+
 def _record_counters(monkeypatch):
-    """Route the two block counters through recorders; returns the lists of
-    vertex counts the subset DP and the frontier DP each receive."""
+    """Route the two block counters through recorders, from an empty block
+    memo that counts its hits; returns the lists of vertex counts the subset
+    DP and the frontier DP each receive."""
+    monkeypatch.setattr(graphcomp, "_block_counts", CountingMemo())
     subset_sizes, frontier_sizes = [], []
     subset = graphcomp.count_compositions_graph
     frontier = graphcomp._count_frontier
@@ -501,12 +524,17 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
-        for sizes in recorded:
-            sizes.clear()
+        memo = graphcomp._block_counts
+        known, hits, calls = set(memo), memo.hits, list(map(len, recorded))
         assert graphcomp.reduce_and_count(graph) == expected
-        # each block with at least 3 vertices reaches exactly one counter, once
-        assert sorted(sum(recorded, [])) == sorted(block_sizes)
-        assert all(recorded)
+        # each distinct block with at least 3 vertices reaches exactly one
+        # counter, once, and every other block is a memo hit
+        new = set(memo) - known
+        counted = [n for sizes, before in zip(recorded, calls) for n in sizes[before:]]
+        assert sorted(counted) == sorted(n for n, _ in new)
+        assert len(counted) + memo.hits - hits == len(block_sizes)
+        assert set(block_sizes) - {n for n, _ in known} <= set(counted) <= set(block_sizes)
+    assert all(recorded)
 
 
 def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
@@ -532,6 +560,123 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
     assert subset_sizes == [10, 10, 10]
     assert frontier_sizes == [10, 10, 10, 12, 12, 12]
+
+
+# --- the block memo --------------------------------------------------------------------------
+
+def _glued(rng, blocks):
+    """The blocks glued into one tree of blocks, each under a random
+    relabelling and sharing one random vertex with those before it, with the
+    whole graph randomly relabelled."""
+    edges, vertex_count = [], 1
+    for block in blocks:
+        n = block.vertex_count
+        label = [rng.randrange(vertex_count)] + list(range(vertex_count, vertex_count + n - 1))
+        rng.shuffle(label)
+        vertex_count += n - 1
+        edges.extend((label[u], label[v]) for u, v in block.edges)
+    return relabelled(LabeledGraph(vertex_count, set(edges)), rng)
+
+
+def _pool(rng):
+    """Blocks with their counts by the per-state frontier DP or the subset DP
+    over every vertex: random blocks, cycles, ladders and complete graphs."""
+    pool = []
+    for _ in range(12):
+        n = rng.randint(3, 12)
+        block = graphcomp.random_connected_graph(rng, n, rng.uniform(0.1, 0.9))
+        pool.append((block, graphcomp._subset_ways(block.neighbor_masks(), n)[-1]))
+    for family, sizes in (("cycle", range(3, 16)), ("ladder", range(2, 7))):
+        for size in sizes:
+            block = graphcomp.build_family(family, size)
+            pool.append((block, per_state_frontier(block.adjacency(), range(block.vertex_count))))
+    for m in range(3, 10):
+        pool.append((complete(m), graphcomp._subset_ways(complete(m).neighbor_masks(), m)[-1]))
+    return pool
+
+
+def test_warm_and_cold_block_memos_match_the_oracles(monkeypatch):
+    rng = Random(1507)
+    pool = _pool(rng)
+    memo = CountingMemo()
+    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    for _ in range(8):
+        picked = [rng.choice(pool) for _ in range(40)]
+        graph = _glued(rng, [block for block, _ in picked])
+        expected = math.prod(count for _, count in picked)
+        assert graphcomp.reduce_and_count(graph) == expected  # warm
+        memo.clear()
+        assert graphcomp.reduce_and_count(graph) == expected  # cold
+    assert memo.hits > 100
+
+
+def _relabellings(graph, rng):
+    """Every relabelling of a graph of at most 6 vertices, or 8 random ones of
+    a larger graph; each also with a pendant vertex 0, through which the
+    block split enters it at a random vertex."""
+    n = graph.vertex_count
+    perms = permutations(range(n)) if n <= 6 else (rng.sample(range(n), n) for _ in range(8))
+    for perm in perms:
+        yield LabeledGraph(n, {(perm[u], perm[v]) for u, v in graph.edges})
+        yield LabeledGraph(n + 1, {(perm[u] + 1, perm[v] + 1) for u, v in graph.edges}
+                           | {(0, rng.randint(1, n))})
+
+
+def test_every_relabelling_of_a_cycle_or_complete_graph_is_one_memo_entry(monkeypatch):
+    rng = Random(116)
+    for family in ("cycle", "complete"):
+        for n in range(3, graphcomp.BLOCK_MEMO_VERTICES + 1):
+            memo = CountingMemo()
+            monkeypatch.setattr(graphcomp, "_block_counts", memo)
+            expected = graphcomp.family_count(family, n)
+            graphs = list(_relabellings(graphcomp.build_family(family, n), rng))
+            for graph in graphs:
+                assert graphcomp.reduce_and_count(graph) == expected * (graph.vertex_count - n + 1)
+            assert (len(memo), memo.hits) == (1, len(graphs) - 1)
+
+
+def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
+    rng = Random(5000)
+    memo = CountingMemo()
+    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    # 8-cycles with random chords: each is one block
+    cycle = graphcomp.build_family("cycle", 8).edges
+    chords = [edge for edge in combinations(range(8), 2) if edge not in cycle]
+    blocks = [LabeledGraph(8, cycle | set(rng.sample(chords, rng.randint(2, 10))))
+              for _ in range(5600)]
+    graphcomp.reduce_and_count(_glued(rng, blocks))
+    assert len(blocks) - memo.hits >= 5000  # distinct blocks
+    assert len(memo) == graphcomp.BLOCK_MEMO_ENTRIES
+    assert all(0 < bits < 1 << n * n for n, bits in memo)
+
+
+def test_blocks_past_the_memo_vertex_bound_leave_it_untouched(monkeypatch):
+    memo = CountingMemo()
+    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    assert graphcomp.reduce_and_count(complete(64)) == exactnum.bell(64)
+    for m in (65, 600):
+        assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
+    assert list(memo) == [(64, sum(1 << 64 * a + b for a, b in combinations(range(64), 2)))]
+    assert memo.hits == 0
+    assert graphcomp.reduce_and_count(complete(64)) == exactnum.bell(64)
+    assert (len(memo), memo.hits) == (1, 1)
+
+
+def test_a_refused_block_is_not_kept(monkeypatch):
+    memo = CountingMemo()
+    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    block = complete_minus_cycle(12)
+    budget = errors.WORK_BUDGET
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e5)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^12 vertex sets"):
+            graphcomp.reduce_and_count(block)
+        assert not memo and memo.hits == 0
+    monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+    count = graphcomp.reduce_and_count(block)
+    assert count == graphcomp._subset_ways(block.neighbor_masks(), 12)[-1]
+    assert graphcomp.reduce_and_count(block) == count
+    assert (len(memo), memo.hits) == (1, 1)
 
 
 # --- the universal-vertex route --------------------------------------------------------------
@@ -610,10 +755,12 @@ def test_a_block_over_the_budget_on_its_cheaper_counter_goes_to_the_other(monkey
     count = graphcomp.reduce_and_count(block)
     assert (subset_sizes, frontier_sizes) == ([], [12])
     monkeypatch.setattr(errors, "WORK_BUDGET", 4e6)
+    graphcomp._block_counts.clear()
     assert graphcomp.reduce_and_count(block) == count
     assert (subset_sizes, frontier_sizes) == ([12], [12])
     # over the budget on both sides, the counter it is routed to refuses it
     monkeypatch.setattr(errors, "WORK_BUDGET", 3e6)
+    graphcomp._block_counts.clear()
     with pytest.raises(ResourceLimitError, match="the frontier DP on 12 vertices and up to"):
         graphcomp.reduce_and_count(block)
 
