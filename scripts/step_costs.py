@@ -1,6 +1,6 @@
 """Measure the steps that graphcomp prices its two block counters by, in the
-word steps of compcount's work budget, and refit the frontier DP's routing
-costs.
+word steps of compcount's work budget, and the blocks that routing on those
+prices sends to the slower counter.
 
 The subset DP (graphcomp._subset_ways) is priced at SUBSET_STEP_OPERATIONS
 operations a direct step (3^m for a cube of m <= DIRECT_CUBE_BITS vertices)
@@ -8,16 +8,15 @@ and TRANSFORM_STEP_OPERATIONS a transform step (m 2^m for a larger cube),
 on the numbers of graphcomp._subset_cost. The frontier DP is priced at
 FRONTIER_STEP_PRICE word steps and one addition of its counts a step of its
 state bound (graphcomp._frontier_price, by graphcomp._price_frontier), timed
-here with its successor memo cold and warm, and routed at
-FRONTIER_VERTEX_COST word steps a vertex and FRONTIER_STEP_COST and the same
-addition a step of that bound. This script times both DPs with
-the guard switched off, prints the cost of each step in nanoseconds and in
-word steps next to its price, searches the two routing costs that route
-small blocks best (the benchmark's pinned dense blocks among them) and lists
-the blocks that the shipped costs put on the slower counter, and checks the
-guard on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one,
-which is refused before its frontier order is built. Word steps are
-converted at --ns-per-word-step, the speed the budget assumes (errors.py).
+here with its successor memo cold and warm. graphcomp._count_block sends
+each block to the counter of the lower price. This script times both DPs
+with the guard switched off, prints the cost of each step in nanoseconds and
+in word steps next to its price, times both counters on small blocks (the
+benchmark's pinned dense blocks among them) and lists those that the prices
+send to the slower counter with the slowdown of each, and checks the guard
+on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one, which
+is refused before its frontier order is built. Word steps are converted at
+--ns-per-word-step, the speed the budget assumes (errors.py).
 
     PYTHONPATH=src python3 scripts/step_costs.py [--repeat 3]
 
@@ -129,12 +128,11 @@ def frontier_steps(word_ns, repeat):
               f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
 
 
-def routing_fit(word_ns, repeat):
+def routing(word_ns, repeat):
     """Time both counters on small blocks, where routing decides (the
-    frontier DP with its memo cleared, as a block new to it), and find
-    the frontier costs per vertex and per bound step whose routes send the
-    fewest blocks to the slower counter, then lose the least time; list the
-    blocks that the shipped costs send to the slower counter."""
+    frontier DP with its memo cleared, as a block new to it), and list the
+    blocks that the price route of graphcomp._count_block sends to the slower
+    counter, with the slowdown of each."""
     graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in range(4, 15)]
     graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in range(2, 8)]
     rng = Random(7)
@@ -146,46 +144,28 @@ def routing_fit(word_ns, repeat):
     graphs += [(f"pinned {e['n']}/{e['p']}",
                 graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]}))
                for e in json.loads(pinned.read_text())]
-    rows = []
+    slower = []
     for name, graph in graphs:
         n = graph.vertex_count
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
-        addition = errors.word_steps(1, graphcomp._count_bits(n, len(graph.edges)))
+        step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(
+            1, graphcomp._count_bits(n, len(graph.edges)))
+        h = len(graphcomp._non_universal(n, graph.edges))
+        frontier_first = step * steps < errors.word_steps(*graphcomp._subset_cost(h)[:2])
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
             best_time(lambda: cold_frontier(adj, order, widths), repeat)
-        h = len(graphcomp._non_universal(n, graph.edges))
-        price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
-        rows.append((name, n, steps, addition, price, subset, frontier))
-
-    def frontier_first(vertex, step, n, steps, addition, price):
-        return vertex * n + (step + addition) * steps < price
-
-    def routed(vertex, step):
-        """The blocks sent to the slower counter, and their mean slowdown."""
-        slowdowns = [(f if frontier_first(vertex, step, *row[1:5]) else t) / min(t, f)
-                     for *row, t, f in rows]
-        return sum(x > 1 for x in slowdowns), sum(slowdowns) / len(slowdowns)
-
-    fits = sorted((routed(vertex, step), vertex, step)
-                  for vertex in range(0, 20001, 1000) for step in range(50, 801, 25))
-    print(f"\nrouting on {len(rows)} blocks of 4-16 vertices (cycles, ladders, random, and the "
-          f"benchmark's pinned dense blocks), the frontier DP's costs in word steps a vertex and, "
-          f"with one addition of its counts, a bound step")
-    vertex, step = graphcomp.FRONTIER_VERTEX_COST, graphcomp.FRONTIER_STEP_COST
-    for label, ((slower, mean), v, s) in [("best", f) for f in fits[:8]] + \
-            [("shipped", (routed(vertex, step), vertex, step))]:
-        print(f"  {label:<7} {v:>5} {s:>4}: {slower} blocks on the slower counter, "
-              f"mean time {mean:.3f} of the faster")
-    for name, n, steps, addition, price, subset, frontier in rows:
-        first = frontier_first(vertex, step, n, steps, addition, price)
-        if (frontier if first else subset) > min(subset, frontier):
-            print(f"    on the slower counter: {name} ({n} vertices), "
-                  f"{'frontier' if first else 'subset'} DP, "
-                  f"subset {subset * 1e3:.2f} ms, frontier {frontier * 1e3:.2f} ms")
+        routed, other = (frontier, subset) if frontier_first else (subset, frontier)
+        if routed > other:
+            slower.append((routed / other, name, n, frontier_first, subset, frontier))
+    print(f"\nrouting on {len(graphs)} blocks of 4-16 vertices (cycles, ladders, random, and the "
+          f"benchmark's pinned dense blocks) by the lower price: {len(slower)} on the slower counter")
+    for slowdown, name, n, frontier_first, subset, frontier in sorted(slower, reverse=True):
+        print(f"    {name} ({n} vertices), {'frontier' if frontier_first else 'subset'} DP, "
+              f"{slowdown:.2f}x: subset {subset * 1e3:.2f} ms, frontier {frontier * 1e3:.2f} ms")
 
 
 def long_cycles():
@@ -210,7 +190,7 @@ def main():
     graphcomp.check_work = lambda *_, **__: None  # time the loops, not the guard
     subset_steps(args.ns_per_word_step, args.repeat)
     frontier_steps(args.ns_per_word_step, args.repeat)
-    routing_fit(args.ns_per_word_step, args.repeat)
+    routing(args.ns_per_word_step, args.repeat)
     long_cycles()
 
 

@@ -283,6 +283,9 @@ def _run(argv: list[str], out, err) -> int:
     except ResourceLimitError as exc:
         err.write(f"resource limit: {exc}\n")
         return 3
+    except OverflowError as exc:  # a size past a float's range, in a cost estimate
+        err.write(f"resource limit: a size too large to price ({exc})\n")
+        return 3
     except (GraphParseError, ValueError, ArithmeticError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1

@@ -31,18 +31,19 @@ found in the block memo runs no counter, so it is not priced):
   transform step, m 2^m for each larger cube, all on the packed numbers of
   the largest cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them
   held; the frontier DP (graphcomp._price_frontier) 585 word steps and one
-  addition of min(edges, n log2(n + 1)) bits a step of the bound that also
-  routes it (_frontier_price), its states held; before its order, one step
-  a vertex.
+  addition of min(edges, n log2(n + 1)) bits a step of its state bound
+  (_frontier_price), its states held; before its order, one step a vertex.
+  Neither block counter prices a decimal conversion of its count.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge, and hands each
-block to a counter whose price fits, unless the block's count is in its
-memo of at most 4096 blocks of at most 64 vertices: a hit does no work and
-is not priced again, and a refused block is not kept. On u universal
-vertices and h others, count_compositions_graph also prices its sums
-T(u, 0..h) (graphcomp._universal_sums): 2u(h + 1) operations on numbers of
+block to the counter of the lower price, which refuses it where that price
+is over the budget, unless the block's count is in its memo of at most 4096
+blocks of at most 64 vertices: a hit does no work and is not priced again,
+and a refused block is not kept. On u universal vertices and h others,
+count_compositions_graph also prices its sums T(u, 0..h)
+(graphcomp._universal_sums): 2u(h + 1) operations on numbers of
 (u + h) log2(u + h + 1) bits, after the Stirling row u prices itself.
 graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
 character, and reads no further than the first character over the budget.

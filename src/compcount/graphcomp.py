@@ -17,23 +17,25 @@ finds the biconnected blocks of the graph in one linear-time DFS and returns
 the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
-vertices goes to the counter of fewer estimated steps among those whose price
-fits the shared work budget (errors.check_work). A block's count depends only
-on the block, so the counts of blocks of at most BLOCK_MEMO_VERTICES = 64
-vertices are kept in an LRU memo of BLOCK_MEMO_ENTRIES = 4096 entries, keyed
-by the block relabelled in DFS discovery order as (n, bits), bit a n + b for
-each edge a < b; a hit runs no counter and is not priced again."""
+vertices goes to the counter of the lower price under the shared work budget
+(errors.check_work), which refuses it where that price is over the budget. A
+block's count depends only on the block, so the counts of blocks of at most
+BLOCK_MEMO_VERTICES = 64 vertices are kept in an LRU memo of
+BLOCK_MEMO_ENTRIES = 4096 entries, keyed by the block relabelled in DFS
+discovery order as (n, bits), bit a n + b for each edge a < b; a hit runs no
+counter and is not priced again."""
 
 import heapq
 import math
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain, combinations, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import exactnum
 from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, word_steps
@@ -103,12 +105,17 @@ def _is_label(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
-# A plain edge list: after blank lines, the vertex count alone on its line,
-# then "u v" lines or blank lines, padded with spaces and tabs, with LF or
-# CRLF endings. Past the count, _NOT_PLAIN_CHARACTER and _NOT_PLAIN_LINE find
-# where a text is not plain. None repeats a group once a line, so none holds
-# a backtracking stack that grows with the lines.
-_PLAIN_HEADER = re.compile(r"[ \t\r\n]*\d+[ \t]*(?=\r?\n|\Z)", re.ASCII)
+# The most digits of a vertex count, leading zeros aside: a larger count is
+# past a float's range, where no cost estimate can hold it, and refused.
+VERTEX_COUNT_MAX_DIGITS = sys.float_info.max_10_exp
+
+# A plain edge list: after blank lines, the vertex count alone on its line in
+# at most VERTEX_COUNT_MAX_DIGITS digits, then "u v" lines or blank lines,
+# padded with spaces and tabs, with LF or CRLF endings. Past the count,
+# _NOT_PLAIN_CHARACTER and _NOT_PLAIN_LINE find where a text is not plain.
+# None repeats a group once a line, so none holds a backtracking stack that
+# grows with the lines.
+_PLAIN_HEADER = re.compile(rf"[ \t\r\n]*\d{{1,{VERTEX_COUNT_MAX_DIGITS}}}[ \t]*(?=\r?\n|\Z)", re.ASCII)
 _NOT_PLAIN_CHARACTER = re.compile(r"[^\d \t\r\n]", re.ASCII)
 _NOT_PLAIN_LINE = re.compile(r"\n(?![ \t]*(?:\d+[ \t]+\d+[ \t]*)?\r?(?:\n|\Z))", re.ASCII)
 
@@ -150,8 +157,11 @@ def _parse_edge_lines(text: str) -> LabeledGraph:
         if vertex_count is None:
             if len(fields) != 1 or not _is_label(fields[0]):
                 raise GraphParseError(f"line {lineno}: expected the vertex count, got {line!r}")
-            vertex_count = int(fields[0])
-            digits = len(str(vertex_count))
+            count = fields[0].lstrip("0") or "0"
+            if len(count) > VERTEX_COUNT_MAX_DIGITS:
+                raise ResourceLimitError(
+                    f"line {lineno}: a vertex count of {len(count)} digits is too large to price")
+            vertex_count, digits = int(count), len(count)
             continue
         if len(fields) != 2 or not all(_is_label(f) for f in fields):
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -324,9 +334,11 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
 
 def _price_subset_dp(n: int) -> None:
     """Refuse the subset DP on n vertices where _subset_cost puts it over the
-    work budget."""
+    work budget. Like the frontier DP's, its price holds no decimal conversion
+    (a block count is a factor of the count printed), so it is the word steps
+    that _count_block routes on."""
     operations, bits, held = _subset_cost(n)
-    check_work(f"the subset DP over 2^{n} vertex sets", operations, bits, held=held)
+    check_work(f"the subset DP over 2^{n} vertex sets", operations, bits, held=held, printed=0)
 
 
 def _ranked_convolution(blocks: bytes, rest: list[int], popcounts: list[int]) -> Iterator[int]:
@@ -782,21 +794,16 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
 # Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
-# The frontier DP's cost in word steps a vertex (the lists of each step) and,
-# with one addition of its counts, a step of its bound (a state tuple built
-# and relabelled), which route each block. On 137 blocks of 4-16 vertices,
-# three runs of the script find 8000-14000 and 300-375 best, 1-3 blocks on
-# the slower counter; these put 2-3 there, and the fewest of 605 random
-# blocks of 6-16 vertices (18).
-FRONTIER_VERTEX_COST = 12000
-FRONTIER_STEP_COST = 300
-# Its price in word steps a step of that bound, on top of one addition of
-# its counts: an upper bound, not a best guess. Through the successor memo,
-# the script measures 180-480 word steps a step at width 2 (cycles and
-# ladders of 12-10000 vertices) with the memo warm and 190-750 cold, past
-# it only on a 6-cycle (1680 cold, 36 steps in 0.2 ms; 1300 before the
-# memo), 20-430 at widths 4-6 (grids) and 120-230 at widths 7-8 (random
-# blocks of 23-27).
+# The frontier DP's price in word steps a step of its state bound (a state
+# tuple built and relabelled), on top of one addition of its counts; it both
+# prices the DP and routes each block. Through the successor memo, the script
+# measures 180-480 word steps a step at width 2 (cycles and ladders of
+# 12-10000 vertices) with the memo warm and 190-750 cold, 20-430 at widths
+# 4-6 (grids) and 120-230 at widths 7-8 (random blocks of 23-27). It is an
+# upper bound except on the smallest blocks, which pay a fixed cost a call:
+# a 6-cycle with a cold memo takes 1490-1680 word steps a step (36 steps in
+# 0.2 ms) against 585 priced, and a 7-cycle goes to the frontier DP, 0.20 ms
+# cold, where the subset DP takes 0.11 ms.
 FRONTIER_STEP_PRICE = 585
 
 
@@ -868,16 +875,6 @@ def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) ->
     bits = _count_bits(n, edge_count)
     check_work(f"the frontier DP on {n} vertices{what}",
                steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, held=states, printed=0)
-
-
-def _refusal(price: Callable[..., None], *args) -> ResourceLimitError | None:
-    """The refusal that a counter's price raises on the arguments, or None
-    where it fits the work budget."""
-    try:
-        price(*args)
-    except ResourceLimitError as refusal:
-        return refusal
-    return None
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -955,32 +952,25 @@ def _sorted_relabel(block: list[tuple[int, int]], vertices: Iterable[int]) -> li
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
-    """The count of a block on vertices 0..n-1, by the counter of fewer
-    estimated word steps among those whose price fits the work budget, or the
-    refusal of the cheaper where neither fits. The subset side is estimated at
-    the steps of _subset_cost on the vertices that are not universal, the
-    frontier DP at FRONTIER_VERTEX_COST a vertex and FRONTIER_STEP_COST and
-    one addition of its counts a step of _frontier_price, the bound its price
-    reads. That is at least one step a vertex, so the order is not built where
-    the subset side fits at no more, and a block the subset side does not fit
-    is refused before it where the frontier DP is over the budget even so."""
+    """The count of a block on vertices 0..n-1, by the counter of the lower
+    price, the one check_work reads: the subset DP at the word steps of
+    _subset_cost on the vertices that are not universal, the frontier DP at
+    FRONTIER_STEP_PRICE and one addition of its counts a step of
+    _frontier_price, the subset DP on a tie. The chosen counter prices itself;
+    where the lower price is over the work budget, so is the other. The
+    frontier DP takes at least one step a vertex, so its order is not built
+    where the subset side is priced at no more than that, nor where that least
+    price is over the budget."""
     rest = _non_universal(n, edges)
-    subset_steps = word_steps(*_subset_cost(len(rest))[:2])
-    subset_refusal = _refusal(_price_subset_dp, len(rest))
-    step = FRONTIER_STEP_COST + word_steps(1, _count_bits(n, len(edges)))
-    if subset_refusal is None and subset_steps <= (FRONTIER_VERTEX_COST + step) * n:
-        return count_compositions_graph(_Block(n, edges, rest))
-    if subset_refusal:
+    subset = word_steps(*_subset_cost(len(rest))[:2])
+    step = FRONTIER_STEP_PRICE + word_steps(1, _count_bits(n, len(edges)))
+    if subset > step * n:
         _price_frontier(n, len(edges))  # its least price, before the order
-    adj = _adjacency(n, edges)
-    order, widths = _frontier_order(adj)
-    frontier_refusal = _refusal(_price_frontier, n, len(edges), widths)
-    frontier_first = FRONTIER_VERTEX_COST * n + step * _frontier_price(widths)[0] < subset_steps
-    if frontier_refusal is None and (frontier_first or subset_refusal):
-        return _count_frontier(adj, order, widths)
-    if subset_refusal is None:
-        return count_compositions_graph(_Block(n, edges, rest))
-    raise frontier_refusal if frontier_first else subset_refusal
+        adj = _adjacency(n, edges)
+        order, widths = _frontier_order(adj)
+        if step * _frontier_price(widths)[0] < subset:
+            return _count_frontier(adj, order, widths)
+    return count_compositions_graph(_Block(n, edges, rest))
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

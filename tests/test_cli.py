@@ -424,6 +424,43 @@ def test_oversized_integer_commands_are_refused_up_front(argv):
     assert time.perf_counter() - start < 1
 
 
+NINES = "9" * 400  # past the range of a float
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "distinct", "--n", NINES],
+    ["count", "distinct", "--n", NINES, "--k", "5"],
+    ["count", "avoid", "--k", "3", "--n", NINES],
+    ["count", "contain", "--k", "3", "--n", NINES],
+    ["count", "restricted", "--n", NINES, "--k", "3"],
+    ["count", "restricted", "--n", "5", "--k", NINES],
+    ["count", "leading", "--mode", "weak", "--n", NINES],
+    ["count", "leading", "--mode", "strict", "--n", NINES, "--k", "4"],
+    ["series", "--family", "avoid", "--k", "3", "--order", NINES],
+    ["series", "--family", "distinct-total", "--order", NINES],
+    ["graph", "family", "--name", "cycle", "--n", NINES],
+    ["graph", "family", "--name", "ladder", "--n", NINES],
+    ["graph", "family", "--name", "complete", "--n", NINES],
+    ["graph", "family", "--name", "path", "--n", NINES, "--emit-graph"],
+    ["verify", "--max-n", NINES],
+    ["graph", "count", "--file", "nines.txt"],
+    ["graph", "count", "--file", "nines-308.txt"],
+    ["graph", "count", "--file", "nines-5000.txt"],
+])
+def test_sizes_past_the_range_of_a_float_are_refused(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, digits in (("nines.txt", 400), ("nines-308.txt", 308), ("nines-5000.txt", 5000)):
+        (tmp_path / name).write_text("9" * digits + "\n0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+    if argv[-1] in ("nines.txt", "nines-5000.txt"):
+        digits = 400 if argv[-1] == "nines.txt" else 5000
+        assert err == f"resource limit: line 1: a vertex count of {digits} digits is too large to price\n"
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("call", [
     lambda: compositions.count_compositions_distinct_total(10 ** 7),
     lambda: compositions.count_compositions_distinct(10 ** 7, 5),

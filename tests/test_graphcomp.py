@@ -97,6 +97,7 @@ _LINE_ENDS = ["\n"] * 4 + ["\r\n"] * 2 + ["\r", ""]
 @example(" \r\n\t\n", (" 12\t", "\r\n"), [(" 2\t4 ", "\r\n"), ("\x0c", "\n"), ("10 11", "")])
 @example("", ("0", ""), [])
 @example("", ("3", "\n"), [("0 " + "1" * 5000, "\n")])  # past int's default digit limit
+@example("", ("9" * 400, "\n"), [("0 1", "\n")])  # past the range of a float
 @given(st.sampled_from(["", "\n", " \r\n\t\n"]),
        st.tuples(st.sampled_from(_FIRST_LINES), st.sampled_from(_LINE_ENDS)),
        st.lists(st.tuples(st.sampled_from(_PLAIN_LINES * 3 + _OTHER_LINES), st.sampled_from(_LINE_ENDS)),
@@ -107,7 +108,7 @@ def test_the_plain_parse_agrees_with_the_line_parser(blank, first, rest):
     def outcome(parse):
         try:
             return parse(text)
-        except ValueError as error:  # GraphParseError among them
+        except (ValueError, ResourceLimitError) as error:  # GraphParseError among them
             return type(error), str(error)
 
     assert outcome(graphcomp.parse_edge_list) == outcome(graphcomp._parse_edge_lines)
@@ -159,6 +160,15 @@ def test_parse_error_cases():
         graphcomp.parse_edge_list("3\n0 \u00b2\n")
     with pytest.raises(GraphParseError, match="line 1"):
         graphcomp.parse_edge_list("\u0663\n0 1\n")
+
+
+def test_a_vertex_count_past_the_range_of_a_float_is_refused_on_line_1():
+    for digits in (309, 400, 5000):  # int() alone refuses the last past 4300 digits
+        with pytest.raises(ResourceLimitError,
+                           match=rf"^line 1: a vertex count of {digits} digits is too large to price$"):
+            graphcomp.parse_edge_list("9" * digits + "\n0 1\n")
+    assert graphcomp.parse_edge_list("9" * 308 + "\n0 1\n").vertex_count == 10 ** 308 - 1
+    assert graphcomp.parse_edge_list("0" * 5000 + "2\n0 1\n") == path(2)
 
 
 def test_a_label_past_the_digit_limit_of_int_is_out_of_range():
@@ -550,7 +560,7 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
         assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
     assert not subset_sizes
     assert frontier_sizes == [12, 13, 16, 20, 40, 10, 12, 20, 60]
-    # pinned blocks of the benchmark on both sides of the step ratio: the
+    # pinned blocks of the benchmark on both sides of the two prices: the
     # frontier DP's state bound is loose on the denser ones
     frontier_sizes.clear()
     pinned = json.loads(PINNED_DENSE.read_text())
@@ -558,8 +568,8 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
         for entry in [e for e in pinned if e["n"] == n and e["p"] == p]:
             block = LabeledGraph(n, {tuple(edge) for edge in entry["edges"]})
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
-    assert subset_sizes == [10, 10, 10]
-    assert frontier_sizes == [10, 10, 10, 12, 12, 12]
+    assert subset_sizes == [10, 10, 10, 10, 12]
+    assert frontier_sizes == [10, 10, 12, 12]
 
 
 # --- the block memo --------------------------------------------------------------------------
@@ -746,23 +756,80 @@ def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
     assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", 4)) == 12
 
 
-def test_a_block_over_the_budget_on_its_cheaper_counter_goes_to_the_other(monkeypatch):
-    # one 12-vertex block: the frontier DP is estimated cheaper (2.4e6 word
-    # steps against 3.2e6) but priced dearer (5.3e6 against 3.2e6)
-    rng = Random(5)
-    block = graphcomp.random_connected_graph(rng, rng.randint(10, 12), rng.uniform(0.1, 0.6))
-    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
-    count = graphcomp.reduce_and_count(block)
-    assert (subset_sizes, frontier_sizes) == ([], [12])
-    monkeypatch.setattr(errors, "WORK_BUDGET", 4e6)
-    graphcomp._block_counts.clear()
-    assert graphcomp.reduce_and_count(block) == count
-    assert (subset_sizes, frontier_sizes) == ([12], [12])
-    # over the budget on both sides, the counter it is routed to refuses it
-    monkeypatch.setattr(errors, "WORK_BUDGET", 3e6)
-    graphcomp._block_counts.clear()
-    with pytest.raises(ResourceLimitError, match="the frontier DP on 12 vertices and up to"):
-        graphcomp.reduce_and_count(block)
+class _Started(Exception):
+    """Raised by a patched DP loop: its counter was chosen and its price fit."""
+
+
+def _largest_block(graph):
+    """The largest biconnected block of the graph, relabelled 0..n-1."""
+    block = max(graphcomp._blocks(graph), key=len, default=[])
+    vertices = sorted({v for edge in block for v in edge})
+    index = {v: i for i, v in enumerate(vertices)}
+    return LabeledGraph(len(vertices), {(index[u], index[v]) for u, v in block})
+
+
+def _routing_blocks():
+    """Blocks of 300 random connected graphs of 8-16 vertices at p = .1-.7
+    (those with at least 3 vertices), cycles, ladders, grids and the pinned
+    dense blocks of the benchmark."""
+    rng = Random(17)
+    blocks = [_largest_block(graphcomp.random_connected_graph(rng, rng.randint(8, 16),
+                                                              rng.uniform(0.1, 0.7)))
+              for _ in range(300)]
+    blocks += [graphcomp.build_family("cycle", n) for n in range(4, 41, 3)]
+    blocks += [graphcomp.build_family("ladder", rungs) for rungs in range(2, 21, 3)]
+    blocks += [grid(rows, columns) for rows in (3, 4, 5, 6) for columns in (4, 8, 12)]
+    blocks += [LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]})
+               for e in json.loads(PINNED_DENSE.read_text())]
+    return [block for block in blocks if block.vertex_count >= 3]
+
+
+def _refused(price, *args):
+    try:
+        price(*args)
+    except ResourceLimitError:
+        return True
+    return False
+
+
+def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_both_are(monkeypatch):
+    # each DP loop is stopped as it starts, after its counter priced itself
+    def started(counter):
+        def stop(*_):
+            raise _Started(counter)
+        return stop
+
+    monkeypatch.setattr(graphcomp, "_subset_ways", started("subset"))
+    monkeypatch.setattr(graphcomp, "_successors", started("frontier"))
+    monkeypatch.setattr(graphcomp, "_block_counts", {})  # stays empty: every call raises
+    cases = []
+    for block in _routing_blocks():
+        n, m = block.vertex_count, len(block.edges)
+        h = len(graphcomp._non_universal(n, block.edges))
+        widths = graphcomp._frontier_order(block.adjacency())[1]
+        step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, graphcomp._count_bits(n, m))
+        lower = "subset" if errors.word_steps(*graphcomp._subset_cost(h)[:2]) \
+            <= step * graphcomp._frontier_price(widths)[0] else "frontier"
+        cases.append((block, h, widths, lower))
+    assert 50 < sum(lower == "frontier" for *_, lower in cases) < len(cases) - 50
+    default = errors.WORK_BUDGET
+    for budget in (default, 3e7, 1e6, 2e5):  # the least admits every block split
+        monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+        outcomes = []
+        for block, h, widths, lower in cases:
+            both_refuse = (_refused(graphcomp._price_subset_dp, h) and
+                           _refused(graphcomp._price_frontier, block.vertex_count, len(block.edges), widths))
+            with pytest.raises((_Started, ResourceLimitError)) as outcome:
+                graphcomp.reduce_and_count(block)
+            refused = outcome.type is ResourceLimitError
+            assert refused == both_refuse, (budget, sorted(block.edges))
+            if not refused:
+                assert outcome.value.args == (lower,), (budget, sorted(block.edges))
+            outcomes.append(refused)
+        if budget < default:
+            assert 20 < sum(outcomes) < len(outcomes) - 20
+        else:
+            assert not any(outcomes)
 
 
 def test_a_thin_block_over_the_budget_builds_no_frontier_order(monkeypatch):
