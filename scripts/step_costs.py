@@ -2,21 +2,24 @@
 word steps of compcount's work budget, and the blocks that routing on those
 prices sends to the slower counter.
 
-The subset DP (graphcomp._subset_ways) is priced at SUBSET_STEP_OPERATIONS
-operations a direct step (3^m for a cube of m <= DIRECT_CUBE_BITS vertices)
-and TRANSFORM_STEP_OPERATIONS a transform step (m 2^m for a larger cube),
-on the numbers of graphcomp._subset_cost. The frontier DP is priced at
-FRONTIER_STEP_PRICE word steps and one addition of its counts a step of its
-state bound (graphcomp._frontier_price, by graphcomp._price_frontier), timed
-here with its successor memo cold and warm. graphcomp._count_block sends
-each block to the counter of the lower price. This script times both DPs
-with the guard switched off, prints the cost of each step in nanoseconds and
-in word steps next to its price, times both counters on small blocks (the
-benchmark's pinned dense blocks among them) and lists those that the prices
-send to the slower counter with the slowdown of each, and checks the guard
-on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one, which
-is refused before its frontier order is built. Word steps are converted at
---ns-per-word-step, the speed the budget assumes (errors.py).
+The subset DP (graphcomp._subset_ways, which
+graphcomp.count_compositions_graph prices before it runs) is priced at
+SUBSET_STEP_OPERATIONS operations a direct step (3^m for a cube of
+m <= DIRECT_CUBE_BITS vertices) and TRANSFORM_STEP_OPERATIONS a transform
+step (m 2^m for a larger cube), on the numbers of graphcomp._subset_cost.
+The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
+of its counts a step of its state bound (graphcomp._frontier_price, by
+graphcomp._price_frontier), timed here with its successor memo cold and
+warm. graphcomp._count_block sends each block to the counter of the lower
+price. This script times both DPs with the guard switched off, prints the
+cost of each step in nanoseconds and in word steps next to its price, times
+both counters on small blocks (the benchmark's pinned dense blocks among
+them) under the labels of graphcomp._blocks, on which
+graphcomp.reduce_and_count routes and counts them, and lists those that the
+prices send to the slower counter with the slowdown of each, and checks the
+guard on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one,
+which is refused before its frontier order is built. Word steps are
+converted at --ns-per-word-step, the speed the budget assumes (errors.py).
 
     PYTHONPATH=src python3 scripts/step_costs.py [--repeat 3]
 
@@ -54,11 +57,9 @@ def grid(rows, columns):
 
 
 def largest_block(graph):
-    """The largest biconnected block of the graph, relabelled 0..n-1."""
-    block = max(graphcomp._blocks(graph), key=len)
-    vertices = sorted({v for edge in block for v in edge})
-    index = {v: i for i, v in enumerate(vertices)}
-    return graphcomp.LabeledGraph(len(vertices), {(index[u], index[v]) for u, v in block})
+    """A biconnected block of the graph with the most vertices, as
+    graphcomp._blocks labels it."""
+    return graphcomp.LabeledGraph(*max(graphcomp._blocks(graph)))
 
 
 def subset_steps(word_ns, repeat):
@@ -139,13 +140,14 @@ def routing(word_ns, repeat):
     for n in range(6, 17):
         for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
             graphs.append((f"block of random {n}/{p} #{len(graphs)}",
-                           largest_block(graphcomp.random_connected_graph(rng, n, p))))
+                           graphcomp.random_connected_graph(rng, n, p)))
     pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_dense.json"
     graphs += [(f"pinned {e['n']}/{e['p']}",
                 graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]}))
                for e in json.loads(pinned.read_text())]
     slower = []
     for name, graph in graphs:
+        graph = largest_block(graph)  # relabelled as reduce_and_count routes it
         n = graph.vertex_count
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import exactnum
-from .errors import ResourceLimitError, check_work
+from .errors import ResourceLimitError, check_work, pricing
 
 Composition = tuple[int, ...]
 
@@ -102,8 +102,8 @@ def count_restricted(n: int, k: int, bounds: PartBounds = NONNEGATIVE_PARTS) -> 
     t = min(k, r // s)
     # math.comb(N, K) costs about min(K, N - K) products; no term, and no
     # partial sum, exceeds 2^t times the count without an upper bound
-    check_work(f"count_restricted({n}, {k}) with parts in [{bounds.lower}, {bounds.upper}]",
-               (t + 1) * (min(k - 1, r) + 2), _count_bits(r, k) + t, held=3)
+    with pricing(what := f"count_restricted({n}, {k}) with parts in [{bounds.lower}, {bounds.upper}]"):
+        check_work(what, (t + 1) * (min(k - 1, r) + 2), _count_bits(r, k) + t, held=3)
     return sum((-1) ** i * math.comb(k, i) * math.comb(r - i * s + k - 1, k - 1)
                for i in range(t + 1))
 
@@ -162,8 +162,9 @@ def _distinct_rows(last_row: int, ordered: bool) -> list[tuple[int, ...]]:
     about 0.94 n^1.5 entries up to row n. The work is priced as if the table
     were empty, so a refusal does not depend on the queries before it.
     """
-    entries, bits = _distinct_table_size(last_row)
-    check_work(f"the distinct-part table to row {last_row}", entries, bits, held=entries)
+    with pricing(what := f"the distinct-part table to row {last_row}"):
+        entries, bits = _distinct_table_size(last_row)
+        check_work(what, entries, bits, held=entries)
     rows = _DISTINCT_ROWS[ordered]
     for m in range(len(rows), last_row + 1):
         row = [0]
@@ -229,7 +230,8 @@ def _check_binomial_sums(what: str, n: int, binomials: float) -> None:
 def _check_leading_total(name: str, n: int) -> None:
     """Refuse a leading total of n: 2(n/k + 1) binomials for each k, which
     also bounds the window recurrence that _fibonacci_higher runs at small k."""
-    _check_binomial_sums(f"{name}({n})", n, 2 * n * (math.log(n) + 2))
+    with pricing(what := f"{name}({n})"):
+        _check_binomial_sums(what, n, 2 * n * (math.log(n) + 2))
 
 
 def count_leading_strict_total(n: int) -> int:
@@ -300,10 +302,11 @@ def fibonacci_higher(m: int, n: int) -> int:
         raise ValueError("the part-size bound must be positive")
     if n < 0:
         return 0
-    if _by_window(m, n):
-        check_work(f"fibonacci_higher({m}, {n})", 2 * n, n, held=m + 2)
-    else:
-        _check_binomial_sums(f"fibonacci_higher({m}, {n})", n, 2 * (n / (m + 1) + 1))
+    with pricing(what := f"fibonacci_higher({m}, {n})"):
+        if _by_window(m, n):
+            check_work(what, 2 * n, n, held=m + 2)
+        else:
+            _check_binomial_sums(what, n, 2 * (n / (m + 1) + 1))
     return _fibonacci_higher(m, n)
 
 
@@ -344,10 +347,10 @@ def triangle(kind: str, rows: int) -> Triangle:
         raise ValueError(f"unknown triangle kind {kind!r}; expected one of {TRIANGLE_KINDS}")
     if rows < 1:
         raise ValueError("need at least one row")
-    entries, bits = _distinct_table_size(rows - 1)
-    cells = rows * (rows + 1) / 2  # held and printed, padding included
-    check_work(f"triangle({kind!r}, {rows})", entries + cells, bits,
-               held=entries + cells, printed=cells)
+    with pricing(what := f"triangle({kind!r}, {rows})"):
+        entries, bits = _distinct_table_size(rows - 1)
+        cells = rows * (rows + 1) / 2  # held and printed, padding included
+        check_work(what, entries + cells, bits, held=entries + cells, printed=cells)
     table = _distinct_rows(rows - 1, kind == COMPOSITIONS_DISTINCT)
     return Triangle(kind, tuple(row + (0,) * (n + 1 - len(row))
                                 for n, row in enumerate(table[:rows])))

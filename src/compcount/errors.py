@@ -25,15 +25,15 @@ found in the block memo runs no counter, so it is not priced):
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
-- the graph block counters: the subset DP on n vertices (graphcomp.
-  _subset_ways, priced by _subset_cost) 1.5 operations a direct step, 3^m of
-  them for each cube of m <= 7 vertices above a lowest vertex, and 2 a
-  transform step, m 2^m for each larger cube, all on the packed numbers of
-  the largest cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them
-  held; the frontier DP (graphcomp._price_frontier) 585 word steps and one
-  addition of min(edges, n log2(n + 1)) bits a step of its state bound
-  (_frontier_price), its states held; before its order, one step a vertex.
-  Neither block counter prices a decimal conversion of its count.
+- the graph block counters: the subset DP on n vertices (priced by
+  graphcomp.count_compositions_graph, not _subset_ways) 1.5 operations a
+  direct step, 3^m of them for each cube of m <= 7 vertices above a lowest
+  vertex, and 2 a transform step, m 2^m for each larger cube, all on the
+  packed numbers of the largest cube, n fields of about 2n + n log2 n bits,
+  2^(n+1) of them held; the frontier DP (graphcomp._price_frontier) 585 word
+  steps and one addition of min(edges, n log2(n + 1)) bits a step of its
+  state bound (_frontier_price), its states held; before its order, one step
+  a vertex. Neither block counter prices a decimal conversion of its count.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
@@ -48,8 +48,11 @@ count_compositions_graph also prices its sums T(u, 0..h)
 graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
 character, and reads no further than the first character over the budget.
 verify.run_suite prices the checks that grow with max_n: (4 max_n)^3
-operations for the leading totals, 20 order^2 for the series.
+operations for the leading totals, 20 order^2 for the series. A size past
+the range of a float (about 10^308) is refused where its estimate overflows.
 """
+
+from contextlib import contextmanager
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus
 # one per 64-bit word of its operands, and printing a number of w words about
@@ -75,13 +78,23 @@ def word_steps(operations: float, bits: float) -> float:
     return operations * (OP_STEPS + bits / 64 + 1)
 
 
+@contextmanager
+def pricing(what: str):
+    """Refuse `what` where its cost estimate overflows a float (past 10^308)."""
+    try:
+        yield
+    except OverflowError:
+        raise ResourceLimitError(f"{what}: a size too large to price") from None
+
+
 def check_work(what: str, operations: float, bits: float, held: float, printed: float = 1) -> None:
     """Refuse a computation of `operations` big-integer operations on numbers
     of at most `bits` bits that holds `held` of them at once and prints
     `printed`, if its estimated steps or bytes exceed the budgets."""
-    words = bits / 64 + 1
-    steps = word_steps(operations, bits) + printed * (OP_STEPS + 2 * words * words)
-    memory = held * (40 + 8 * words)
+    with pricing(what):
+        words = bits / 64 + 1
+        steps = word_steps(operations, bits) + printed * (OP_STEPS + 2 * words * words)
+        memory = held * (40 + 8 * words)
     if steps > WORK_BUDGET or memory > MEMORY_BUDGET:
         raise ResourceLimitError(
             f"{what} needs an estimated {steps:.3g} word steps and {memory / 1e6:.3g} MB, "

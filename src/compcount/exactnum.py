@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
-from .errors import check_work
+from .errors import check_work, pricing
 
 
 def exact_div(numerator: int, divisor: int) -> int:
@@ -77,7 +77,8 @@ def bell(n: int) -> int:
     """
     if n < 0:
         return 0
-    check_work(f"bell({n})", n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
+    with pricing(what := f"bell({n})"):
+        check_work(what, n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
     global _BELL_ROW
     while len(_BELLS) <= n:
         _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
@@ -95,8 +96,8 @@ def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
     stirling2), continued from the last row built unless that is past n, so
     an increasing sweep builds each row once and keeps only the cached ones.
     The work is priced as in bell, as if no row were kept."""
-    check_work(f"stirling{1 if first_kind else 2} row {n}", n * (n + 1) / 2, n * math.log2(n + 1),
-               held=2 * n + 2)
+    with pricing(what := f"stirling{1 if first_kind else 2} row {n}"):
+        check_work(what, n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
     m, row = _STIRLING_LAST[first_kind]
     if m > n:
         m, row = 0, (1,)

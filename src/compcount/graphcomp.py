@@ -13,17 +13,17 @@ decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 whose states follow the frontier width instead, and suits thin graphs of
 any size; the successors of a state in a step of a given shape come from a
 bounded memo (_successors) that every block shares. ``reduce_and_count``
-finds the biconnected blocks of the graph in one linear-time DFS and returns
-the product of their counts:
+finds the biconnected blocks in one linear-time DFS, which labels the
+vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block with at least 3
 vertices goes to the counter of the lower price under the shared work budget
 (errors.check_work), which refuses it where that price is over the budget. A
 block's count depends only on the block, so the counts of blocks of at most
 BLOCK_MEMO_VERTICES = 64 vertices are kept in an LRU memo of
-BLOCK_MEMO_ENTRIES = 4096 entries, keyed by the block relabelled in DFS
-discovery order as (n, bits), bit a n + b for each edge a < b; a hit runs no
-counter and is not priced again."""
+BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as (n, bits), bit
+a n + b for each edge a < b; a hit runs no counter and is not priced again,
+and a miss is counted on the same labels."""
 
 import heapq
 import math
@@ -32,13 +32,13 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Iterable, Iterator
 
 from . import exactnum
-from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, word_steps
+from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, pricing, word_steps
 
 ENUMERATION_VERTEX_LIMIT = 10
 # The subset DP sums a cube of at most this many vertices above the lowest
@@ -240,7 +240,7 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-# A block as reduce_and_count relabels it, with its vertices that are not universal.
+# A block as _blocks labels it, with its vertices that are not universal.
 _Block = namedtuple("_Block", "vertex_count edges rest")
 
 
@@ -291,9 +291,8 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     them, each S is counted in turn: ways(C) ways(S minus C) if C is not S,
     else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
     3^m steps). A larger cube is counted all at once by _ranked_convolution
-    on strided slices of the two tables, in about m 2^m transform steps. The
-    price is _subset_cost."""
-    _price_subset_dp(n)
+    on strided slices of the two tables, in about m 2^m transform steps.
+    Unpriced: count_compositions_graph prices it, by _subset_cost."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -595,10 +594,6 @@ def _successors(shape: tuple, state: tuple) -> tuple[tuple, ...]:
 
 
 def _set_partitions_masks(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-
     def rec(v: int, blocks: list[int]) -> Iterator[tuple[int, ...]]:
         if v == n:
             yield tuple(blocks)
@@ -682,9 +677,9 @@ def build_family(family: str, n: int) -> LabeledGraph:
     is priced as 40 operations on, and 7 held numbers of, log2(n+1) bits.
     """
     _check_family(family, n)
-    edge_count = n * (n - 1) / 2 if family.startswith("complete") else 3 * n if family == "ladder" else n
-    check_work(f"build_family({family!r}, {n})", 40 * edge_count, math.log2(n + 1),
-               held=7 * edge_count)
+    with pricing(what := f"build_family({family!r}, {n})"):
+        edge_count = n * (n - 1) / 2 if family.startswith("complete") else 3 * n if family == "ladder" else n
+        check_work(what, 40 * edge_count, math.log2(n + 1), held=7 * edge_count)
     if family == "path":
         edges = {(i, i + 1) for i in range(n - 1)}
     elif family == "tree":
@@ -729,8 +724,8 @@ def ladder_binet(n: int) -> int:
     """
     if n < 1:
         raise ValueError("ladder needs n >= 1")
-    bits = 2.63 * n
-    check_work(f"ladder_binet({n})", 64 * (bits / 64 + 1) ** 0.585, bits, held=8)
+    with pricing(what := f"ladder_binet({n})"):
+        check_work(what, 64 * (2.63 * n / 64 + 1) ** 0.585, 2.63 * n, held=8)
     xp, yp = _pow_sqrt10(3, 1, n)
     xm, ym = _pow_sqrt10(3, -1, n)
     if xp != xm:
@@ -738,12 +733,13 @@ def ladder_binet(n: int) -> int:
     return yp - ym
 
 
-def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks, by one iterative lowlink DFS
-    (Hopcroft and Tarjan) that keeps the edges of the open blocks on a stack.
-
-    A bridge comes out as a one-edge block; isolated vertices yield nothing.
-    """
+def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The biconnected blocks as (n, edges), by one iterative lowlink DFS
+    (Hopcroft and Tarjan) that keeps the edges of the open blocks on a stack,
+    each as (a, b) with a discovered first. A block's vertices are relabelled
+    0..n-1 as its edges are popped, in order of first appearance, which is
+    their order of discovery, so a < b on every edge. A bridge comes out as
+    (2, [(0, 1)]); isolated vertices yield nothing."""
     n = graph.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]  # in edge-set order: the split needs none
     for u, v in graph.edges:
@@ -771,7 +767,7 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                     edge_stack.append((v, w))
                     break
                 if w != parent and pre[w] < pre[v]:
-                    edge_stack.append((v, w))
+                    edge_stack.append((w, v))
                     if pre[w] < low[v]:
                         low[v] = pre[w]
             else:
@@ -781,8 +777,14 @@ def _blocks(graph: LabeledGraph) -> Iterator[list[tuple[int, int]]]:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
                 if low[v] >= pre[parent]:
-                    yield edge_stack[mark:]
+                    if len(edge_stack) == mark + 1:  # a bridge
+                        del edge_stack[mark]
+                        yield 2, [(0, 1)]
+                        continue
+                    label = {parent: 0, v: 1}  # its first edge, into v; any later a is labelled by then
+                    edges = [(label[a], label.setdefault(b, len(label))) for a, b in edge_stack[mark:]]
                     del edge_stack[mark:]
+                    yield len(label), edges
 
 
 # A direct subset-DP step in check_work operations: 1.5 of about 27 word
@@ -905,14 +907,11 @@ def reduce_and_count(graph: LabeledGraph) -> int:
 
     A block with at least 3 vertices and at most BLOCK_MEMO_VERTICES is
     looked up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES
-    entries. Its key is (n, bits) with bit a n + b for each edge a < b, under
-    labels in order of first appearance in the block's edge list, the order
-    in which the DFS discovers them: every labelling of C_n or K_m gives one
-    key, and a key has at most n^2 bits. A hit runs no counter, so it is not
-    priced again. A miss, and any larger block, is counted by _count_block
-    on its vertices relabelled in increasing order instead: the frontier
-    order breaks ties by label, and DFS labels would move some dense blocks
-    to the other counter. A refusal raises before anything is kept.
+    entries, keyed by (n, bits) with bit a n + b for each edge (a, b) under
+    the labels of _blocks, in DFS discovery order: every labelling of C_n or
+    K_m gives one key, and a key has at most n^2 bits. A hit runs no counter
+    and is not priced again; a miss, and any larger block, is counted by
+    _count_block on the same edges. A refusal raises before anything is kept.
     """
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
@@ -921,34 +920,21 @@ def reduce_and_count(graph: LabeledGraph) -> int:
                20 * size, 0, held=4 * size, printed=0)
     bridges = 0
     counts = []
-    for block in _blocks(graph):
-        if len(block) == 1:
+    for n, edges in _blocks(graph):
+        if n == 2:
             bridges += 1
-            continue
-        vertices = dict.fromkeys(chain.from_iterable(block))  # in DFS discovery order
-        n = len(vertices)
-        if n > BLOCK_MEMO_VERTICES:
-            counts.append(_count_block(n, _sorted_relabel(block, vertices)))
-            continue
-        label = {v: i for i, v in enumerate(vertices)}
-        pairs = ((label[u], label[v]) for u, v in block)
-        key = n, sum(1 << (a * n + b if a < b else b * n + a) for a, b in pairs)
-        found = _block_counts.pop(key, None)
-        if found is None:
-            found = _count_block(n, _sorted_relabel(block, vertices))
-            if len(_block_counts) >= BLOCK_MEMO_ENTRIES:
-                del _block_counts[next(iter(_block_counts))]
-        _block_counts[key] = found
-        counts.append(found)
+        elif n > BLOCK_MEMO_VERTICES:
+            counts.append(_count_block(n, edges))
+        else:
+            key = n, sum(1 << a * n + b for a, b in edges)
+            found = _block_counts.pop(key, None)
+            if found is None:
+                found = _count_block(n, edges)
+                if len(_block_counts) >= BLOCK_MEMO_ENTRIES:
+                    del _block_counts[next(iter(_block_counts))]
+            _block_counts[key] = found
+            counts.append(found)
     return _balanced_product(counts) << bridges
-
-
-def _sorted_relabel(block: list[tuple[int, int]], vertices: Iterable[int]) -> list[tuple[int, int]]:
-    """The block's edges (a, b), a < b, with its vertices relabelled 0..n-1
-    in increasing order: the labels that route a block, whatever the order
-    of its edges."""
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    return [(index[u], index[v]) if u < v else (index[v], index[u]) for u, v in block]
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
@@ -1000,8 +986,6 @@ def random_tree(rng: Random, n: int) -> LabeledGraph:
         raise ValueError("vertex count must be nonnegative")
     if n <= 1:
         return LabeledGraph(n)
-    if n == 2:
-        return LabeledGraph(2, frozenset({(0, 1)}))
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return LabeledGraph(n, frozenset(_tree_edges_from_sequence(seq, n)))
 

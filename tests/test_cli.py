@@ -461,6 +461,31 @@ def test_sizes_past_the_range_of_a_float_are_refused(argv, tmp_path, monkeypatch
     assert time.perf_counter() - start < 1
 
 
+# Library calls on sizes past the range of a float, whose cost estimates overflow.
+PAST_A_FLOAT = [
+    lambda: compositions.count_avoiding(10 ** 400, 3),
+    lambda: compositions.count_containing(10 ** 400, 3),
+    lambda: compositions.count_leading_weak(10 ** 400, 3),
+    lambda: series.gf_distinct_total(10 ** 400),
+    lambda: series.family_series("fstrict", 3, 10 ** 400),
+    lambda: graphcomp.family_count("cycle", 10 ** 400),
+    lambda: graphcomp.reduce_and_count(graphcomp.LabeledGraph(10 ** 308 - 1)),
+    lambda: compositions.count_compositions_distinct(10 ** 400, 5),
+    lambda: compositions.count_compositions_distinct_total(10 ** 400),
+    lambda: compositions.triangle(compositions.PARTITIONS_DISTINCT, 10 ** 400),
+    lambda: compositions.count_leading_strict_total(10 ** 400),
+    lambda: compositions.leading_weak_total(10 ** 400),
+    lambda: compositions.fibonacci_higher(10 ** 400, 10 ** 400),
+    lambda: exactnum.bell(10 ** 400),
+    lambda: graphcomp.family_count("complete", 10 ** 400),
+    lambda: exactnum.stirling1(10 ** 400, 2),
+    lambda: exactnum.stirling2(10 ** 400, 2),
+    lambda: graphcomp.ladder_binet(10 ** 400),
+    lambda: graphcomp.build_family("complete", 10 ** 400),
+    lambda: compositions.count_restricted(5, 10 ** 400, compositions.PartBounds(0, 5)),
+]
+
+
 @pytest.mark.parametrize("call", [
     lambda: compositions.count_compositions_distinct_total(10 ** 7),
     lambda: compositions.count_compositions_distinct(10 ** 7, 5),
@@ -479,10 +504,12 @@ def test_sizes_past_the_range_of_a_float_are_refused(argv, tmp_path, monkeypatch
     lambda: graphcomp.build_family("complete", 10 ** 5),
     lambda: exactnum.stirling1(10 ** 5, 2),
     lambda: exactnum.stirling2(10 ** 5, 2),
+    *PAST_A_FLOAT,
 ])
 def test_library_calls_are_refused_like_the_cli(call):
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="over the budget of"):
+    message = "a size too large to price" if call in PAST_A_FLOAT else "over the budget of"
+    with pytest.raises(ResourceLimitError, match=message):
         call()
     assert time.perf_counter() - start < 1
 

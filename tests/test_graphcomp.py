@@ -689,6 +689,109 @@ def test_a_refused_block_is_not_kept(monkeypatch):
     assert (len(memo), memo.hits) == (1, 1)
 
 
+def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
+    memo = CountingMemo()
+    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    counted = {}
+    count_block = graphcomp._count_block
+
+    def recording(n, edges):
+        count = count_block(n, edges)
+        counted[n, sum(1 << a * n + b for a, b in edges)] = count
+        return count
+
+    monkeypatch.setattr(graphcomp, "_count_block", recording)
+    rng = Random(1818)
+    pool = _pool(rng)
+    for _ in range(4):
+        graphcomp.reduce_and_count(_glued(rng, [rng.choice(pool)[0] for _ in range(30)]))
+    assert memo.hits > 20
+    assert counted == memo
+
+
+# --- the block split -------------------------------------------------------------------------
+
+def _oracle_blocks(graph):
+    """The blocks as edge sets, found without a DFS: two edges share a block
+    exactly when no one vertex taken out of the graph separates them, an
+    edge at the vertex taken out going with its other end."""
+    n = graph.vertex_count
+    adj = graph.adjacency()
+    sides = {edge: [] for edge in graph.edges}
+    for x in range(n):
+        component = [-1] * n
+        for start in range(n):
+            if start == x or component[start] != -1:
+                continue
+            component[start] = start
+            reached = [start]
+            for v in reached:
+                for w in adj[v]:
+                    if w != x and component[w] == -1:
+                        component[w] = start
+                        reached.append(w)
+        for u, v in graph.edges:
+            sides[u, v].append(component[v if u == x else u])
+    blocks = {}
+    for edge, side in sides.items():
+        blocks.setdefault(tuple(side), set()).add(edge)
+    return list(blocks.values())
+
+
+def _maps_onto(n, edges, target):
+    """Whether some bijection of 0..n-1 onto the vertices of the edge set
+    target takes edges onto it, by backtracking in label order: label b goes
+    to a vertex whose neighbours among the images of 0..b-1 are exactly the
+    images of b's neighbours there."""
+    neighbours = {}
+    for u, v in target:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    earlier = [[] for _ in range(n)]
+    for a, b in edges:
+        earlier[b].append(a)
+
+    def extend(image):
+        b = len(image)
+        if b == n:
+            return True
+        candidates = neighbours[image[earlier[b][0]]] if earlier[b] else neighbours
+        linked = {image[a] for a in earlier[b]}
+        return any(x not in image and neighbours[x].intersection(image) == linked
+                   and extend(image + [x]) for x in candidates)
+
+    return len(neighbours) == n and len(edges) == len(target) and extend([])
+
+
+def test_the_block_split_yields_each_block_under_its_dfs_labels():
+    rng = Random(1973)
+    pool = _pool(rng)
+    graphs = [_glued(rng, [rng.choice(pool)[0] for _ in range(12)]) for _ in range(6)]
+    graphs += [relabelled(graphcomp.build_family(family, size), rng)
+               for family, sizes in (("cycle", (3, 9, 30)), ("ladder", (2, 7)), ("complete", (3, 8)))
+               for size in sizes]
+    trees = [graphcomp.random_tree(rng, n) for n in (1, 2, 7, 20)]
+    forest, offset = set(), 0
+    for tree in trees:
+        forest |= {(u + offset, v + offset) for u, v in tree.edges}
+        offset += tree.vertex_count
+    graphs += [LabeledGraph(6), relabelled(LabeledGraph(offset + 3, forest), rng)]
+    for graph in graphs:
+        blocks = list(graphcomp._blocks(graph))
+        oracle = _oracle_blocks(graph)
+        assert len(blocks) == len(oracle)
+        for n, edges in blocks:
+            assert list(dict.fromkeys(v for edge in edges for v in edge)) == list(range(n))
+            assert all(a < b for a, b in edges)
+            # each block is one of the graph's, and no two are the same one
+            match = next(target for target in oracle if _maps_onto(n, edges, target))
+            oracle.remove(match)
+        bridges = sum(len(edges) == 1 for _, edges in blocks)
+        assert [block for block in blocks if block[0] == 2] == [(2, [(0, 1)])] * bridges
+    assert not list(graphcomp._blocks(LabeledGraph(6)))
+    assert all(n == 2 for n, _ in graphcomp._blocks(graphs[-1]))
+
+
 # --- the universal-vertex route --------------------------------------------------------------
 
 def _with_universal(rng, n, p, planted):
@@ -761,11 +864,8 @@ class _Started(Exception):
 
 
 def _largest_block(graph):
-    """The largest biconnected block of the graph, relabelled 0..n-1."""
-    block = max(graphcomp._blocks(graph), key=len, default=[])
-    vertices = sorted({v for edge in block for v in edge})
-    index = {v: i for i, v in enumerate(vertices)}
-    return LabeledGraph(len(vertices), {(index[u], index[v]) for u, v in block})
+    """A biconnected block of the graph with the most vertices, as _blocks labels it."""
+    return LabeledGraph(*max(graphcomp._blocks(graph)))
 
 
 def _routing_blocks():
@@ -804,9 +904,10 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
     monkeypatch.setattr(graphcomp, "_block_counts", {})  # stays empty: every call raises
     cases = []
     for block in _routing_blocks():
-        n, m = block.vertex_count, len(block.edges)
-        h = len(graphcomp._non_universal(n, block.edges))
-        widths = graphcomp._frontier_order(block.adjacency())[1]
+        n, edges = max(graphcomp._blocks(block))  # the labels reduce_and_count routes on
+        m = len(edges)
+        h = len(graphcomp._non_universal(n, edges))
+        widths = graphcomp._frontier_order(graphcomp._adjacency(n, edges))[1]
         step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, graphcomp._count_bits(n, m))
         lower = "subset" if errors.word_steps(*graphcomp._subset_cost(h)[:2]) \
             <= step * graphcomp._frontier_price(widths)[0] else "frontier"
