@@ -9,7 +9,7 @@ m <= DIRECT_CUBE_BITS vertices) and TRANSFORM_STEP_OPERATIONS a transform
 step (m 2^m for a larger cube), on the numbers of graphcomp._subset_cost.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
 of its counts a step of its state bound (graphcomp._frontier_price, by
-graphcomp._price_frontier), timed here with its successor memo cold and
+graphcomp._frontier_cost), timed here with its successor memo cold and
 warm. graphcomp._count_block sends each block to the counter of the lower
 price. This script times both DPs with the guard switched off, prints the
 cost of each step in nanoseconds and in word steps next to its price, times
@@ -122,8 +122,8 @@ def frontier_steps(word_ns, repeat):
         steps = graphcomp._frontier_price(widths)[0]
         cold_seconds = best_time(lambda: cold_frontier(adj, order, widths), repeat)
         warm_seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
-        bits = graphcomp._count_bits(graph.vertex_count, len(graph.edges))
-        priced = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, bits)
+        priced = errors.word_steps(*graphcomp._frontier_cost(graph.vertex_count, len(graph.edges),
+                                                             widths)[:2]) / steps
         cold_steps, warm_steps = (s / steps * 1e9 / word_ns for s in (cold_seconds, warm_seconds))
         print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {cold_seconds:>8.4f} "
               f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
@@ -152,10 +152,9 @@ def routing(word_ns, repeat):
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
-        step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(
-            1, graphcomp._count_bits(n, len(graph.edges)))
-        h = len(graphcomp._non_universal(n, graph.edges))
-        frontier_first = step * steps < errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        h = sum(len(neighbours) < n - 1 for neighbours in adj)  # the vertices that are not universal
+        frontier_first = errors.word_steps(*graphcomp._frontier_cost(n, len(graph.edges), widths)[:2]) \
+            < errors.word_steps(*graphcomp._subset_cost(h)[:2])
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \

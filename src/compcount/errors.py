@@ -25,15 +25,15 @@ found in the block memo runs no counter, so it is not priced):
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
-- the graph block counters: the subset DP on n vertices (priced by
-  graphcomp.count_compositions_graph, not _subset_ways) 1.5 operations a
-  direct step, 3^m of them for each cube of m <= 7 vertices above a lowest
-  vertex, and 2 a transform step, m 2^m for each larger cube, all on the
-  packed numbers of the largest cube, n fields of about 2n + n log2 n bits,
-  2^(n+1) of them held; the frontier DP (graphcomp._price_frontier) 585 word
-  steps and one addition of min(edges, n log2(n + 1)) bits a step of its
-  state bound (_frontier_price), its states held; before its order, one step
-  a vertex. Neither block counter prices a decimal conversion of its count.
+- the graph block counters, by graphcomp._subset_cost and _frontier_cost:
+  the subset DP on n vertices 1.5 operations a direct step, 3^m of them for
+  each cube of m <= 7 vertices above a lowest vertex, and 2 a transform
+  step, m 2^m for each larger cube, all on the packed numbers of the largest
+  cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them held; the
+  frontier DP 585 word steps and one addition of min(edges, n log2(n + 1))
+  bits a step of its state bound (_frontier_price), its states held; before
+  its order, one step a vertex. Neither prices a decimal conversion. The
+  public counters of both price themselves before any list of n entries.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
@@ -41,15 +41,15 @@ split, 4 numbers held and 20 operations per vertex and edge, and hands each
 block to the counter of the lower price, which refuses it where that price
 is over the budget, unless the block's count is in its memo of at most 4096
 blocks of at most 64 vertices: a hit does no work and is not priced again,
-and a refused block is not kept. On u universal vertices and h others,
-count_compositions_graph also prices its sums T(u, 0..h)
-(graphcomp._universal_sums): 2u(h + 1) operations on numbers of
-(u + h) log2(u + h + 1) bits, after the Stirling row u prices itself.
-graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
-character, and reads no further than the first character over the budget.
-verify.run_suite prices the checks that grow with max_n: (4 max_n)^3
-operations for the leading totals, 20 order^2 for the series. A size past
-the range of a float (about 10^308) is refused where its estimate overflows.
+and a refused block is not kept. On u universal vertices and h others, the
+subset DP also prices its sums T(u, 0..h) (graphcomp._universal_sums):
+2u(h + 1) operations on numbers of (u + h) log2(u + h + 1) bits, after the
+Stirling row u prices itself. graphcomp.read_edge_list prices an edge-list
+file at 36 bytes held a character, and reads no further than the first
+character over the budget. verify.run_suite prices the checks that grow with
+max_n: (4 max_n)^3 operations for the leading totals, 20 order^2 for the
+series. A size past the range of a float (about 10^308) is refused where its
+estimate overflows.
 """
 
 from contextlib import contextmanager
@@ -90,12 +90,13 @@ def pricing(what: str):
 def check_work(what: str, operations: float, bits: float, held: float, printed: float = 1) -> None:
     """Refuse a computation of `operations` big-integer operations on numbers
     of at most `bits` bits that holds `held` of them at once and prints
-    `printed`, if its estimated steps or bytes exceed the budgets."""
+    `printed`, unless its estimated steps and bytes are within the budgets."""
     with pricing(what):
         words = bits / 64 + 1
-        steps = word_steps(operations, bits) + printed * (OP_STEPS + 2 * words * words)
+        # nothing printed adds no term: on a count of infinite bits, 0 * inf is nan
+        steps = word_steps(operations, bits) + (printed and printed * (OP_STEPS + 2 * words * words))
         memory = held * (40 + 8 * words)
-    if steps > WORK_BUDGET or memory > MEMORY_BUDGET:
+    if not (steps <= WORK_BUDGET and memory <= MEMORY_BUDGET):  # a nan estimate is refused too
         raise ResourceLimitError(
             f"{what} needs an estimated {steps:.3g} word steps and {memory / 1e6:.3g} MB, "
             f"over the budget of {WORK_BUDGET:.3g} steps and {MEMORY_BUDGET / 1e6:.3g} MB"

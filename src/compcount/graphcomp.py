@@ -16,23 +16,22 @@ bounded memo (_successors) that every block shares. ``reduce_and_count``
 finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2, and each block with at least 3
-vertices goes to the counter of the lower price under the shared work budget
-(errors.check_work), which refuses it where that price is over the budget. A
-block's count depends only on the block, so the counts of blocks of at most
-BLOCK_MEMO_VERTICES = 64 vertices are kept in an LRU memo of
-BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as (n, bits), bit
-a n + b for each edge a < b; a hit runs no counter and is not priced again,
-and a miss is counted on the same labels."""
+bridge (a two-vertex block) contributes 2. A block of at least 3 vertices
+gets one adjacency on those labels, from which both counters are priced
+under the shared work budget (errors.check_work); the cheaper counts it, and
+the block is refused where that price is over the budget. The counts of
+blocks of at most BLOCK_MEMO_VERTICES = 64 vertices are kept in an LRU memo
+of BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as (n, bits),
+bit a n + b for each edge a < b; a hit builds nothing and is not priced."""
 
 import heapq
 import math
 import re
 import sys
-from collections import namedtuple
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Iterable, Iterator
@@ -92,11 +91,14 @@ class LabeledGraph:
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Neighbour lists of n vertices, each in the order of the sorted edges."""
+    """Neighbour lists of n vertices, each in increasing order, whatever the
+    order of the edges: the frontier order breaks its ties on this order."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    for neighbours in adj:
+        neighbours.sort()
     return adj
 
 
@@ -240,11 +242,7 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-# A block as _blocks labels it, with its vertices that are not universal.
-_Block = namedtuple("_Block", "vertex_count edges rest")
-
-
-def count_compositions_graph(graph: LabeledGraph | _Block) -> int:
+def count_compositions_graph(graph: LabeledGraph, *, adjacency: list[list[int]] | None = None) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
     With u universal vertices (adjacent to all others) and the h others W, a
@@ -254,19 +252,25 @@ def count_compositions_graph(graph: LabeledGraph | _Block) -> int:
     states and about h 2^h steps, so K_n costs one Bell number; its table is
     summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
     its last entry. The work budget refuses it past 19 vertices that are not
-    universal; reduce_and_count splits a graph into biconnected blocks first,
-    counts thin ones with the frontier DP and hands others here as a _Block.
+    universal, priced on the degrees before any list of n entries is built;
+    reduce_and_count splits a graph into biconnected blocks, counts thin ones
+    with the frontier DP and hands others here with the adjacency it read.
     """
-    n = graph.vertex_count
-    rest = graph.rest if isinstance(graph, _Block) else _non_universal(n, graph.edges)
+    if adjacency is None:
+        n, degree = graph.vertex_count, Counter(chain.from_iterable(graph.edges))
+        _price_subset_dp(n - sum(d == n - 1 for d in degree.values()) if n > 1 else 0)
+    return _count_subset(adjacency or graph.adjacency())
+
+
+def _count_subset(adj: list[list[int]]) -> int:
+    """count_compositions_graph on the neighbour lists of a graph: priced on
+    the vertices whose lists are shorter than n - 1, then run on their masks."""
+    n = len(adj)
+    rest = [v for v, neighbours in enumerate(adj) if len(neighbours) < n - 1]
     h = len(rest)
     _price_subset_dp(h)  # before the h masks of up to h bits each
-    position = {v: i for i, v in enumerate(rest)}
-    nbr = [0] * h
-    for a, b in graph.edges:
-        if a in position and b in position:
-            nbr[position[a]] |= 1 << position[b]
-            nbr[position[b]] |= 1 << position[a]
+    bit = {v: 1 << i for i, v in enumerate(rest)}  # a universal neighbour adds none
+    nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
         return _subset_ways(nbr, n)[-1]
     sums = _universal_sums(n - h, h)
@@ -292,7 +296,7 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
     3^m steps). A larger cube is counted all at once by _ranked_convolution
     on strided slices of the two tables, in about m 2^m transform steps.
-    Unpriced: count_compositions_graph prices it, by _subset_cost."""
+    Unpriced: _count_subset prices it, by _subset_cost."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -333,9 +337,8 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
 
 def _price_subset_dp(n: int) -> None:
     """Refuse the subset DP on n vertices where _subset_cost puts it over the
-    work budget. Like the frontier DP's, its price holds no decimal conversion
-    (a block count is a factor of the count printed), so it is the word steps
-    that _count_block routes on."""
+    work budget. Neither block counter prices a decimal conversion: a block
+    count is a factor of the count printed."""
     operations, bits, held = _subset_cost(n)
     check_work(f"the subset DP over 2^{n} vertex sets", operations, bits, held=held, printed=0)
 
@@ -386,15 +389,6 @@ def _zeta(values: list[int], op) -> None:
                 values[base + step:base + span] = map(op, values[base + step:base + span],
                                                       values[base:base + step])
         step = span
-
-
-def _non_universal(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """The vertices of n not adjacent to every other one, in increasing order."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    return [v for v in range(n) if degree[v] < n - 1]
 
 
 def _universal_sums(u: int, h: int) -> list[int]:
@@ -500,8 +494,9 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     transitions depend only on its shape in frontier positions, so the
     successors of each (shape, state) pair are kept in an LRU memo of
     FRONTIER_MEMO_ENTRIES entries: cycles and ladders of any size and label
-    order use 13 of them.
+    order use 13 of them. Priced at one step a vertex before the adjacency.
     """
+    _price_frontier(graph.vertex_count, len(graph.edges))
     adj = graph.adjacency()
     return _count_frontier(adj, *_frontier_order(adj))
 
@@ -852,8 +847,7 @@ def _frontier_price(widths: list[int]) -> tuple[float, float]:
     each of its vertices, and its largest bound on the states: every state
     tries at most width + 1 blocks for the next vertex, and the states at
     width w after i vertices are at most the two-level Bell number of w and
-    Bell(i), as a partition of those vertices into blocks fixes the state.
-    The steps both route a block and price the DP."""
+    Bell(i), as a partition of those vertices into blocks fixes the state."""
     bell, two = _state_bounds()
     if max(widths, default=0) >= len(two):
         return math.inf, math.inf
@@ -867,16 +861,23 @@ def _count_bits(n: int, edge_count: int) -> float:
     return min(edge_count, n * math.log2(n + 1))
 
 
-def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) -> None:
-    """Refuse the frontier DP on n vertices where it is over the work budget:
-    FRONTIER_STEP_PRICE word steps and one addition of its counts a step of
-    _frontier_price on the widths of its order, the largest state bound held;
-    without the widths, at its least price, one step a vertex."""
+def _frontier_cost(n: int, edge_count: int, widths: list[int] | None = None) -> tuple[float, float, float]:
+    """The frontier DP on n vertices and edge_count edges, as _subset_cost
+    gives the subset DP's: FRONTIER_STEP_PRICE word steps and one addition of
+    its counts a step of _frontier_price on the widths of its order, its
+    largest state bound held; without the widths, one step a vertex."""
     steps, states = (n, 1) if widths is None else _frontier_price(widths)
-    what = ", at one step a vertex," if widths is None else f" and up to {states:.3g} states"
     bits = _count_bits(n, edge_count)
-    check_work(f"the frontier DP on {n} vertices{what}",
-               steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, held=states, printed=0)
+    return steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, states
+
+
+def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) -> None:
+    """Refuse the frontier DP on n vertices where _frontier_cost puts it over
+    the work budget."""
+    with pricing(f"the frontier DP on {n} vertices"):  # _count_bits overflows past 10^308
+        operations, bits, states = _frontier_cost(n, edge_count, widths)
+    what = ", at one step a vertex," if widths is None else f" and up to {states:.3g} states"
+    check_work(f"the frontier DP on {n} vertices{what}", operations, bits, held=states, printed=0)
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -939,24 +940,21 @@ def reduce_and_count(graph: LabeledGraph) -> int:
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
     """The count of a block on vertices 0..n-1, by the counter of the lower
-    price, the one check_work reads: the subset DP at the word steps of
+    price in word steps, the one check_work reads: the subset DP at
     _subset_cost on the vertices that are not universal, the frontier DP at
-    FRONTIER_STEP_PRICE and one addition of its counts a step of
-    _frontier_price, the subset DP on a tie. The chosen counter prices itself;
-    where the lower price is over the work budget, so is the other. The
-    frontier DP takes at least one step a vertex, so its order is not built
-    where the subset side is priced at no more than that, nor where that least
-    price is over the budget."""
-    rest = _non_universal(n, edges)
-    subset = word_steps(*_subset_cost(len(rest))[:2])
-    step = FRONTIER_STEP_PRICE + word_steps(1, _count_bits(n, len(edges)))
-    if subset > step * n:
+    _frontier_cost, the subset DP on a tie. Both read the one adjacency built
+    here, and the chosen counter prices itself; where the lower price is over
+    the work budget, so is the other. The frontier DP takes at least one step
+    a vertex, so its order is not built where the subset side is priced at no
+    more than that, nor where that least price is over the budget."""
+    adj = _adjacency(n, edges)
+    subset = word_steps(*_subset_cost(sum(len(neighbours) < n - 1 for neighbours in adj))[:2])
+    if subset > word_steps(*_frontier_cost(n, len(edges))[:2]):
         _price_frontier(n, len(edges))  # its least price, before the order
-        adj = _adjacency(n, edges)
         order, widths = _frontier_order(adj)
-        if step * _frontier_price(widths)[0] < subset:
+        if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
             return _count_frontier(adj, order, widths)
-    return count_compositions_graph(_Block(n, edges, rest))
+    return count_compositions_graph(LabeledGraph(n, edges), adjacency=adj)
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

@@ -54,6 +54,25 @@ def test_adjacency_and_masks():
     assert g.neighbor_masks() == [0b010, 0b101, 0b010]
 
 
+def test_neighbour_lists_are_increasing_whatever_the_order_of_the_edges():
+    # the frontier order breaks its ties on the order of the neighbour lists
+    rng = Random(1962)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        graph = relabelled(graphcomp.random_connected_graph(rng, n, rng.uniform(0, 0.6)), rng)
+        for n, edges in [(n, list(graph.edges)), *graphcomp._blocks(graph)]:
+            neighbours = [set() for _ in range(n)]
+            for u, v in edges:
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+            expected = [sorted(ws) for ws in neighbours]
+            for _ in range(3):
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+                rng.shuffle(edges)
+                assert graphcomp._adjacency(n, edges) == expected
+                assert LabeledGraph(n, edges).adjacency() == expected
+
+
 # --- edge-list parsing --------------------------------------------------------
 
 def test_parse_path():
@@ -512,18 +531,18 @@ def _record_counters(monkeypatch):
     DP and the frontier DP each receive."""
     monkeypatch.setattr(graphcomp, "_block_counts", CountingMemo())
     subset_sizes, frontier_sizes = [], []
-    subset = graphcomp.count_compositions_graph
+    subset = graphcomp._count_subset
     frontier = graphcomp._count_frontier
 
-    def recording_subset(graph):
-        subset_sizes.append(graph.vertex_count)
-        return subset(graph)
+    def recording_subset(adj):
+        subset_sizes.append(len(adj))
+        return subset(adj)
 
     def recording_frontier(adj, order, widths):
         frontier_sizes.append(len(adj))
         return frontier(adj, order, widths)
 
-    monkeypatch.setattr(graphcomp, "count_compositions_graph", recording_subset)
+    monkeypatch.setattr(graphcomp, "_count_subset", recording_subset)
     monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
     return subset_sizes, frontier_sizes
 
@@ -850,6 +869,26 @@ def test_the_subset_side_prices_itself_before_building_its_masks():
     assert peak < 5e6
 
 
+@pytest.mark.parametrize("count, n", [(graphcomp.count_compositions_graph, 10 ** 400),
+                                      (graphcomp.count_compositions_frontier, 10 ** 308 - 1),
+                                      (graphcomp.count_compositions_frontier, 10 ** 400)])
+def test_the_public_counters_price_themselves_before_any_list_of_a_vertex_each(count, n):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count(LabeledGraph(n))
+    assert time.perf_counter() - start < 1
+
+
+def test_an_estimate_of_infinite_steps_reads_inf_and_one_of_nan_is_refused():
+    with pytest.raises(ResourceLimitError, match="needs an estimated inf word steps and inf MB"):
+        graphcomp.count_compositions_graph(path(20000))
+    with pytest.raises(ResourceLimitError, match="needs an estimated inf word steps"):
+        errors.check_work("x", math.inf, math.inf, held=1, printed=0)
+    for operations, held in ((math.nan, 1), (1, math.nan)):
+        with pytest.raises(ResourceLimitError, match="nan"):
+            errors.check_work("x", operations, 10, held=held, printed=0)
+
+
 def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
     def no_order(adj):
         raise AssertionError("the frontier order was built")
@@ -906,8 +945,9 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
     for block in _routing_blocks():
         n, edges = max(graphcomp._blocks(block))  # the labels reduce_and_count routes on
         m = len(edges)
-        h = len(graphcomp._non_universal(n, edges))
-        widths = graphcomp._frontier_order(graphcomp._adjacency(n, edges))[1]
+        adj = graphcomp._adjacency(n, edges)
+        h = sum(len(neighbours) < n - 1 for neighbours in adj)
+        widths = graphcomp._frontier_order(adj)[1]
         step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, graphcomp._count_bits(n, m))
         lower = "subset" if errors.word_steps(*graphcomp._subset_cost(h)[:2]) \
             <= step * graphcomp._frontier_price(widths)[0] else "frontier"
