@@ -16,13 +16,13 @@ bounded memo (_successors) that every block shares. ``reduce_and_count``
 finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2. A block of at least 3 vertices
-gets one adjacency on those labels, from which both counters are priced
-under the shared work budget (errors.check_work); the cheaper counts it, and
-the block is refused where that price is over the budget. The counts of
-blocks of at most BLOCK_MEMO_VERTICES = 64 vertices are kept in an LRU memo
-of BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as (n, bits),
-bit a n + b for each edge a < b; a hit builds nothing and is not priced."""
+bridge (a two-vertex block) contributes 2, and each block of at least 3
+vertices goes to the counter of the lower price under the shared work budget
+(errors.check_work), which refuses it where that price is over the budget.
+The counts of blocks of at most BLOCK_MEMO_VERTICES = 64 vertices are kept
+in an LRU memo of BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as
+(n, bits), bit a n + b for each edge a < b; a hit runs no counter and is not
+priced again."""
 
 import heapq
 import math
@@ -242,7 +242,7 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
     return _mask_connected(mask, graph.neighbor_masks())
 
 
-def count_compositions_graph(graph: LabeledGraph, *, adjacency: list[list[int]] | None = None) -> int:
+def count_compositions_graph(graph: LabeledGraph) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
     With u universal vertices (adjacent to all others) and the h others W, a
@@ -253,22 +253,23 @@ def count_compositions_graph(graph: LabeledGraph, *, adjacency: list[list[int]] 
     summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
     its last entry. The work budget refuses it past 19 vertices that are not
     universal, priced on the degrees before any list of n entries is built;
-    reduce_and_count splits a graph into biconnected blocks, counts thin ones
-    with the frontier DP and hands others here with the adjacency it read.
-    """
-    if adjacency is None:
-        n, degree = graph.vertex_count, Counter(chain.from_iterable(graph.edges))
-        _price_subset_dp(n - sum(d == n - 1 for d in degree.values()) if n > 1 else 0)
-    return _count_subset(adjacency or graph.adjacency())
+    reduce_and_count splits a graph into biconnected blocks and hands here
+    those the subset DP counts for less than the frontier DP."""
+    _price_subset_dp(_not_universal(graph.vertex_count, graph.edges))
+    return _count_subset(graph.adjacency())
+
+
+def _not_universal(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """How many of n vertices are not adjacent to all others, by degrees counted on the edges."""
+    return n - sum(d == n - 1 for d in Counter(chain.from_iterable(edges)).values()) if n > 1 else 0
 
 
 def _count_subset(adj: list[list[int]]) -> int:
-    """count_compositions_graph on the neighbour lists of a graph: priced on
-    the vertices whose lists are shorter than n - 1, then run on their masks."""
+    """count_compositions_graph, unpriced, on the neighbour lists of a graph:
+    the subset DP on the masks of its vertices with lists shorter than n - 1."""
     n = len(adj)
     rest = [v for v, neighbours in enumerate(adj) if len(neighbours) < n - 1]
     h = len(rest)
-    _price_subset_dp(h)  # before the h masks of up to h bits each
     bit = {v: 1 << i for i, v in enumerate(rest)}  # a universal neighbour adds none
     nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
@@ -296,7 +297,7 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
     3^m steps). A larger cube is counted all at once by _ranked_convolution
     on strided slices of the two tables, in about m 2^m transform steps.
-    Unpriced: _count_subset prices it, by _subset_cost."""
+    Unpriced: count_compositions_graph prices it, by _subset_cost."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = bytearray(1 << n)
@@ -942,19 +943,18 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
     """The count of a block on vertices 0..n-1, by the counter of the lower
     price in word steps, the one check_work reads: the subset DP at
     _subset_cost on the vertices that are not universal, the frontier DP at
-    _frontier_cost, the subset DP on a tie. Both read the one adjacency built
-    here, and the chosen counter prices itself; where the lower price is over
-    the work budget, so is the other. The frontier DP takes at least one step
-    a vertex, so its order is not built where the subset side is priced at no
-    more than that, nor where that least price is over the budget."""
-    adj = _adjacency(n, edges)
-    subset = word_steps(*_subset_cost(sum(len(neighbours) < n - 1 for neighbours in adj))[:2])
+    _frontier_cost, the subset DP on a tie. The chosen counter prices itself;
+    where the lower price is over the work budget, so is the other. The
+    frontier DP takes at least one step a vertex: its adjacency and order are
+    built only where the subset side costs more and that least price fits."""
+    subset = word_steps(*_subset_cost(_not_universal(n, edges))[:2])
     if subset > word_steps(*_frontier_cost(n, len(edges))[:2]):
-        _price_frontier(n, len(edges))  # its least price, before the order
+        _price_frontier(n, len(edges))  # its least price, before the adjacency
+        adj = _adjacency(n, edges)
         order, widths = _frontier_order(adj)
         if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
             return _count_frontier(adj, order, widths)
-    return count_compositions_graph(LabeledGraph(n, edges), adjacency=adj)
+    return count_compositions_graph(LabeledGraph(n, edges))
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

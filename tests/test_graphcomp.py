@@ -977,8 +977,12 @@ def test_a_thin_block_over_the_budget_builds_no_frontier_order(monkeypatch):
     def no_order(adj):
         raise AssertionError("the frontier order was built")
 
+    def no_adjacency(n, edges):
+        raise AssertionError("the block's adjacency was built")
+
     cycle = graphcomp.build_family("cycle", 40000)
     monkeypatch.setattr(graphcomp, "_frontier_order", no_order)
+    monkeypatch.setattr(graphcomp, "_adjacency", no_adjacency)
     # its block split takes 4.2e7 word steps, its frontier DP at one step a vertex 4.9e7
     monkeypatch.setattr(errors, "WORK_BUDGET", 4.5e7)
     with pytest.raises(ResourceLimitError,
