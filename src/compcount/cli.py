@@ -11,6 +11,7 @@ import sys
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
 from .errors import ResourceLimitError
+from .exactnum import triangular_root
 from .graphcomp import GraphParseError
 
 TRIANGLE_KIND_FLAGS = {
@@ -142,11 +143,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
     if command == "triangle":
         tri = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
         record = {"command": "triangle", "parameters": {"kind": args.kind, "rows": args.rows}}
-        if args.format == "plain":  # each entry is converted once, for its format only
-            record["text"] = "".join(" ".join(map(str, row)) + "\n" for row in tri.rows)
-        else:
-            record["values"] = [(f"{n}:{k}", str(entry))
-                                for n, row in enumerate(tri.rows) for k, entry in enumerate(row)]
+        record["lines"] = _triangle_lines(record["parameters"], tri.rows, args.format)
         return record
 
     if command == "series":
@@ -179,7 +176,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
                 raise UsageError("--emit-graph only supports the plain format")
             built = graphcomp.build_family(family, args.n)
             return {"command": "graph family", "parameters": params,
-                    "text": graphcomp.format_edge_list(built)}
+                    "lines": (graphcomp.format_edge_list(built),)}
         return _single("graph family", params, graphcomp.family_count(family, args.n))
 
     if command == "verify":
@@ -197,9 +194,41 @@ def _dispatch(args: argparse.Namespace) -> dict:
     raise UsageError(f"unhandled command {command!r}")
 
 
+def _triangle_lines(parameters: dict, rows: tuple[tuple[int, ...], ...], fmt: str):
+    """The triangle's output in the format, one string a row (csv and json
+    add their header and trailer). Row n is zero past k = triangular_root(n),
+    so only its head is converted; its zero tail is cut from strings built
+    once."""
+    heads = ((n, row[:triangular_root(n) + 1]) for n, row in enumerate(rows))
+    if fmt == "plain":
+        zeros = " 0" * len(rows)
+        for n, head in heads:
+            yield " ".join(map(str, head)) + zeros[:2 * (n + 1 - len(head))] + "\n"
+        return
+    if fmt == "csv":
+        yield "index,value\n"
+        zero_cells = [f"{k},0\n" for k in range(len(rows))]
+        for n, head in heads:
+            p = f"{n}:"  # before each cell: "n:k,value"
+            yield p + p.join([f"{k},{v}\n" for k, v in enumerate(head)] + zero_cells[len(head):n + 1])
+        return
+    # json.dump's indent=2 layout of record_as_json, cell by cell: the layout
+    # around the values comes from a dump with one null value in their place
+    import json  # json output alone needs it, so start-up skips it
+    layout = {"command": "triangle", "parameters": parameters, "values": [None]}
+    before, after = json.dumps(layout, indent=2).rsplit("null", 1)
+    yield before.rstrip()
+    zero_cells = [f'{k}",\n      "0"\n    ]' for k in range(len(rows))]
+    for n, head in heads:
+        p = f'{"," if n else ""}\n    [\n      "{n}:'  # row 0 holds one cell, the first
+        yield p + p.join([f'{k}",\n      "{v}"\n    ]' for k, v in enumerate(head)]
+                         + zero_cells[len(head):n + 1])
+    yield after + "\n"
+
+
 def _emit(record: dict, fmt: str, out) -> None:
-    if "text" in record:
-        out.write(record["text"])
+    if "lines" in record:
+        out.writelines(record["lines"])
         return
 
     if fmt == "json":

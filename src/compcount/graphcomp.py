@@ -786,10 +786,11 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
 # A direct subset-DP step in check_work operations: 1.5 of about 27 word
 # steps; a transform step (one element of a zeta or Möbius pass, with the
 # search, packing and product of each set folded in) 2 of the packed numbers
-# of the largest cube. scripts/step_costs.py measures 19-23 word steps a
-# direct step at 8-12 vertices and 42-56 a transform step at 10-17 (priced
-# 67-104), so the whole DP at 1.6-2.1 times its time, on K_n minus a
-# Hamiltonian cycle (CPython 3.11, 2-vCPU x86-64, 4 ns a word step).
+# of the largest cube. scripts/step_costs.py measures 22-41 word steps a
+# direct step at 8-12 vertices (priced 40) and 48-100 a transform step at
+# 10-17 (priced 67-104), so the whole DP at 0.92-1.66 times its time, on K_n
+# minus a Hamiltonian cycle (two runs, CPython 3.11, 2-vCPU x86-64 guest
+# whose speed drifts by up to 40% between them, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
 # The frontier DP's price in word steps a step of its state bound (a state

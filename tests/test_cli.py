@@ -398,6 +398,60 @@ def test_triangle_output_bytes_are_unchanged(kind, fmt):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == TRIANGLE_40[kind, fmt]
 
 
+def per_cell_triangle(kind, rows, fmt):
+    """A triangle's output as the earlier formatter built it, from a pair a
+    cell (csv, json) or a join of every entry (plain): the oracle of the row
+    writer."""
+    tri = compositions.triangle(cli.TRIANGLE_KIND_FLAGS[kind], rows)
+    if fmt == "plain":
+        return "".join(" ".join(map(str, row)) + "\n" for row in tri.rows)
+    values = [(f"{n}:{k}", str(entry)) for n, row in enumerate(tri.rows) for k, entry in enumerate(row)]
+    if fmt == "csv":
+        return "index,value\n" + "".join(f"{index},{value}\n" for index, value in values)
+    record = {"command": "triangle", "parameters": {"kind": kind, "rows": rows},
+              "values": [[index, value] for index, value in values]}
+    return json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(cli.TRIANGLE_KIND_FLAGS))
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_the_row_writer_matches_the_per_cell_triangle(kind, fmt):
+    for rows in (1, 2, 3, 4, 5, 40, 300):
+        argv = ["triangle", "--kind", kind, "--rows", str(rows), "--format", fmt]
+        assert run_cli(argv) == (0, per_cell_triangle(kind, rows, fmt), ""), rows
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_largest_triangle_prints_in_a_gigabyte(fmt, tmp_path):
+    # the price admits 3000 rows (3821 are refused); its output is written a
+    # row at a time, so memory is the table and one row, not the whole output
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    target = tmp_path / f"triangle.{fmt}"
+    try:
+        with open(target, "wb") as out:
+            done = subprocess.run([sys.executable, "-m", "compcount", "triangle", "--kind", "cdistinct",
+                                   "--rows", "3000", "--format", fmt],
+                                  stdout=out, stderr=subprocess.PIPE, env=env,
+                                  preexec_fn=cap_address_space, timeout=10)
+        assert (done.returncode, done.stderr) == (0, b"")
+        cells = 3000 * 3001 // 2
+        lines, last = {"csv": (1 + cells, b"\n2999:2999,0\n"),
+                       "json": (9 + 4 * cells, b'\n      "2999:2999",\n      "0"\n    ]\n  ]\n}\n')}[fmt]
+        with open(target, "rb") as printed:
+            assert sum(chunk.count(b"\n") for chunk in iter(lambda: printed.read(1 << 20), b"")) == lines
+            printed.seek(-len(last), os.SEEK_END)
+            assert printed.read() == last
+    finally:
+        target.unlink(missing_ok=True)
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "distinct", "--n", "10000000"],
     ["count", "distinct", "--n", "10000000", "--k", "5"],
