@@ -7,6 +7,11 @@ graphcomp.count_compositions_graph prices before it runs) is priced at
 SUBSET_STEP_OPERATIONS operations a direct step (3^m for a cube of
 m <= DIRECT_CUBE_BITS vertices) and TRANSFORM_STEP_OPERATIONS a transform
 step (m 2^m for a larger cube), on the numbers of graphcomp._subset_cost.
+Its direct steps are timed on the whole table with the cutoff raised; its
+transform steps and the whole DP against its price on the path that
+count_compositions_graph takes, which sums the last vertex's connected sets
+where no vertex is universal, so the price counts the largest cube's
+transform steps that path no longer takes.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
 of its counts a step of its state bound (graphcomp._frontier_price, by
 graphcomp._frontier_cost), timed here with its successor memo cold and
@@ -80,17 +85,18 @@ def subset_steps(word_ns, repeat):
         ns = seconds / steps * 1e9
         print(f"{n:>4} {steps:>10.3g} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} {priced:>7.1f}")
     print(f"\ntransform steps, cubes past {shipped} bits convolved (priced "
-          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} operations of the packed bits; the whole DP "
-          f"against its price)")
+          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} operations of the packed bits), timed on the "
+          f"path count_compositions_graph takes, which sums the last vertex instead of "
+          f"convolving its cube; the whole DP against its price")
     print(f"{'n':>4} {'steps':>10} {'bits':>6} {'seconds':>9} {'ns/step':>8} {'word steps':>10} "
           f"{'priced':>7} {'DP priced/taken':>15}")
     direct = (3 ** (shipped + 1) - 1) / 2
     for n in range(shipped + 3, 18):
-        nbr = complete_minus_cycle(n).neighbor_masks()
+        graph = complete_minus_cycle(n)
         operations, bits, _ = graphcomp._subset_cost(n)
         steps = ((operations - graphcomp.SUBSET_STEP_OPERATIONS * direct)
                  / graphcomp.TRANSFORM_STEP_OPERATIONS)
-        seconds = best_time(lambda: graphcomp._subset_ways(nbr, n), repeat if n < 16 else 1)
+        seconds = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat if n < 16 else 1)
         priced = errors.word_steps(graphcomp.TRANSFORM_STEP_OPERATIONS, bits)
         ns = seconds / steps * 1e9
         ratio = errors.word_steps(operations, bits) * word_ns / 1e9 / seconds

@@ -5,10 +5,10 @@ each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). Two exact counters:
 ``count_compositions_graph`` runs a subset dynamic program over the 2^h
 bitmask states of the h vertices that are not universal (adjacent to all
-others), one ranked subset convolution per lowest vertex in about h 2^h
-steps, and adds the universal vertices by a Stirling sum, so it suits small
-dense graphs and K_n costs one Bell number (the first step of join
-decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
+others), one ranked subset convolution per lowest vertex but the last in
+about h 2^h steps, and adds the universal vertices by a Stirling sum, so it
+suits small dense graphs and K_n costs one Bell number (the first step of
+join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 ``count_compositions_frontier`` runs a frontier DP along a vertex order,
 whose states follow the frontier width instead, and suits thin graphs of
 any size; the successors of a state in a step of a given shape come from a
@@ -31,7 +31,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from random import Random
 from typing import Iterable, Iterator
@@ -250,8 +250,10 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     W must be connected in G[W], so C(G) is the sum over Y inside W of
     C(G[Y]) T(u, h - |Y|). One subset DP on G[W] gives every C(G[Y]) in 2^h
     states and about h 2^h steps, so K_n costs one Bell number; its table is
-    summed by |Y|, so only h + 1 products are big, and with u = 0 the count is
-    its last entry. The work budget refuses it past 19 vertices that are not
+    summed by |Y|, so only h + 1 products are big. With u = 0 the count is its
+    last entry alone, summed over the connected sets through vertex 0 in
+    place of the largest cube's convolution, about half the transform
+    steps. The work budget refuses it past 19 vertices that are not
     universal, priced on the degrees before any list of n entries is built;
     reduce_and_count splits a graph into biconnected blocks and hands here
     those the subset DP counts for less than the frontier DP."""
@@ -273,7 +275,7 @@ def _count_subset(adj: list[list[int]]) -> int:
     bit = {v: 1 << i for i, v in enumerate(rest)}  # a universal neighbour adds none
     nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
-        return _subset_ways(nbr, n)[-1]
+        return _subset_ways(nbr, n, True)[-1]
     sums = _universal_sums(n - h, h)
     by_size = [0] * (h + 1)
     for subset, ways in enumerate(_subset_ways(nbr, h)):
@@ -281,7 +283,7 @@ def _count_subset(adj: list[list[int]]) -> int:
     return sum(s * t for s, t in zip(by_size, reversed(sums)))
 
 
-def _subset_ways(nbr: list[int], n: int) -> list[int]:
+def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
     """The subset DP: ways[S] counts the compositions of G[S] for every
     vertex set S, given the neighbour masks of n vertices; over all n it is
     the reference that the tests and verify compare against.
@@ -297,6 +299,12 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
     3^m steps). A larger cube is counted all at once by _ranked_convolution
     on strided slices of the two tables, in about m 2^m transform steps.
+
+    With count_only, the caller reads only ways[-1], the whole vertex set F,
+    and the other sets through vertex 0 are left at 0: once the search at
+    v = 0 has marked the connected sets T through vertex 0, ways(F) is one
+    sum of ways(F minus T) over them, a lookup and an add each, in place of
+    the largest cube's convolution (about half of all transform steps).
     Unpriced: count_compositions_graph prices it, by _subset_cost."""
     ways = [0] * (1 << n)
     ways[0] = 1
@@ -304,12 +312,14 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
     reach = [0]  # reach[T]: the neighbours of the vertices of T
     for mask in nbr:
         reach += [r | mask for r in reach]
-    popcounts = [0]  # of the sets of the largest cube, when some cube is convolved
-    for _ in range(n - 1 if n - 1 > DIRECT_CUBE_BITS else 0):
+    top = n - 2 if count_only else n - 1  # the largest cube that may be convolved
+    popcounts = [0]  # of its sets, when it is
+    for _ in range(top if top > DIRECT_CUBE_BITS else 0):
         popcounts += [c + 1 for c in popcounts]
     for v in range(n - 1, -1, -1):
         low = 1 << v
-        direct = n - 1 - v <= DIRECT_CUBE_BITS
+        last = count_only and v == 0
+        direct = n - 1 - v <= DIRECT_CUBE_BITS and not last
         for state in range(low, 1 << n, low << 1):
             component, grown = 0, low
             while grown != component:
@@ -330,7 +340,10 @@ def _subset_ways(nbr: list[int], n: int) -> list[int]:
                         acc += ways[other]
                     other = (other - 1) & rest
                 ways[state] = acc
-        if not direct:
+        if last:
+            # F minus the odd state 2k + 1 is the even index F - 1 - 2k
+            ways[-1] = sum(compress(islice(reversed(ways), 1, None, 2), connected[1::2]))
+        elif not direct:
             ways[low::low << 1] = _ranked_convolution(connected[low::low << 1],
                                                       ways[0::low << 1], popcounts)
     return ways
@@ -786,10 +799,12 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
 # A direct subset-DP step in check_work operations: 1.5 of about 27 word
 # steps; a transform step (one element of a zeta or Möbius pass, with the
 # search, packing and product of each set folded in) 2 of the packed numbers
-# of the largest cube. scripts/step_costs.py measures 22-41 word steps a
-# direct step at 8-12 vertices (priced 40) and 48-100 a transform step at
-# 10-17 (priced 67-104), so the whole DP at 0.92-1.66 times its time, on K_n
-# minus a Hamiltonian cycle (two runs, CPython 3.11, 2-vCPU x86-64 guest
+# of the largest cube. scripts/step_costs.py measures 21-37 word steps a
+# direct step at 8-12 vertices (priced 40). On K_n minus a Hamiltonian
+# cycle, which has no universal vertex, the DP sums its last vertex instead
+# of convolving the largest cube, so it takes 24-53 word steps a priced
+# transform step at 10-17 (priced 67-104), and the whole DP is priced at
+# 1.75-3.72 times its time (two runs, CPython 3.11, 2-vCPU x86-64 guest
 # whose speed drifts by up to 40% between them, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
@@ -830,7 +845,9 @@ def _subset_cost(n: int) -> tuple[float, float, float]:
     folded into their price. When some cube is convolved, every step is
     priced on the packed numbers of the largest, m = n - 1: m + 1 fields of
     at most 2m + m log2(m + 1) + 1 bits (a count of m vertices is at most
-    Bell(m)); otherwise on counts of n log2(n + 1) bits."""
+    Bell(m)); otherwise on counts of n log2(n + 1) bits. Where no vertex is
+    universal the DP sums the last vertex instead of convolving that largest
+    cube, but its steps stay in the price, which is kept as an upper bound."""
     if n > 600:
         return math.inf, math.inf, math.inf
     top = n - 1

@@ -341,4 +341,18 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
             bad.append(f"n={n} edges={sorted(graph.edges)}")
     checks.append(_check("universal-vertex route matches the subset DP", bad))
 
+    bad = []
+    sizes = [0, *range(2, min(max_n, 12) + 1)]  # one vertex alone is universal
+    for _ in range(20):
+        n = rng.choice(sizes)
+        edges = set(graphcomp.random_graph(rng, n, rng.uniform(0.2, 0.9)).edges)
+        for v in range(n):  # cut an edge at each universal vertex
+            if sum(v in edge for edge in edges) == n - 1:
+                w = rng.choice([w for w in range(n) if w != v])
+                edges.discard((min(v, w), max(v, w)))
+        graph = graphcomp.LabeledGraph(n, edges)
+        if graphcomp.count_compositions_graph(graph) != graphcomp._subset_ways(graph.neighbor_masks(), n)[-1]:
+            bad.append(f"n={n} edges={sorted(graph.edges)}")
+    checks.append(_check("the subset DP's last-vertex sum matches its whole table", bad))
+
     return checks

@@ -326,7 +326,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 25
+    assert len(names) == 26
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -450,6 +450,27 @@ def test_the_largest_triangle_prints_in_a_gigabyte(fmt, tmp_path):
             assert printed.read() == last
     finally:
         target.unlink(missing_ok=True)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
+def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
+    # no vertex is universal, so the subset DP reads only the whole set's
+    # count and sums it over the connected sets through vertex 0: the largest
+    # cube is never convolved, whose packed products ran out of this space
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    n = 19
+    edges = [f"{u} {v}" for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+    source = tmp_path / "k19-c19.txt"
+    source.write_text("\n".join([str(n), *edges]) + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "compcount", "graph", "count", "--file", str(source)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "4302601688761\n", "")
 
 
 @pytest.mark.parametrize("argv", [

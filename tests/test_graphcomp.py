@@ -294,6 +294,33 @@ def test_ranked_convolution_tables_match_the_per_state_dp(monkeypatch):
                 (cutoff, sorted(graph.edges))
 
 
+def complete_minus_matching(n):
+    """K_n minus the perfect matching {0, 1}, {2, 3}, ...: n even, no vertex universal."""
+    return LabeledGraph(n, {(u, v) for u, v in combinations(range(n), 2) if (u, v) != (u, u + 1) or u % 2})
+
+
+def test_the_last_vertex_sum_matches_the_whole_table(monkeypatch):
+    rng = Random(1985)
+    graphs = [LabeledGraph(0), LabeledGraph(1), LabeledGraph(2), complete(2)]
+    graphs += [complete_minus_matching(n) for n in range(2, 15, 2)]
+    while len(graphs) < 100:
+        n = rng.randint(0, 14)
+        graph = graphcomp.random_graph(rng, n, rng.uniform(0.2, 0.9))
+        if graphcomp._not_universal(n, graph.edges) == n:
+            graphs.append(graph)
+    assert {g.vertex_count for g in graphs} == set(range(15))
+    shipped = graphcomp.DIRECT_CUBE_BITS
+    for graph in graphs:
+        nbr, n = graph.neighbor_masks(), graph.vertex_count
+        expected = graphcomp._subset_ways(nbr, n)[-1]
+        # every cube down to vertex 1 through the convolution, then only those past the cutoff
+        for cutoff in (0, shipped):
+            monkeypatch.setattr(graphcomp, "DIRECT_CUBE_BITS", cutoff)
+            assert graphcomp._subset_ways(nbr, n, True)[-1] == expected, (cutoff, sorted(graph.edges))
+            if graphcomp._not_universal(n, graph.edges) == n:  # the route of count_compositions_graph
+                assert graphcomp.count_compositions_graph(graph) == expected
+
+
 def test_the_moebius_pass_inverts_the_zeta_pass():
     rng = Random(1967)
     for m in range(9):
