@@ -1,12 +1,17 @@
 """Command-line frontend for every counter, triangle, series, and graph tool.
 
 All numeric output is decimal strings, so counts of any magnitude survive
-serialization unchanged. Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 resource-guard error.
+serialization unchanged. Each command returns its output lines and its exit
+code, and the lines are written with one writelines: a number is converted
+to decimal as its line is written, so no output is held whole. Exit codes:
+0 success, 1 domain error or a failed verify check, 2 usage error, 3
+resource-guard error.
 """
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
@@ -101,26 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single(command: str, parameters: dict, value: int) -> dict:
-    return {"command": command, "parameters": parameters, "values": [("0", str(value))]}
-
-
-def _dispatch(args: argparse.Namespace) -> dict:
+def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    """Run the command: its output lines in args.format, and its exit code."""
     command = args.command
     sub = getattr(args, "subcommand", None)
+    fmt = args.format
 
     if command == "count" and sub == "restricted":
         bounds = PartBounds(args.min_part, args.max_part)
         value = compositions.count_restricted(args.n, args.k, bounds)
         params = {"n": args.n, "k": args.k, "min": args.min_part, "max": args.max_part}
-        return _single("count restricted", params, value)
+        return _values("count restricted", params, [value], fmt), 0
 
     if command == "count" and sub == "distinct":
         if args.k is None:
             value = compositions.count_compositions_distinct_total(args.n)
         else:
             value = compositions.count_compositions_distinct(args.n, args.k)
-        return _single("count distinct", {"n": args.n, "k": args.k}, value)
+        return _values("count distinct", {"n": args.n, "k": args.k}, [value], fmt), 0
 
     if command == "count" and sub == "leading":
         strict = args.mode == "strict"
@@ -130,21 +133,19 @@ def _dispatch(args: argparse.Namespace) -> dict:
         else:
             per_k = compositions.count_leading_strict if strict else compositions.count_leading_weak
             value = per_k(args.n, args.k)
-        return _single("count leading", {"mode": args.mode, "n": args.n, "k": args.k}, value)
+        return _values("count leading", {"mode": args.mode, "n": args.n, "k": args.k}, [value], fmt), 0
 
     if command == "count" and sub == "avoid":
-        return _single("count avoid", {"k": args.k, "n": args.n},
-                       compositions.count_avoiding(args.n, args.k))
+        value = compositions.count_avoiding(args.n, args.k)
+        return _values("count avoid", {"k": args.k, "n": args.n}, [value], fmt), 0
 
     if command == "count" and sub == "contain":
-        return _single("count contain", {"k": args.k, "n": args.n},
-                       compositions.count_containing(args.n, args.k))
+        value = compositions.count_containing(args.n, args.k)
+        return _values("count contain", {"k": args.k, "n": args.n}, [value], fmt), 0
 
     if command == "triangle":
         tri = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
-        record = {"command": "triangle", "parameters": {"kind": args.kind, "rows": args.rows}}
-        record["lines"] = _triangle_lines(record["parameters"], tri.rows, args.format)
-        return record
+        return _triangle_lines({"kind": args.kind, "rows": args.rows}, tri.rows, fmt), 0
 
     if command == "series":
         if args.family == "distinct-total":
@@ -155,43 +156,85 @@ def _dispatch(args: argparse.Namespace) -> dict:
             if args.k is None:
                 raise UsageError(f"--k is required for the {args.family} series")
             expansion = series.family_series(args.family, args.k, args.order)
-        values = [(str(n), str(c)) for n, c in enumerate(expansion.coefficients)]
-        return {
-            "command": "series",
-            "parameters": {"family": args.family, "k": args.k, "order": args.order},
-            "values": values,
-        }
+        params = {"family": args.family, "k": args.k, "order": args.order}
+        return _values("series", params, expansion.coefficients, fmt), 0
 
     if command == "graph" and sub == "count":
         with open(args.file, encoding="utf-8") as handle:
             graph = graphcomp.read_edge_list(handle)
         value = graphcomp.reduce_and_count(graph)
-        return _single("graph count", {"file": args.file}, value)
+        return _values("graph count", {"file": args.file}, [value], fmt), 0
 
     if command == "graph" and sub == "family":
         family = FAMILY_FLAGS[args.name]
         params = {"name": args.name, "n": args.n}
         if args.emit_graph:
-            if args.format != "plain":
+            if fmt != "plain":
                 raise UsageError("--emit-graph only supports the plain format")
-            built = graphcomp.build_family(family, args.n)
-            return {"command": "graph family", "parameters": params,
-                    "lines": (graphcomp.format_edge_list(built),)}
-        return _single("graph family", params, graphcomp.family_count(family, args.n))
+            return [graphcomp.format_edge_list(graphcomp.build_family(family, args.n))], 0
+        return _values("graph family", params, [graphcomp.family_count(family, args.n)], fmt), 0
 
     if command == "verify":
         from . import verify  # only this command needs it, so start-up skips it
 
         checks = verify.run_suite(args.suite, args.max_n, args.seed)
-        return {
-            "command": "verify",
-            "parameters": {"suite": args.suite, "max-n": args.max_n, "seed": args.seed},
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
-            ],
-        }
+        params = {"suite": args.suite, "max-n": args.max_n, "seed": args.seed}
+        return _check_lines(params, checks, fmt), 1 if any(not ok for _, ok, _ in checks) else 0
 
     raise UsageError(f"unhandled command {command!r}")
+
+
+def _json_around_values(command: str, parameters: dict) -> tuple[str, str]:
+    """The text of json.dump(record, out, indent=2) plus a newline for a value
+    record, split around the cells of its values: the layout comes from a
+    dump with one null value in their place."""
+    import json  # json output alone needs it, so start-up skips it
+    layout = {"command": command, "parameters": parameters, "values": [None]}
+    before, after = json.dumps(layout, indent=2).rsplit("null", 1)
+    return before.rstrip(), after + "\n"
+
+
+def _values(command: str, parameters: dict, values: Sequence[int], fmt: str) -> Iterator[str]:
+    """A value command's output in the format, a line (json: a cell) at a
+    time; values[n] is the value at index n, and at least one is given. Each
+    number is converted to decimal as it is written, so the output is never
+    held as strings."""
+    if fmt == "plain":
+        return (f"{value}\n" for value in values)
+    if fmt == "csv":
+        # indices and decimal values hold no character that csv would quote
+        return chain(["index,value\n"], (f"{n},{value}\n" for n, value in enumerate(values)))
+    before, after = _json_around_values(command, parameters)
+    cells = (f'{"," if n else ""}\n    [\n      "{n}",\n      "{value}"\n    ]'
+             for n, value in enumerate(values))
+    return chain([before], cells, [after])
+
+
+def _check_lines(parameters: dict, checks: list[tuple[str, bool, str]], fmt: str) -> list[str]:
+    """verify's output in the format: a line a check, under a header."""
+    if fmt == "csv":
+        # check names hold no character that csv would quote
+        return ["name,ok\n", *(f"{name},{'ok' if ok else 'FAIL'}\n" for name, ok, _ in checks)]
+    passed = sum(1 for _, ok, _ in checks if ok)
+    if fmt == "json":
+        import json  # json output alone needs it, so start-up skips it
+        record = {
+            "command": "verify",
+            "parameters": parameters,
+            "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
+            "passed": passed,
+            "failed": len(checks) - passed,
+        }
+        return [json.dumps(record, indent=2), "\n"]
+    lines = [f"# verify suite={parameters['suite']} max-n={parameters['max-n']} seed={parameters['seed']}\n"]
+    for name, ok, detail in checks:
+        if ok:
+            note = f" ({detail})" if detail else ""
+            lines.append(f"ok   {name}{note}\n")
+        else:
+            lines.append(f"FAIL {name}: {detail}\n")
+    lines.append(f"passed {passed}/{len(checks)} checks\n")
+    return lines
 
 
 def _triangle_lines(parameters: dict, rows: tuple[tuple[int, ...], ...], fmt: str):
@@ -212,70 +255,14 @@ def _triangle_lines(parameters: dict, rows: tuple[tuple[int, ...], ...], fmt: st
             p = f"{n}:"  # before each cell: "n:k,value"
             yield p + p.join([f"{k},{v}\n" for k, v in enumerate(head)] + zero_cells[len(head):n + 1])
         return
-    # json.dump's indent=2 layout of record_as_json, cell by cell: the layout
-    # around the values comes from a dump with one null value in their place
-    import json  # json output alone needs it, so start-up skips it
-    layout = {"command": "triangle", "parameters": parameters, "values": [None]}
-    before, after = json.dumps(layout, indent=2).rsplit("null", 1)
-    yield before.rstrip()
+    before, after = _json_around_values("triangle", parameters)
+    yield before
     zero_cells = [f'{k}",\n      "0"\n    ]' for k in range(len(rows))]
     for n, head in heads:
         p = f'{"," if n else ""}\n    [\n      "{n}:'  # row 0 holds one cell, the first
         yield p + p.join([f'{k}",\n      "{v}"\n    ]' for k, v in enumerate(head)]
                          + zero_cells[len(head):n + 1])
-    yield after + "\n"
-
-
-def _emit(record: dict, fmt: str, out) -> None:
-    if "lines" in record:
-        out.writelines(record["lines"])
-        return
-
-    if fmt == "json":
-        import json  # json output alone needs it, so start-up skips it
-        json.dump(record_as_json(record), out, indent=2)
-        out.write("\n")
-        return
-
-    if "checks" in record:
-        _emit_checks(record, fmt, out)
-        return
-
-    if fmt == "plain":
-        out.write("".join(value + "\n" for _, value in record["values"]))
-        return
-
-    # indices and decimal values hold no character that csv would quote
-    out.write("index,value\n" + "".join(f"{index},{value}\n" for index, value in record["values"]))
-
-
-def record_as_json(record: dict) -> dict:
-    body: dict = {"command": record["command"], "parameters": record["parameters"]}
-    if "checks" in record:
-        body["checks"] = record["checks"]
-        body["passed"] = sum(1 for c in record["checks"] if c["ok"])
-        body["failed"] = sum(1 for c in record["checks"] if not c["ok"])
-    else:
-        body["values"] = [[index, value] for index, value in record["values"]]
-    return body
-
-
-def _emit_checks(record: dict, fmt: str, out) -> None:
-    checks = record["checks"]
-    if fmt == "csv":
-        # check names hold no character that csv would quote
-        out.write("name,ok\n" + "".join(f"{c['name']},{'ok' if c['ok'] else 'FAIL'}\n" for c in checks))
-        return
-    params = record["parameters"]
-    out.write(f"# verify suite={params['suite']} max-n={params['max-n']} seed={params['seed']}\n")
-    for check in checks:
-        if check["ok"]:
-            note = f" ({check['detail']})" if check["detail"] else ""
-            out.write(f"ok   {check['name']}{note}\n")
-        else:
-            out.write(f"FAIL {check['name']}: {check['detail']}\n")
-    passed = sum(1 for c in checks if c["ok"])
-    out.write(f"passed {passed}/{len(checks)} checks\n")
+    yield after
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -305,7 +292,7 @@ def _run(argv: list[str], out, err) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        record = _dispatch(args)
+        lines, code = _dispatch(args)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
@@ -318,10 +305,8 @@ def _run(argv: list[str], out, err) -> int:
     except (GraphParseError, ValueError, ArithmeticError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
-    _emit(record, args.format, out)
-    if "checks" in record and any(not c["ok"] for c in record["checks"]):
-        return 1
-    return 0
+    out.writelines(lines)
+    return code
 
 
 def main() -> None:

@@ -280,7 +280,7 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
 
     bad = []
     for _ in range(15):
-        n = rng.randint(2, min(max_n, 12))
+        n = rng.randint(2, max(2, min(max_n, 12)))
         graph = graphcomp.random_graph(rng, n, rng.uniform(0.1, 0.4))
         if graphcomp.reduce_and_count(graph) != graphcomp.count_compositions_graph(graph):
             bad.append(f"n={n} edges={sorted(graph.edges)}")
@@ -300,7 +300,7 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
 
     bad = []
     for _ in range(10):
-        n = rng.randint(2, min(max_n, 9))
+        n = rng.randint(2, max(2, min(max_n, 9)))
         graph = graphcomp.random_graph(rng, n, 0.3)
         missing = [pair for pair in combinations(range(n), 2) if pair not in graph.edges]
         if not missing:

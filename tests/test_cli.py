@@ -310,6 +310,15 @@ def test_verify_refuses_a_max_n_whose_cubic_checks_are_over_the_budget():
         verify._check_suite_work("all", max_n)
 
 
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_runs_every_suite_at_max_n_1(suite):
+    code, out, err = run_cli(["verify", "--suite", suite, "--max-n", "1"])
+    listed = verify.run_suite(suite, 1, 0)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"ok   {name}" + (f" ({detail})" if detail else "")
+                                    for name, _, detail in listed] + [f"passed {len(listed)}/{len(listed)} checks"]
+
+
 def test_verify_suites_are_offered_without_importing_verify():
     code = ("import sys, compcount.cli; compcount.cli.build_parser(); "
             "print('compcount.verify' in sys.modules)")
@@ -419,6 +428,157 @@ def test_the_row_writer_matches_the_per_cell_triangle(kind, fmt):
     for rows in (1, 2, 3, 4, 5, 40, 300):
         argv = ["triangle", "--kind", kind, "--rows", str(rows), "--format", fmt]
         assert run_cli(argv) == (0, per_cell_triangle(kind, rows, fmt), ""), rows
+
+
+# The earlier writer of value and verify output, kept as the oracle of _values
+# and _check_lines: each command built one record dict, and these printed it.
+def _emit(record: dict, fmt: str, out) -> None:
+    if fmt == "json":
+        json.dump(record_as_json(record), out, indent=2)
+        out.write("\n")
+        return
+
+    if "checks" in record:
+        _emit_checks(record, fmt, out)
+        return
+
+    if fmt == "plain":
+        out.write("".join(value + "\n" for _, value in record["values"]))
+        return
+
+    out.write("index,value\n" + "".join(f"{index},{value}\n" for index, value in record["values"]))
+
+
+def record_as_json(record: dict) -> dict:
+    body: dict = {"command": record["command"], "parameters": record["parameters"]}
+    if "checks" in record:
+        body["checks"] = record["checks"]
+        body["passed"] = sum(1 for c in record["checks"] if c["ok"])
+        body["failed"] = sum(1 for c in record["checks"] if not c["ok"])
+    else:
+        body["values"] = [[index, value] for index, value in record["values"]]
+    return body
+
+
+def _emit_checks(record: dict, fmt: str, out) -> None:
+    checks = record["checks"]
+    if fmt == "csv":
+        out.write("name,ok\n" + "".join(f"{c['name']},{'ok' if c['ok'] else 'FAIL'}\n" for c in checks))
+        return
+    params = record["parameters"]
+    out.write(f"# verify suite={params['suite']} max-n={params['max-n']} seed={params['seed']}\n")
+    for check in checks:
+        if check["ok"]:
+            note = f" ({check['detail']})" if check["detail"] else ""
+            out.write(f"ok   {check['name']}{note}\n")
+        else:
+            out.write(f"FAIL {check['name']}: {check['detail']}\n")
+    passed = sum(1 for c in checks if c["ok"])
+    out.write(f"passed {passed}/{len(checks)} checks\n")
+
+
+def record_output(record: dict, fmt: str) -> str:
+    out = io.StringIO()
+    _emit(record, fmt, out)
+    return out.getvalue()
+
+
+def value_record(command: str, parameters: dict, values) -> dict:
+    return {"command": command, "parameters": parameters,
+            "values": [(str(n), str(value)) for n, value in enumerate(values)]}
+
+
+def verify_record(suite: str, max_n: int, seed: int, checks) -> dict:
+    return {"command": "verify", "parameters": {"suite": suite, "max-n": max_n, "seed": seed},
+            "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks]}
+
+
+# argv of every value command, with the record the earlier dispatch built for it
+VALUE_CASES = [
+    (["count", "restricted", "--n", "9", "--k", "3", "--min", "1", "--max", "4"],
+     lambda: value_record("count restricted", {"n": 9, "k": 3, "min": 1, "max": 4},
+                          [compositions.count_restricted(9, 3, compositions.PartBounds(1, 4))])),
+    (["count", "restricted", "--n", "8", "--k", "6"],
+     lambda: value_record("count restricted", {"n": 8, "k": 6, "min": 0, "max": None},
+                          [compositions.count_restricted(8, 6)])),
+    (["count", "distinct", "--n", "30"],
+     lambda: value_record("count distinct", {"n": 30, "k": None},
+                          [compositions.count_compositions_distinct_total(30)])),
+    (["count", "distinct", "--n", "30", "--k", "4"],
+     lambda: value_record("count distinct", {"n": 30, "k": 4}, [compositions.count_compositions_distinct(30, 4)])),
+    (["count", "leading", "--mode", "strict", "--n", "20"],
+     lambda: value_record("count leading", {"mode": "strict", "n": 20, "k": None},
+                          [compositions.count_leading_strict_total(20)])),
+    (["count", "leading", "--mode", "weak", "--n", "20", "--k", "3"],
+     lambda: value_record("count leading", {"mode": "weak", "n": 20, "k": 3},
+                          [compositions.count_leading_weak(20, 3)])),
+    (["count", "avoid", "--k", "2", "--n", "40"],
+     lambda: value_record("count avoid", {"k": 2, "n": 40}, [compositions.count_avoiding(40, 2)])),
+    (["count", "contain", "--k", "2", "--n", "40"],
+     lambda: value_record("count contain", {"k": 2, "n": 40}, [compositions.count_containing(40, 2)])),
+    *[(["series", "--family", family, "--k", "3", "--order", "30"],
+       lambda family=family: value_record("series", {"family": family, "k": 3, "order": 30},
+                                          series.family_series(family, 3, 30).coefficients))
+      for family in series.SERIES_FAMILIES],
+    (["series", "--family", "distinct-total", "--order", "0"],
+     lambda: value_record("series", {"family": "distinct-total", "k": None, "order": 0},
+                          series.gf_distinct_total(0).coefficients)),
+    (["series", "--family", "distinct-total", "--order", "25"],
+     lambda: value_record("series", {"family": "distinct-total", "k": None, "order": 25},
+                          series.gf_distinct_total(25).coefficients)),
+    (["graph", "count", "--file", 'ladder "3" \u00e9.txt'],
+     lambda: value_record("graph count", {"file": 'ladder "3" \u00e9.txt'}, [74])),
+    (["graph", "family", "--name", "kminus", "--n", "9"],
+     lambda: value_record("graph family", {"name": "kminus", "n": 9},
+                          [graphcomp.family_count("complete_minus_edge", 9)])),
+    (["graph", "family", "--name", "path", "--n", "400"],
+     lambda: value_record("graph family", {"name": "path", "n": 400}, [1 << 399])),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("argv,record", VALUE_CASES, ids=[" ".join(argv) for argv, _ in VALUE_CASES])
+def test_value_output_matches_the_record_writer(argv, record, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / 'ladder "3" \u00e9.txt').write_text(graphcomp.format_edge_list(graphcomp.build_family("ladder", 3)))
+    assert run_cli(argv + ["--format", fmt]) == (0, record_output(record(), fmt), "")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_output_matches_the_record_writer(fmt):
+    checks = verify.run_suite("all", 4, 3)
+    expected = record_output(verify_record("all", 4, 3, checks), fmt)
+    assert run_cli(["verify", "--max-n", "4", "--seed", "3", "--format", fmt]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_failed_check_exits_1_and_prints_like_the_record_writer(fmt, monkeypatch):
+    checks = [("a passing check", True, "3 cases"), ("a failing check", False, "n=3 got 5, want 4")]
+    monkeypatch.setattr(verify, "run_suite", lambda suite, max_n, seed: checks)
+    expected = record_output(verify_record("graphs", 7, 2, checks), fmt)
+    code, out, err = run_cli(["verify", "--suite", "graphs", "--max-n", "7", "--seed", "2", "--format", fmt])
+    assert (code, out, err) == (1, expected, "")
+    if fmt == "plain":
+        assert "FAIL a failing check: n=3 got 5, want 4\n" in out
+    if fmt == "json":
+        record = json.loads(out)
+        assert (record["passed"], record["failed"]) == (1, 1)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_long_series_is_written_without_holding_its_output(fmt):
+    # order 12000 prints about 20 MB of digits; the earlier writer held them
+    # as strings, twice over in plain and csv (about 60 MB traced, 30 in json)
+    argv = ["series", "--family", "fweak", "--k", "3", "--order", "12000", "--format", fmt]
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            code = cli.run(argv, out=sink, err=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 20e6
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
