@@ -15,7 +15,6 @@ from .compositions import (
     POSITIVE_PARTS,
     Composition,
     PartBounds,
-    Triangle,
     count_avoiding,
     count_compositions_distinct,
     count_compositions_distinct_total,

@@ -16,7 +16,6 @@ from itertools import chain
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
 from .errors import ResourceLimitError
-from .exactnum import triangular_root
 from .graphcomp import GraphParseError
 
 TRIANGLE_KIND_FLAGS = {
@@ -144,8 +143,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         return _values("count contain", {"k": args.k, "n": args.n}, [value], fmt), 0
 
     if command == "triangle":
-        tri = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
-        return _triangle_lines({"kind": args.kind, "rows": args.rows}, tri.rows, fmt), 0
+        rows = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
+        return _triangle_lines({"kind": args.kind, "rows": args.rows}, rows, fmt), 0
 
     if command == "series":
         if args.family == "distinct-total":
@@ -239,26 +238,25 @@ def _check_lines(parameters: dict, checks: list[tuple[str, bool, str]], fmt: str
 
 def _triangle_lines(parameters: dict, rows: tuple[tuple[int, ...], ...], fmt: str):
     """The triangle's output in the format, one string a row (csv and json
-    add their header and trailer). Row n is zero past k = triangular_root(n),
-    so only its head is converted; its zero tail is cut from strings built
-    once."""
-    heads = ((n, row[:triangular_root(n) + 1]) for n, row in enumerate(rows))
+    add their header and trailer). rows[n] stops at k = triangular_root(n),
+    as compositions.triangle gives it, so only those entries are converted;
+    the zero tail out to k = n is cut from strings built once."""
     if fmt == "plain":
         zeros = " 0" * len(rows)
-        for n, head in heads:
+        for n, head in enumerate(rows):
             yield " ".join(map(str, head)) + zeros[:2 * (n + 1 - len(head))] + "\n"
         return
     if fmt == "csv":
         yield "index,value\n"
         zero_cells = [f"{k},0\n" for k in range(len(rows))]
-        for n, head in heads:
+        for n, head in enumerate(rows):
             p = f"{n}:"  # before each cell: "n:k,value"
             yield p + p.join([f"{k},{v}\n" for k, v in enumerate(head)] + zero_cells[len(head):n + 1])
         return
     before, after = _json_around_values("triangle", parameters)
     yield before
     zero_cells = [f'{k}",\n      "0"\n    ]' for k in range(len(rows))]
-    for n, head in heads:
+    for n, head in enumerate(rows):
         p = f'{"," if n else ""}\n    [\n      "{n}:'  # row 0 holds one cell, the first
         yield p + p.join([f'{k}",\n      "{v}"\n    ]' for k, v in enumerate(head)]
                          + zero_cells[len(head):n + 1])

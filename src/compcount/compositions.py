@@ -42,14 +42,6 @@ NONNEGATIVE_PARTS = PartBounds(0, None)
 POSITIVE_PARTS = PartBounds(1, None)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Rows 0..R-1 of a distinct-part counting array; rows[n][k] covers k = 0..n."""
-
-    kind: str
-    rows: tuple[tuple[int, ...], ...]
-
-
 def enumerate_compositions(
     n: int,
     k: int,
@@ -339,18 +331,17 @@ def _fibonacci_higher(m: int, n: int) -> int:
     return a(n) - a(n - 1)
 
 
-def triangle(kind: str, rows: int) -> Triangle:
+def triangle(kind: str, rows: int) -> tuple[tuple[int, ...], ...]:
     """The first ``rows`` rows of the distinct-part partition or composition
-    array, row n holding entries for k = 0..n: the truncated table rows,
-    padded with zeros."""
+    array: the table's own rows, row n holding entries for k = 0 up to
+    triangular_root(n), since every later entry is zero. The price counts
+    the cells printed up to k = n, and holds the table and one row."""
     if kind not in TRIANGLE_KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}; expected one of {TRIANGLE_KINDS}")
     if rows < 1:
         raise ValueError("need at least one row")
     with pricing(what := f"triangle({kind!r}, {rows})"):
         entries, bits = _distinct_table_size(rows - 1)
-        cells = rows * (rows + 1) / 2  # held and printed, padding included
-        check_work(what, entries + cells, bits, held=entries + cells, printed=cells)
-    table = _distinct_rows(rows - 1, kind == COMPOSITIONS_DISTINCT)
-    return Triangle(kind, tuple(row + (0,) * (n + 1 - len(row))
-                                for n, row in enumerate(table[:rows])))
+        cells = rows * (rows + 1) / 2  # printed, padding included
+        check_work(what, entries + cells, bits, held=entries + rows, printed=cells)
+    return tuple(_distinct_rows(rows - 1, kind == COMPOSITIONS_DISTINCT)[:rows])

@@ -6,7 +6,8 @@ found in the block memo runs no counter, so it is not priced):
 
 - the distinct-part table to row n (compositions._distinct_rows): about
   0.95 n^1.5 entries of at most log2(k! e^(pi sqrt(n/3))) bits for the
-  largest k; triangle adds its padded cells, held and printed;
+  largest k; triangle adds its cells out to k = n, zero tails included,
+  each printed, and one row held;
 - the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
   cost (fit to timings); fibonacci_higher(m, n), and the per-k leading
   counts through it: 2n additions of n bits below 6m^2 < n, else
@@ -23,7 +24,7 @@ found in the block memo runs no counter, so it is not priced):
 - exactnum.bell, and exactnum._stirling_row behind stirling1 and
   stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
-  graphcomp.ladder_binet: Karatsuba products of about 2.63n bits;
+  graphcomp.ladder_binet: 16 Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
 - the graph block counters, by graphcomp._subset_cost and _frontier_cost:
   the subset DP on n vertices 1.5 operations a direct step, 3^m of them for

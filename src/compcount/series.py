@@ -51,11 +51,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> int:
         return self.coefficient(n)
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coefficients[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         return TruncatedSeries(

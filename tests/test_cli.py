@@ -410,11 +410,12 @@ def test_triangle_output_bytes_are_unchanged(kind, fmt):
 def per_cell_triangle(kind, rows, fmt):
     """A triangle's output as the earlier formatter built it, from a pair a
     cell (csv, json) or a join of every entry (plain): the oracle of the row
-    writer."""
-    tri = compositions.triangle(cli.TRIANGLE_KIND_FLAGS[kind], rows)
+    writer. Each row is padded with zeros to k = n here."""
+    table = compositions.triangle(cli.TRIANGLE_KIND_FLAGS[kind], rows)
+    padded = [row + (0,) * (n + 1 - len(row)) for n, row in enumerate(table)]
     if fmt == "plain":
-        return "".join(" ".join(map(str, row)) + "\n" for row in tri.rows)
-    values = [(f"{n}:{k}", str(entry)) for n, row in enumerate(tri.rows) for k, entry in enumerate(row)]
+        return "".join(" ".join(map(str, row)) + "\n" for row in padded)
+    values = [(f"{n}:{k}", str(entry)) for n, row in enumerate(padded) for k, entry in enumerate(row)]
     if fmt == "csv":
         return "index,value\n" + "".join(f"{index},{value}\n" for index, value in values)
     record = {"command": "triangle", "parameters": {"kind": kind, "rows": rows},
@@ -579,6 +580,22 @@ def test_a_long_series_is_written_without_holding_its_output(fmt):
             tracemalloc.stop()
     assert code == 0
     assert peak < 20e6
+
+
+def test_the_largest_triangle_holds_the_table_and_a_row(monkeypatch):
+    # the rows are printed from the truncated table itself, so the peak is
+    # the table and one row of output (about 10 MB)
+    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            codes = [cli.run(["triangle", "--kind", "cdistinct", "--rows", "3000", "--format", fmt],
+                             out=sink, err=sink) for fmt in ("csv", "json")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert codes == [0, 0]
+    assert peak < 15e6
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compcount import compositions, series
+from compcount import compositions, exactnum, series
 from compcount.compositions import PartBounds, NONNEGATIVE_PARTS, POSITIVE_PARTS
 from compcount.errors import ResourceLimitError
 
@@ -337,18 +337,20 @@ def test_fibonacci_higher_rejects_bad_bound():
 # --- triangles ----------------------------------------------------------------
 
 def test_triangle_values():
-    assert compositions.triangle("partitions-distinct", 1).rows == ((1,),)
+    assert compositions.triangle("partitions-distinct", 1) == ((1,),)
     four = compositions.triangle("compositions-distinct", 4)
-    assert four.rows[3] == (0, 1, 2, 0)
+    assert four[3] == (0, 1, 2)
     seven = compositions.triangle("partitions-distinct", 7)
-    assert seven.rows[6] == (0, 1, 2, 1, 0, 0, 0)
+    assert seven[6] == (0, 1, 2, 1)
 
 
 def test_triangle_rows_match_counters():
     tri = compositions.triangle("compositions-distinct", 12)
-    for n, row in enumerate(tri.rows):
-        assert len(row) == n + 1
-        for k, entry in enumerate(row):
+    assert len(tri) == 12
+    for n, row in enumerate(tri):
+        assert len(row) == exactnum.triangular_root(n) + 1
+        for k in range(n + 2):
+            entry = row[k] if k < len(row) else 0
             assert entry == compositions.count_compositions_distinct(n, k)
 
 
@@ -385,8 +387,12 @@ def test_truncated_rows_match_the_full_recurrence():
             want = ordered[n][k] if k <= n else 0
             assert compositions.count_compositions_distinct(n, k) == want
         assert compositions.count_compositions_distinct_total(n) == (sum(ordered[n][1:]) if n else 0)
-    tri = compositions.triangle("partitions-distinct", 301)
-    assert [list(row) for row in tri.rows] == unordered
+    for kind, full in (("partitions-distinct", unordered), ("compositions-distinct", ordered)):
+        for n, row in enumerate(compositions.triangle(kind, 301)):
+            # the truncation rests on every entry past triangular_root(n) being 0
+            head = exactnum.triangular_root(n) + 1
+            assert list(row) == full[n][:head]
+            assert not any(full[n][head:])
 
 
 def test_distinct_table_grows_to_the_largest_row_asked(monkeypatch):

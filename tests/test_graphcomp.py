@@ -452,8 +452,9 @@ def test_ladder_binet_values():
 
 
 def test_ladder_binet_matches_recurrence():
+    # every bit pattern of n up to 10 bits, as the power squares over them
     older, newer = 2, 12
-    for n in range(1, 51):
+    for n in range(1, 1025):
         assert graphcomp.ladder_binet(n) == graphcomp.family_count("ladder", n) == older
         older, newer = newer, 6 * newer + older
 
