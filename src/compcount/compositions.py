@@ -10,7 +10,7 @@ linear recurrences, all in exact integer arithmetic.
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import exactnum
 from .errors import ResourceLimitError, check_work, pricing
@@ -251,19 +251,53 @@ def leading_weak_total(n: int) -> int:
 def count_avoiding(n: int, k: int) -> int:
     """Compositions of n into positive parts none of which equals k.
 
-    The recurrence of gf_avoiding's numerator over its denominator,
-    c(m) = 2c(m-1) - c(m-k) + c(m-k-1) + [m=1] - [m=k] + [m=k+1] with
-    c(m <= 0) = 0: n steps of additions of at most n bits, holding the last
-    k + 1 values. The published form of this recurrence with +c(m-k+1) as
-    the final term is wrong (k = 2, m = 4 gives 5 instead of 4), which the
-    test suite pins down.
+    Its values follow the recurrence of gf_avoiding's numerator over its
+    denominator, c(m) = 2c(m-1) - c(m-k) + c(m-k-1) + [m=1] - [m=k] + [m=k+1]
+    with c(m <= 0) = 0. The published form of this recurrence with
+    +c(m-k+1) as the final term is wrong (k = 2, m = 4 gives 5 instead of 4),
+    which the test suite pins down. Below the crossover of _by_jump, the
+    recurrence seeds c(1..k+1) and _avoiding_jump goes on to c(n) by
+    squaring; above it, _avoiding_window runs the recurrence to n. Each
+    route is priced as it runs. The jump's price, 3 (k+1)^2 Karatsuba
+    products on n bits, was 1.1-2.6 times its time at n = 3000-300000 and
+    k = 2-9, the window's 0.6-1.3 times its own, so near both the crossover
+    and the budget the window runs where only its price fits.
     """
     if k < 1:
         raise ValueError("the avoided part must be positive")
     if n < 1:
         return 0
-    check_work(f"count_avoiding({n}, {k})", n, n, held=min(k, n) + 1)
-    k = min(k, n + 1)  # no part of a composition of n exceeds n
+    with pricing(what := f"count_avoiding({n}, {k})"):
+        k = min(k, n + 1)  # no part of a composition of n exceeds n
+        jump = _by_jump(k, n)
+        try:
+            if jump:
+                check_work(what, 3 * (k + 1) ** 2 * (n / 64 + 1) ** 0.585, n, held=3 * k + 3)
+        except ResourceLimitError:
+            jump = False
+        if not jump:
+            check_work(what, n, n, held=min(k, n) + 1)
+    if jump:
+        return _avoiding_jump(_avoiding_window(k + 1, k), n)
+    return _avoiding_window(n, k)[-1]
+
+
+def _by_jump(k: int, n: int) -> bool:
+    """Whether _avoiding_jump beats _avoiding_window: while (k + 1)^2 Karatsuba
+    products on n bits, w^0.585 word additions each for w words, cost less
+    than the window's n additions after a setup of about 128 of them
+    (measured crossovers, the last k where the jump wins: none at n = 60,
+    4 at 200, 8 at 400, 12 at 800, 17 at 2000, 18 at 5000, 21 at 12000,
+    24 at 30000; this rule says 0, 4, 8, 11, 14, 18, 22 and 27)."""
+    return (k + 1) ** 2 * (n / 64 + 1) ** 0.585 < n - 128
+
+
+def _avoiding_window(n: int, k: int) -> deque[int]:
+    """c(n-k..n) of count_avoiding's recurrence, c(n) last, for n >= 1 and
+    k <= n + 1 (some of the values at m <= 0 absent): n additions of at most
+    n bits, holding the last k + 1 values. The route above _by_jump's
+    crossover, the seeds of _avoiding_jump below it, and the oracle of its
+    tests."""
     # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
     # one of these zeros, so min(k, n) + 1 of them suffice
     window = deque([0] * (min(k, n) + 1), maxlen=k + 1)
@@ -272,7 +306,38 @@ def count_avoiding(n: int, k: int) -> int:
         window.append(2 * window[-1] - window[1] + window[0] + (m == 1) - (m == k) + (m == k + 1))
     for _ in range(seeded + 1, n + 1):
         window.append(2 * window[-1] - window[1] + window[0])
-    return window[-1]
+    return window
+
+
+def _avoiding_jump(seeds: Sequence[int], n: int) -> int:
+    """c(n) of count_avoiding's recurrence from its seeds c(1..k+1), n >= 1.
+
+    From m = k + 2 on the recurrence has no indicator terms, so c(n) is
+    sum_i r_i c(1+i), where sum_i r_i x^i = x^(n-1) mod
+    x^(k+1) - 2x^k + x - 1 (Fiduccia 1985). The power is found by squaring
+    over the bits of n - 1 from the top, a set bit shifting the square up
+    by one: d(d+1)/2 products a square for d = k + 1, then a reduction by
+    the three taps x^(k+1) = 2x^k - x + 1, which takes additions only.
+    """
+    d = len(seeds)
+    power = [1]  # x^e mod the characteristic polynomial, e the bits read so far
+    for bit in bin(n - 1)[2:]:
+        shift = bit == "1"
+        size = len(power)
+        square = [0] * (2 * size - 1 + shift)
+        for i, a in enumerate(power):
+            square[2 * i + shift] += a * a
+            twice = a << 1
+            for j in range(i + 1, size):
+                square[i + j + shift] += twice * power[j]
+        for top in range(len(square) - 1, d - 1, -1):
+            lead = square[top]
+            square[top - 1] += lead << 1
+            square[top - d + 1] -= lead
+            square[top - d] += lead
+        del square[d:]
+        power = square
+    return sum(r * c for r, c in zip(power, seeds))
 
 
 def count_containing(n: int, k: int) -> int:
@@ -304,9 +369,10 @@ def fibonacci_higher(m: int, n: int) -> int:
 
 def _by_window(m: int, n: int) -> bool:
     """Whether the window recurrence beats the binomial sums: at m below about
-    0.41 sqrt(n) (measured crossovers: m = 5 at n = 200, 12-14 at 800-1300,
-    about 32 at 6000; at 20000 it is 46, where this rule says 57)."""
-    return 6 * m * m < n
+    0.85 n^0.4 (measured crossovers, the first m where the sums win: 5 at
+    n = 200, 12 at 800, 15 at 1300, 24 at 3000, 29 at 6000, 44 at 20000;
+    this rule says 8, 13, 15, 21, 28 and 45)."""
+    return m < 0.85 * n ** 0.4
 
 
 def _fibonacci_higher(m: int, n: int) -> int:

@@ -10,10 +10,13 @@ found in the block memo runs no counter, so it is not priced):
   each printed, and one row held;
 - the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
   cost (fit to timings); fibonacci_higher(m, n), and the per-k leading
-  counts through it: 2n additions of n bits below 6m^2 < n, else
+  counts through it: 2n additions of n bits below m < 0.85 n^0.4, else
   2(n/(m + 1) + 1) of those binomials;
-- count_avoiding, and count_containing through it: n additions of at most
-  n bits, min(k, n) + 1 of them held;
+- count_avoiding, and count_containing through it, by the route it takes:
+  the jump below (k + 1)^2 (n/64 + 1)^0.585 < n - 128, 3(k + 1)^2 Karatsuba
+  products of n bits, 3k + 3 of them held; the window above it, and below
+  it where only the window's price is within the budget, n additions of at
+  most n bits, min(k, n) + 1 of them held;
 - count_restricted: t + 1 terms of its inclusion-exclusion sum, each
   min(k - 1, r) + 2 products for its binomials (math.comb(N, K) takes about
   min(K, N - K)), on numbers of t bits more than the count without an upper
@@ -48,9 +51,10 @@ subset DP also prices its sums T(u, 0..h) (graphcomp._universal_sums):
 Stirling row u prices itself. graphcomp.read_edge_list prices an edge-list
 file at 36 bytes held a character, and reads no further than the first
 character over the budget. verify.run_suite prices the checks that grow with
-max_n: (4 max_n)^3 operations for the leading totals, 20 order^2 for the
-series. A size past the range of a float (about 10^308) is refused where its
-estimate overflows.
+max_n: (4 max_n)^3 operations for the leading totals, about
+4e4 (max_n/16 + 1)^0.585 for the avoid/contain jump check, 20 order^2 for
+the series. A size past the range of a float (about 10^308) is refused where
+its estimate overflows.
 """
 
 from contextlib import contextmanager

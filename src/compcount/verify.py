@@ -11,7 +11,7 @@ from random import Random
 
 from . import VERIFY_SUITES, compositions, exactnum, graphcomp, series
 from .compositions import PartBounds
-from .errors import check_work
+from .errors import check_work, pricing
 
 Check = tuple[str, bool, str]
 
@@ -36,16 +36,18 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     """Refuse a suite whose checks that grow with max_n are over the budget
     (fit to timings at max_n = 50-800; CPython 3.11, 2-vCPU x86-64 guest):
     the leading totals take about top^3 operations on top-bit numbers for
-    top = 4 max_n, the series about 20 order^2 on order-bit numbers, in about
-    4 series of order + 1 terms, for order = max(40, 2 max_n)."""
+    top = 4 max_n, the avoid/contain jump check about 4e4 (last/64 + 1)^0.585
+    on last-bit numbers for last = max(40, top), the series about 20 order^2
+    on order-bit numbers, in about 4 series of order + 1 terms, for
+    order = max(40, 2 max_n)."""
     top, order = 4 * max_n, max(40, 2 * max_n)
     operations = held = 0
-    if suite in ("all", "compositions"):
-        operations, held = top ** 3, top
-    if suite in ("all", "series"):
-        operations, held = operations + 20 * order ** 2, held + 4 * order
-    check_work(f"verify --suite {suite} --max-n {max_n}", operations, max(top, order),
-               held=held, printed=0)
+    with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
+        if suite in ("all", "compositions"):
+            operations, held = top ** 3 + 4e4 * (max(40, top) / 64 + 1) ** 0.585, top
+        if suite in ("all", "series"):
+            operations, held = operations + 20 * order ** 2, held + 4 * order
+        check_work(what, operations, max(top, order), held=held, printed=0)
 
 
 def _check(name: str, mismatches: list[str]) -> Check:
@@ -153,6 +155,15 @@ def _composition_checks(max_n: int) -> list[Check]:
             if compositions.count_avoiding(n, k) + compositions.count_containing(n, k) != 1 << (n - 1):
                 bad.append(f"complement n={n} k={k}")
     checks.append(_check("avoid/contain counters match enumeration and sum to 2^(n-1)", bad))
+
+    bad = []
+    last = max(40, 4 * max_n)  # past enumeration
+    for k in range(1, 13):
+        seeds = compositions._avoiding_window(k + 1, k)
+        for n, want in zip(range(last - k, last + 1), compositions._avoiding_window(last, k)):
+            if compositions._avoiding_jump(seeds, n) != want:
+                bad.append(f"k={k} n={n}")
+    checks.append(_check("avoid/contain jump matches the window recurrence", bad))
 
     bad = []
     for m in range(1, 5):

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from collections import deque
 from random import Random
 
 import pytest
@@ -307,6 +308,44 @@ def test_avoid_rejects_nonpositive_part():
         compositions.count_containing(5, -1)
 
 
+def test_the_jump_matches_the_window_recurrence():
+    for n in range(1, 301):
+        for k in (*range(1, 26), n, n + 1, 10 ** 19):
+            k = min(k, n + 1)  # as count_avoiding clamps it
+            seeds = compositions._avoiding_window(k + 1, k)
+            assert compositions._avoiding_jump(seeds, n) == compositions._avoiding_window(n, k)[-1], (n, k)
+
+
+def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
+    n, k, p = 300000, 4, (1 << 61) - 1
+    start = time.perf_counter()
+    avoiding = compositions.count_avoiding(n, k)
+    assert time.perf_counter() - start < 2
+    window = deque([0] * (k + 1), maxlen=k + 1)
+    for m in range(1, n + 1):
+        window.append((2 * window[-1] - window[1] + window[0] + (m == 1) - (m == k) + (m == k + 1)) % p)
+    assert avoiding % p == window[-1]
+    assert avoiding + compositions.count_containing(n, k) == 1 << (n - 1)
+
+
+def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
+    routes = []
+    monkeypatch.setattr(compositions, "_avoiding_jump", lambda seeds, n: routes.append(("jump", n)) or 0)
+    monkeypatch.setattr(compositions, "_avoiding_window", lambda n, k: routes.append(("window", n)) or [0])
+    # the jump is the faster route for k = 30 at n = 340000, but its price is
+    # over the budget and the window's is not
+    assert compositions._by_jump(30, 340000)
+    compositions.count_avoiding(340000, 30)
+    assert routes.pop() == ("window", 340000)
+    with pytest.raises(ResourceLimitError):  # where the window's price refuses it
+        compositions.count_avoiding(351501, 30)
+    # the first size the jump's price refuses at k = 4
+    compositions.count_avoiding(1621154, 4)
+    assert routes.pop() == ("jump", 1621154)
+    with pytest.raises(ResourceLimitError):
+        compositions.count_avoiding(1621155, 4)
+
+
 # --- bounded-part totals ----------------------------------------------------
 
 def test_fibonacci_higher_values():
@@ -436,6 +475,12 @@ def test_both_routes_of_fibonacci_higher_agree(monkeypatch):
         monkeypatch.setattr(compositions, "_by_window", lambda m, n: by_window)
         values[by_window] = [compositions._fibonacci_higher(m, n) for m, n in cases]
     assert values[True] == values[False]
+
+
+def test_fibonacci_higher_leaves_the_window_where_the_binomial_sums_win():
+    # measured at n = 20000: the binomial sums win from m = 44
+    assert compositions._by_window(40, 20000)
+    assert not compositions._by_window(50, 20000)
 
 
 def test_fibonacci_higher_at_small_m_is_quick_and_huge_arguments_are_refused():
