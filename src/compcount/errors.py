@@ -9,9 +9,10 @@ found in the block memo runs no counter, so it is not priced):
   largest k; triangle adds its cells out to k = n, zero tails included,
   each printed, and one row held;
 - the leading totals: 2(n/k + 1) binomials of n bits for each k at Karatsuba
-  cost (fit to timings); fibonacci_higher(m, n), and the per-k leading
-  counts through it: 2n additions of n bits below m < 0.85 n^0.4, else
-  2(n/(m + 1) + 1) of those binomials;
+  cost, fit to the per-first-part sums that their column sums replaced, and
+  5-31 times the column sums' time at n = 800-9029; fibonacci_higher(m, n),
+  and the per-k leading counts through it: 2n additions of n bits below
+  m < 0.85 n^0.4, else 2(n/(m + 1) + 1) of those binomials;
 - count_avoiding, and count_containing through it, by the route it takes:
   the jump below (k + 1)^2 (n/64 + 1)^0.585 < n - 128, 3(k + 1)^2 Karatsuba
   products of n bits, 3k + 3 of them held; the window above it, and below
@@ -51,10 +52,11 @@ subset DP also prices its sums T(u, 0..h) (graphcomp._universal_sums):
 Stirling row u prices itself. graphcomp.read_edge_list prices an edge-list
 file at 36 bytes held a character, and reads no further than the first
 character over the budget. verify.run_suite prices the checks that grow with
-max_n: (4 max_n)^3 operations for the leading totals, about
-4e4 (max_n/16 + 1)^0.585 for the avoid/contain jump check, 20 order^2 for
-the series. A size past the range of a float (about 10^308) is refused where
-its estimate overflows.
+max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
+bounded-part DP, 7 (4 max_n)^2 ln(4 max_n) for the per-first-part sums that
+check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for
+the avoid/contain jump check, 20 order^2 for the series. A size past the
+range of a float (about 10^308) is refused where its estimate overflows.
 """
 
 from contextlib import contextmanager

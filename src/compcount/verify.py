@@ -6,6 +6,7 @@ enumeration) and compares them exactly. Randomized checks draw from a seeded
 generator so runs are reproducible.
 """
 
+import math
 from itertools import combinations
 from random import Random
 
@@ -35,16 +36,20 @@ def run_suite(suite: str, max_n: int = 10, seed: int = 0) -> list[Check]:
 def _check_suite_work(suite: str, max_n: int) -> None:
     """Refuse a suite whose checks that grow with max_n are over the budget
     (fit to timings at max_n = 50-800; CPython 3.11, 2-vCPU x86-64 guest):
-    the leading totals take about top^3 operations on top-bit numbers for
-    top = 4 max_n, the avoid/contain jump check about 4e4 (last/64 + 1)^0.585
-    on last-bit numbers for last = max(40, top), the series about 20 order^2
-    on order-bit numbers, in about 4 series of order + 1 terms, for
-    order = max(40, 2 max_n)."""
+    the leading totals and the bounded-part DP take about 0.9 top^3
+    operations on top-bit numbers for top = 4 max_n, the per-first-part
+    sums of the leading totals' check about 7 top^2 ln(top) (1 us each at
+    max_n = 25-200), the avoid/contain jump check about
+    4e4 (last/64 + 1)^0.585 on last-bit numbers for last = max(40, top), the
+    series about 20 order^2 on order-bit numbers, in about 4 series of
+    order + 1 terms, for order = max(40, 2 max_n)."""
     top, order = 4 * max_n, max(40, 2 * max_n)
     operations = held = 0
     with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
         if suite in ("all", "compositions"):
-            operations, held = top ** 3 + 4e4 * (max(40, top) / 64 + 1) ** 0.585, top
+            operations = (0.9 * top ** 3 + 7 * top ** 2 * math.log(top)
+                          + 4e4 * (max(40, top) / 64 + 1) ** 0.585)
+            held = top
         if suite in ("all", "series"):
             operations, held = operations + 20 * order ** 2, held + 4 * order
         check_work(what, operations, max(top, order), held=held, printed=0)
@@ -132,6 +137,18 @@ def _composition_checks(max_n: int) -> list[Check]:
         if compositions.count_leading_strict_total(n + 1) != compositions.leading_weak_total(n):
             bad.append(f"n={n}")
     checks.append(_check("strict total at n+1 equals weak total at n", bad))
+
+    bad = []
+    # over first parts k >= 2, the strict terms fibonacci_higher(k - 1, n - k)
+    # are the weak terms of n - 1
+    by_first_part = [sum(compositions.fibonacci_higher(k, n - k) for k in range(1, n + 1))
+                     for n in range(4 * max_n + 1)]
+    for n in range(1, 4 * max_n + 1):
+        if compositions.leading_weak_total(n) != by_first_part[n]:
+            bad.append(f"weak n={n}")
+        if compositions.count_leading_strict_total(n) != int(n == 1) + by_first_part[n - 1]:
+            bad.append(f"strict n={n}")
+    checks.append(_check("leading totals' column sums match the per-first-part sums", bad))
 
     bad = []
     last = 4 * max_n - 1

@@ -306,8 +306,11 @@ def test_verify_refuses_a_max_n_whose_cubic_checks_are_over_the_budget():
     assert (code, out) == (3, "")
     assert "verify --suite all --max-n 1000000" in err and "over the budget of" in err
     assert time.perf_counter() - start < 1
-    for max_n in (10, 40):  # priced only: the suite at 40 takes seconds
+    for max_n in (10, 40, 98):  # priced only: the suite at 40 takes seconds
         verify._check_suite_work("all", max_n)
+    for suite in ("all", "compositions"):
+        with pytest.raises(ResourceLimitError, match=f"--suite {suite} --max-n 99 "):
+            verify._check_suite_work(suite, 99)
 
 
 @pytest.mark.parametrize("suite", VERIFY_SUITES)
@@ -335,7 +338,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 27
+    assert len(names) == 28
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 

@@ -460,6 +460,64 @@ def test_leading_totals_match_the_sums_of_the_per_k_recurrences():
         assert [total(n) for n in range(top + 1)] == sums
 
 
+def leading_by_first_part(n):
+    """The per-first-part sum that the column sums replaced: over every
+    first part k, the compositions of n - k into parts of at most k."""
+    return sum(compositions.fibonacci_higher(k, n - k) for k in range(1, n + 1))
+
+
+def assert_leading_totals_match_the_first_part_sums(sizes):
+    # over first parts k >= 2, the strict terms fibonacci_higher(k - 1, n - k)
+    # are the weak terms of n - 1
+    by_first_part = {m: leading_by_first_part(m) for m in {*sizes, *(n - 1 for n in sizes)}}
+    for n in sizes:
+        assert compositions.leading_weak_total(n) == (by_first_part[n] if n else 0)
+        strict = int(n == 1) + by_first_part[n - 1] if n else 0
+        assert compositions.count_leading_strict_total(n) == strict
+
+
+# the 35 sizes of the 40 leading totals in the seed-7 perfbench sequences workload
+SEED_7_LEADING = (821, 822, 828, 829, 874, 875, 878, 879, 922, 923, 925, 926, 972, 973,
+                  977, 978, 1023, 1024, 1029, 1030, 1072, 1073, 1077, 1078, 1126, 1127,
+                  1173, 1174, 1222, 1223, 1227, 1228, 1278, 1279, 1280)
+
+
+def test_leading_totals_match_the_per_first_part_sums():
+    assert_leading_totals_match_the_first_part_sums([*range(401), *SEED_7_LEADING])
+
+
+def first_column_part(n):
+    """The first m whose fibonacci_higher(m, n - m) the leading totals take
+    from the binomial columns rather than a window recurrence."""
+    m = 1
+    while m <= n and compositions._by_window(m, n - m):
+        m += 1
+    return m
+
+
+def test_leading_totals_match_on_each_side_of_a_change_of_the_crossover():
+    changes = [n for n in range(1, 1500) if first_column_part(n) != first_column_part(n - 1)]
+    assert len(changes) > 10
+    # the strict total of n + 1 reads the columns of n
+    assert_leading_totals_match_the_first_part_sums(
+        sorted({size for n in changes for size in (n - 1, n, n + 1, n + 2)}))
+
+
+@pytest.mark.parametrize("crossover", [1, 2, 3, 7, 14, 60, 200])
+def test_leading_totals_do_not_depend_on_where_the_columns_start(monkeypatch, crossover):
+    want = [leading_by_first_part(n) for n in range(160)]
+    monkeypatch.setattr(compositions, "_by_window", lambda m, n: m < crossover)
+    assert [compositions._leading_total(n) for n in range(160)] == want
+
+
+def test_leading_totals_are_refused_from_9030(monkeypatch):
+    monkeypatch.setattr(compositions, "_leading_total", lambda n: 0)
+    for total in (compositions.leading_weak_total, compositions.count_leading_strict_total):
+        assert total(9029) == 0
+        with pytest.raises(ResourceLimitError, match=f"{total.__name__}\\(9030\\)"):
+            total(9030)
+
+
 def test_fibonacci_higher_matches_its_recurrence():
     for m in range(1, 12):
         values = [1]
