@@ -150,13 +150,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         if args.family == "distinct-total":
             if args.k is not None:
                 raise UsageError("--k does not apply to the distinct-total series")
-            expansion = series.gf_distinct_total(args.order)
+            coefficients = series.gf_distinct_total(args.order).coefficients
         else:
             if args.k is None:
                 raise UsageError(f"--k is required for the {args.family} series")
-            expansion = series.family_series(args.family, args.k, args.order)
+            coefficients = series.family_decimals(args.family, args.k, args.order)
         params = {"family": args.family, "k": args.k, "order": args.order}
-        return _values("series", params, expansion.coefficients, fmt), 0
+        return _values("series", params, coefficients, fmt), 0
 
     if command == "graph" and sub == "count":
         with open(args.file, encoding="utf-8") as handle:
@@ -193,18 +193,20 @@ def _json_around_values(command: str, parameters: dict) -> tuple[str, str]:
     return before.rstrip(), after + "\n"
 
 
-def _values(command: str, parameters: dict, values: Sequence[int], fmt: str) -> Iterator[str]:
+def _values(command: str, parameters: dict, values: Sequence, fmt: str) -> Iterator[str]:
     """A value command's output in the format, a line (json: a cell) at a
-    time; values[n] is the value at index n, and at least one is given. Each
-    number is converted to decimal as it is written, so the output is never
+    time; values[n] is the value at index n, and at least one is given. The
+    values are ints, or integral decimal.Decimals (the rational series),
+    which print alike. Each number is converted to decimal by str (a
+    Decimal's format is slower) as it is written, so the output is never
     held as strings."""
     if fmt == "plain":
-        return (f"{value}\n" for value in values)
+        return (f"{value!s}\n" for value in values)
     if fmt == "csv":
         # indices and decimal values hold no character that csv would quote
-        return chain(["index,value\n"], (f"{n},{value}\n" for n, value in enumerate(values)))
+        return chain(["index,value\n"], (f"{n},{value!s}\n" for n, value in enumerate(values)))
     before, after = _json_around_values(command, parameters)
-    cells = (f'{"," if n else ""}\n    [\n      "{n}",\n      "{value}"\n    ]'
+    cells = (f'{"," if n else ""}\n    [\n      "{n}",\n      "{value!s}"\n    ]'
              for n, value in enumerate(values))
     return chain([before], cells, [after])
 

@@ -22,9 +22,12 @@ found in the block memo runs no counter, so it is not priced):
   min(k - 1, r) + 2 products for its binomials (math.comb(N, K) takes about
   min(K, N - K)), on numbers of t bits more than the count without an upper
   bound; its oracle _count_by_dp: k(n+1) additions per part value in range;
-- the composition series (series.gf_distinct_total, series.family_series):
-  order + 1 coefficients of at most order bits, each one product per factor
-  or denominator term, all printed;
+- the composition series (series.gf_distinct_total, series.family_series,
+  and series.family_decimals, the same long division over Decimals): order + 1
+  coefficients of at most order bits, each one product per factor or
+  denominator term, all printed. A Decimal prints in time linear in its
+  digits, so the printing term (2 w^2) over-prices family_decimals, whose
+  last admitted orders take 0.24-0.31 s, 26-33 times under the price;
 - exactnum.bell, and exactnum._stirling_row behind stirling1 and
   stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
@@ -55,8 +58,9 @@ character over the budget. verify.run_suite prices the checks that grow with
 max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
 bounded-part DP, 7 (4 max_n)^2 ln(4 max_n) for the per-first-part sums that
 check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for
-the avoid/contain jump check, 20 order^2 for the series. A size past the
-range of a float (about 10^308) is refused where its estimate overflows.
+the avoid/contain jump check, 20 order^2 + 500 order for the series. A size
+past the range of a float (about 10^308) is refused where its estimate
+overflows.
 """
 
 from contextlib import contextmanager

@@ -114,22 +114,28 @@ class RationalGF:
 
 
 def series_from_rational(gf: RationalGF, order: int) -> TruncatedSeries:
-    """Expand numerator/denominator to the given order by long division.
+    """Expand numerator/denominator to the given order by long division."""
+    return TruncatedSeries(tuple(_long_division(gf.numerator, gf.denominator, order, 0)))
+
+
+def _long_division(num, den, order: int, zero) -> list:
+    """Coefficients 0..order of num / den by long division.
 
     With denominator d_0 + d_1 z + ... the coefficients satisfy
     c_m = (num_m - sum_{j>=1} d_j c_{m-j}) / d_0, and d_0 = +-1 keeps every
-    step in the integers. The sum runs over the nonzero d_j only, so a
+    step in the integers. The steps are sums, products and negations, so
+    they run exactly on ints, and on Decimals in an exact context; `zero` is
+    the 0 of the terms' type. The sum runs over the nonzero d_j only, so a
     sparse denominator such as 1 - 2z + z^k costs O(order) steps, not
     O(order k).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num, den = gf.numerator, gf.denominator
     lead = den[0]
     if lead not in (1, -1):
         raise ValueError("denominator constant term must be +1 or -1 for integer expansion")
     terms = [(j, d) for j, d in enumerate(den) if j and d]
-    coeffs = list(num[: order + 1]) + [0] * (order + 1 - len(num))
+    coeffs = list(num[: order + 1]) + [zero] * (order + 1 - len(num))
     for m in range(order + 1):
         acc = coeffs[m]
         for j, d in terms:
@@ -137,7 +143,29 @@ def series_from_rational(gf: RationalGF, order: int) -> TruncatedSeries:
                 break
             acc -= d * coeffs[m - j]
         coeffs[m] = acc if lead == 1 else -acc
-    return TruncatedSeries(tuple(coeffs))
+    return coeffs
+
+
+def _exact_context():
+    """A decimal context in which sums and products of integers never round:
+    a step that would round, or leave the exponent range, raises instead."""
+    import decimal  # only the printed series need it, so start-up skips it
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
+                                  decimal.InvalidOperation])
+
+
+def _decimal_expansion(gf: RationalGF, order: int) -> list:
+    """series_from_rational's coefficients as decimal.Decimal, by the same
+    long division in _exact_context. An int converts to decimal text in time
+    quadratic in its digits, a Decimal in linear time, so this is the route
+    of a series that is to be printed."""
+    from decimal import Decimal, localcontext
+
+    with localcontext(_exact_context()):
+        return _long_division([*map(Decimal, gf.numerator)], [*map(Decimal, gf.denominator)],
+                              order, Decimal(0))
 
 
 def gf_all_compositions() -> RationalGF:
@@ -204,16 +232,27 @@ def _check_expansion(what: str, order: int, terms: int) -> None:
     check_work(what, size * max(terms, 1), size, held=size, printed=size)
 
 
-def family_series(family: str, k: int, order: int) -> TruncatedSeries:
-    """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
-    by long division over the nonzero denominator terms. It is priced before
-    its dense polynomials are built, at the terms of k = 3, where no two
-    exponents collide, so no k has more. Every exponent that depends on k is
-    at least k, so a k past order + 1 is built as order + 1, which changes no
-    coefficient up to z^order."""
+def _family_gf(family: str, k: int, order: int) -> RationalGF:
+    """The SERIES_FAMILIES series with parameter k, once its coefficients
+    0..order are priced. It is priced before its dense polynomials are built,
+    at the terms of k = 3, where no two exponents collide, so no k has more.
+    Every exponent that depends on k is at least k, so a k past order + 1 is
+    built as order + 1, which changes no coefficient up to z^order."""
     terms = sum(1 for d in SERIES_FAMILIES[family](3).denominator[1:] if d)
     _check_expansion(f"the {family} series with k = {k} to order {order}", order, terms)
-    return SERIES_FAMILIES[family](min(k, max(order, 0) + 1)).expand(order)
+    return SERIES_FAMILIES[family](min(k, max(order, 0) + 1))
+
+
+def family_series(family: str, k: int, order: int) -> TruncatedSeries:
+    """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
+    by long division over the nonzero denominator terms."""
+    return _family_gf(family, k, order).expand(order)
+
+
+def family_decimals(family: str, k: int, order: int) -> list:
+    """family_series's coefficients as decimal.Decimal, priced the same way,
+    for printing (see _decimal_expansion)."""
+    return _decimal_expansion(_family_gf(family, k, order), order)
 
 
 def gf_distinct_total(order: int) -> TruncatedSeries:

@@ -42,7 +42,9 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     max_n = 25-200), the avoid/contain jump check about
     4e4 (last/64 + 1)^0.585 on last-bit numbers for last = max(40, top), the
     series about 20 order^2 on order-bit numbers, in about 4 series of
-    order + 1 terms, for order = max(40, 2 max_n)."""
+    order + 1 terms, for order = max(40, 2 max_n), and the check of their
+    printed text about 500 order more (1.0-1.3 times its time at
+    order = 196-1600)."""
     top, order = 4 * max_n, max(40, 2 * max_n)
     operations = held = 0
     with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
@@ -51,7 +53,7 @@ def _check_suite_work(suite: str, max_n: int) -> None:
                           + 4e4 * (max(40, top) / 64 + 1) ** 0.585)
             held = top
         if suite in ("all", "series"):
-            operations, held = operations + 20 * order ** 2, held + 4 * order
+            operations, held = operations + 20 * order ** 2 + 500 * order, held + 4 * order
         check_work(what, operations, max(top, order), held=held, printed=0)
 
 
@@ -256,6 +258,14 @@ def _series_checks(max_n: int) -> list[Check]:
             bad.append(f"k={k}")
     checks.append(_check("both denominator forms of the strict gf agree", bad))
 
+    bad = []
+    for family in series.SERIES_FAMILIES:
+        for k in (*range(1, 7), order + 2):
+            printed = list(map(str, series.family_decimals(family, k, order)))
+            if printed != list(map(str, series.family_series(family, k, order).coefficients)):
+                bad.append(f"{family} k={k}")
+    checks.append(_check("printed series match the int expansion", bad))
+
     return checks
 
 
@@ -352,7 +362,7 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks.append(_check("frontier DP matches subset DP", bad))
 
     bad = []
-    for rungs, expected in enumerate(_ladder_recurrence(2 * max_n), start=1):
+    for rungs, expected in enumerate(_ladder_recurrence(2 * min(max_n, 16)), start=1):
         count = graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", rungs))
         if not count == expected == graphcomp.family_count("ladder", rungs):
             bad.append(f"rungs={rungs}")

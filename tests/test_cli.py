@@ -323,12 +323,13 @@ def test_verify_runs_every_suite_at_max_n_1(suite):
 
 
 def test_verify_suites_are_offered_without_importing_verify():
+    # decimal, which only the printed series use, is not imported at start-up either
     code = ("import sys, compcount.cli; compcount.cli.build_parser(); "
-            "print('compcount.verify' in sys.modules)")
+            "print('compcount.verify' in sys.modules, 'decimal' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.stdout == "False\n", done.stderr
+    assert done.stdout == "False False\n", done.stderr
     assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
     assert run_cli(["verify", "--suite", "everything"])[0] == 2
 
@@ -338,7 +339,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 28
+    assert len(names) == 29
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -653,6 +654,23 @@ def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "4302601688761\n", "")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
+def test_the_graph_suite_at_a_huge_max_n_runs_in_a_gigabyte():
+    # its ladder check runs 2 min(max_n, 16) rungs, as the other graph checks
+    # cap their sizes; 2 max_n rungs ran out of this space past max_n = 75,000
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "compcount", "verify", "--suite", "graphs", "--max-n", "100000"],
+                          capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith(" checks\n") and "FAIL" not in done.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "distinct", "--n", "10000000"],
     ["count", "distinct", "--n", "10000000", "--k", "5"],
@@ -867,3 +885,20 @@ def test_a_block_too_big_for_any_memory_is_refused_at_any_cap(tmp_path):
     # K48 itself has 48 universal vertices, so the subset side holds one state
     target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 48)))
     assert run_cli(["graph", "count", "--file", str(target)]) == (0, f"{exactnum.bell(48)}\n", "")
+
+
+@pytest.mark.parametrize("family", sorted(series.SERIES_FAMILIES))
+def test_printed_series_match_the_int_expansion(family):
+    # the CLI expands these series over Decimals; the int expansion is the
+    # oracle of every value's text (the json layout around the values is
+    # pinned by test_value_output_matches_the_record_writer)
+    for order in range(301):
+        for k in (*range(1, 9), order + 5):
+            text = list(map(str, series.family_series(family, k, order).coefficients))
+            argv = ["series", "--family", family, "--k", str(k), "--order", str(order), "--format"]
+            assert run_cli(argv + ["plain"]) == (0, "".join(f"{value}\n" for value in text), ""), (k, order)
+            csv_text = "index,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(text))
+            assert run_cli(argv + ["csv"]) == (0, csv_text, ""), (k, order)
+            code, out, err = run_cli(argv + ["json"])
+            cells = [[str(n), value] for n, value in enumerate(text)]
+            assert (code, json.loads(out)["values"], err) == (0, cells, ""), (k, order)

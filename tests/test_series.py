@@ -1,10 +1,12 @@
 """Tests for truncated series arithmetic and the concrete generating functions."""
 
+import decimal
 import math
+from decimal import Decimal
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from compcount import compositions, series
 from compcount.series import RationalGF, TruncatedSeries
@@ -213,6 +215,29 @@ def test_expansion_is_multiplicative(na, nb, da, db, flip_a, flip_b):
 
 
 # --- the fast routes against the routes they replaced -------------------------
+
+@given(num=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+       den=st.lists(st.integers(min_value=-4, max_value=4), max_size=6),
+       lead=st.sampled_from((1, -1)), order=st.integers(min_value=0, max_value=30))
+@example(num=[0, 1, 0], den=[], lead=-1, order=4)  # zeros negated
+def test_the_decimal_division_matches_the_int_one(num, den, lead, order):
+    gf = RationalGF(tuple(num), (lead, *den))
+    decimals = series._decimal_expansion(gf, order)
+    assert all(isinstance(value, Decimal) for value in decimals)
+    # equal text, so no zero prints as -0
+    assert list(map(str, decimals)) == list(map(str, series.series_from_rational(gf, order).coefficients))
+
+
+def test_the_decimal_division_raises_where_it_would_round():
+    context = series._exact_context().copy()
+    context.prec = 10
+    num, den = series.gf_all_compositions().numerator, series.gf_all_compositions().denominator
+    with decimal.localcontext(context), pytest.raises(decimal.Inexact):
+        # 2^34 has 11 digits
+        series._long_division([*map(Decimal, num)], [*map(Decimal, den)], 40, Decimal(0))
+    with decimal.localcontext(context):
+        assert series._long_division([*map(Decimal, num)], [*map(Decimal, den)], 33, Decimal(0))[-1] == 2 ** 32
+
 
 def dense_long_division(num, den, order):
     """Long division over every denominator term, zero or not."""
