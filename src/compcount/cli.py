@@ -18,10 +18,8 @@ from .compositions import PartBounds
 from .errors import ResourceLimitError
 from .graphcomp import GraphParseError
 
-TRIANGLE_KIND_FLAGS = {
-    "pi": compositions.PARTITIONS_DISTINCT,
-    "cdistinct": compositions.COMPOSITIONS_DISTINCT,
-}
+TRIANGLE_KIND_FLAGS = {"pi": compositions.PARTITIONS_DISTINCT,
+                       "cdistinct": compositions.COMPOSITIONS_DISTINCT}
 # --name flags: each family's own name, except kminus for complete_minus_edge.
 FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name
                 for name in graphcomp.FAMILIES}
@@ -30,6 +28,96 @@ FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name
 class UsageError(Exception):
     """Bad flag combination that argparse alone cannot express."""
 
+
+def _value(count):
+    """The handler of a command that prints one value, count(args)."""
+    return lambda args, command, params: (_values(command, params, [count(args)], args.format), 0)
+
+
+def _distinct(args: argparse.Namespace) -> int:
+    if args.k is None:
+        return compositions.count_compositions_distinct_total(args.n)
+    return compositions.count_compositions_distinct(args.n, args.k)
+
+
+def _leading(args: argparse.Namespace) -> int:
+    strict = args.mode == "strict"
+    if args.k is None:
+        total = compositions.count_leading_strict_total if strict else compositions.leading_weak_total
+        return total(args.n)
+    return (compositions.count_leading_strict if strict else compositions.count_leading_weak)(args.n, args.k)
+
+
+def _graph_count(args: argparse.Namespace) -> int:
+    with open(args.file, encoding="utf-8") as handle:
+        return graphcomp.reduce_and_count(graphcomp.read_edge_list(handle))
+
+
+def _series(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
+    if args.family == "distinct-total":
+        if args.k is not None:
+            raise UsageError("--k does not apply to the distinct-total series")
+        return _values(command, params, series.gf_distinct_total(args.order).coefficients, args.format), 0
+    if args.k is None:
+        raise UsageError(f"--k is required for the {args.family} series")
+    return _values(command, params, series.family_decimals(args.family, args.k, args.order), args.format), 0
+
+
+def _graph_family(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
+    family = FAMILY_FLAGS[args.name]
+    if not args.emit_graph:
+        return _values(command, params, [graphcomp.family_count(family, args.n)], args.format), 0
+    if args.format != "plain":
+        raise UsageError("--emit-graph only supports the plain format")
+    return [graphcomp.format_edge_list(graphcomp.build_family(family, args.n))], 0
+
+
+def _verify(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
+    from . import verify  # only this command needs it, so start-up skips it
+
+    checks = verify.run_suite(args.suite, args.max_n, args.seed)
+    return _check_lines(params, checks, args.format), 1 if any(not ok for _, ok, _ in checks) else 0
+
+
+INT = {"type": int, "required": True}
+N, K = ("--n", INT), ("--k", INT)
+K_OR_NONE = ("--k", {"type": int, "default": None})
+
+# One entry a command: its words, its help, its flags (each with its
+# add_argument options) in the order of its json parameters, and its handler,
+# which takes the parsed arguments, the command's words and its parameters and
+# returns the output lines and the exit code. A flag's json key is the flag
+# without its dashes, its dest the key with "_" for "-"; a switch is no key.
+COMMANDS = (
+    (("count", "restricted"), "k-part compositions with bounded parts",
+     (N, K, ("--min", {"type": int, "default": 0}), ("--max", {"type": int, "default": None})),
+     _value(lambda args: compositions.count_restricted(args.n, args.k, PartBounds(args.min, args.max)))),
+    (("count", "distinct"), "compositions into distinct nonzero parts", (N, K_OR_NONE), _value(_distinct)),
+    (("count", "leading"), "compositions with the largest part first",
+     (("--mode", {"choices": ("strict", "weak"), "required": True}), N, K_OR_NONE), _value(_leading)),
+    (("count", "avoid"), "compositions with no part equal to k", (K, N),
+     _value(lambda args: compositions.count_avoiding(args.n, args.k))),
+    (("count", "contain"), "compositions with at least one part k", (K, N),
+     _value(lambda args: compositions.count_containing(args.n, args.k))),
+    (("triangle",), "rows of a distinct-part counting triangle",
+     (("--kind", {"choices": sorted(TRIANGLE_KIND_FLAGS), "required": True}), ("--rows", INT)),
+     lambda args, command, params: (_triangle_lines(
+         params, compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows), args.format), 0)),
+    (("series",), "generating-function coefficients",
+     (("--family", {"choices": (*series.SERIES_FAMILIES, "distinct-total"), "required": True}), K_OR_NONE,
+      ("--order", INT)), _series),
+    (("graph", "count"), "count a graph from an edge-list file", (("--file", {"required": True}),),
+     _value(_graph_count)),
+    (("graph", "family"), "count a named graph family member",
+     (("--name", {"choices": sorted(FAMILY_FLAGS), "required": True}), N,
+      ("--emit-graph", {"action": "store_true",
+                        "help": "print the edge list instead of the count (plain format only)"})),
+     _graph_family),
+    (("verify",), "run the cross-check suites",
+     (("--suite", {"choices": VERIFY_SUITES, "default": "all"}), ("--max-n", {"type": int, "default": 10}),
+      ("--seed", {"type": int, "default": 0, "help": "seed for the randomized checks"})), _verify),
+)
+GROUPS = {"count": "composition counters", "graph": "graph composition counting"}
 
 # The parser of _run, built on its first call and reused: parsing leaves it
 # unchanged, and building it costs about 2 ms a query.
@@ -46,141 +134,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of integer compositions and graph compositions.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    count = commands.add_parser("count", help="composition counters")
-    counters = count.add_subparsers(dest="subcommand", required=True)
-
-    p = counters.add_parser("restricted", parents=[common],
-                            help="k-part compositions with bounded parts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--min", type=int, default=0, dest="min_part")
-    p.add_argument("--max", type=int, default=None, dest="max_part")
-
-    p = counters.add_parser("distinct", parents=[common],
-                            help="compositions into distinct nonzero parts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-
-    p = counters.add_parser("leading", parents=[common],
-                            help="compositions with the largest part first")
-    p.add_argument("--mode", choices=("strict", "weak"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-
-    for name, help_text in (("avoid", "compositions with no part equal to k"),
-                            ("contain", "compositions with at least one part k")):
-        p = counters.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-
-    p = commands.add_parser("triangle", parents=[common],
-                            help="rows of a distinct-part counting triangle")
-    p.add_argument("--kind", choices=sorted(TRIANGLE_KIND_FLAGS), required=True)
-    p.add_argument("--rows", type=int, required=True)
-
-    p = commands.add_parser("series", parents=[common],
-                            help="generating-function coefficients")
-    p.add_argument("--family", choices=(*series.SERIES_FAMILIES, "distinct-total"), required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--order", type=int, required=True)
-
-    graph = commands.add_parser("graph", help="graph composition counting")
-    graphs = graph.add_subparsers(dest="subcommand", required=True)
-
-    p = graphs.add_parser("count", parents=[common], help="count a graph from an edge-list file")
-    p.add_argument("--file", required=True)
-
-    p = graphs.add_parser("family", parents=[common], help="count a named graph family member")
-    p.add_argument("--name", choices=sorted(FAMILY_FLAGS), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit-graph", action="store_true", dest="emit_graph",
-                   help="print the edge list instead of the count (plain format only)")
-
-    p = commands.add_parser("verify", parents=[common], help="run the cross-check suites")
-    p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
-
+    groups = {}
+    for words, help_text, flags, handler in COMMANDS:
+        if len(words) == 2 and words[0] not in groups:
+            group = commands.add_parser(words[0], help=GROUPS[words[0]])
+            groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
+        p = groups.get(words[0], commands).add_parser(words[-1], parents=[common], help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        keys = tuple(flag[2:] for flag, options in flags if options.get("action") != "store_true")
+        p.set_defaults(handler=handler, words=" ".join(words), keys=keys)
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     """Run the command: its output lines in args.format, and its exit code."""
-    command = args.command
-    sub = getattr(args, "subcommand", None)
-    fmt = args.format
-
-    if command == "count" and sub == "restricted":
-        bounds = PartBounds(args.min_part, args.max_part)
-        value = compositions.count_restricted(args.n, args.k, bounds)
-        params = {"n": args.n, "k": args.k, "min": args.min_part, "max": args.max_part}
-        return _values("count restricted", params, [value], fmt), 0
-
-    if command == "count" and sub == "distinct":
-        if args.k is None:
-            value = compositions.count_compositions_distinct_total(args.n)
-        else:
-            value = compositions.count_compositions_distinct(args.n, args.k)
-        return _values("count distinct", {"n": args.n, "k": args.k}, [value], fmt), 0
-
-    if command == "count" and sub == "leading":
-        strict = args.mode == "strict"
-        if args.k is None:
-            total = compositions.count_leading_strict_total if strict else compositions.leading_weak_total
-            value = total(args.n)
-        else:
-            per_k = compositions.count_leading_strict if strict else compositions.count_leading_weak
-            value = per_k(args.n, args.k)
-        return _values("count leading", {"mode": args.mode, "n": args.n, "k": args.k}, [value], fmt), 0
-
-    if command == "count" and sub == "avoid":
-        value = compositions.count_avoiding(args.n, args.k)
-        return _values("count avoid", {"k": args.k, "n": args.n}, [value], fmt), 0
-
-    if command == "count" and sub == "contain":
-        value = compositions.count_containing(args.n, args.k)
-        return _values("count contain", {"k": args.k, "n": args.n}, [value], fmt), 0
-
-    if command == "triangle":
-        rows = compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows)
-        return _triangle_lines({"kind": args.kind, "rows": args.rows}, rows, fmt), 0
-
-    if command == "series":
-        if args.family == "distinct-total":
-            if args.k is not None:
-                raise UsageError("--k does not apply to the distinct-total series")
-            coefficients = series.gf_distinct_total(args.order).coefficients
-        else:
-            if args.k is None:
-                raise UsageError(f"--k is required for the {args.family} series")
-            coefficients = series.family_decimals(args.family, args.k, args.order)
-        params = {"family": args.family, "k": args.k, "order": args.order}
-        return _values("series", params, coefficients, fmt), 0
-
-    if command == "graph" and sub == "count":
-        with open(args.file, encoding="utf-8") as handle:
-            graph = graphcomp.read_edge_list(handle)
-        value = graphcomp.reduce_and_count(graph)
-        return _values("graph count", {"file": args.file}, [value], fmt), 0
-
-    if command == "graph" and sub == "family":
-        family = FAMILY_FLAGS[args.name]
-        params = {"name": args.name, "n": args.n}
-        if args.emit_graph:
-            if fmt != "plain":
-                raise UsageError("--emit-graph only supports the plain format")
-            return [graphcomp.format_edge_list(graphcomp.build_family(family, args.n))], 0
-        return _values("graph family", params, [graphcomp.family_count(family, args.n)], fmt), 0
-
-    if command == "verify":
-        from . import verify  # only this command needs it, so start-up skips it
-
-        checks = verify.run_suite(args.suite, args.max_n, args.seed)
-        params = {"suite": args.suite, "max-n": args.max_n, "seed": args.seed}
-        return _check_lines(params, checks, fmt), 1 if any(not ok for _, ok, _ in checks) else 0
-
-    raise UsageError(f"unhandled command {command!r}")
+    params = {key: getattr(args, key.replace("-", "_")) for key in args.keys}
+    return args.handler(args, args.words, params)
 
 
 def _json_around_values(command: str, parameters: dict) -> tuple[str, str]:

@@ -90,12 +90,12 @@ def bell(n: int) -> int:
 _STIRLING_LAST = {False: (0, (1,)), True: (0, (1,))}
 
 
-@lru_cache(maxsize=64)
 def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
     """Row n of the Stirling triangle of either kind (see stirling1 and
     stirling2), continued from the last row built unless that is past n, so
-    an increasing sweep builds each row once and keeps only the cached ones.
-    The work is priced as in bell, as if no row were kept."""
+    an increasing sweep builds each row once and only the last is kept; a
+    repeated n returns it. The work is priced as in bell, as if no row were
+    kept."""
     with pricing(what := f"stirling{1 if first_kind else 2} row {n}"):
         check_work(what, n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
     m, row = _STIRLING_LAST[first_kind]

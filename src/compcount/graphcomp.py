@@ -736,8 +736,8 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     (Hopcroft and Tarjan) that keeps the edges of the open blocks on a stack,
     each as (a, b) with a discovered first. A block's vertices are relabelled
     0..n-1 as its edges are popped, in order of first appearance, which is
-    their order of discovery, so a < b on every edge. A bridge comes out as
-    (2, [(0, 1)]); isolated vertices yield nothing."""
+    their order of discovery, so a < b on every edge. Only blocks of 3 or
+    more vertices come out: bridges and isolated vertices yield nothing."""
     n = graph.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]  # in edge-set order: the split needs none
     for u, v in graph.edges:
@@ -775,9 +775,8 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
                 if low[v] >= pre[parent]:
-                    if len(edge_stack) == mark + 1:  # a bridge
+                    if len(edge_stack) == mark + 1:  # a bridge, which yields nothing
                         del edge_stack[mark]
-                        yield 2, [(0, 1)]
                         continue
                     label = {parent: 0, v: 1}  # its first edge, into v; any later a is labelled by then
                     edges = [(label[a], label.setdefault(b, len(label))) for a, b in edge_stack[mark:]]
@@ -911,8 +910,8 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     """Count compositions as a product over the biconnected blocks.
 
     C(G) is the product of C(B) over the blocks B of every component (the
-    cut-vertex rule); a bridge is a K2 block and contributes 2, so the
-    bridges make one shift and the other blocks one balanced product.
+    cut-vertex rule); a bridge contributes 2, so the edges in no block of
+    _blocks make one shift and its blocks one balanced product.
 
     A block with at least 3 vertices and at most BLOCK_MEMO_VERTICES is
     looked up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES
@@ -927,12 +926,11 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     size = graph.vertex_count + len(graph.edges)
     check_work(f"the block split of {graph.vertex_count} vertices and {len(graph.edges)} edges",
                20 * size, 0, held=4 * size, printed=0)
-    bridges = 0
+    bridges = len(graph.edges)
     counts = []
     for n, edges in _blocks(graph):
-        if n == 2:
-            bridges += 1
-        elif n > BLOCK_MEMO_VERTICES:
+        bridges -= len(edges)
+        if n > BLOCK_MEMO_VERTICES:
             counts.append(_count_block(n, edges))
         else:
             key = n, sum(1 << a * n + b for a, b in edges)

@@ -1,20 +1,25 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import chain
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from compcount import (VERIFY_SUITES, ResourceLimitError, cli, compositions, exactnum, graphcomp,
+from compcount import (VERIFY_SUITES, ResourceLimitError, cli, compositions, errors, exactnum, graphcomp,
                        series, verify)
 
 
@@ -902,3 +907,115 @@ def test_printed_series_match_the_int_expansion(family):
             code, out, err = run_cli(argv + ["json"])
             cells = [[str(n), value] for n, value in enumerate(text)]
             assert (code, json.loads(out)["values"], err) == (0, cells, ""), (k, order)
+
+
+# --- the resource contract over every command --------------------------------
+
+# Edge lists for graph count: graphs to count or refuse, and malformed files.
+CONTRACT_FILES = {
+    "cycle.txt": graphcomp.format_edge_list(graphcomp.build_family("cycle", 40)),
+    "ladder.txt": graphcomp.format_edge_list(graphcomp.build_family("ladder", 30)),
+    "k30-c30.txt": graphcomp.format_edge_list(complete_minus_cycle(30)),
+    **{f"random-{n}-{p}.txt": graphcomp.format_edge_list(graphcomp.random_connected_graph(Random(n), n, p))
+       for n, p in ((10, 0.9), (18, 0.5), (25, 0.1), (40, 0.05), (300, 0.002))},
+    "tree.txt": graphcomp.format_edge_list(graphcomp.random_tree(Random(3), 500)),
+    "empty.txt": "",
+    "words.txt": "three\n0 1\n",
+    "three-fields.txt": "3\n0 1 2\n",
+    "loop.txt": "2\n0 0\n",
+    "out-of-range.txt": "2\n0 5\n",
+    "negative.txt": "-1\n",
+    "superscript.txt": "3\n0 \u00b2\n",
+    "nines.txt": "9" * 400 + "\n0 1\n",
+    "huge.txt": "1000000000\n",
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("contract")
+    for name, text in CONTRACT_FILES.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    (folder / "latin-1.txt").write_bytes(b"3\n0 1\xff\n")
+    return folder
+
+
+@st.composite
+def contract_argv(draw):
+    """An argv for one entry of the command table, in any format and flag
+    order: each optional flag given or not, sizes from -5 to 10^12, files
+    read from the folder of contract_dir; about 3 in 8 are broken by a
+    missing flag, a value of the wrong kind or an extra flag."""
+    words, _, flags, _ = draw(st.sampled_from(cli.COMMANDS))
+    given_flags = []
+    for flag, options in flags:
+        if not options.get("required") and draw(st.booleans()):
+            continue
+        if options.get("action") == "store_true":
+            given_flags.append([flag])
+        elif "choices" in options:
+            given_flags.append([flag, draw(st.sampled_from(options["choices"]))])
+        elif options.get("type") is int:
+            given_flags.append([flag, str(draw(st.one_of(st.integers(-5, 40), st.integers(-5, 10 ** 12))))])
+        else:
+            given_flags.append([flag, draw(st.sampled_from([*CONTRACT_FILES, "latin-1.txt", "missing.txt", "."]))])
+    fault = draw(st.sampled_from(["none", "missing", "bad value", "extra"])) if draw(st.booleans()) else "none"
+    if fault == "extra" or not given_flags:
+        given_flags.append(draw(st.sampled_from([["--seed", "1"], ["--n", "3"], ["--cap", "8"], ["--bogus"]])))
+    elif fault == "missing":
+        del given_flags[draw(st.integers(0, len(given_flags) - 1))]
+    elif fault == "bad value":
+        given_flags[draw(st.integers(0, len(given_flags) - 1))][1:] = [draw(st.sampled_from(["x", "1.5", ""]))]
+    given_flags.append(draw(st.sampled_from([[], ["--format", "plain"], ["--format", "csv"], ["--format", "json"]])))
+    return [*words, *chain.from_iterable(draw(st.permutations(given_flags)))]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=contract_argv())
+def test_every_command_keeps_the_resource_contract(argv, contract_dir):
+    # under a budget of 1e7 word steps every admitted command takes
+    # milliseconds; any argv exits 0-3 with no traceback
+    out, err, process_out, process_err = io.StringIO(), io.StringIO(), io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(process_out), contextlib.redirect_stderr(process_err):
+        patch.setattr(errors, "WORK_BUDGET", 1e7)
+        patch.chdir(contract_dir)
+        code = cli.run(argv, out=out, err=err)
+    event(f"{' '.join(word for word in argv[:2] if not word.startswith('-'))}: exit {code}")
+    assert "Traceback" not in err.getvalue() + process_err.getvalue(), argv
+    # 0 prints the answer; 1 is a domain error (a failed verify check, which
+    # also exits 1, is a wrong count); 2 a usage error, from argparse or the
+    # command; 3 a refusal
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        assert out.getvalue() and not err.getvalue(), argv
+    else:
+        prefix = {1: "error: ", 2: "usage error: ", 3: "resource limit: "}[code]
+        assert err.getvalue().startswith(prefix) or code == 2 and process_err.getvalue(), argv
+
+
+def test_the_readme_command_lines_print_their_numbers(tmp_path, monkeypatch):
+    # each line of README's "Command line" block that ends in "# <number>"
+    # prints that number; a line that redirects to a file writes it for the
+    # lines after it
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    checked = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        assert words[0] == "compcount", line
+        target = None
+        if ">" in words:
+            words, target = words[:words.index(">")], words[-1]
+        elif not comment.strip().isdigit():
+            continue
+        code, out, err = run_cli(words[1:])
+        assert (code, err) == (0, ""), line
+        if target:
+            (tmp_path / target).write_text(out)
+        else:
+            assert out == f"{comment.strip()}\n", line
+            checked += 1
+    assert checked == 7

@@ -1,6 +1,7 @@
 """Tests for the special-number arithmetic, checked against brute force."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -146,6 +147,20 @@ def test_stirling1_counts_permutation_cycles():
         for k in range(n + 1):
             expected = sum(1 for p in permutations(range(n)) if cycle_count(p) == k)
             assert exactnum.stirling1(n, k) == expected
+
+
+def test_a_sweep_of_stirling_rows_holds_only_the_last():
+    # each row of 1000-1063 is about 0.7 MB; a cache of 64 rows held 42 MB
+    exactnum._stirling_row(999, False)
+    tracemalloc.start()
+    try:
+        values = [exactnum.stirling2(n, 5) for n in range(1000, 1064)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert values[-1] == sum((-1) ** (5 - j) * math.comb(5, j) * j ** 1063 for j in range(6)) // 120
+    assert held < 3e6
+    assert exactnum.stirling2(1063, 5) == values[-1] and exactnum.stirling2(1000, 5) == values[0]
 
 
 # --- summation formulas --------------------------------------------------

@@ -825,7 +825,7 @@ def test_the_block_split_yields_each_block_under_its_dfs_labels():
     graphs += [LabeledGraph(6), relabelled(LabeledGraph(offset + 3, forest), rng)]
     for graph in graphs:
         blocks = list(graphcomp._blocks(graph))
-        oracle = _oracle_blocks(graph)
+        oracle = [block for block in _oracle_blocks(graph) if len(block) > 1]  # bridges yield nothing
         assert len(blocks) == len(oracle)
         for n, edges in blocks:
             assert list(dict.fromkeys(v for edge in edges for v in edge)) == list(range(n))
@@ -833,10 +833,9 @@ def test_the_block_split_yields_each_block_under_its_dfs_labels():
             # each block is one of the graph's, and no two are the same one
             match = next(target for target in oracle if _maps_onto(n, edges, target))
             oracle.remove(match)
-        bridges = sum(len(edges) == 1 for _, edges in blocks)
-        assert [block for block in blocks if block[0] == 2] == [(2, [(0, 1)])] * bridges
+        assert all(n >= 3 for n, _ in blocks)
     assert not list(graphcomp._blocks(LabeledGraph(6)))
-    assert all(n == 2 for n, _ in graphcomp._blocks(graphs[-1]))
+    assert not list(graphcomp._blocks(graphs[-1]))
 
 
 # --- the universal-vertex route --------------------------------------------------------------
