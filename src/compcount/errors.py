@@ -49,12 +49,11 @@ split, 4 numbers held and 20 operations per vertex and edge, and hands each
 block to the counter of the lower price, which refuses it where that price
 is over the budget, unless the block's count is in its memo of at most 4096
 blocks of at most 64 vertices: a hit does no work and is not priced again,
-and a refused block is not kept. On u universal vertices and h others, the
-subset DP also prices its sums T(u, 0..h) (graphcomp._universal_sums):
-2u(h + 1) operations on numbers of (u + h) log2(u + h + 1) bits, after the
-Stirling row u prices itself. graphcomp.read_edge_list prices an edge-list
-file at 36 bytes held a character, and reads no further than the first
-character over the budget. verify.run_suite prices the checks that grow with
+and a refused block is not kept. On n vertices of which some are universal,
+the subset DP also prices its Bell sum as exactnum.bell(n), whose numbers it
+reads. graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
+character, and reads no further than the first character over the budget.
+verify.run_suite prices the checks that grow with
 max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
 bounded-part DP, 7 (4 max_n)^2 ln(4 max_n) for the per-first-part sums that
 check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for

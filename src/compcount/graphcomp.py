@@ -6,8 +6,8 @@ so the partition alone identifies the composition). Two exact counters:
 ``count_compositions_graph`` runs a subset dynamic program over the 2^h
 bitmask states of the h vertices that are not universal (adjacent to all
 others), one ranked subset convolution per lowest vertex but the last in
-about h 2^h steps, and adds the universal vertices by a Stirling sum, so it
-suits small dense graphs and K_n costs one Bell number (the first step of
+about h 2^h steps, and adds the universal vertices by a signed Bell sum, so
+it suits small dense graphs and K_n costs one Bell number (the first step of
 join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 ``count_compositions_frontier`` runs a frontier DP along a vertex order,
 whose states follow the frontier width instead, and suits thin graphs of
@@ -245,18 +245,21 @@ def is_connected(graph: LabeledGraph, subset: Iterable[int]) -> bool:
 def count_compositions_graph(graph: LabeledGraph) -> int:
     """Number of partitions of the vertex set into connected blocks.
 
-    With u universal vertices (adjacent to all others) and the h others W, a
-    block that meets a universal vertex is connected through it and one inside
-    W must be connected in G[W], so C(G) is the sum over Y inside W of
-    C(G[Y]) T(u, h - |Y|). One subset DP on G[W] gives every C(G[Y]) in 2^h
-    states and about h 2^h steps, so K_n costs one Bell number; its table is
-    summed by |Y|, so only h + 1 products are big. With u = 0 the count is its
-    last entry alone, summed over the connected sets through vertex 0 in
-    place of the largest cube's convolution, about half the transform
-    steps. The work budget refuses it past 19 vertices that are not
-    universal, priced on the degrees before any list of n entries is built;
-    reduce_and_count splits a graph into biconnected blocks and hands here
-    those the subset DP counts for less than the frontier DP."""
+    With u universal vertices (adjacent to all others) and the h others W,
+    only a block inside W can be disconnected. Inclusion-exclusion over the
+    families F of disjoint disconnected sets gives C(G) = sum over k of
+    g[k] Bell(n - k), g[k] the sum of (-1)^|F| over those covering k vertices
+    (K_n - e: g = [1, 0, -1]); on the sets Y inside W it gives c[j] = sum over
+    |Y| = j of C(G[Y]) = sum over k of g[k] C(h - k, j - k) Bell(j - k), which
+    is solved forward for g. One subset DP on G[W] gives every C(G[Y]) in 2^h
+    states and about h 2^h steps, so K_n costs one Bell number. With u = 0 the
+    count is its last entry alone, summed over the connected sets through
+    vertex 0 in place of the largest cube's convolution, about half the
+    transform steps. The work budget refuses it past 19 vertices that are not
+    universal, priced on the degrees before any list of n entries is built,
+    and the Bell numbers by exactnum.bell; reduce_and_count splits a graph
+    into biconnected blocks and hands here those the subset DP counts for less
+    than the frontier DP."""
     _price_subset_dp(_not_universal(graph.vertex_count, graph.edges))
     return _count_subset(graph.adjacency())
 
@@ -276,11 +279,15 @@ def _count_subset(adj: list[list[int]]) -> int:
     nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
         return _subset_ways(nbr, n, True)[-1]
-    sums = _universal_sums(n - h, h)
+    exactnum.bell(n)  # prices Bell(0..n) and keeps them in _BELLS
+    bells = exactnum._BELLS
     by_size = [0] * (h + 1)
     for subset, ways in enumerate(_subset_ways(nbr, h)):
         by_size[subset.bit_count()] += ways
-    return sum(s * t for s, t in zip(by_size, reversed(sums)))
+    g: list[int] = []  # solved forward from by_size[j] = sum of g[k] C(h - k, j - k) Bell(j - k)
+    for j, total in enumerate(by_size):
+        g.append(total - sum(gk * math.comb(h - k, j - k) * bells[j - k] for k, gk in enumerate(g)))
+    return sum(gk * bells[n - k] for k, gk in enumerate(g))
 
 
 def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
@@ -403,22 +410,6 @@ def _zeta(values: list[int], op) -> None:
                 values[base + step:base + span] = map(op, values[base + step:base + span],
                                                       values[base:base + step])
         step = span
-
-
-def _universal_sums(u: int, h: int) -> list[int]:
-    """T(u, m) = sum over j of S(u, j) j^m for m = 0..h: the partitions of
-    u + m points in which every block meets the first u (split those into j
-    blocks, then put each other point in one of them). Priced as 2u(h + 1)
-    operations on numbers of at most log2 Bell(u + h) < (u + h) log2(u + h + 1)
-    bits, 2u + h + 2 of them held; the Stirling row prices itself."""
-    check_work(f"the universal-vertex sums T({u}, 0..{h})", 2 * u * (h + 1),
-               (u + h) * math.log2(u + h + 1), held=2 * u + h + 2, printed=0)
-    terms = list(exactnum._stirling_row(u, False))  # S(u, j) j^m at m = 0
-    sums = [sum(terms)]
-    for _ in range(h):
-        terms = [j * term for j, term in enumerate(terms)]
-        sums.append(sum(terms))
-    return sums
 
 
 def _far_vertex(adj: list[list[int]], start: int) -> int:

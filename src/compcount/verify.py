@@ -369,12 +369,20 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks.append(_check("ladder recurrence matches the frontier DP", bad))
 
     bad = []
+    graphs = []
     for _ in range(20):
         n = rng.randint(3, max(3, min(max_n, 12)))
         hubs = rng.sample(range(n), rng.randint(1, n // 3))
         joins = {(min(h, v), max(h, v)) for h in hubs for v in range(n) if v != h}
         edges = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97)).edges | joins
-        graph = graphcomp.LabeledGraph(n, edges)
+        graphs.append(graphcomp.LabeledGraph(n, edges))
+    for _ in range(10):  # K_n minus a random matching of the vertices that are not hubs
+        n = rng.randint(3, max(3, min(max_n, 12)))
+        others = rng.sample(range(n), n - rng.randint(1, n // 3))
+        matching = {(min(pair), max(pair)) for pair in zip(others[::2], others[1::2])}
+        graphs.append(graphcomp.LabeledGraph(n, set(combinations(range(n), 2)) - matching))
+    for graph in graphs:
+        n = graph.vertex_count
         if graphcomp.count_compositions_graph(graph) != graphcomp._subset_ways(graph.neighbor_masks(), n)[-1]:
             bad.append(f"n={n} edges={sorted(graph.edges)}")
     checks.append(_check("universal-vertex route matches the subset DP", bad))

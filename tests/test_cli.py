@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from random import Random
 
@@ -225,18 +225,28 @@ def complete_minus_cycle(n):
                                       if (u, v) != (0, n - 1)})
 
 
+def complete_minus_matching(n, t):
+    """K_n minus the t edges {0, 1}, {2, 3}, ...: the other n - 2t vertices are universal."""
+    return graphcomp.LabeledGraph(n, set(combinations(range(n), 2)) - {(2 * i, 2 * i + 1) for i in range(t)})
+
+
 def test_resource_error_exit_code(tmp_path):
-    target = tmp_path / "k26-c26.txt"
-    target.write_text(graphcomp.format_edge_list(complete_minus_cycle(26)))
-    code, _, err = run_cli(["graph", "count", "--file", str(target)])
-    assert code == 3
-    assert "the subset DP over 2^26 vertex sets needs" in err
+    target = tmp_path / "refused.txt"
+    for graph, h in ((complete_minus_cycle(26), 26), (complete_minus_matching(40, 10), 20)):
+        target.write_text(graphcomp.format_edge_list(graph))
+        code, _, err = run_cli(["graph", "count", "--file", str(target)])
+        assert code == 3
+        assert f"the subset DP over 2^{h} vertex sets needs" in err
 
 
 def test_complete_graphs_count_through_their_universal_vertices(tmp_path):
-    target = tmp_path / "k26.txt"
-    target.write_text(graphcomp.format_edge_list(graphcomp.build_family("complete", 26)))
-    assert run_cli(["graph", "count", "--file", str(target)]) == (0, f"{exactnum.bell(26)}\n", "")
+    # K_30 minus a 5-edge matching: the alternating Bell sum over its 10 vertices that are not universal
+    matching = sum((-1) ** j * math.comb(5, j) * exactnum.bell(30 - 2 * j) for j in range(6))
+    target = tmp_path / "universal.txt"
+    for graph, expected in ((graphcomp.build_family("complete", 26), exactnum.bell(26)),
+                            (complete_minus_matching(30, 5), matching)):
+        target.write_text(graphcomp.format_edge_list(graph))
+        assert run_cli(["graph", "count", "--file", str(target)]) == (0, f"{expected}\n", "")
 
 
 def test_cap_flag_lowers_the_guard(tmp_path):
@@ -916,6 +926,8 @@ CONTRACT_FILES = {
     "cycle.txt": graphcomp.format_edge_list(graphcomp.build_family("cycle", 40)),
     "ladder.txt": graphcomp.format_edge_list(graphcomp.build_family("ladder", 30)),
     "k30-c30.txt": graphcomp.format_edge_list(complete_minus_cycle(30)),
+    "k30-m5.txt": graphcomp.format_edge_list(complete_minus_matching(30, 5)),
+    "k40-m10.txt": graphcomp.format_edge_list(complete_minus_matching(40, 10)),
     **{f"random-{n}-{p}.txt": graphcomp.format_edge_list(graphcomp.random_connected_graph(Random(n), n, p))
        for n, p in ((10, 0.9), (18, 0.5), (25, 0.1), (40, 0.05), (300, 0.002))},
     "tree.txt": graphcomp.format_edge_list(graphcomp.random_tree(Random(3), 500)),

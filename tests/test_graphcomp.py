@@ -872,15 +872,32 @@ def test_universal_route_gives_the_closed_forms_of_dense_families():
         k_minus_e = graphcomp.build_family("complete_minus_edge", n)
         assert graphcomp.reduce_and_count(k_minus_e) == exactnum.bell(n) - exactnum.bell(n - 2)
     assert graphcomp.count_compositions_graph(complete(30)) == exactnum.bell(30)
+    # K_n minus t disjoint edges at random vertices: each edge is a disconnected pair, so g = (1 - x^2)^t
+    rng = Random(2001)
+    for n in range(41):
+        for t in range(min(6, n // 2) + 1):
+            ends = rng.sample(range(n), 2 * t)
+            missing = {(min(pair), max(pair)) for pair in zip(ends[::2], ends[1::2])}
+            graph = LabeledGraph(n, set(combinations(range(n), 2)) - missing)
+            expected = sum((-1) ** j * math.comb(t, j) * exactnum.bell(n - 2 * j) for j in range(t + 1))
+            assert graphcomp.count_compositions_graph(graph) == graphcomp.reduce_and_count(graph) == expected, (n, t)
+    # the star K_{1,m}: its centre is universal, and each leaf joins the centre's block or stays alone
+    for m in range(16):
+        star = LabeledGraph(m + 1, {(0, leaf) for leaf in range(1, m + 1)})
+        assert graphcomp.count_compositions_graph(star) == graphcomp.reduce_and_count(star) == 2 ** m, m
 
 
-def test_universal_route_caps_the_vertices_that_are_not_universal():
+def test_universal_route_caps_the_vertices_that_are_not_universal(monkeypatch):
     # K_30 minus a perfect matching: no vertex is universal
     matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
     with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^30 vertex sets needs"):
         graphcomp.count_compositions_graph(matching)
-    with pytest.raises(ResourceLimitError, match="universal-vertex sums"):
-        graphcomp._universal_sums(10 ** 6, 3)
+    # the Bell sum over the universal vertices is priced as bell(n), whatever its cache holds
+    graph = complete(40)
+    exactnum.bell.cache_clear()
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e4)
+    with pytest.raises(ResourceLimitError, match=r"bell\(40\) needs"):
+        graphcomp.count_compositions_graph(graph)
 
 
 def test_the_subset_side_prices_itself_before_building_its_masks():
