@@ -1,12 +1,15 @@
 """Self-check suites behind the ``verify`` CLI subcommand.
 
-Every check recomputes a family of values by at least two independent routes
-(closed form vs dynamic program, recurrence vs series expansion vs explicit
-enumeration) and compares them exactly. Randomized checks draw from a seeded
-generator so runs are reproducible.
+Each check is one ``_agree`` of a route against an independent oracle over a
+list of cases (closed form vs dynamic program, recurrence vs series expansion
+vs explicit enumeration), compared exactly, or a named property of one route:
+counts grow with the upper part bound, connected counts sit between the path
+and the complete graph, and adding an edge never lowers a count. Randomized
+checks draw from a seeded generator so runs are reproducible.
 """
 
 import math
+from collections.abc import Callable, Iterable
 from itertools import combinations
 from random import Random
 
@@ -61,212 +64,129 @@ def _check(name: str, mismatches: list[str]) -> Check:
     return (name, not mismatches, "; ".join(mismatches[:3]))
 
 
-def _all_compositions(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for parts in range(1, n + 1):
-        out.extend(compositions.enumerate_compositions(n, parts, compositions.POSITIVE_PARTS))
-    return out
+def _agree(name: str, cases: Iterable[tuple], route: Callable, oracle: Callable, label: Callable) -> Check:
+    """Run route(*case) and oracle(*case) on each case in order; the check
+    fails on the cases where the two differ, reported by label(*case)."""
+    return _check(name, [label(*case) for case in cases if route(*case) != oracle(*case)])
+
+
+def _per_k_sum(gf: Callable[[int], series.RationalGF], last: int) -> series.TruncatedSeries:
+    """The sum of gf(k) over k = 1..last, to order last."""
+    return sum((gf(k).expand(last) for k in range(1, last + 1)), series.TruncatedSeries.zero(last))
 
 
 def _composition_checks(max_n: int) -> list[Check]:
-    checks = []
-    top = min(max_n, 12)
+    top, last = min(max_n, 12), 4 * max_n - 1
+    positive = {n: [c for parts in range(1, n + 1)
+                    for c in compositions.enumerate_compositions(n, parts, compositions.POSITIVE_PARTS)]
+                for n in range(1, top + 1)}
+    bounds_cases = [PartBounds(0, None), PartBounds(1, None), PartBounds(1, 2), PartBounds(2, 5),
+                    PartBounds(0, 3)]
 
-    bad: list[str] = []
-    bounds_cases = [
-        PartBounds(0, None),
-        PartBounds(1, None),
-        PartBounds(1, 2),
-        PartBounds(2, 5),
-        PartBounds(0, 3),
-    ]
-    for n in range(top + 1):
-        for k in range(min(n, 8) + 2):
-            for bounds in bounds_cases:
-                want = len(compositions.enumerate_compositions(n, k, bounds))
-                got = compositions.count_restricted(n, k, bounds)
-                if want != got:
-                    bad.append(f"n={n} k={k} {bounds}: {got} != {want}")
-    checks.append(_check("restricted counts match enumeration", bad))
+    def distinct_counts(n: int, k: int) -> tuple[int, int]:  # ordered, then unordered
+        listed = compositions.enumerate_compositions(n, k, compositions.POSITIVE_PARTS,
+                                                     predicate=lambda parts: len(set(parts)) == len(parts))
+        return len(listed), len({tuple(sorted(c)) for c in listed})
 
-    bad = []
-    for n in range(2 * max_n + 1):
-        for k in range(7):
-            for lower, upper in ((0, 3), (1, 4), (2, 7), (2, None)):
-                got = compositions.count_restricted(n, k, PartBounds(lower, upper))
-                want = compositions._count_by_dp(n, k, lower, upper)
-                if got != want:
-                    bad.append(f"n={n} k={k} [{lower}, {upper}]: {got} != {want}")
-    checks.append(_check("bounded-part counts match the DP", bad))
-
-    bad = []
-    distinct = lambda parts: len(set(parts)) == len(parts)
-    for n in range(top + 1):
-        for k in range(n + 1):
-            listed = compositions.enumerate_compositions(
-                n, k, compositions.POSITIVE_PARTS, predicate=distinct
-            )
-            if compositions.count_compositions_distinct(n, k) != len(listed):
-                bad.append(f"ordered n={n} k={k}")
-            unordered = {tuple(sorted(c)) for c in listed}
-            if compositions.count_partitions_distinct(n, k) != len(unordered):
-                bad.append(f"unordered n={n} k={k}")
-    checks.append(_check("distinct-part recurrences match enumeration", bad))
-
-    bad = []
-    for n in range(2 * max_n + 1):
-        for k in range(n + 1):
-            lhs = compositions.count_compositions_distinct(n, k)
-            rhs = exactnum.factorial(k) * compositions.count_partitions_distinct(n, k)
-            if lhs != rhs:
-                bad.append(f"n={n} k={k}")
-    checks.append(_check("ordered distinct counts are k! times unordered", bad))
-
-    bad = []
-    for n in range(1, top + 1):
-        everything = _all_compositions(n)
-        for k in range(1, min(n, 6) + 1):
-            strict = sum(1 for c in everything if c[0] == k and all(x < k for x in c[1:]))
-            weak = sum(1 for c in everything if c[0] == k and all(x <= k for x in c[1:]))
-            if compositions.count_leading_strict(n, k) != strict:
-                bad.append(f"strict n={n} k={k}")
-            if compositions.count_leading_weak(n, k) != weak:
-                bad.append(f"weak n={n} k={k}")
-    checks.append(_check("leading-summand counters match enumeration", bad))
-
-    bad = []
-    for n in range(1, 4 * max_n):
-        if compositions.count_leading_strict_total(n + 1) != compositions.leading_weak_total(n):
-            bad.append(f"n={n}")
-    checks.append(_check("strict total at n+1 equals weak total at n", bad))
-
-    bad = []
     # over first parts k >= 2, the strict terms fibonacci_higher(k - 1, n - k)
     # are the weak terms of n - 1
     by_first_part = [sum(compositions.fibonacci_higher(k, n - k) for k in range(1, n + 1))
                      for n in range(4 * max_n + 1)]
-    for n in range(1, 4 * max_n + 1):
-        if compositions.leading_weak_total(n) != by_first_part[n]:
-            bad.append(f"weak n={n}")
-        if compositions.count_leading_strict_total(n) != int(n == 1) + by_first_part[n - 1]:
-            bad.append(f"strict n={n}")
-    checks.append(_check("leading totals' column sums match the per-first-part sums", bad))
+    strict_sum, weak_sum = (_per_k_sum(gf, last) for gf in (series.gf_leading_strict, series.gf_leading_weak))
+    far = max(40, 4 * max_n)  # past enumeration
+    windows = {k: (compositions._avoiding_window(k + 1, k), compositions._avoiding_window(far, k))
+               for k in range(1, 13)}
+    first_parts = [(n, k) for n in range(1, top + 1) for k in range(1, min(n, 6) + 1)]
 
-    bad = []
-    last = 4 * max_n - 1
-    for mode, total, gf in (("strict", compositions.count_leading_strict_total, series.gf_leading_strict),
-                            ("weak", compositions.leading_weak_total, series.gf_leading_weak)):
-        sums = series.TruncatedSeries.zero(last)
-        for k in range(1, last + 1):
-            sums = sums + gf(k).expand(last)
-        bad += [f"{mode} n={n}" for n in range(1, last + 1) if total(n) != sums[n]]
-    checks.append(_check("leading totals match the sums of the per-k series", bad))
-
-    bad = []
-    for n in range(1, top + 1):
-        everything = _all_compositions(n)
-        for k in range(1, min(n, 6) + 1):
-            avoiding = sum(1 for c in everything if k not in c)
-            if compositions.count_avoiding(n, k) != avoiding:
-                bad.append(f"avoid n={n} k={k}")
-            if compositions.count_containing(n, k) != len(everything) - avoiding:
-                bad.append(f"contain n={n} k={k}")
-            if compositions.count_avoiding(n, k) + compositions.count_containing(n, k) != 1 << (n - 1):
-                bad.append(f"complement n={n} k={k}")
-    checks.append(_check("avoid/contain counters match enumeration and sum to 2^(n-1)", bad))
-
-    bad = []
-    last = max(40, 4 * max_n)  # past enumeration
-    for k in range(1, 13):
-        seeds = compositions._avoiding_window(k + 1, k)
-        for n, want in zip(range(last - k, last + 1), compositions._avoiding_window(last, k)):
-            if compositions._avoiding_jump(seeds, n) != want:
-                bad.append(f"k={k} n={n}")
-    checks.append(_check("avoid/contain jump matches the window recurrence", bad))
-
-    bad = []
-    for m in range(1, 5):
-        for n in range(min(max_n, 10) + 1):
-            want = sum(len(compositions.enumerate_compositions(n, parts, PartBounds(1, m)))
-                       for parts in range(n + 1))
-            if compositions.fibonacci_higher(m, n) != want:
-                bad.append(f"m={m} n={n}")
-    checks.append(_check("bounded-part totals match enumeration", bad))
-
+    checks = [
+        _agree("restricted counts match enumeration",
+               [(n, k, bounds) for n in range(top + 1) for k in range(min(n, 8) + 2)
+                for bounds in bounds_cases],
+               compositions.count_restricted,
+               lambda n, k, bounds: len(compositions.enumerate_compositions(n, k, bounds)),
+               "n={} k={} {}".format),
+        _agree("bounded-part counts match the DP",
+               [(n, k, lower, upper) for n in range(2 * max_n + 1) for k in range(7)
+                for lower, upper in ((0, 3), (1, 4), (2, 7), (2, None))],
+               lambda n, k, lower, upper: compositions.count_restricted(n, k, PartBounds(lower, upper)),
+               compositions._count_by_dp, "n={} k={} [{}, {}]".format),
+        _agree("distinct-part recurrences match enumeration",
+               [(n, k) for n in range(top + 1) for k in range(n + 1)],
+               lambda n, k: (compositions.count_compositions_distinct(n, k),
+                             compositions.count_partitions_distinct(n, k)),
+               distinct_counts, "n={} k={}".format),
+        _agree("ordered distinct counts are k! times unordered",
+               [(n, k) for n in range(2 * max_n + 1) for k in range(n + 1)],
+               compositions.count_compositions_distinct,
+               lambda n, k: exactnum.factorial(k) * compositions.count_partitions_distinct(n, k),
+               "n={} k={}".format),
+        _agree("leading-summand counters match enumeration", first_parts,
+               lambda n, k: (compositions.count_leading_strict(n, k), compositions.count_leading_weak(n, k)),
+               lambda n, k: (sum(c[0] == k and all(x < k for x in c[1:]) for c in positive[n]),
+                             sum(c[0] == k and all(x <= k for x in c[1:]) for c in positive[n])),
+               "n={} k={}".format),
+        _agree("leading totals' column sums match the per-first-part sums",
+               [(n,) for n in range(1, 4 * max_n + 1)],
+               lambda n: (compositions.leading_weak_total(n), compositions.count_leading_strict_total(n)),
+               lambda n: (by_first_part[n], int(n == 1) + by_first_part[n - 1]), "n={}".format),
+        _agree("leading totals match the sums of the per-k series", [(n,) for n in range(1, last + 1)],
+               lambda n: (compositions.count_leading_strict_total(n), compositions.leading_weak_total(n)),
+               lambda n: (strict_sum[n], weak_sum[n]), "n={}".format),
+        _agree("avoid/contain counters match enumeration", first_parts,
+               lambda n, k: (compositions.count_avoiding(n, k), compositions.count_containing(n, k)),
+               lambda n, k: (sum(k not in c for c in positive[n]), sum(k in c for c in positive[n])),
+               "n={} k={}".format),
+        _agree("avoid/contain jump matches the window recurrence",
+               [(k, n) for k in range(1, 13) for n in range(far - k, far + 1)],
+               lambda k, n: compositions._avoiding_jump(windows[k][0], n),
+               lambda k, n: windows[k][1][n - far + k], "k={} n={}".format),
+        _agree("bounded-part totals match enumeration",
+               [(m, n) for m in range(1, 5) for n in range(min(max_n, 10) + 1)],
+               compositions.fibonacci_higher,
+               lambda m, n: sum(len(compositions.enumerate_compositions(n, parts, PartBounds(1, m)))
+                                for parts in range(n + 1)),
+               "m={} n={}".format),
+    ]
     bad = []
     for n in range(top + 1):
         for k in range(min(n, 6) + 1):
-            previous = None
-            for upper in range(n + 2):
-                value = compositions.count_restricted(n, k, PartBounds(0, upper))
-                if previous is not None and value < previous:
-                    bad.append(f"n={n} k={k} upper={upper}")
-                previous = value
+            counts = [compositions.count_restricted(n, k, PartBounds(0, upper)) for upper in range(n + 2)]
+            bad += [f"n={n} k={k} upper={upper}" for upper in range(1, n + 2)
+                    if counts[upper] < counts[upper - 1]]
     checks.append(_check("counts grow with the upper part bound", bad))
-
     return checks
 
 
 def _series_checks(max_n: int) -> list[Check]:
-    checks = []
     order = max(40, 2 * max_n)
-
-    bad: list[str] = []
-    for k in range(1, 7):
-        strict = series.gf_leading_strict(k).expand(order)
-        weak = series.gf_leading_weak(k).expand(order)
-        for n in range(order + 1):
-            if strict[n] != compositions.count_leading_strict(n, k):
-                bad.append(f"strict k={k} n={n}")
-            if weak[n] != compositions.count_leading_weak(n, k):
-                bad.append(f"weak k={k} n={n}")
-    checks.append(_check("leading-summand series match the recurrences", bad))
-
-    bad = []
-    for k in range(1, 7):
-        avoid = series.gf_avoiding(k).expand(order)
-        contain = series.gf_containing(k).expand(order)
-        for n in range(order + 1):
-            if avoid[n] != compositions.count_avoiding(n, k):
-                bad.append(f"avoid k={k} n={n}")
-            if contain[n] != compositions.count_containing(n, k):
-                bad.append(f"contain k={k} n={n}")
-    checks.append(_check("avoid/contain series match the counters", bad))
-
-    bad = []
+    strict, weak, avoid, contain = ({k: gf(k).expand(order) for k in range(1, 7)} for gf in (
+        series.gf_leading_strict, series.gf_leading_weak, series.gf_avoiding, series.gf_containing))
     total = series.gf_distinct_total(order)
-    for n in range(order + 1):
-        if total[n] != compositions.count_compositions_distinct_total(n):
-            bad.append(f"n={n}")
-    checks.append(_check("distinct-part total series matches the counter", bad))
-
-    bad = []
-    strict_sum = series.TruncatedSeries.zero(order)
-    weak_sum = series.TruncatedSeries.zero(order)
-    for k in range(1, order + 1):
-        strict_sum = strict_sum + series.gf_leading_strict(k).expand(order)
-        weak_sum = weak_sum + series.gf_leading_weak(k).expand(order)
     z = series.TruncatedSeries((0, 1) + (0,) * (order - 1))
-    if weak_sum.shifted(1) != strict_sum - z:
-        bad.append("series identity failed")
-    checks.append(_check("weak total series shifted by z equals strict total minus z", bad))
-
-    bad = []
-    for k in range(2, 7):
-        direct = series.RationalGF((0,) * k + (1,), (1,) + (-1,) * (k - 1)).expand(order)
-        if direct != series.gf_leading_strict(k).expand(order):
-            bad.append(f"k={k}")
-    checks.append(_check("both denominator forms of the strict gf agree", bad))
-
-    bad = []
-    for family in series.SERIES_FAMILIES:
-        for k in (*range(1, 7), order + 2):
-            printed = list(map(str, series.family_decimals(family, k, order)))
-            if printed != list(map(str, series.family_series(family, k, order).coefficients)):
-                bad.append(f"{family} k={k}")
-    checks.append(_check("printed series match the int expansion", bad))
-
-    return checks
+    by_k = [(k, n) for k in range(1, 7) for n in range(order + 1)]
+    return [
+        _agree("leading-summand series match the recurrences", by_k,
+               lambda k, n: (strict[k][n], weak[k][n]),
+               lambda k, n: (compositions.count_leading_strict(n, k), compositions.count_leading_weak(n, k)),
+               "k={} n={}".format),
+        _agree("avoid/contain series match the counters", by_k,
+               lambda k, n: (avoid[k][n], contain[k][n]),
+               lambda k, n: (compositions.count_avoiding(n, k), compositions.count_containing(n, k)),
+               "k={} n={}".format),
+        _agree("distinct-part total series matches the counter", [(n,) for n in range(order + 1)],
+               total.coefficient, compositions.count_compositions_distinct_total, "n={}".format),
+        _agree("weak total series shifted by z equals strict total minus z", [()],
+               lambda: _per_k_sum(series.gf_leading_weak, order).shifted(1),
+               lambda: _per_k_sum(series.gf_leading_strict, order) - z, lambda: "series identity failed"),
+        _agree("both denominator forms of the strict gf agree", [(k,) for k in range(2, 7)],
+               lambda k: series.RationalGF((0,) * k + (1,), (1,) + (-1,) * (k - 1)).expand(order),
+               strict.get, "k={}".format),
+        _agree("printed series match the int expansion",
+               [(family, k) for family in series.SERIES_FAMILIES for k in (*range(1, 7), order + 2)],
+               lambda family, k: list(map(str, series.family_decimals(family, k, order))),
+               lambda family, k: list(map(str, series.family_series(family, k, order).coefficients)),
+               "{} k={}".format),
+    ]
 
 
 def _ladder_recurrence(rungs: int) -> list[int]:
@@ -278,127 +198,104 @@ def _ladder_recurrence(rungs: int) -> list[int]:
     return counts[:rungs]
 
 
+def _graph_label(graph: graphcomp.LabeledGraph) -> str:
+    return f"n={graph.vertex_count} edges={sorted(graph.edges)}"
+
+
+def _whole_table(graph: graphcomp.LabeledGraph) -> int:
+    """The count from the subset DP over every vertex, universal or not."""
+    return graphcomp._subset_ways(graph.neighbor_masks(), graph.vertex_count)[-1]
+
+
 def _graph_checks(max_n: int, seed: int) -> list[Check]:
-    checks = []
-    rng = Random(seed)
-
-    bad: list[str] = []
-    cases = [("path", range(0, min(max_n, 16) + 1)),
-             ("tree", range(0, min(max_n, 14) + 1)),
-             ("complete", range(0, min(max_n, 12) + 1)),
-             ("complete_minus_edge", range(2, min(max_n, 12) + 1)),
-             ("cycle", range(3, min(max_n, 16) + 1)),
-             ("ladder", range(1, min(max_n, 7) + 1))]
-    for family, sizes in cases:
-        for n in sizes:
-            built = graphcomp.build_family(family, n)
-            if graphcomp.count_compositions_graph(built) != graphcomp.family_count(family, n):
-                bad.append(f"{family} n={n}")
-    checks.append(_check("family closed forms match the subset DP", bad))
-
-    bad = []
+    # the random pools are drawn in the order of the checks that read them
+    rng, top = Random(seed), min(max_n, 12)
     # past 8 vertices the subset DP convolves its largest cubes
-    for n in range(min(max_n, 9) + 1):
-        for graph in (graphcomp.build_family("path", n), graphcomp.build_family("complete", n),
-                      graphcomp.random_graph(rng, n, 0.4), graphcomp.random_graph(rng, n, 0.7)):
-            if graphcomp.count_compositions_graph(graph) != len(
-                graphcomp.enumerate_graph_compositions(graph)
-            ):
-                bad.append(f"n={n} edges={sorted(graph.edges)}")
-    checks.append(_check("subset DP matches partition enumeration", bad))
-
-    bad = []
-    for _ in range(25):
-        n = rng.randint(1, min(max_n, 10))
-        graph = graphcomp.random_connected_graph(rng, n, rng.uniform(0.0, 0.4))
-        count = graphcomp.count_compositions_graph(graph)
-        if not (1 << (n - 1) if n else 1) <= count <= exactnum.bell(n):
-            bad.append(f"n={n} count={count}")
-    checks.append(_check("connected counts sit between path and complete", bad))
-
-    bad = []
-    for _ in range(15):
-        n = rng.randint(2, max(2, min(max_n, 12)))
-        graph = graphcomp.random_graph(rng, n, rng.uniform(0.1, 0.4))
-        if graphcomp.reduce_and_count(graph) != graphcomp.count_compositions_graph(graph):
-            bad.append(f"n={n} edges={sorted(graph.edges)}")
-    checks.append(_check("decomposition product matches the subset DP", bad))
-
-    bad = [f"n={n}" for n, count in enumerate(_ladder_recurrence(50), start=1)
-           if graphcomp.ladder_binet(n) != count]
-    checks.append(_check("ladder closed form matches the recurrence", bad))
-
-    bad = []
-    for _ in range(8):
-        n = rng.randint(1, min(max_n, 12))
-        tree = graphcomp.random_tree(rng, n)
-        if graphcomp.count_compositions_graph(tree) != (1 << (n - 1)):
-            bad.append(f"n={n} edges={sorted(tree.edges)}")
-    checks.append(_check("tree counts do not depend on tree shape", bad))
-
-    bad = []
+    small = [graph for n in range(min(max_n, 9) + 1)
+             for graph in (graphcomp.build_family("path", n), graphcomp.build_family("complete", n),
+                           graphcomp.random_graph(rng, n, 0.4), graphcomp.random_graph(rng, n, 0.7))]
+    connected = [graphcomp.random_connected_graph(rng, rng.randint(1, min(max_n, 10)), rng.uniform(0.0, 0.4))
+                 for _ in range(25)]
+    decomposed = [graphcomp.random_graph(rng, rng.randint(2, max(2, top)), rng.uniform(0.1, 0.4))
+                  for _ in range(15)]
+    trees = [graphcomp.random_tree(rng, rng.randint(1, top)) for _ in range(8)]
+    added = []  # a graph and an edge that it lacks
     for _ in range(10):
         n = rng.randint(2, max(2, min(max_n, 9)))
         graph = graphcomp.random_graph(rng, n, 0.3)
         missing = [pair for pair in combinations(range(n), 2) if pair not in graph.edges]
-        if not missing:
-            continue
-        extra = rng.choice(missing)
-        bigger = graphcomp.LabeledGraph(n, graph.edges | {extra})
-        if graphcomp.count_compositions_graph(bigger) < graphcomp.count_compositions_graph(graph):
-            bad.append(f"n={n} edge={extra}")
-    checks.append(_check("adding an edge never lowers the count", bad))
-
-    bad = []
-    top = min(max_n, 12)
-    graphs = [graphcomp.random_graph(rng, rng.randint(0, top), rng.uniform(0.05, 0.7)) for _ in range(20)]
-    graphs += [graphcomp.build_family("cycle", n) for n in range(3, top + 1)]
-    graphs += [graphcomp.build_family("ladder", rungs) for rungs in range(1, top // 2 + 1)]
+        if missing:
+            added.append((graph, rng.choice(missing)))
+    thin = [graphcomp.random_graph(rng, rng.randint(0, top), rng.uniform(0.05, 0.7)) for _ in range(20)]
+    thin += [graphcomp.build_family("cycle", n) for n in range(3, top + 1)]
+    thin += [graphcomp.build_family("ladder", rungs) for rungs in range(1, top // 2 + 1)]
     grid = {(v, v + 1) for v in range(12) if v % 4 != 3} | {(v, v + 4) for v in range(8)}
-    graphs.append(graphcomp.LabeledGraph(12, grid))
-    for graph in graphs:
-        if graphcomp.count_compositions_frontier(graph) != graphcomp.count_compositions_graph(graph):
-            bad.append(f"n={graph.vertex_count} edges={sorted(graph.edges)}")
-    checks.append(_check("frontier DP matches subset DP", bad))
-
-    bad = []
-    for rungs, expected in enumerate(_ladder_recurrence(2 * min(max_n, 16)), start=1):
-        count = graphcomp.count_compositions_frontier(graphcomp.build_family("ladder", rungs))
-        if not count == expected == graphcomp.family_count("ladder", rungs):
-            bad.append(f"rungs={rungs}")
-    checks.append(_check("ladder recurrence matches the frontier DP", bad))
-
-    bad = []
-    graphs = []
+    thin.append(graphcomp.LabeledGraph(12, grid))
+    dense = []
     for _ in range(20):
-        n = rng.randint(3, max(3, min(max_n, 12)))
+        n = rng.randint(3, max(3, top))
         hubs = rng.sample(range(n), rng.randint(1, n // 3))
         joins = {(min(h, v), max(h, v)) for h in hubs for v in range(n) if v != h}
         edges = graphcomp.random_graph(rng, n, rng.uniform(0.5, 0.97)).edges | joins
-        graphs.append(graphcomp.LabeledGraph(n, edges))
+        dense.append(graphcomp.LabeledGraph(n, edges))
     for _ in range(10):  # K_n minus a random matching of the vertices that are not hubs
-        n = rng.randint(3, max(3, min(max_n, 12)))
+        n = rng.randint(3, max(3, top))
         others = rng.sample(range(n), n - rng.randint(1, n // 3))
         matching = {(min(pair), max(pair)) for pair in zip(others[::2], others[1::2])}
-        graphs.append(graphcomp.LabeledGraph(n, set(combinations(range(n), 2)) - matching))
-    for graph in graphs:
-        n = graph.vertex_count
-        if graphcomp.count_compositions_graph(graph) != graphcomp._subset_ways(graph.neighbor_masks(), n)[-1]:
-            bad.append(f"n={n} edges={sorted(graph.edges)}")
-    checks.append(_check("universal-vertex route matches the subset DP", bad))
-
-    bad = []
-    sizes = [0, *range(2, min(max_n, 12) + 1)]  # one vertex alone is universal
+        dense.append(graphcomp.LabeledGraph(n, set(combinations(range(n), 2)) - matching))
+    # the closed forms of K_n and K_n - e read the Bell numbers that the route reads
+    dense += [graphcomp.build_family(family, n)
+              for n in range(3, top + 1) for family in ("complete", "complete_minus_edge")]
+    cut = []
     for _ in range(20):
-        n = rng.choice(sizes)
+        n = rng.choice([0, *range(2, top + 1)])  # one vertex alone is universal
         edges = set(graphcomp.random_graph(rng, n, rng.uniform(0.2, 0.9)).edges)
         for v in range(n):  # cut an edge at each universal vertex
             if sum(v in edge for edge in edges) == n - 1:
                 w = rng.choice([w for w in range(n) if w != v])
                 edges.discard((min(v, w), max(v, w)))
-        graph = graphcomp.LabeledGraph(n, edges)
-        if graphcomp.count_compositions_graph(graph) != graphcomp._subset_ways(graph.neighbor_masks(), n)[-1]:
-            bad.append(f"n={n} edges={sorted(graph.edges)}")
-    checks.append(_check("the subset DP's last-vertex sum matches its whole table", bad))
+        cut.append(graphcomp.LabeledGraph(n, edges))
 
+    count, frontier = graphcomp.count_compositions_graph, graphcomp.count_compositions_frontier
+    families = (("path", range(0, min(max_n, 16) + 1)), ("tree", range(0, min(max_n, 14) + 1)),
+                ("complete", range(0, top + 1)), ("complete_minus_edge", range(2, top + 1)),
+                ("cycle", range(3, min(max_n, 16) + 1)), ("ladder", range(1, min(max_n, 7) + 1)))
+    ladders = list(enumerate(_ladder_recurrence(50), start=1))
+    checks = [
+        _agree("family closed forms match the subset DP",
+               [(family, n) for family, sizes in families for n in sizes],
+               lambda family, n: count(graphcomp.build_family(family, n)), graphcomp.family_count,
+               "{} n={}".format),
+        _agree("subset DP matches partition enumeration", [(graph,) for graph in small],
+               count, lambda graph: len(graphcomp.enumerate_graph_compositions(graph)), _graph_label),
+    ]
+    bad = []
+    for graph in connected:
+        n, total = graph.vertex_count, count(graph)
+        if not 1 << (n - 1) <= total <= exactnum.bell(n):
+            bad.append(f"n={n} count={total}")
+    checks.append(_check("connected counts sit between path and complete", bad))
+    checks += [
+        _agree("decomposition product matches the subset DP", [(graph,) for graph in decomposed],
+               graphcomp.reduce_and_count, count, _graph_label),
+        _agree("ladder closed form matches the recurrence", ladders,
+               lambda n, _: graphcomp.ladder_binet(n), lambda _, expected: expected, "n={}".format),
+        _agree("tree counts do not depend on tree shape", [(tree,) for tree in trees],
+               count, lambda tree: 1 << (tree.vertex_count - 1), _graph_label),
+    ]
+    bad = [f"n={graph.vertex_count} edge={extra}" for graph, extra in added
+           if count(graphcomp.LabeledGraph(graph.vertex_count, graph.edges | {extra})) < count(graph)]
+    checks.append(_check("adding an edge never lowers the count", bad))
+    checks += [
+        _agree("frontier DP matches subset DP", [(graph,) for graph in thin],
+               frontier, count, _graph_label),
+        _agree("ladder recurrence matches the frontier DP", ladders[:2 * min(max_n, 16)],
+               lambda rungs, _: (frontier(graphcomp.build_family("ladder", rungs)),
+                                 graphcomp.family_count("ladder", rungs)),
+               lambda _, expected: (expected, expected), "rungs={}".format),
+        _agree("universal-vertex route matches the subset DP", [(graph,) for graph in dense],
+               count, _whole_table, _graph_label),
+        _agree("the subset DP's last-vertex sum matches its whole table", [(graph,) for graph in cut],
+               count, _whole_table, _graph_label),
+    ]
     return checks

@@ -354,7 +354,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 29
+    assert len(names) == 28
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -402,6 +402,45 @@ def test_verify_detects_injected_frontier_error(monkeypatch):
     assert code == 1
     assert "FAIL frontier DP matches subset DP" in out
     assert "FAIL ladder recurrence matches the frontier DP" in out
+
+
+def test_verify_fails_every_check_of_the_leading_totals(monkeypatch):
+    # both totals read _leading_total, so each check of them must compare it
+    # with a route that does not
+    true_total = compositions._leading_total
+    monkeypatch.setattr(compositions, "_leading_total", lambda n: true_total(n) + (n == 17))
+    checks = verify.run_suite("compositions", 10, 0)
+    of_the_totals = [name for name, _, _ in checks if "total" in name and "bounded-part" not in name]
+    assert of_the_totals == ["leading totals' column sums match the per-first-part sums",
+                             "leading totals match the sums of the per-k series"]
+    assert [name for name, ok, _ in checks if not ok] == of_the_totals
+
+
+def test_verify_reports_the_labels_of_the_cases_that_disagree(monkeypatch):
+    true_count = compositions._count_by_dp
+    monkeypatch.setattr(compositions, "_count_by_dp", lambda n, k, lower, upper:
+                        true_count(n, k, lower, upper) + 1)
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_suite("compositions", 4, 0)}
+    ok, detail = checks["bounded-part counts match the DP"]
+    assert not ok
+    assert detail.startswith("n=0 k=0 [0, 3]; n=0 k=0 [1, 4]; ")
+    assert detail.count(";") == 2  # the first three cases only
+
+
+def test_verify_sends_every_complete_graph_through_the_whole_subset_table(monkeypatch):
+    # the closed form of K_n and its count through the universal vertices read
+    # the same Bell numbers, so K_n needs the whole table as its second route
+    true_ways = graphcomp._subset_ways
+    complete = set()
+
+    def spy(nbr, n, *rest):
+        if n and all(mask | 1 << v == (1 << n) - 1 for v, mask in enumerate(nbr)):
+            complete.add(n)
+        return true_ways(nbr, n, *rest)
+
+    monkeypatch.setattr(graphcomp, "_subset_ways", spy)
+    assert all(ok for _, ok, _ in verify.run_suite("graphs", 12, 0))
+    assert complete >= set(range(3, 13))
 
 
 # --- output bytes, and the work guard -----------------------------------------
