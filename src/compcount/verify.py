@@ -202,6 +202,11 @@ def _graph_label(graph: graphcomp.LabeledGraph) -> str:
     return f"n={graph.vertex_count} edges={sorted(graph.edges)}"
 
 
+def _relabelled(graph: graphcomp.LabeledGraph, rng: Random) -> graphcomp.LabeledGraph:
+    perm = rng.sample(range(graph.vertex_count), graph.vertex_count)
+    return graphcomp.LabeledGraph(graph.vertex_count, {(perm[u], perm[v]) for u, v in graph.edges})
+
+
 def _whole_table(graph: graphcomp.LabeledGraph) -> int:
     """The count from the subset DP over every vertex, universal or not."""
     return graphcomp._subset_ways(graph.neighbor_masks(), graph.vertex_count)[-1]
@@ -255,16 +260,23 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
                 w = rng.choice([w for w in range(n) if w != v])
                 edges.discard((min(v, w), max(v, w)))
         cut.append(graphcomp.LabeledGraph(n, edges))
+    copies = [(graph, _relabelled(graph, rng)) for graph in dense + thin]
 
     count, frontier = graphcomp.count_compositions_graph, graphcomp.count_compositions_frontier
     families = (("path", range(0, min(max_n, 16) + 1)), ("tree", range(0, min(max_n, 14) + 1)),
                 ("complete", range(0, top + 1)), ("complete_minus_edge", range(2, top + 1)),
                 ("cycle", range(3, min(max_n, 16) + 1)), ("ladder", range(1, min(max_n, 7) + 1)))
     ladders = list(enumerate(_ladder_recurrence(50), start=1))
+
+    def closed_form(family: str, n: int) -> int:  # K_n by a sum that reads no Bell number
+        if family == "complete":
+            return sum(exactnum.stirling2(n, k) for k in range(n + 1))
+        return graphcomp.family_count(family, n)
+
     checks = [
         _agree("family closed forms match the subset DP",
                [(family, n) for family, sizes in families for n in sizes],
-               lambda family, n: count(graphcomp.build_family(family, n)), graphcomp.family_count,
+               lambda family, n: count(graphcomp.build_family(family, n)), closed_form,
                "{} n={}".format),
         _agree("subset DP matches partition enumeration", [(graph,) for graph in small],
                count, lambda graph: len(graphcomp.enumerate_graph_compositions(graph)), _graph_label),
@@ -297,5 +309,9 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
                count, _whole_table, _graph_label),
         _agree("the subset DP's last-vertex sum matches its whole table", [(graph,) for graph in cut],
                count, _whole_table, _graph_label),
+        # each graph warms the memo with its blocks, which its copy then looks up
+        _agree("relabelled blocks take the memo's count", copies,
+               lambda graph, copy: (graphcomp.reduce_and_count(graph), graphcomp.reduce_and_count(copy)),
+               lambda graph, _: (_whole_table(graph),) * 2, lambda graph, _: _graph_label(graph)),
     ]
     return checks

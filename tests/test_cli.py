@@ -354,7 +354,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 28
+    assert len(names) == 29
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -441,6 +441,29 @@ def test_verify_sends_every_complete_graph_through_the_whole_subset_table(monkey
     monkeypatch.setattr(graphcomp, "_subset_ways", spy)
     assert all(ok for _, ok, _ in verify.run_suite("graphs", 12, 0))
     assert complete >= set(range(3, 13))
+
+
+def test_verify_catches_a_wrong_bell_number_whatever_bell_has_cached(monkeypatch):
+    # K_n's count through its universal vertices reads exactnum._BELLS, so its
+    # closed form must not: with bell(10) not cached, both would read it
+    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    exactnum.bell(12)
+    right = exactnum._BELLS[10]
+    exactnum._BELLS[10] += 1
+    exactnum.bell.cache_clear()
+    try:
+        failed = [name for name, ok, _ in verify.run_suite("graphs", 12, 0) if not ok]
+    finally:
+        exactnum._BELLS[10] = right
+        exactnum.bell.cache_clear()
+    assert "family closed forms match the subset DP" in failed
+
+
+def test_verify_catches_a_memo_key_shared_by_blocks_that_are_not_isomorphic(monkeypatch):
+    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    monkeypatch.setattr(graphcomp, "_refined_key", lambda n, edges: (n, len(edges)))
+    failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
+    assert "relabelled blocks take the memo's count" in failed
 
 
 # --- output bytes, and the work guard -----------------------------------------

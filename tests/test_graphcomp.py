@@ -575,20 +575,36 @@ def _record_counters(monkeypatch):
     return subset_sizes, frontier_sizes
 
 
+def _dfs_key(n, edges):
+    return n, sum(1 << a * n + b for a, b in edges)
+
+
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
     recorded = _record_counters(monkeypatch)
+    misses = []  # each block that reached a counter, with its two memo keys
+    count_block = graphcomp._count_block
+
+    def recording(n, edges):
+        keys = {_dfs_key(n, edges), graphcomp._refined_key(n, edges)}
+        assert not keys & set(graphcomp._block_counts)
+        misses.append((n, keys))
+        return count_block(n, edges)
+
+    monkeypatch.setattr(graphcomp, "_count_block", recording)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
         memo = graphcomp._block_counts
-        known, hits, calls = set(memo), memo.hits, list(map(len, recorded))
+        known, hits, calls, start = set(memo), memo.hits, list(map(len, recorded)), len(misses)
         assert graphcomp.reduce_and_count(graph) == expected
-        # each distinct block with at least 3 vertices reaches exactly one
-        # counter, once, and every other block is a memo hit
-        new = set(memo) - known
+        # each block with at least 3 vertices whose two keys both miss reaches
+        # exactly one counter, once, and is then kept under both; every other
+        # block is a memo hit, which adds at most its DFS key
+        new, missed = set(memo) - known, set().union(*(keys for _, keys in misses[start:]))
         counted = [n for sizes, before in zip(recorded, calls) for n in sizes[before:]]
-        assert sorted(counted) == sorted(n for n, _ in new)
+        assert sorted(counted) == sorted(n for n, _ in misses[start:])
+        assert missed <= new and len(new - missed) <= memo.hits - hits
         assert len(counted) + memo.hits - hits == len(block_sizes)
         assert set(block_sizes) - {n for n, _ in known} <= set(counted) <= set(block_sizes)
     assert all(recorded)
@@ -692,17 +708,60 @@ def test_every_relabelling_of_a_cycle_or_complete_graph_is_one_memo_entry(monkey
             assert (len(memo), memo.hits) == (1, len(graphs) - 1)
 
 
+def test_relabelled_pinned_blocks_mostly_reach_a_counter_once(monkeypatch):
+    # ties inside a colour class follow the DFS labels, so where refinement
+    # leaves a class of more than one vertex a copy may be counted again
+    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    calls = []
+    count_block = graphcomp._count_block
+
+    def recording(n, edges):
+        calls.append(n)
+        return count_block(n, edges)
+
+    monkeypatch.setattr(graphcomp, "_count_block", recording)
+    rng = Random(5454)
+    once = 0
+    for entry in json.loads(PINNED_DENSE.read_text()):
+        block = LabeledGraph(entry["n"], {tuple(edge) for edge in entry["edges"]})
+        before = len(calls)
+        for _ in range(8):
+            assert graphcomp.reduce_and_count(relabelled(block, rng)) == int(entry["count"])
+        once += len(calls) == before + 1
+    assert once >= 50
+
+
+def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(monkeypatch):
+    # K_{3,3} and the triangular prism: both 3-regular on 6 vertices
+    k33 = LabeledGraph(6, {(u, v) for u in range(3) for v in range(3, 6)})
+    prism = LabeledGraph(6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)})
+    counts = {graph: graphcomp._subset_ways(graph.neighbor_masks(), 6)[-1] for graph in (k33, prism)}
+    assert counts[k33] != counts[prism]
+    rng = Random(33)
+    for first, second in ((k33, prism), (prism, k33)):
+        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        for graph in (first, second) * 2:
+            for _ in range(4):
+                assert graphcomp.reduce_and_count(relabelled(graph, rng)) == counts[graph]
+
+
 def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
     rng = Random(5000)
     memo = CountingMemo()
     monkeypatch.setattr(graphcomp, "_block_counts", memo)
-    # 8-cycles with random chords: each is one block
-    cycle = graphcomp.build_family("cycle", 8).edges
-    chords = [edge for edge in combinations(range(8), 2) if edge not in cycle]
-    blocks = [LabeledGraph(8, cycle | set(rng.sample(chords, rng.randint(2, 10))))
-              for _ in range(5600)]
-    graphcomp.reduce_and_count(_glued(rng, blocks))
-    assert len(blocks) - memo.hits >= 5000  # distinct blocks
+    # 9-cycles with random chords, each one block, kept where the sorted
+    # (degree, sorted neighbour degrees) of their vertices is new, so that no
+    # two are isomorphic
+    cycle = graphcomp.build_family("cycle", 9).edges
+    chords = [edge for edge in combinations(range(9), 2) if edge not in cycle]
+    blocks = {}
+    while len(blocks) < 5000:
+        block = LabeledGraph(9, cycle | set(rng.sample(chords, rng.randint(2, 12))))
+        adj = block.adjacency()
+        shape = tuple(sorted((len(nbrs), tuple(sorted(len(adj[w]) for w in nbrs))) for nbrs in adj))
+        blocks.setdefault(shape, block)
+    graphcomp.reduce_and_count(_glued(rng, list(blocks.values())))
+    assert memo.hits == 0
     assert len(memo) == graphcomp.BLOCK_MEMO_ENTRIES
     assert all(0 < bits < 1 << n * n for n, bits in memo)
 
@@ -744,7 +803,7 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
 
     def recording(n, edges):
         count = count_block(n, edges)
-        counted[n, sum(1 << a * n + b for a, b in edges)] = count
+        counted[_dfs_key(n, edges)] = count
         return count
 
     monkeypatch.setattr(graphcomp, "_count_block", recording)
@@ -753,7 +812,12 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
     for _ in range(4):
         graphcomp.reduce_and_count(_glued(rng, [rng.choice(pool)[0] for _ in range(30)]))
     assert memo.hits > 20
-    assert counted == memo
+    assert counted.items() <= memo.items() and len(memo) > len(counted)
+    # every key, DFS or refined, is the edge set of a block with the count it holds
+    for (n, bits), count in memo.items():
+        edges = [(a, b) for a, b in combinations(range(n), 2) if bits >> a * n + b & 1]
+        assert _dfs_key(n, edges) == (n, bits)
+        assert graphcomp._subset_ways(LabeledGraph(n, set(edges)).neighbor_masks(), n)[-1] == count
 
 
 # --- the block split -------------------------------------------------------------------------
