@@ -1,6 +1,6 @@
-"""Measure the steps that graphcomp prices its two block counters by, in the
-word steps of compcount's work budget, and the blocks that routing on those
-prices sends to the slower counter.
+"""Measure the steps that graphcomp prices its three block counters by, in
+the word steps of compcount's work budget, and the blocks that routing on
+the two DPs' prices sends to the slower DP.
 
 The subset DP (graphcomp._subset_ways, which
 graphcomp.count_compositions_graph prices before it runs) is priced at
@@ -15,8 +15,12 @@ transform steps that path no longer takes.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
 of its counts a step of its state bound (graphcomp._frontier_price, by
 graphcomp._frontier_cost), timed here with its successor memo cold and
-warm. graphcomp._count_block sends each block to the counter of the lower
-price. This script times both DPs with the guard switched off, prints the
+warm. The series-parallel reductions (graphcomp._series_parallel) are
+priced at SERIES_PARALLEL_OPERATIONS operations for each of at most n + m
+reductions, on numbers of graphcomp._count_bits; this script times them on
+cycles, ladders and random 2-trees against that price. graphcomp._count_block
+sends each block the reductions do not count to the DP of the lower price.
+This script times the counters with the guard switched off, prints the
 cost of each step in nanoseconds and in word steps next to its price, times
 both counters on small blocks (the benchmark's pinned dense blocks among
 them) under the labels of graphcomp._blocks, on which
@@ -135,11 +139,36 @@ def frontier_steps(word_ns, repeat):
               f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
 
 
+def two_tree(rng, n):
+    """A random 2-tree: each vertex from the third on joined to both ends of a
+    random earlier edge."""
+    edges = [(0, 1)]
+    for v in range(2, n):
+        a, b = rng.choice(edges)
+        edges += [(a, v), (b, v)]
+    return graphcomp.LabeledGraph(n, edges)
+
+
+def series_parallel_steps(word_ns, repeat):
+    graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in (12, 1000, 10000, 100000)]
+    graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in (6, 500, 5000, 40000)]
+    graphs += [(f"random 2-tree {n}", two_tree(Random(n), n)) for n in (12, 1000, 10000, 100000)]
+    print(f"\nseries-parallel reductions (priced at {graphcomp.SERIES_PARALLEL_OPERATIONS} operations a "
+          f"reduction, n + m of them, on numbers of min(m, n log2(n + 1)) bits)")
+    print(f"{'graph':<22} {'n':>7} {'seconds':>9} {'priced s':>9} {'price/time':>10}")
+    for name, graph in graphs:
+        n, edges = max(graphcomp._blocks(graph))
+        seconds = best_time(lambda: graphcomp._series_parallel(n, edges), repeat if n < 20000 else 1)
+        priced = errors.word_steps(*graphcomp._series_parallel_cost(n, len(edges))[:2]) * word_ns / 1e9
+        print(f"{name:<22} {n:>7} {seconds:>9.4f} {priced:>9.4f} {priced / seconds:>10.1f}")
+
+
 def routing(word_ns, repeat):
-    """Time both counters on small blocks, where routing decides (the
-    frontier DP with its memo cleared, as a block new to it), and list the
-    blocks that the price route of graphcomp._count_block sends to the slower
-    counter, with the slowdown of each."""
+    """Time both DPs on the small blocks that the series-parallel reductions
+    do not count, where routing decides (the frontier DP with its memo
+    cleared, as a block new to it), and list the blocks that the price route
+    of graphcomp._count_block sends to the slower DP, with the slowdown of
+    each."""
     graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in range(4, 15)]
     graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in range(2, 8)]
     rng = Random(7)
@@ -151,10 +180,15 @@ def routing(word_ns, repeat):
     graphs += [(f"pinned {e['n']}/{e['p']}",
                 graphcomp.LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]}))
                for e in json.loads(pinned.read_text())]
-    slower = []
+    slower, dp_blocks = [], 0
     for name, graph in graphs:
+        if not any(graphcomp._blocks(graph)):
+            continue  # a tree: no block of 3 or more vertices to route
         graph = largest_block(graph)  # relabelled as reduce_and_count routes it
         n = graph.vertex_count
+        if graphcomp._count_thin(n, sorted(graph.edges)) is not None:
+            continue  # counted by the series-parallel reductions, by neither DP
+        dp_blocks += 1
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
@@ -168,8 +202,9 @@ def routing(word_ns, repeat):
         routed, other = (frontier, subset) if frontier_first else (subset, frontier)
         if routed > other:
             slower.append((routed / other, name, n, frontier_first, subset, frontier))
-    print(f"\nrouting on {len(graphs)} blocks of 4-16 vertices (cycles, ladders, random, and the "
-          f"benchmark's pinned dense blocks) by the lower price: {len(slower)} on the slower counter")
+    print(f"\nrouting on the {dp_blocks} blocks of 4-16 vertices (cycles, ladders, random, and the "
+          f"benchmark's pinned dense blocks) that the series-parallel reductions do not count, by the "
+          f"lower price: {len(slower)} on the slower counter")
     for slowdown, name, n, frontier_first, subset, frontier in sorted(slower, reverse=True):
         print(f"    {name} ({n} vertices), {'frontier' if frontier_first else 'subset'} DP, "
               f"{slowdown:.2f}x: subset {subset * 1e3:.2f} ms, frontier {frontier * 1e3:.2f} ms")
@@ -197,6 +232,7 @@ def main():
     graphcomp.check_work = lambda *_, **__: None  # time the loops, not the guard
     subset_steps(args.ns_per_word_step, args.repeat)
     frontier_steps(args.ns_per_word_step, args.repeat)
+    series_parallel_steps(args.ns_per_word_step, args.repeat)
     routing(args.ns_per_word_step, args.repeat)
     long_cycles()
 

@@ -17,8 +17,11 @@ finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
 bridge (a two-vertex block) contributes 2, and each block of at least 3
-vertices goes to the counter of the lower price under the shared work budget
-(errors.check_work), which refuses it where that price is over the budget.
+vertices goes to the counter of the lowest price under the shared work budget
+(errors.check_work), which refuses it where that price is over the budget: a
+block with no K_4 minor (a cycle, ladder, fan or 2-tree) to series and
+parallel reductions (_series_parallel) where the subset DP would cost more
+than the frontier DP's least, any other to the subset or the frontier DP.
 The counts of blocks of at most BLOCK_MEMO_VERTICES = 64 vertices are kept
 in an LRU memo of BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as
 (n, bits), bit a n + b for each edge a < b, and on a miss by the same bits
@@ -499,8 +502,9 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     two-level Bell number of the frontier width, not 2^n. A step's
     transitions depend only on its shape in frontier positions, so the
     successors of each (shape, state) pair are kept in an LRU memo of
-    FRONTIER_MEMO_ENTRIES entries: cycles and ladders of any size and label
-    order use 13 of them. Priced at one step a vertex before the adjacency.
+    FRONTIER_MEMO_ENTRIES entries, which long blocks of few step shapes, such
+    as grids, hit on most steps. Priced at one step a vertex before the
+    adjacency.
     """
     _price_frontier(graph.vertex_count, len(graph.edges))
     adj = graph.adjacency()
@@ -547,9 +551,12 @@ def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -
 
 
 # The most (step shape, state) pairs whose successors the frontier DP keeps.
-# The frontier-routed blocks of the graph-sparse benchmark (cycles and
-# ladders) share 16; on a wide block almost every pair is new, and the memo
-# stays at this size (it held 3.0-3.6 MB after blocks of width 8).
+# Long blocks of few step shapes hit it on most steps: without it the
+# frontier DP took 7 times as long on a 3 x 200 grid, 3-8 times on a
+# 2000-cycle, 4.5 times on a 4 x 30 grid and 2-3 times on a 5 x 20 grid
+# than with it cleared before the run (two runs). On a wide block almost
+# every pair is new (a block of width 8 ran 15% faster without it), and the
+# memo stays at this size (it held 3.0-3.6 MB after blocks of width 8).
 FRONTIER_MEMO_ENTRIES = 4096
 
 
@@ -796,9 +803,17 @@ TRANSFORM_STEP_OPERATIONS = 2
 # 4-6 (grids) and 120-230 at widths 7-8 (random blocks of 23-27). It is an
 # upper bound except on the smallest blocks, which pay a fixed cost a call:
 # a 6-cycle with a cold memo takes 1490-1680 word steps a step (36 steps in
-# 0.2 ms) against 585 priced, and a 7-cycle goes to the frontier DP, 0.20 ms
-# cold, where the subset DP takes 0.11 ms.
+# 0.2 ms) against 585 priced; reduce_and_count counts cycles and ladders by
+# the series-parallel reductions instead.
 FRONTIER_STEP_PRICE = 585
+# The series-parallel reductions' price in operations a reduction, on numbers
+# of _count_bits: a series step takes 7 products and 4 additions, a parallel
+# one 5 and 2, most with one small factor. The script measures the price at
+# 1.0-6.4 times their time on cycles and ladders of 10^3-10^5 vertices, and
+# 2.4-116 times on random 2-trees of 10^3-10^5, whose counts have fewer bits
+# than their edges; blocks of about 12 vertices pay a fixed cost a call,
+# priced at 0.8-1.1 times their time (two runs).
+SERIES_PARALLEL_OPERATIONS = 6
 
 
 @cache
@@ -854,6 +869,13 @@ def _frontier_price(widths: list[int]) -> tuple[float, float]:
     return sum(s * (w + 1) for s, w in zip(states, widths)), max(states, default=0)
 
 
+def _block_widths(n: int) -> list[int]:
+    """The least frontier widths of any order of a block of n >= 3 vertices:
+    before its third vertex the two processed ones each have an unprocessed
+    neighbour, and after that a frontier of one vertex would be a cut vertex."""
+    return [0, 1] + [2] * (n - 2)
+
+
 def _count_bits(n: int, edge_count: int) -> float:
     """Bits that bound a composition count: its blocks' edges fix it, and it
     is at most Bell(n) < (n + 1)^n."""
@@ -877,6 +899,60 @@ def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) ->
         operations, bits, states = _frontier_cost(n, edge_count, widths)
     what = ", at one step a vertex," if widths is None else f" and up to {states:.3g} states"
     check_work(f"the frontier DP on {n} vertices{what}", operations, bits, held=states, printed=0)
+
+
+def _series_parallel_cost(n: int, edge_count: int) -> tuple[float, float, float]:
+    """_series_parallel on n vertices and edge_count edges, as _subset_cost
+    gives the subset DP's: SERIES_PARALLEL_OPERATIONS a reduction, at most
+    n + edge_count of them, on numbers of _count_bits, the three counts of a
+    state held."""
+    return SERIES_PARALLEL_OPERATIONS * (n + edge_count), _count_bits(n, edge_count), 3
+
+
+def _series_parallel(n: int, edges: list[tuple[int, int]]) -> int | None:
+    """The count of a block on vertices 0..n-1 by series and parallel
+    reductions, or None where they stall, which they do exactly on a block
+    with a K_4 minor (Duffin 1965).
+
+    Each edge stands for a two-terminal part of the block and keeps three
+    counts of its compositions, in which every block that holds neither end
+    is connected: the ends in different blocks (a), in one block connected
+    inside the part (b), and in one block whose pieces inside the part each
+    hold one end (c); a plain edge is (1, 1, 0). A vertex of degree 2 joins
+    its two edges in series, a second edge between two vertices joins them
+    in parallel, and once two vertices are left, their edge counts a + b.
+    Each vertex keeps a dict from neighbour to edge state, and a stack holds
+    the vertices that may be of degree 2. Priced by _series_parallel_cost
+    before anything is built, and not at all where no vertex has degree 2."""
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    stack = [v for v, d in enumerate(degree) if d <= 2]
+    if not stack:
+        return None
+    operations, bits, held = _series_parallel_cost(n, len(edges))
+    check_work(f"the series-parallel reductions of {n} vertices", operations, bits, held=held, printed=0)
+    links: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
+    for a, b in edges:
+        links[a][b] = links[b][a] = (1, 1, 0)
+    a, b, c = 1, 1, 0  # the last edge made, or the one edge of K_2
+    left = n
+    while left > 2 and stack:
+        v = stack.pop()
+        if len(links[v]) != 2:  # taken out already, or of degree 3 or more
+            continue
+        (s, (a1, b1, c1)), (t, (a2, b2, c2)) = links[v].items()
+        links[v].clear()
+        del links[s][v], links[t][v]
+        left -= 1
+        a, b, c = b1 * a2 + a1 * b2 + a1 * a2, b1 * b2, b1 * c2 + c1 * b2 + a1 * a2
+        if t in links[s]:  # in parallel with the edge s-t
+            a1, b1, c1 = links[s][t]
+            a, b, c = a1 * a, b1 * b + b1 * c + c1 * b, c1 * c
+            stack += (x for x in (s, t) if len(links[x]) == 2)  # each lost its edge to v
+        links[s][t] = links[t][s] = a, b, c
+    return a + b if left == 2 else None
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -909,14 +985,21 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     looked up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES
     entries, keyed by (n, bits) with bit a n + b for each edge (a, b) under
     the labels of _blocks, in DFS discovery order: every labelling of C_n or
-    K_m gives one key, and a key has at most n^2 bits. On a miss the block
-    is looked up again under _refined_key, which relabelled copies of a
-    block mostly share (53 counter runs on the seed-7 graph-dense files, 121
-    on the DFS key alone). Each key is the block's edge set under a
-    bijective relabelling, so a hit is an isomorphic block, of equal count.
-    A hit runs no counter and is not priced again; a miss of both keys, and
-    any larger block, is counted by _count_block on the DFS-labelled edges
-    and kept under both. A refusal raises before anything is kept."""
+    K_m gives one key, and a key has at most n^2 bits. On a miss, and for
+    any larger block, _count_thin tries the series-parallel reductions,
+    which count a block with no K_4 minor, such as a cycle, ladder or
+    2-tree, in linear time whatever its labels; one they count is kept
+    under its DFS key alone. Where they do not, the block is looked up
+    again under _refined_key, which relabelled copies of a block mostly
+    share (53 counter runs on the seed-7 graph-dense files, 121 on the DFS
+    key alone). Each key is the block's edge set under a bijective
+    relabelling, so a hit is an isomorphic block, of equal count. A hit runs
+    no counter and is not priced again; a miss of both keys, and any larger
+    block the reductions do not count, is counted by _count_block on the
+    DFS-labelled edges and kept under both. On the seed-7 graph-sparse
+    files, of cycles and ladders, that leaves 12 _count_block runs, none on
+    the frontier DP, and 14 refined keys (98, 86 and 116 without the
+    reductions). A refusal raises before anything is kept."""
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
     size = graph.vertex_count + len(graph.edges)
@@ -927,21 +1010,40 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     for n, edges in _blocks(graph):
         bridges -= len(edges)
         if n > BLOCK_MEMO_VERTICES:
-            counts.append(_count_block(n, edges))
-        else:
-            key = n, sum(1 << a * n + b for a, b in edges)
-            found = _block_counts.pop(key, None)
+            found = _count_thin(n, edges)
+            counts.append(_count_block(n, edges) if found is None else found)
+            continue
+        key = n, sum(1 << a * n + b for a, b in edges)
+        found = _block_counts.pop(key, None)
+        if found is None:
+            found = _count_thin(n, edges)
+        if found is None:
+            refined = _refined_key(n, edges)
+            found = _block_counts.pop(refined, None)
             if found is None:
-                refined = _refined_key(n, edges)
-                found = _block_counts.pop(refined, None)
-                if found is None:
-                    found = _count_block(n, edges)
-                _block_counts[refined] = found
-            _block_counts[key] = found
-            while len(_block_counts) > BLOCK_MEMO_ENTRIES:
-                del _block_counts[next(iter(_block_counts))]
-            counts.append(found)
+                found = _count_block(n, edges)
+            _block_counts[refined] = found
+        _block_counts[key] = found
+        while len(_block_counts) > BLOCK_MEMO_ENTRIES:
+            del _block_counts[next(iter(_block_counts))]
+        counts.append(found)
     return _balanced_product(counts) << bridges
+
+
+def _count_thin(n: int, edges: list[tuple[int, int]]) -> int | None:
+    """The count of a block by _series_parallel where the subset DP's price
+    is above the frontier DP's least (on _block_widths) and the reductions'
+    own price is at most that least, so that it is the lowest of the three
+    and the block is refused only where every counter's price is over the
+    budget; else None, as where the reductions stall. A block with no vertex
+    of degree 2 costs only the count of its degrees."""
+    if min(Counter(chain.from_iterable(edges)).values()) > 2:
+        return None
+    least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
+    if word_steps(*_subset_cost(_not_universal(n, edges))[:2]) > least \
+            >= word_steps(*_series_parallel_cost(n, len(edges))[:2]):
+        return _series_parallel(n, edges)
+    return None
 
 
 def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
@@ -965,16 +1067,19 @@ def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
-    """The count of a block on vertices 0..n-1, by the counter of the lower
-    price in word steps, the one check_work reads: the subset DP at
-    _subset_cost on the vertices that are not universal, the frontier DP at
-    _frontier_cost, the subset DP on a tie. The chosen counter prices itself;
-    where the lower price is over the work budget, so is the other. The
-    frontier DP takes at least one step a vertex: its adjacency and order are
-    built only where the subset side costs more and that least price fits."""
+    """The count of a block on vertices 0..n-1 that the series-parallel
+    reductions did not count, by the counter of the lower price in word
+    steps, the one check_work reads: the subset DP at _subset_cost on the
+    vertices that are not universal, the frontier DP at _frontier_cost, the
+    subset DP on a tie. The chosen counter prices itself; where the lower
+    price is over the work budget, so is the other. No order of a block has
+    a frontier narrower than _block_widths, 9n - 18 steps of the state
+    bound: the frontier DP's adjacency and order are built only where the
+    subset side costs more and that least price fits."""
     subset = word_steps(*_subset_cost(_not_universal(n, edges))[:2])
-    if subset > word_steps(*_frontier_cost(n, len(edges))[:2]):
-        _price_frontier(n, len(edges))  # its least price, before the adjacency
+    least = _block_widths(n)
+    if subset > word_steps(*_frontier_cost(n, len(edges), least)[:2]):
+        _price_frontier(n, len(edges), least)  # before the adjacency
         adj = _adjacency(n, edges)
         order, widths = _frontier_order(adj)
         if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:

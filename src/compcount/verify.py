@@ -88,6 +88,11 @@ def _composition_checks(max_n: int) -> list[Check]:
                                                      predicate=lambda parts: len(set(parts)) == len(parts))
         return len(listed), len({tuple(sorted(c)) for c in listed})
 
+    distinct = {(n, k): distinct_counts(n, k) for n in range(top + 1) for k in range(n + 1)}
+    # a row stops where its entries turn 0, so it is compared padded to k = n
+    triangles = [compositions.triangle(kind, top + 1)
+                 for kind in (compositions.PARTITIONS_DISTINCT, compositions.COMPOSITIONS_DISTINCT)]
+
     # over first parts k >= 2, the strict terms fibonacci_higher(k - 1, n - k)
     # are the weak terms of n - 1
     by_first_part = [sum(compositions.fibonacci_higher(k, n - k) for k in range(1, n + 1))
@@ -110,11 +115,14 @@ def _composition_checks(max_n: int) -> list[Check]:
                 for lower, upper in ((0, 3), (1, 4), (2, 7), (2, None))],
                lambda n, k, lower, upper: compositions.count_restricted(n, k, PartBounds(lower, upper)),
                compositions._count_by_dp, "n={} k={} [{}, {}]".format),
-        _agree("distinct-part recurrences match enumeration",
-               [(n, k) for n in range(top + 1) for k in range(n + 1)],
+        _agree("distinct-part recurrences match enumeration", list(distinct),
                lambda n, k: (compositions.count_compositions_distinct(n, k),
                              compositions.count_partitions_distinct(n, k)),
-               distinct_counts, "n={} k={}".format),
+               lambda n, k: distinct[n, k], "n={} k={}".format),
+        _agree("triangle rows match enumeration", [(n,) for n in range(top + 1)],
+               lambda n: [rows[n] + (0,) * (n + 1 - len(rows[n])) for rows in triangles],
+               lambda n: [tuple(distinct[n, k][1] for k in range(n + 1)),
+                          tuple(distinct[n, k][0] for k in range(n + 1))], "n={}".format),
         _agree("ordered distinct counts are k! times unordered",
                [(n, k) for n in range(2 * max_n + 1) for k in range(n + 1)],
                compositions.count_compositions_distinct,
@@ -212,6 +220,40 @@ def _whole_table(graph: graphcomp.LabeledGraph) -> int:
     return graphcomp._subset_ways(graph.neighbor_masks(), graph.vertex_count)[-1]
 
 
+def _partial_two_tree(rng: Random, n: int, keep: float = 0.75) -> graphcomp.LabeledGraph:
+    """A random 2-tree on n vertices, each vertex from the third on joined to
+    both ends of a random earlier edge, with each edge kept with probability
+    keep: a graph with no K_4 minor."""
+    edges = [(0, 1)] if n > 1 else []
+    for v in range(2, n):
+        a, b = rng.choice(edges)
+        edges += [(a, v), (b, v)]
+    return graphcomp.LabeledGraph(n, {edge for edge in edges if rng.random() < keep})
+
+
+def _no_k4_minor(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether taking out vertices of degree at most 2 one at a time, joining
+    the two neighbours of each, empties the graph: in any order it does
+    exactly on the graphs with no K_4 minor (treewidth at most 2)."""
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    left = set(range(n))
+    while left:
+        v = next((v for v in left if len(adj[v]) <= 2), None)
+        if v is None:
+            return False
+        left.remove(v)
+        for w in adj[v]:
+            adj[w].discard(v)
+        if len(adj[v]) == 2:
+            a, b = adj[v]
+            adj[a].add(b)
+            adj[b].add(a)
+    return True
+
+
 def _graph_checks(max_n: int, seed: int) -> list[Check]:
     # the random pools are drawn in the order of the checks that read them
     rng, top = Random(seed), min(max_n, 12)
@@ -261,6 +303,8 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
                 edges.discard((min(v, w), max(v, w)))
         cut.append(graphcomp.LabeledGraph(n, edges))
     copies = [(graph, _relabelled(graph, rng)) for graph in dense + thin]
+    reducible = [block for graph in [_partial_two_tree(rng, rng.randint(1, top)) for _ in range(40)] + thin
+                 for block in graphcomp._blocks(graph)]
 
     count, frontier = graphcomp.count_compositions_graph, graphcomp.count_compositions_frontier
     families = (("path", range(0, min(max_n, 16) + 1)), ("tree", range(0, min(max_n, 14) + 1)),
@@ -313,5 +357,8 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
         _agree("relabelled blocks take the memo's count", copies,
                lambda graph, copy: (graphcomp.reduce_and_count(graph), graphcomp.reduce_and_count(copy)),
                lambda graph, _: (_whole_table(graph),) * 2, lambda graph, _: _graph_label(graph)),
+        _agree("series-parallel route matches the subset DP", reducible, graphcomp._series_parallel,
+               lambda n, edges: _whole_table(graphcomp.LabeledGraph(n, edges)) if _no_k4_minor(n, edges)
+               else None, "n={} edges={}".format),
     ]
     return checks

@@ -354,7 +354,7 @@ def test_verify_csv_needs_no_quoting():
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 29
+    assert len(names) == 31
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -457,6 +457,27 @@ def test_verify_catches_a_wrong_bell_number_whatever_bell_has_cached(monkeypatch
         exactnum._BELLS[10] = right
         exactnum.bell.cache_clear()
     assert "family closed forms match the subset DP" in failed
+
+
+def test_verify_catches_a_wrong_series_parallel_count(monkeypatch):
+    true_reductions = graphcomp._series_parallel
+
+    def skewed(n, edges):
+        count = true_reductions(n, edges)
+        return None if count is None else count + 1
+
+    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    monkeypatch.setattr(graphcomp, "_series_parallel", skewed)
+    failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
+    assert "series-parallel route matches the subset DP" in failed
+
+
+def test_verify_catches_a_wrong_triangle_row(monkeypatch):
+    true_triangle = compositions.triangle
+    monkeypatch.setattr(compositions, "triangle", lambda kind, rows: tuple(
+        tuple(entry + (n == 7) for entry in row) for n, row in enumerate(true_triangle(kind, rows))))
+    failed = [name for name, ok, _ in verify.run_suite("compositions", 8, 0) if not ok]
+    assert failed == ["triangle rows match enumeration"]
 
 
 def test_verify_catches_a_memo_key_shared_by_blocks_that_are_not_isomorphic(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import operator
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 from random import Random
@@ -12,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compcount import errors, exactnum, graphcomp
+from compcount import errors, exactnum, graphcomp, verify
 from compcount.errors import ResourceLimitError
 from compcount.graphcomp import GraphParseError, LabeledGraph
 
@@ -505,26 +506,32 @@ def test_reduce_multiplies_many_blocks_without_a_growing_product():
 
 
 def _glued_graph(rng):
-    """Components glued from cycles, ladders, complete graphs and bridges,
-    each piece sharing one vertex with what is already there, under a random
-    relabelling. Returns the graph, the product of the pieces' family counts,
-    and the vertex counts of the pieces that are not bridges."""
+    """Components glued from cycles, ladders, complete graphs, cycles with two
+    crossing chords and bridges, each piece sharing one vertex with what is
+    already there, under a random relabelling. Returns the graph, the product
+    of the pieces' counts (by their family's closed form, or by the subset DP
+    for the crossed cycles), and the vertex counts of the pieces that are not
+    bridges."""
     edges = []
     vertex_count = 0
     expected = 1
     block_sizes = []
-    pieces = [("cycle", 3, 8), ("ladder", 2, 4), ("complete", 3, 6), ("path", 2, 2)]
+    pieces = [("cycle", 3, 8), ("ladder", 2, 4), ("complete", 3, 6), ("path", 2, 2), ("crossed", 8, 12)]
 
     def attach(at):
         nonlocal vertex_count, expected
         family, low, high = rng.choice(pieces)
         size = rng.randint(low, high)
-        piece = graphcomp.build_family(family, size)
+        if family == "crossed":
+            piece = crossed_cycle(size)
+            expected *= graphcomp._subset_ways(piece.neighbor_masks(), size)[-1]
+        else:
+            piece = graphcomp.build_family(family, size)
+            expected *= graphcomp.family_count(family, size)
         # vertex 0 of the piece is the shared vertex, the rest are new
         label = [at] + list(range(vertex_count, vertex_count + piece.vertex_count - 1))
         vertex_count += piece.vertex_count - 1
         edges.extend((label[u], label[v]) for u, v in piece.edges)
-        expected *= graphcomp.family_count(family, size)
         if piece.vertex_count > 2:
             block_sizes.append(piece.vertex_count)
 
@@ -554,13 +561,15 @@ class CountingMemo(dict):
 
 
 def _record_counters(monkeypatch):
-    """Route the two block counters through recorders, from an empty block
+    """Route the three block counters through recorders, from an empty block
     memo that counts its hits; returns the lists of vertex counts the subset
-    DP and the frontier DP each receive."""
+    DP and the frontier DP each receive, and those of the blocks that the
+    series-parallel reductions count (not those where they stall)."""
     monkeypatch.setattr(graphcomp, "_block_counts", CountingMemo())
-    subset_sizes, frontier_sizes = [], []
+    subset_sizes, frontier_sizes, reduced_sizes = [], [], []
     subset = graphcomp._count_subset
     frontier = graphcomp._count_frontier
+    series_parallel = graphcomp._series_parallel
 
     def recording_subset(adj):
         subset_sizes.append(len(adj))
@@ -570,9 +579,16 @@ def _record_counters(monkeypatch):
         frontier_sizes.append(len(adj))
         return frontier(adj, order, widths)
 
+    def recording_reductions(n, edges):
+        found = series_parallel(n, edges)
+        if found is not None:
+            reduced_sizes.append(n)
+        return found
+
     monkeypatch.setattr(graphcomp, "_count_subset", recording_subset)
     monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
-    return subset_sizes, frontier_sizes
+    monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
+    return subset_sizes, frontier_sizes, reduced_sizes
 
 
 def _dfs_key(n, edges):
@@ -583,7 +599,8 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
     recorded = _record_counters(monkeypatch)
     misses = []  # each block that reached a counter, with its two memo keys
-    count_block = graphcomp._count_block
+    tried = []  # each block the series-parallel route was tried on, its DFS key and its count or None
+    count_block, count_thin = graphcomp._count_block, graphcomp._count_thin
 
     def recording(n, edges):
         keys = {_dfs_key(n, edges), graphcomp._refined_key(n, edges)}
@@ -591,41 +608,75 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
         misses.append((n, keys))
         return count_block(n, edges)
 
+    def recording_thin(n, edges):
+        key = _dfs_key(n, edges)
+        assert key not in graphcomp._block_counts
+        found = count_thin(n, edges)
+        tried.append((n, key, found))
+        return found
+
     monkeypatch.setattr(graphcomp, "_count_block", recording)
+    monkeypatch.setattr(graphcomp, "_count_thin", recording_thin)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
         memo = graphcomp._block_counts
-        known, hits, calls, start = set(memo), memo.hits, list(map(len, recorded)), len(misses)
+        known, hits, calls = set(memo), memo.hits, list(map(len, recorded))
+        start, tried_start = len(misses), len(tried)
         assert graphcomp.reduce_and_count(graph) == expected
-        # each block with at least 3 vertices whose two keys both miss reaches
-        # exactly one counter, once, and is then kept under both; every other
-        # block is a memo hit, which adds at most its DFS key
+        # each block with at least 3 vertices whose DFS key misses is tried by
+        # the series-parallel route; one it counts is kept under that key
+        # alone, and one whose refined key misses too reaches exactly one DP,
+        # once, and is then kept under both; every other block is a memo hit,
+        # which adds at most its DFS key
         new, missed = set(memo) - known, set().union(*(keys for _, keys in misses[start:]))
-        counted = [n for sizes, before in zip(recorded, calls) for n in sizes[before:]]
+        reduced = [(n, key) for n, key, found in tried[tried_start:] if found is not None]
+        counted = [n for sizes, before in zip(recorded[:2], calls) for n in sizes[before:]]
+        reduced_sizes = recorded[2][calls[2]:]
         assert sorted(counted) == sorted(n for n, _ in misses[start:])
-        assert missed <= new and len(new - missed) <= memo.hits - hits
-        assert len(counted) + memo.hits - hits == len(block_sizes)
-        assert set(block_sizes) - {n for n, _ in known} <= set(counted) <= set(block_sizes)
+        assert reduced_sizes == [n for n, _ in reduced]
+        reduced_keys = {key for _, key in reduced}
+        assert missed | reduced_keys <= new and len(new - missed - reduced_keys) <= memo.hits - hits
+        assert len(counted) + len(reduced) + memo.hits - hits == len(block_sizes)
+        assert set(block_sizes) - {n for n, _ in known} <= set(counted) | set(reduced_sizes) <= set(block_sizes)
     assert all(recorded)
 
 
 def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
-    subset_sizes, frontier_sizes = _record_counters(monkeypatch)
+    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
     for m in range(6, 12):
         assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
-    assert subset_sizes == list(range(6, 12)) and not frontier_sizes
+    assert subset_sizes == list(range(6, 12)) and not frontier_sizes and not reduced_sizes
     subset_sizes.clear()
+    # thin blocks with a K_4 minor, where the reductions stall
     for n in (12, 13, 16, 20, 40):
+        block = crossed_cycle(n)
+        assert graphcomp.reduce_and_count(block) == per_state_frontier(block.adjacency(), range(n))
+    for rows, columns in ((3, 4), (3, 10), (3, 30)):
+        block = grid(rows, columns)
+        by_columns = sorted(range(rows * columns), key=lambda v: (v % columns, v // columns))
+        assert graphcomp.reduce_and_count(block) == per_state_frontier(block.adjacency(), by_columns)
+    assert not subset_sizes and not reduced_sizes
+    assert frontier_sizes == [12, 13, 16, 20, 40, 12, 30, 90]
+    # cycles and ladders have no K_4 minor: from C_7 and 4 rungs on, where the
+    # subset DP's price is over the frontier DP's least, the reductions count
+    # them, and neither DP runs
+    frontier_sizes.clear()
+    for n in (7, 12, 13, 16, 20, 40, 100):
         assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
-    for rungs in (5, 6, 10, 30):
+    for rungs in (4, 5, 6, 10, 30, 50):
         ladder = graphcomp.build_family("ladder", rungs)
         assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
-    assert not subset_sizes
-    assert frontier_sizes == [12, 13, 16, 20, 40, 10, 12, 20, 60]
+    assert reduced_sizes == [7, 12, 13, 16, 20, 40, 100, 8, 10, 12, 20, 60, 100]
+    assert not subset_sizes and not frontier_sizes
+    reduced_sizes.clear()
+    for n in (3, 4, 5, 6):
+        assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
+    assert graphcomp.reduce_and_count(graphcomp.build_family("ladder", 3)) == graphcomp.ladder_binet(3)
+    assert subset_sizes == [3, 4, 5, 6, 6] and not frontier_sizes and not reduced_sizes
     # pinned blocks of the benchmark on both sides of the two prices: the
     # frontier DP's state bound is loose on the denser ones
-    frontier_sizes.clear()
+    subset_sizes.clear()
     pinned = json.loads(PINNED_DENSE.read_text())
     for n, p in ((10, 0.7), (10, 0.4), (12, 0.4)):
         for entry in [e for e in pinned if e["n"] == n and e["p"] == p]:
@@ -633,6 +684,7 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
     assert subset_sizes == [10, 10, 10, 10, 12]
     assert frontier_sizes == [10, 10, 12, 12]
+    assert not reduced_sizes
 
 
 # --- the block memo --------------------------------------------------------------------------
@@ -818,6 +870,95 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
         edges = [(a, b) for a, b in combinations(range(n), 2) if bits >> a * n + b & 1]
         assert _dfs_key(n, edges) == (n, bits)
         assert graphcomp._subset_ways(LabeledGraph(n, set(edges)).neighbor_masks(), n)[-1] == count
+
+
+# --- the series-parallel reductions ---------------------------------------------------------
+
+def test_the_reductions_match_the_subset_dp_on_random_blocks():
+    rng = Random(1965)
+    blocks = []
+    while len(blocks) < 2400:
+        n = rng.randint(3, 12)
+        graph = verify._partial_two_tree(rng, n, rng.uniform(0.6, 1)) if len(blocks) % 2 else \
+            graphcomp.random_connected_graph(rng, n, rng.uniform(0, 0.6))
+        block = max(graphcomp._blocks(graph), default=None)
+        if block:
+            blocks.append(block)
+    reduced = 0
+    for n, edges in blocks:
+        count = graphcomp._series_parallel(n, edges)
+        if verify._no_k4_minor(n, edges):
+            assert count == graphcomp._subset_ways(LabeledGraph(n, edges).neighbor_masks(), n)[-1], edges
+            reduced += 1
+        else:
+            assert count is None, edges
+    assert 1000 < reduced < 2200
+
+
+def test_the_reductions_count_cycles_ladders_and_fans_by_their_closed_forms():
+    for n in range(3, 30):
+        assert graphcomp._series_parallel(n, list(graphcomp.build_family("cycle", n).edges)) == (1 << n) - n
+    for rungs in range(1, 40):
+        ladder = graphcomp.build_family("ladder", rungs)
+        assert graphcomp._series_parallel(2 * rungs, list(ladder.edges)) == graphcomp.ladder_binet(rungs)
+    fibonacci = [0, 1]
+    while len(fibonacci) < 80:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    for n in range(1, 39):  # the fan K_1 + P_n: vertex 0 joined to the path 1..n
+        fan = {(0, v) for v in range(1, n + 1)} | {(v, v + 1) for v in range(1, n)}
+        assert graphcomp._series_parallel(n + 1, list(fan)) == fibonacci[2 * n + 1]
+
+
+def test_every_block_with_a_k4_minor_stalls_the_reductions_and_reaches_the_parent_counter(monkeypatch):
+    wheel = LabeledGraph(6, {(0, v) for v in range(1, 6)} | {(v, v % 5 + 1) for v in range(1, 6)})
+    k33 = LabeledGraph(6, {(u, v) for u in range(3) for v in range(3, 6)})
+    blocks = [complete(4), complete(5), wheel, grid(3, 3), k33]
+    blocks += [LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]})
+               for e in json.loads(PINNED_DENSE.read_text())]
+    tried, reached = [], []
+    series_parallel, count_block = graphcomp._series_parallel, graphcomp._count_block
+
+    def recording_reductions(n, edges):
+        tried.append(series_parallel(n, edges))
+        return tried[-1]
+
+    def recording_block(n, edges):
+        reached.append(n)
+        return count_block(n, edges)
+
+    monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
+    monkeypatch.setattr(graphcomp, "_count_block", recording_block)
+    for block in blocks:
+        n = block.vertex_count
+        assert not verify._no_k4_minor(n, block.edges)
+        assert series_parallel(n, list(block.edges)) is None
+        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        reached.clear()
+        assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks(), n)[-1]
+        assert reached == [n]
+    assert len(tried) > 5 and not any(tried)
+
+
+def test_the_reductions_are_not_tried_where_their_price_is_above_the_frontier_dps_least(monkeypatch):
+    # so ladders of more than about 18,200 rungs go to the frontier DP, and
+    # from 37,500 to 42,800 rungs only its price fits the budget
+    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
+    cycle = graphcomp.build_family("cycle", 40)
+    monkeypatch.setattr(graphcomp, "SERIES_PARALLEL_OPERATIONS", 1e4)
+    assert graphcomp.reduce_and_count(cycle) == (1 << 40) - 40
+    assert frontier_sizes == [40] and not subset_sizes and not reduced_sizes
+
+
+def test_a_random_two_tree_of_ten_thousand_vertices_is_counted_under_the_default_budget():
+    rng = Random(10000)
+    two_tree = verify._partial_two_tree(rng, 10000, keep=1)
+    assert len(two_tree.edges) == 2 * 10000 - 3
+    start = time.perf_counter()
+    count = graphcomp.reduce_and_count(two_tree)
+    assert time.perf_counter() - start < 5
+    assert 1 << 9999 < count < 1 << len(two_tree.edges)
+    # another labelling reduces the vertices in another order
+    assert graphcomp.reduce_and_count(relabelled(two_tree, rng)) == count
 
 
 # --- the block split -------------------------------------------------------------------------
@@ -1017,12 +1158,14 @@ def _largest_block(graph):
 
 def _routing_blocks():
     """Blocks of 300 random connected graphs of 8-16 vertices at p = .1-.7
-    (those with at least 3 vertices), cycles, ladders, grids and the pinned
-    dense blocks of the benchmark."""
+    and of 60 random partial 2-trees of 8-40 vertices (those with at least 3
+    vertices), cycles, ladders, grids and the pinned dense blocks of the
+    benchmark."""
     rng = Random(17)
     blocks = [_largest_block(graphcomp.random_connected_graph(rng, rng.randint(8, 16),
                                                               rng.uniform(0.1, 0.7)))
               for _ in range(300)]
+    blocks += [_largest_block(verify._partial_two_tree(rng, rng.randint(8, 40))) for _ in range(60)]
     blocks += [graphcomp.build_family("cycle", n) for n in range(4, 41, 3)]
     blocks += [graphcomp.build_family("ladder", rungs) for rungs in range(2, 21, 3)]
     blocks += [grid(rows, columns) for rows in (3, 4, 5, 6) for columns in (4, 8, 12)]
@@ -1040,14 +1183,24 @@ def _refused(price, *args):
 
 
 def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_both_are(monkeypatch):
-    # each DP loop is stopped as it starts, after its counter priced itself
+    # each DP loop is stopped as it starts, after its counter priced itself;
+    # the series-parallel reductions, priced before they start, run to their
+    # end and are stopped there where they count the block
     def started(counter):
         def stop(*_):
             raise _Started(counter)
         return stop
 
+    series_parallel = graphcomp._series_parallel
+
+    def reduced(n, edges):
+        if series_parallel(n, edges) is None:
+            return None
+        raise _Started("series-parallel")
+
     monkeypatch.setattr(graphcomp, "_subset_ways", started("subset"))
     monkeypatch.setattr(graphcomp, "_successors", started("frontier"))
+    monkeypatch.setattr(graphcomp, "_series_parallel", reduced)
     monkeypatch.setattr(graphcomp, "_block_counts", {})  # stays empty: every call raises
     cases = []
     for block in _routing_blocks():
@@ -1057,21 +1210,32 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
         h = sum(len(neighbours) < n - 1 for neighbours in adj)
         widths = graphcomp._frontier_order(adj)[1]
         step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, graphcomp._count_bits(n, m))
-        lower = "subset" if errors.word_steps(*graphcomp._subset_cost(h)[:2]) \
-            <= step * graphcomp._frontier_price(widths)[0] else "frontier"
-        cases.append((block, h, widths, lower))
-    assert 50 < sum(lower == "frontier" for *_, lower in cases) < len(cases) - 50
+        subset = errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        lower = "subset" if subset <= step * graphcomp._frontier_price(widths)[0] else "frontier"
+        # no order of a block has a frontier narrower than these widths
+        least = step * graphcomp._frontier_price([0, 1] + [2] * (n - 2))[0]
+        reductions = graphcomp._series_parallel_cost(n, m)
+        if verify._no_k4_minor(n, edges) and subset > least >= errors.word_steps(*reductions[:2]):
+            lower = "series-parallel"
+        cases.append((block, h, widths, reductions, lower))
+    routes = Counter(lower for *_, lower in cases)
+    assert all(routes[route] > 50 for route in ("subset", "frontier", "series-parallel"))
     default = errors.WORK_BUDGET
     for budget in (default, 3e7, 1e6, 2e5):  # the least admits every block split
         monkeypatch.setattr(errors, "WORK_BUDGET", budget)
         outcomes = []
-        for block, h, widths, lower in cases:
+        for block, h, widths, reductions, lower in cases:
             both_refuse = (_refused(graphcomp._price_subset_dp, h) and
                            _refused(graphcomp._price_frontier, block.vertex_count, len(block.edges), widths))
             with pytest.raises((_Started, ResourceLimitError)) as outcome:
                 graphcomp.reduce_and_count(block)
             refused = outcome.type is ResourceLimitError
-            assert refused == both_refuse, (budget, sorted(block.edges))
+            if lower == "series-parallel":
+                # the lowest of the three prices: where it is over the budget, so are the others
+                assert refused == _refused(errors.check_work, "the reductions", *reductions, 0)
+                assert both_refuse or not refused, (budget, sorted(block.edges))
+            else:
+                assert refused == both_refuse, (budget, sorted(block.edges))
             if not refused:
                 assert outcome.value.args == (lower,), (budget, sorted(block.edges))
             outcomes.append(refused)
@@ -1088,14 +1252,19 @@ def test_a_thin_block_over_the_budget_builds_no_frontier_order(monkeypatch):
     def no_adjacency(n, edges):
         raise AssertionError("the block's adjacency was built")
 
-    cycle = graphcomp.build_family("cycle", 40000)
     monkeypatch.setattr(graphcomp, "_frontier_order", no_order)
     monkeypatch.setattr(graphcomp, "_adjacency", no_adjacency)
-    # its block split takes 4.2e7 word steps, its frontier DP at one step a vertex 4.9e7
+    # a 40,000-cycle's block split takes 4.2e7 word steps, its reductions
+    # 3.1e8, the lowest of the three prices, and they refuse it themselves
     monkeypatch.setattr(errors, "WORK_BUDGET", 4.5e7)
-    with pytest.raises(ResourceLimitError,
-                       match="the frontier DP on 40000 vertices, at one step a vertex"):
-        graphcomp.reduce_and_count(cycle)
+    with pytest.raises(ResourceLimitError, match="the series-parallel reductions of 40000 vertices needs"):
+        graphcomp.reduce_and_count(graphcomp.build_family("cycle", 40000))
+    # a 3 x 13,334 grid has a K_4 minor; its block split takes 5.5e7 word
+    # steps, its reductions 6.8e8 and the frontier DP at its least 6.0e8, so
+    # the frontier DP refuses it on the least widths of a block
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e8)
+    with pytest.raises(ResourceLimitError, match="the frontier DP on 40002 vertices and up to 3 states needs"):
+        graphcomp.reduce_and_count(grid(3, 13334))
 
 
 def test_reduce_guard_refuses_by_estimate_or_states_and_counts_thin_blocks_of_any_size():
@@ -1157,6 +1326,12 @@ def grid(rows, columns):
     across = {(v, v + 1) for v in range(rows * columns) if v % columns != columns - 1}
     down = {(v, v + columns) for v in range((rows - 1) * columns)}
     return LabeledGraph(rows * columns, across | down)
+
+
+def crossed_cycle(n):
+    """The n-cycle 0-1-...-(n-1)-0 with the crossing chords (0, n/2) and
+    (n/4, n/4 + n/2), rounded down: a subdivided K_4 for n >= 8."""
+    return LabeledGraph(n, {(i, (i + 1) % n) for i in range(n)} | {(0, n // 2), (n // 4, n // 4 + n // 2)})
 
 
 def relabelled(graph, rng):
