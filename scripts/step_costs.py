@@ -18,8 +18,9 @@ graphcomp._frontier_cost), timed here with its successor memo cold and
 warm. The series-parallel reductions (graphcomp._series_parallel) are
 priced at SERIES_PARALLEL_OPERATIONS operations for each of at most n + m
 reductions, on numbers of graphcomp._count_bits; this script times them on
-cycles, ladders and random 2-trees against that price. graphcomp._count_block
-sends each block the reductions do not count to the DP of the lower price.
+cycles, ladders and random 2-trees against that price. graphcomp._count_block,
+the one router of a block, runs them first where they are priced lowest, and
+sends each block they do not count to the DP of the lower price.
 This script times the counters with the guard switched off, prints the
 cost of each step in nanoseconds and in word steps next to its price, times
 both counters on small blocks (the benchmark's pinned dense blocks among
@@ -185,16 +186,18 @@ def routing(word_ns, repeat):
         if not any(graphcomp._blocks(graph)):
             continue  # a tree: no block of 3 or more vertices to route
         graph = largest_block(graph)  # relabelled as reduce_and_count routes it
-        n = graph.vertex_count
-        if graphcomp._count_thin(n, sorted(graph.edges)) is not None:
-            continue  # counted by the series-parallel reductions, by neither DP
-        dp_blocks += 1
+        n, m = graph.vertex_count, len(graph.edges)
         adj = graph.adjacency()
+        h = sum(len(neighbours) < n - 1 for neighbours in adj)  # the vertices that are not universal
+        subset_price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        least = errors.word_steps(*graphcomp._frontier_cost(n, m, graphcomp._block_widths(n))[:2])
+        if subset_price > least >= errors.word_steps(*graphcomp._series_parallel_cost(n, m)[:2]) \
+                and graphcomp._series_parallel(n, sorted(graph.edges)) is not None:
+            continue  # the router's first route: counted by the reductions, by neither DP
+        dp_blocks += 1
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
-        h = sum(len(neighbours) < n - 1 for neighbours in adj)  # the vertices that are not universal
-        frontier_first = errors.word_steps(*graphcomp._frontier_cost(n, len(graph.edges), widths)[:2]) \
-            < errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        frontier_first = errors.word_steps(*graphcomp._frontier_cost(n, m, widths)[:2]) < subset_price
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \

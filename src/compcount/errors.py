@@ -51,9 +51,11 @@ found in the block memo runs no counter, so it is not priced):
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge, and hands each
-block to the counter of the lowest price, which refuses it where that price
-is over the budget, unless the block's count is in its memo of at most 4096
-blocks of at most 64 vertices: a hit does no work and is not priced again,
+block whose count is not in its memo of at most 4096 blocks of at most 64
+vertices to graphcomp._count_block, which prices each counter once and runs
+the series-parallel reductions where they are priced lowest, else (or where
+they stall) the DP of the lower price, which refuses the block where that
+price is over the budget: a memo hit does no work and is not priced again,
 and a refused block is not kept. On n vertices of which some are universal,
 the subset DP also prices its Bell sum as exactnum.bell(n), whose numbers it
 reads. graphcomp.read_edge_list prices an edge-list file at 36 bytes held a

@@ -16,17 +16,18 @@ bounded memo (_successors) that every block shares. ``reduce_and_count``
 finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2, and each block of at least 3
-vertices goes to the counter of the lowest price under the shared work budget
-(errors.check_work), which refuses it where that price is over the budget: a
-block with no K_4 minor (a cycle, ladder, fan or 2-tree) to series and
-parallel reductions (_series_parallel) where the subset DP would cost more
-than the frontier DP's least, any other to the subset or the frontier DP.
-The counts of blocks of at most BLOCK_MEMO_VERTICES = 64 vertices are kept
-in an LRU memo of BLOCK_MEMO_ENTRIES = 4096 entries, keyed by those labels as
-(n, bits), bit a n + b for each edge a < b, and on a miss by the same bits
-under labels ordered by colour refinement; a hit runs no counter and is not
-priced again."""
+bridge (a two-vertex block) contributes 2. A block of at least 3 and at most
+BLOCK_MEMO_VERTICES = 64 vertices is looked up in an LRU memo of
+BLOCK_MEMO_ENTRIES = 4096 counts, keyed by those labels as (n, bits), bit
+a n + b for each edge a < b; a hit runs no counter and is not priced again.
+Every other block goes to _count_block, the one router, which counts its
+degrees once, prices each counter once under the shared work budget
+(errors.check_work) and tries, in order: series and parallel reductions
+(_series_parallel), which count a block with no K_4 minor (a cycle, ladder,
+fan or 2-tree), where they are priced lowest; the memo again, for a block
+within its bound, under the same bits on labels ordered by colour
+refinement; the subset or the frontier DP, whichever is priced lower, which
+refuses the block where that price is over the budget."""
 
 import heapq
 import math
@@ -981,25 +982,14 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     cut-vertex rule); a bridge contributes 2, so the edges in no block of
     _blocks make one shift and its blocks one balanced product.
 
-    A block with at least 3 vertices and at most BLOCK_MEMO_VERTICES is
-    looked up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES
-    entries, keyed by (n, bits) with bit a n + b for each edge (a, b) under
-    the labels of _blocks, in DFS discovery order: every labelling of C_n or
-    K_m gives one key, and a key has at most n^2 bits. On a miss, and for
-    any larger block, _count_thin tries the series-parallel reductions,
-    which count a block with no K_4 minor, such as a cycle, ladder or
-    2-tree, in linear time whatever its labels; one they count is kept
-    under its DFS key alone. Where they do not, the block is looked up
-    again under _refined_key, which relabelled copies of a block mostly
-    share (53 counter runs on the seed-7 graph-dense files, 121 on the DFS
-    key alone). Each key is the block's edge set under a bijective
-    relabelling, so a hit is an isomorphic block, of equal count. A hit runs
-    no counter and is not priced again; a miss of both keys, and any larger
-    block the reductions do not count, is counted by _count_block on the
-    DFS-labelled edges and kept under both. On the seed-7 graph-sparse
-    files, of cycles and ladders, that leaves 12 _count_block runs, none on
-    the frontier DP, and 14 refined keys (98, 86 and 116 without the
-    reductions). A refusal raises before anything is kept."""
+    A block of at least 3 vertices and at most BLOCK_MEMO_VERTICES is looked
+    up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES entries, keyed
+    by (n, bits) with bit a n + b for each edge (a, b) under the labels of
+    _blocks, in DFS discovery order: every labelling of C_n or K_m gives one
+    key, and a key has at most n^2 bits. A key is the block's edge set under
+    a bijective relabelling, so a hit is an isomorphic block, of equal count,
+    and runs no counter. Any other block goes to _count_block, and a count
+    is then kept under its key; a refusal raises before anything is kept."""
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
     size = graph.vertex_count + len(graph.edges)
@@ -1009,41 +999,16 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     counts = []
     for n, edges in _blocks(graph):
         bridges -= len(edges)
-        if n > BLOCK_MEMO_VERTICES:
-            found = _count_thin(n, edges)
-            counts.append(_count_block(n, edges) if found is None else found)
-            continue
-        key = n, sum(1 << a * n + b for a, b in edges)
-        found = _block_counts.pop(key, None)
+        key = (n, sum(1 << a * n + b for a, b in edges)) if n <= BLOCK_MEMO_VERTICES else None
+        found = _block_counts.pop(key, None)  # None for a larger block, which has no key
         if found is None:
-            found = _count_thin(n, edges)
-        if found is None:
-            refined = _refined_key(n, edges)
-            found = _block_counts.pop(refined, None)
-            if found is None:
-                found = _count_block(n, edges)
-            _block_counts[refined] = found
-        _block_counts[key] = found
-        while len(_block_counts) > BLOCK_MEMO_ENTRIES:
-            del _block_counts[next(iter(_block_counts))]
+            found = _count_block(n, edges)
+        if key:
+            _block_counts[key] = found
+            while len(_block_counts) > BLOCK_MEMO_ENTRIES:
+                del _block_counts[next(iter(_block_counts))]
         counts.append(found)
     return _balanced_product(counts) << bridges
-
-
-def _count_thin(n: int, edges: list[tuple[int, int]]) -> int | None:
-    """The count of a block by _series_parallel where the subset DP's price
-    is above the frontier DP's least (on _block_widths) and the reductions'
-    own price is at most that least, so that it is the lowest of the three
-    and the block is refused only where every counter's price is over the
-    budget; else None, as where the reductions stall. A block with no vertex
-    of degree 2 costs only the count of its degrees."""
-    if min(Counter(chain.from_iterable(edges)).values()) > 2:
-        return None
-    least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
-    if word_steps(*_subset_cost(_not_universal(n, edges))[:2]) > least \
-            >= word_steps(*_series_parallel_cost(n, len(edges))[:2]):
-        return _series_parallel(n, edges)
-    return None
 
 
 def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
@@ -1067,24 +1032,45 @@ def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
-    """The count of a block on vertices 0..n-1 that the series-parallel
-    reductions did not count, by the counter of the lower price in word
-    steps, the one check_work reads: the subset DP at _subset_cost on the
-    vertices that are not universal, the frontier DP at _frontier_cost, the
-    subset DP on a tie. The chosen counter prices itself; where the lower
-    price is over the work budget, so is the other. No order of a block has
-    a frontier narrower than _block_widths, 9n - 18 steps of the state
-    bound: the frontier DP's adjacency and order are built only where the
-    subset side costs more and that least price fits."""
-    subset = word_steps(*_subset_cost(_not_universal(n, edges))[:2])
-    least = _block_widths(n)
-    if subset > word_steps(*_frontier_cost(n, len(edges), least)[:2]):
-        _price_frontier(n, len(edges), least)  # before the adjacency
+    """The count of a block on vertices 0..n-1 that missed the memo under
+    its DFS key or is past its vertex bound: the one place where a block's
+    counter is picked. The degrees are counted once, for h, the vertices
+    that are not universal, and the least degree, and each counter is priced
+    once in word steps, the unit check_work reads: the subset DP at
+    _subset_cost(h), the frontier DP at its least price, on _block_widths
+    (no order of a block is narrower: 9n - 18 steps of the state bound), and
+    the reductions at _series_parallel_cost. Then, in order:
+    1. the series-parallel reductions, where a vertex has degree 2 and the
+       subset DP's price is above that least, which is at least theirs; a
+       count they give is kept under the DFS key alone;
+    2. where they stall, on a K_4 minor, or were not tried, a block within
+       BLOCK_MEMO_VERTICES is looked up under _refined_key;
+    3. on a miss, the DP of the lower price, kept under the refined key: the
+       frontier DP's adjacency and order are built only where the subset
+       DP's price is above the least and the least fits the budget, and it
+       runs where its price on that order is still below the subset DP's.
+    The chosen counter prices itself; where the lower DP price is over the
+    work budget, so is the other."""
+    degrees = Counter(chain.from_iterable(edges)).values()
+    subset = word_steps(*_subset_cost(n - sum(d == n - 1 for d in degrees))[:2])
+    least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
+    if min(degrees) <= 2 and subset > least >= word_steps(*_series_parallel_cost(n, len(edges))[:2]):
+        found = _series_parallel(n, edges)
+        if found is not None:
+            return found
+    refined = _refined_key(n, edges) if n <= BLOCK_MEMO_VERTICES else None
+    found = _block_counts.pop(refined, None)
+    if found is None and subset > least:
+        _price_frontier(n, len(edges), _block_widths(n))  # before the adjacency
         adj = _adjacency(n, edges)
         order, widths = _frontier_order(adj)
         if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
-            return _count_frontier(adj, order, widths)
-    return count_compositions_graph(LabeledGraph(n, edges))
+            found = _count_frontier(adj, order, widths)
+    if found is None:
+        found = count_compositions_graph(LabeledGraph(n, edges))
+    if refined:
+        _block_counts[refined] = found
+    return found
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

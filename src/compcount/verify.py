@@ -312,16 +312,21 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
                 ("cycle", range(3, min(max_n, 16) + 1)), ("ladder", range(1, min(max_n, 7) + 1)))
     ladders = list(enumerate(_ladder_recurrence(50), start=1))
 
-    def closed_form(family: str, n: int) -> int:  # K_n by a sum that reads no Bell number
+    def stirling_sum(m: int) -> int:  # Bell(m) by a sum that reads no Bell number
+        return sum(exactnum.stirling2(m, k) for k in range(m + 1))
+
+    def closed_form(family: str, n: int) -> int:  # K_n and K_n - e by Stirling sums, not family_count
         if family == "complete":
-            return sum(exactnum.stirling2(n, k) for k in range(n + 1))
+            return stirling_sum(n)
+        if family == "complete_minus_edge":
+            return stirling_sum(n) - stirling_sum(n - 2)
         return graphcomp.family_count(family, n)
 
     checks = [
         _agree("family closed forms match the subset DP",
                [(family, n) for family, sizes in families for n in sizes],
-               lambda family, n: count(graphcomp.build_family(family, n)), closed_form,
-               "{} n={}".format),
+               lambda family, n: (count(graphcomp.build_family(family, n)), graphcomp.family_count(family, n)),
+               lambda family, n: (closed_form(family, n),) * 2, "{} n={}".format),
         _agree("subset DP matches partition enumeration", [(graph,) for graph in small],
                count, lambda graph: len(graphcomp.enumerate_graph_compositions(graph)), _graph_label),
     ]

@@ -444,19 +444,21 @@ def test_verify_sends_every_complete_graph_through_the_whole_subset_table(monkey
 
 
 def test_verify_catches_a_wrong_bell_number_whatever_bell_has_cached(monkeypatch):
-    # K_n's count through its universal vertices reads exactnum._BELLS, so its
-    # closed form must not: with bell(10) not cached, both would read it
+    # the counts of K_n and K_n - e through their universal vertices read
+    # exactnum._BELLS, so their closed forms must not: with bell(10) not
+    # cached, both sides would read it
     monkeypatch.setattr(graphcomp, "_block_counts", {})
     exactnum.bell(12)
     right = exactnum._BELLS[10]
     exactnum._BELLS[10] += 1
     exactnum.bell.cache_clear()
     try:
-        failed = [name for name, ok, _ in verify.run_suite("graphs", 12, 0) if not ok]
+        checks = {name: (ok, detail) for name, ok, detail in verify.run_suite("graphs", 12, 0)}
     finally:
         exactnum._BELLS[10] = right
         exactnum.bell.cache_clear()
-    assert "family closed forms match the subset DP" in failed
+    assert checks["family closed forms match the subset DP"] == (
+        False, "complete n=10; complete_minus_edge n=10; complete_minus_edge n=12")
 
 
 def test_verify_catches_a_wrong_series_parallel_count(monkeypatch):
@@ -1014,6 +1016,12 @@ CONTRACT_FILES = {
     **{f"random-{n}-{p}.txt": graphcomp.format_edge_list(graphcomp.random_connected_graph(Random(n), n, p))
        for n, p in ((10, 0.9), (18, 0.5), (25, 0.1), (40, 0.05), (300, 0.002))},
     "tree.txt": graphcomp.format_edge_list(graphcomp.random_tree(Random(3), 500)),
+    # blocks past the memo's vertex bound: one with no K_4 minor, which the
+    # series-parallel reductions count, and one with a K_4 minor, where they
+    # stall and a DP counts it
+    "two-tree.txt": graphcomp.format_edge_list(verify._partial_two_tree(Random(200), 200, keep=1)),
+    "crossed-cycle.txt": graphcomp.format_edge_list(graphcomp.LabeledGraph(
+        100, {(i, (i + 1) % 100) for i in range(100)} | {(0, 50), (25, 75)})),
     "empty.txt": "",
     "words.txt": "three\n0 1\n",
     "three-fields.txt": "3\n0 1 2\n",

@@ -560,11 +560,14 @@ class CountingMemo(dict):
         return found
 
 
-def _record_counters(monkeypatch):
+def _record_counters(monkeypatch, on_count=lambda route, n, edges, count: None):
     """Route the three block counters through recorders, from an empty block
     memo that counts its hits; returns the lists of vertex counts the subset
     DP and the frontier DP each receive, and those of the blocks that the
-    series-parallel reductions count (not those where they stall)."""
+    series-parallel reductions count (not those where they stall). After each
+    counter's loop, on_count gets its route ("subset", "frontier" or
+    "reductions"), the block's n and DFS-labelled edges, and its count, None
+    where the reductions stall."""
     monkeypatch.setattr(graphcomp, "_block_counts", CountingMemo())
     subset_sizes, frontier_sizes, reduced_sizes = [], [], []
     subset = graphcomp._count_subset
@@ -573,16 +576,21 @@ def _record_counters(monkeypatch):
 
     def recording_subset(adj):
         subset_sizes.append(len(adj))
-        return subset(adj)
+        count = subset(adj)
+        on_count("subset", len(adj), _edges_of(adj), count)
+        return count
 
     def recording_frontier(adj, order, widths):
         frontier_sizes.append(len(adj))
-        return frontier(adj, order, widths)
+        count = frontier(adj, order, widths)
+        on_count("frontier", len(adj), _edges_of(adj), count)
+        return count
 
     def recording_reductions(n, edges):
         found = series_parallel(n, edges)
         if found is not None:
             reduced_sizes.append(n)
+        on_count("reductions", n, edges, found)
         return found
 
     monkeypatch.setattr(graphcomp, "_count_subset", recording_subset)
@@ -591,54 +599,47 @@ def _record_counters(monkeypatch):
     return subset_sizes, frontier_sizes, reduced_sizes
 
 
+def _edges_of(adj):
+    """The edges (a, b), a < b, of neighbour lists."""
+    return [(a, b) for a, neighbours in enumerate(adj) for b in neighbours if a < b]
+
+
 def _dfs_key(n, edges):
     return n, sum(1 << a * n + b for a, b in edges)
 
 
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
-    recorded = _record_counters(monkeypatch)
-    misses = []  # each block that reached a counter, with its two memo keys
-    tried = []  # each block the series-parallel route was tried on, its DFS key and its count or None
-    count_block, count_thin = graphcomp._count_block, graphcomp._count_thin
+    reached = []  # each counter run: its route, the block's n, DFS and refined keys, and count
 
-    def recording(n, edges):
-        keys = {_dfs_key(n, edges), graphcomp._refined_key(n, edges)}
-        assert not keys & set(graphcomp._block_counts)
-        misses.append((n, keys))
-        return count_block(n, edges)
-
-    def recording_thin(n, edges):
-        key = _dfs_key(n, edges)
+    def on_count(route, n, edges, count):
+        key, refined = _dfs_key(n, edges), graphcomp._refined_key(n, edges)
+        # a counter runs only where the DFS key missed, and a DP only where
+        # the refined key missed too; neither is kept before it returns
         assert key not in graphcomp._block_counts
-        found = count_thin(n, edges)
-        tried.append((n, key, found))
-        return found
+        assert route == "reductions" or refined not in graphcomp._block_counts
+        reached.append((route, n, key, refined, count))
 
-    monkeypatch.setattr(graphcomp, "_count_block", recording)
-    monkeypatch.setattr(graphcomp, "_count_thin", recording_thin)
+    recorded = _record_counters(monkeypatch, on_count)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
         memo = graphcomp._block_counts
-        known, hits, calls = set(memo), memo.hits, list(map(len, recorded))
-        start, tried_start = len(misses), len(tried)
+        known, hits, start = set(memo), memo.hits, len(reached)
         assert graphcomp.reduce_and_count(graph) == expected
-        # each block with at least 3 vertices whose DFS key misses is tried by
-        # the series-parallel route; one it counts is kept under that key
-        # alone, and one whose refined key misses too reaches exactly one DP,
-        # once, and is then kept under both; every other block is a memo hit,
-        # which adds at most its DFS key
-        new, missed = set(memo) - known, set().union(*(keys for _, keys in misses[start:]))
-        reduced = [(n, key) for n, key, found in tried[tried_start:] if found is not None]
-        counted = [n for sizes, before in zip(recorded[:2], calls) for n in sizes[before:]]
-        reduced_sizes = recorded[2][calls[2]:]
-        assert sorted(counted) == sorted(n for n, _ in misses[start:])
-        assert reduced_sizes == [n for n, _ in reduced]
+        # each block with at least 3 vertices whose DFS key misses goes to the
+        # router; one the series-parallel reductions count is kept under that
+        # key alone, and one whose refined key misses too reaches exactly one
+        # DP, once, and is then kept under both; every other block is a memo
+        # hit, which adds at most its DFS key
+        runs = reached[start:]
+        counted = [(n, {key, refined}) for route, n, key, refined, _ in runs if route != "reductions"]
+        reduced = [(n, key) for route, n, key, _, count in runs if route == "reductions" and count is not None]
+        new, missed = set(memo) - known, set().union(*(keys for _, keys in counted))
         reduced_keys = {key for _, key in reduced}
         assert missed | reduced_keys <= new and len(new - missed - reduced_keys) <= memo.hits - hits
         assert len(counted) + len(reduced) + memo.hits - hits == len(block_sizes)
-        assert set(block_sizes) - {n for n, _ in known} <= set(counted) | set(reduced_sizes) <= set(block_sizes)
+        assert set(block_sizes) - {n for n, _ in known} <= {n for n, _ in counted + reduced} <= set(block_sizes)
     assert all(recorded)
 
 
@@ -763,24 +764,16 @@ def test_every_relabelling_of_a_cycle_or_complete_graph_is_one_memo_entry(monkey
 def test_relabelled_pinned_blocks_mostly_reach_a_counter_once(monkeypatch):
     # ties inside a colour class follow the DFS labels, so where refinement
     # leaves a class of more than one vertex a copy may be counted again
-    monkeypatch.setattr(graphcomp, "_block_counts", {})
-    calls = []
-    count_block = graphcomp._count_block
-
-    def recording(n, edges):
-        calls.append(n)
-        return count_block(n, edges)
-
-    monkeypatch.setattr(graphcomp, "_count_block", recording)
+    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
     rng = Random(5454)
     once = 0
     for entry in json.loads(PINNED_DENSE.read_text()):
         block = LabeledGraph(entry["n"], {tuple(edge) for edge in entry["edges"]})
-        before = len(calls)
+        before = len(subset_sizes) + len(frontier_sizes)
         for _ in range(8):
             assert graphcomp.reduce_and_count(relabelled(block, rng)) == int(entry["count"])
-        once += len(calls) == before + 1
-    assert once >= 50
+        once += len(subset_sizes) + len(frontier_sizes) == before + 1
+    assert once >= 50 and not reduced_sizes
 
 
 def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(monkeypatch):
@@ -848,23 +841,23 @@ def test_a_refused_block_is_not_kept(monkeypatch):
 
 
 def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
-    memo = CountingMemo()
-    monkeypatch.setattr(graphcomp, "_block_counts", memo)
-    counted = {}
-    count_block = graphcomp._count_block
+    counted, refined = {}, {}  # the count of each counter run, by its DFS key and by its refined key
 
-    def recording(n, edges):
-        count = count_block(n, edges)
-        counted[_dfs_key(n, edges)] = count
-        return count
+    def on_count(route, n, edges, count):
+        if count is not None:
+            counted[_dfs_key(n, edges)] = count
+        if route != "reductions":
+            refined[graphcomp._refined_key(n, edges)] = count
 
-    monkeypatch.setattr(graphcomp, "_count_block", recording)
+    _record_counters(monkeypatch, on_count)
+    memo = graphcomp._block_counts
     rng = Random(1818)
     pool = _pool(rng)
     for _ in range(4):
         graphcomp.reduce_and_count(_glued(rng, [rng.choice(pool)[0] for _ in range(30)]))
     assert memo.hits > 20
-    assert counted.items() <= memo.items() and len(memo) > len(counted)
+    assert counted.items() <= memo.items() and refined.items() <= memo.items()
+    assert len(refined) < len(counted) < len(memo)
     # every key, DFS or refined, is the edge set of a block with the count it holds
     for (n, bits), count in memo.items():
         edges = [(a, b) for a, b in combinations(range(n), 2) if bits >> a * n + b & 1]
@@ -915,28 +908,63 @@ def test_every_block_with_a_k4_minor_stalls_the_reductions_and_reaches_the_paren
     blocks = [complete(4), complete(5), wheel, grid(3, 3), k33]
     blocks += [LabeledGraph(e["n"], {tuple(edge) for edge in e["edges"]})
                for e in json.loads(PINNED_DENSE.read_text())]
-    tried, reached = [], []
-    series_parallel, count_block = graphcomp._series_parallel, graphcomp._count_block
+    tried = []  # what each try of the reductions gave
+    series_parallel = graphcomp._series_parallel
 
-    def recording_reductions(n, edges):
-        tried.append(series_parallel(n, edges))
-        return tried[-1]
+    def on_count(route, n, edges, count):
+        if route == "reductions":
+            tried.append(count)
 
-    def recording_block(n, edges):
-        reached.append(n)
-        return count_block(n, edges)
-
-    monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
-    monkeypatch.setattr(graphcomp, "_count_block", recording_block)
+    subset_sizes, frontier_sizes, _ = _record_counters(monkeypatch, on_count)
     for block in blocks:
         n = block.vertex_count
         assert not verify._no_k4_minor(n, block.edges)
         assert series_parallel(n, list(block.edges)) is None
         monkeypatch.setattr(graphcomp, "_block_counts", {})
-        reached.clear()
+        subset_sizes.clear()
+        frontier_sizes.clear()
         assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks(), n)[-1]
-        assert reached == [n]
+        assert subset_sizes + frontier_sizes == [n]
     assert len(tried) > 5 and not any(tried)
+
+
+def test_each_block_reaches_the_reductions_and_the_refined_key_at_most_once(monkeypatch):
+    # crossed cycles have a K_4 minor and vertices of degree 2, so the
+    # reductions are tried on them and stall; those within the memo's vertex
+    # bound are then looked up under their refined key, the larger ones not
+    crossed = (12, 20, 40, 64, 65, 80, 100)
+    pool = [(crossed_cycle(n), graphcomp.count_compositions_frontier(crossed_cycle(n))) for n in crossed]
+    pool += [(graphcomp.build_family("cycle", n), (1 << n) - n) for n in (5, 30, 70)]
+    pool += [(graphcomp.build_family("ladder", rungs), graphcomp.ladder_binet(rungs)) for rungs in (3, 21, 45)]
+    pool += [(complete(m), exactnum.bell(m)) for m in (7, 66)]
+    reductions, refined = [], []  # (n, edges, ...) of each call, its edge list kept alive
+    series_parallel, refined_key = graphcomp._series_parallel, graphcomp._refined_key
+
+    def recording_reductions(n, edges):
+        reductions.append((n, edges, series_parallel(n, edges)))
+        return reductions[-1][-1]
+
+    def recording_refined(n, edges):
+        refined.append((n, edges))
+        return refined_key(n, edges)
+
+    monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
+    monkeypatch.setattr(graphcomp, "_refined_key", recording_refined)
+    rng = Random(64)
+    for _ in range(3):
+        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        picked = pool + [rng.choice(pool) for _ in range(10)]  # repeats, which the memo may hold
+        rng.shuffle(picked)
+        reductions.clear()
+        refined.clear()
+        assert graphcomp.reduce_and_count(_glued(rng, [block for block, _ in picked])) \
+            == math.prod(count for _, count in picked)
+        for calls in (reductions, refined):  # no block's edge list twice
+            assert len({id(edges) for _, edges, *_ in calls}) == len(calls)
+        assert {n for n, _, count in reductions if count is None} == set(crossed)
+        assert {n for n, _, count in reductions if count is not None} == {30, 70, 42, 90}
+        assert {n for n, _ in refined} == {12, 20, 40, 64, 5, 6, 7}
+        assert {id(edges) for _, edges, _ in reductions} & {id(edges) for _, edges in refined}
 
 
 def test_the_reductions_are_not_tried_where_their_price_is_above_the_frontier_dps_least(monkeypatch):
