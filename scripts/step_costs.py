@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from compcount import errors, graphcomp
+from compcount import errors, graphcomp, verify
 
 
 def best_time(run, repeat):
@@ -67,9 +67,9 @@ def grid(rows, columns):
 
 
 def largest_block(graph):
-    """A biconnected block of the graph with the most vertices, as
-    graphcomp._blocks labels it."""
-    return graphcomp.LabeledGraph(*max(graphcomp._blocks(graph)))
+    """(n, edges) of a biconnected block of the graph with the most
+    vertices, as graphcomp._blocks labels it and reduce_and_count routes it."""
+    return max(graphcomp._blocks(graph))
 
 
 def subset_steps(word_ns, repeat):
@@ -121,7 +121,8 @@ def frontier_steps(word_ns, repeat):
     graphs += [(f"grid {r}x{c}", grid(r, c)) for r, c in ((4, 4), (4, 30), (5, 20), (6, 12))]
     for n, p, seed in ((24, 0.1, 1), (24, 0.15, 0), (28, 0.1, 2)):
         graphs.append((f"block of random {n}/{p} seed {seed}",
-                       largest_block(graphcomp.random_connected_graph(Random(seed), n, p))))
+                       graphcomp.LabeledGraph(*largest_block(
+                           graphcomp.random_connected_graph(Random(seed), n, p)))))
     print(f"\nfrontier DP, per step of its pricing bound (priced at {graphcomp.FRONTIER_STEP_PRICE} "
           f"word steps and one addition), with its successor memo cleared before each run (cold) "
           f"and left as the last run left it (warm)")
@@ -140,20 +141,11 @@ def frontier_steps(word_ns, repeat):
               f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
 
 
-def two_tree(rng, n):
-    """A random 2-tree: each vertex from the third on joined to both ends of a
-    random earlier edge."""
-    edges = [(0, 1)]
-    for v in range(2, n):
-        a, b = rng.choice(edges)
-        edges += [(a, v), (b, v)]
-    return graphcomp.LabeledGraph(n, edges)
-
-
 def series_parallel_steps(word_ns, repeat):
     graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in (12, 1000, 10000, 100000)]
     graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in (6, 500, 5000, 40000)]
-    graphs += [(f"random 2-tree {n}", two_tree(Random(n), n)) for n in (12, 1000, 10000, 100000)]
+    graphs += [(f"random 2-tree {n}", verify._partial_two_tree(Random(n), n, keep=1))
+               for n in (12, 1000, 10000, 100000)]
     print(f"\nseries-parallel reductions (priced at {graphcomp.SERIES_PARALLEL_OPERATIONS} operations a "
           f"reduction, n + m of them, on numbers of min(m, n log2(n + 1)) bits)")
     print(f"{'graph':<22} {'n':>7} {'seconds':>9} {'priced s':>9} {'price/time':>10}")
@@ -164,11 +156,40 @@ def series_parallel_steps(word_ns, repeat):
         print(f"{name:<22} {n:>7} {seconds:>9.4f} {priced:>9.4f} {priced / seconds:>10.1f}")
 
 
+def routed_counter(n, edges):
+    """The counter that graphcomp._count_block picks for a block, from an
+    empty block memo: "series-parallel", "frontier" or "subset"."""
+    counters = {"_series_parallel": "series-parallel", "_count_frontier": "frontier",
+                "count_compositions_graph": "subset"}
+    originals = {name: getattr(graphcomp, name) for name in counters}
+    counted = []
+
+    def recording(name):
+        def run(*args):
+            count = originals[name](*args)
+            if count is not None:  # the reductions stall with None
+                counted.append(counters[name])
+            return count
+        return run
+
+    graphcomp._block_counts.clear()
+    try:
+        for name in counters:
+            setattr(graphcomp, name, recording(name))
+        graphcomp._count_block(n, edges)
+    finally:
+        for name, original in originals.items():
+            setattr(graphcomp, name, original)
+        graphcomp._block_counts.clear()
+    (route,) = counted
+    return route
+
+
 def routing(word_ns, repeat):
     """Time both DPs on the small blocks that the series-parallel reductions
     do not count, where routing decides (the frontier DP with its memo
-    cleared, as a block new to it), and list the blocks that the price route
-    of graphcomp._count_block sends to the slower DP, with the slowdown of
+    cleared, as a block new to it), and list the blocks that
+    graphcomp._count_block sends to the slower DP, with the slowdown of
     each."""
     graphs = [(f"cycle {n}", graphcomp.build_family("cycle", n)) for n in range(4, 15)]
     graphs += [(f"ladder {r}", graphcomp.build_family("ladder", r)) for r in range(2, 8)]
@@ -185,23 +206,20 @@ def routing(word_ns, repeat):
     for name, graph in graphs:
         if not any(graphcomp._blocks(graph)):
             continue  # a tree: no block of 3 or more vertices to route
-        graph = largest_block(graph)  # relabelled as reduce_and_count routes it
-        n, m = graph.vertex_count, len(graph.edges)
-        adj = graph.adjacency()
-        h = sum(len(neighbours) < n - 1 for neighbours in adj)  # the vertices that are not universal
-        subset_price = errors.word_steps(*graphcomp._subset_cost(h)[:2])
-        least = errors.word_steps(*graphcomp._frontier_cost(n, m, graphcomp._block_widths(n))[:2])
-        if subset_price > least >= errors.word_steps(*graphcomp._series_parallel_cost(n, m)[:2]) \
-                and graphcomp._series_parallel(n, sorted(graph.edges)) is not None:
-            continue  # the router's first route: counted by the reductions, by neither DP
+        n, edges = largest_block(graph)
+        route = routed_counter(n, edges)
+        if route == "series-parallel":
+            continue  # counted by the reductions, by neither DP
         dp_blocks += 1
+        graph = graphcomp.LabeledGraph(n, edges)
+        adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
         steps = graphcomp._frontier_price(widths)[0]
-        frontier_first = errors.word_steps(*graphcomp._frontier_cost(n, m, widths)[:2]) < subset_price
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
             best_time(lambda: cold_frontier(adj, order, widths), repeat)
+        frontier_first = route == "frontier"
         routed, other = (frontier, subset) if frontier_first else (subset, frontier)
         if routed > other:
             slower.append((routed / other, name, n, frontier_first, subset, frontier))

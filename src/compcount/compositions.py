@@ -289,8 +289,8 @@ def count_avoiding(n: int, k: int) -> int:
     with c(m <= 0) = 0. The published form of this recurrence with
     +c(m-k+1) as the final term is wrong (k = 2, m = 4 gives 5 instead of 4),
     which the test suite pins down. Below the crossover of _by_jump, the
-    recurrence seeds c(1..k+1) and _avoiding_jump goes on to c(n) by
-    squaring; above it, _avoiding_window runs the recurrence to n. Each
+    recurrence seeds c(1..k+1) and _recurrence_term jumps on its taps to
+    c(n); above it, _avoiding_window runs the recurrence to n. Each
     route is priced as it runs. The jump's price, 3 (k+1)^2 Karatsuba
     products on n bits, was 1.1-2.6 times its time at n = 3000-300000 and
     k = 2-9, the window's 0.6-1.3 times its own, so near both the crossover
@@ -311,12 +311,12 @@ def count_avoiding(n: int, k: int) -> int:
         if not jump:
             check_work(what, n, n, held=min(k, n) + 1)
     if jump:
-        return _avoiding_jump(_avoiding_window(k + 1, k), n)
+        return _recurrence_term(_avoiding_taps(k), _avoiding_window(k + 1, k), n)
     return _avoiding_window(n, k)[-1]
 
 
 def _by_jump(k: int, n: int) -> bool:
-    """Whether _avoiding_jump beats _avoiding_window: while (k + 1)^2 Karatsuba
+    """Whether _recurrence_term beats _avoiding_window: while (k + 1)^2 Karatsuba
     products on n bits, w^0.585 word additions each for w words, cost less
     than the window's n additions after a setup of about 128 of them
     (measured crossovers, the last k where the jump wins: none at n = 60,
@@ -329,8 +329,8 @@ def _avoiding_window(n: int, k: int) -> deque[int]:
     """c(n-k..n) of count_avoiding's recurrence, c(n) last, for n >= 1 and
     k <= n + 1 (some of the values at m <= 0 absent): n additions of at most
     n bits, holding the last k + 1 values. The route above _by_jump's
-    crossover, the seeds of _avoiding_jump below it, and the oracle of its
-    tests."""
+    crossover, the seeds of _recurrence_term below it, and the oracle of the
+    jump in verify and the tests."""
     # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
     # one of these zeros, so min(k, n) + 1 of them suffice
     window = deque([0] * (min(k, n) + 1), maxlen=k + 1)
@@ -342,17 +342,23 @@ def _avoiding_window(n: int, k: int) -> deque[int]:
     return window
 
 
-def _avoiding_jump(seeds: Sequence[int], n: int) -> int:
-    """c(n) of count_avoiding's recurrence from its seeds c(1..k+1), n >= 1.
+def _avoiding_taps(k: int) -> tuple[int, ...]:
+    """The taps of count_avoiding's recurrence past its indicator terms,
+    c(m) = 2c(m-1) - c(m-k) + c(m-k-1): (2, 0, ..., 0, -1, 1), which merge
+    to (1, 1) at k = 1."""
+    return (2,) + (0,) * (k - 2) + (-1, 1) if k > 1 else (1, 1)
 
-    From m = k + 2 on the recurrence has no indicator terms, so c(n) is
-    sum_i r_i c(1+i), where sum_i r_i x^i = x^(n-1) mod
-    x^(k+1) - 2x^k + x - 1 (Fiduccia 1985). The power is found by squaring
-    over the bits of n - 1 from the top, a set bit shifting the square up
-    by one: d(d+1)/2 products a square for d = k + 1, then a reduction by
-    the three taps x^(k+1) = 2x^k - x + 1, which takes additions only.
+
+def _recurrence_term(taps: Sequence[int], seeds: Sequence[int], n: int) -> int:
+    """c(n), n >= 1, of c(m) = sum_j taps[j-1] c(m-j) from the seeds c(1..d),
+    d = len(taps) = len(seeds), unpriced: sum_i r_i c(1+i), where
+    sum_i r_i x^i = x^(n-1) mod x^d - sum_j taps[j-1] x^(d-j) (Fiduccia
+    1985). The power is found by squaring over the bits of n - 1 from the
+    top, a set bit shifting the square up by one: d(d+1)/2 products a square,
+    then a reduction by the nonzero taps, small multiples and additions only.
     """
     d = len(seeds)
+    reductions = [(j, tap) for j, tap in enumerate(taps, start=1) if tap]
     power = [1]  # x^e mod the characteristic polynomial, e the bits read so far
     for bit in bin(n - 1)[2:]:
         shift = bit == "1"
@@ -365,9 +371,8 @@ def _avoiding_jump(seeds: Sequence[int], n: int) -> int:
                 square[i + j + shift] += twice * power[j]
         for top in range(len(square) - 1, d - 1, -1):
             lead = square[top]
-            square[top - 1] += lead << 1
-            square[top - d + 1] -= lead
-            square[top - d] += lead
+            for j, tap in reductions:
+                square[top - j] += tap * lead
         del square[d:]
         power = square
     return sum(r * c for r, c in zip(power, seeds))

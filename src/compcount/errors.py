@@ -14,10 +14,10 @@ found in the block memo runs no counter, so it is not priced):
   and the per-k leading counts through it: 2n additions of n bits below
   m < 0.85 n^0.4, else 2(n/(m + 1) + 1) of those binomials;
 - count_avoiding, and count_containing through it, by the route it takes:
-  the jump below (k + 1)^2 (n/64 + 1)^0.585 < n - 128, 3(k + 1)^2 Karatsuba
-  products of n bits, 3k + 3 of them held; the window above it, and below
-  it where only the window's price is within the budget, n additions of at
-  most n bits, min(k, n) + 1 of them held;
+  the jump (_recurrence_term) below (k + 1)^2 (n/64 + 1)^0.585 < n - 128,
+  3(k + 1)^2 Karatsuba products of n bits, 3k + 3 of them held; the window
+  above it, and below it where only the window's price is within the
+  budget, n additions of at most n bits, min(k, n) + 1 of them held;
 - count_restricted: t + 1 terms of its inclusion-exclusion sum, each
   min(k - 1, r) + 2 products for its binomials (math.comb(N, K) takes about
   min(K, N - K)), on numbers of t bits more than the count without an upper
@@ -54,14 +54,14 @@ split, 4 numbers held and 20 operations per vertex and edge, and hands each
 block whose count is not in its memo of at most 4096 blocks of at most 64
 vertices to graphcomp._count_block, which prices each counter once and runs
 the series-parallel reductions where they are priced lowest, else (or where
-they stall) the DP of the lower price, which refuses the block where that
-price is over the budget: a memo hit does no work and is not priced again,
-and a refused block is not kept. On n vertices of which some are universal,
-the subset DP also prices its Bell sum as exactnum.bell(n), whose numbers it
-reads. graphcomp.read_edge_list prices an edge-list file at 36 bytes held a
-character, and reads no further than the first character over the budget.
-verify.run_suite prices the checks that grow with
-max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
+they stall) the DP of the lower price, and refuses the block where the price
+of the counter it picks is over the budget: a memo hit does no work and is
+not priced again, and a refused block is not kept. On n vertices of which
+some are universal, the subset DP also prices its Bell sum as
+exactnum.bell(n), whose numbers it reads. graphcomp.read_edge_list prices an
+edge-list file at 36 bytes held a character, and reads no further than the
+first character over the budget. verify.run_suite prices the checks that
+grow with max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
 bounded-part DP, 7 (4 max_n)^2 ln(4 max_n) for the per-first-part sums that
 check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for
 the avoid/contain jump check, 20 order^2 + 500 order for the series. A size

@@ -923,20 +923,12 @@ def _series_parallel(n: int, edges: list[tuple[int, int]]) -> int | None:
     its two edges in series, a second edge between two vertices joins them
     in parallel, and once two vertices are left, their edge counts a + b.
     Each vertex keeps a dict from neighbour to edge state, and a stack holds
-    the vertices that may be of degree 2. Priced by _series_parallel_cost
-    before anything is built, and not at all where no vertex has degree 2."""
-    degree = [0] * n
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    stack = [v for v, d in enumerate(degree) if d <= 2]
-    if not stack:
-        return None
-    operations, bits, held = _series_parallel_cost(n, len(edges))
-    check_work(f"the series-parallel reductions of {n} vertices", operations, bits, held=held, printed=0)
+    the vertices that may be of degree 2. Unpriced, like _count_subset:
+    _count_block prices it at _series_parallel_cost before it calls it."""
     links: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
     for a, b in edges:
         links[a][b] = links[b][a] = (1, 1, 0)
+    stack = [v for v, neighbours in enumerate(links) if len(neighbours) <= 2]
     a, b, c = 1, 1, 0  # the last edge made, or the one edge of K_2
     left = n
     while left > 2 and stack:
@@ -1011,14 +1003,14 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     return _balanced_product(counts) << bridges
 
 
-def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
-    """The memo key of the block relabelled in order of (colour, DFS label),
-    its colours found by colour refinement (1-WL): from the degrees, each
-    round ranks (colour, sorted neighbour colours) among the sorted distinct
-    signatures until no class splits. Where every vertex ends with its own
-    colour, as in almost every random graph (Babai, Erdős and Selkow 1980),
-    isomorphic blocks share the key."""
-    adj = _adjacency(n, edges)
+def _refined_key(adj: list[list[int]]) -> tuple[int, int]:
+    """The memo key of the block of these neighbour lists relabelled in order
+    of (colour, DFS label), its colours found by colour refinement (1-WL):
+    from the degrees, each round ranks (colour, sorted neighbour colours)
+    among the sorted distinct signatures until no class splits. Where every
+    vertex ends with its own colour, as in almost every random graph (Babai,
+    Erdős and Selkow 1980), isomorphic blocks share the key."""
+    n = len(adj)
     colours = list(map(len, adj))
     classes = len(set(colours))
     while True:
@@ -1028,7 +1020,8 @@ def _refined_key(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
             break
         colours, classes = [rank[signature] for signature in signatures], len(rank)
     label = dict(zip(sorted(range(n), key=lambda v: colours[v]), range(n)))  # a stable sort: ties in DFS order
-    return n, sum(1 << min(x, y) * n + max(x, y) for x, y in ((label[a], label[b]) for a, b in edges))
+    return n, sum(1 << label[a] * n + label[b]
+                  for a, neighbours in enumerate(adj) for b in neighbours if label[a] < label[b])
 
 
 def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
@@ -1040,33 +1033,40 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
     _subset_cost(h), the frontier DP at its least price, on _block_widths
     (no order of a block is narrower: 9n - 18 steps of the state bound), and
     the reductions at _series_parallel_cost. Then, in order:
-    1. the series-parallel reductions, where a vertex has degree 2 and the
-       subset DP's price is above that least, which is at least theirs; a
-       count they give is kept under the DFS key alone;
+    1. the series-parallel reductions, priced and refused here, where a
+       vertex has degree 2 and the subset DP's price is above that least,
+       which is at least theirs; a count they give is kept under the DFS
+       key alone;
     2. where they stall, on a K_4 minor, or were not tried, a block within
-       BLOCK_MEMO_VERTICES is looked up under _refined_key;
+       BLOCK_MEMO_VERTICES is looked up under _refined_key of its adjacency;
     3. on a miss, the DP of the lower price, kept under the refined key: the
-       frontier DP's adjacency and order are built only where the subset
-       DP's price is above the least and the least fits the budget, and it
-       runs where its price on that order is still below the subset DP's.
-    The chosen counter prices itself; where the lower DP price is over the
-    work budget, so is the other."""
+       frontier DP's order (and a larger block's adjacency) is built only
+       where the subset DP's price is above the least and the least fits the
+       budget, and it runs where its price on that order is still below the
+       subset DP's. Each DP prices itself; where the lower DP price is over
+       the work budget, so is the other."""
     degrees = Counter(chain.from_iterable(edges)).values()
     subset = word_steps(*_subset_cost(n - sum(d == n - 1 for d in degrees))[:2])
     least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
-    if min(degrees) <= 2 and subset > least >= word_steps(*_series_parallel_cost(n, len(edges))[:2]):
-        found = _series_parallel(n, edges)
-        if found is not None:
-            return found
-    refined = _refined_key(n, edges) if n <= BLOCK_MEMO_VERTICES else None
+    if min(degrees) <= 2 and subset > least:
+        operations, bits, held = _series_parallel_cost(n, len(edges))
+        if least >= word_steps(operations, bits):
+            check_work(f"the series-parallel reductions of {n} vertices", operations, bits,
+                       held=held, printed=0)
+            found = _series_parallel(n, edges)
+            if found is not None:
+                return found
+    adj = _adjacency(n, edges) if n <= BLOCK_MEMO_VERTICES else None
+    refined = _refined_key(adj) if adj else None
     found = _block_counts.pop(refined, None)
     if found is None and subset > least:
-        _price_frontier(n, len(edges), _block_widths(n))  # before the adjacency
-        adj = _adjacency(n, edges)
+        _price_frontier(n, len(edges), _block_widths(n))  # before the order, and a larger block's adjacency
+        adj = adj or _adjacency(n, edges)
         order, widths = _frontier_order(adj)
         if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
             found = _count_frontier(adj, order, widths)
     if found is None:
+        # the benchmark's tracer counts this call; ROADMAP item 2 removes it
         found = count_compositions_graph(LabeledGraph(n, edges))
     if refined:
         _block_counts[refined] = found

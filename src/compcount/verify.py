@@ -10,6 +10,7 @@ checks draw from a seeded generator so runs are reproducible.
 
 import math
 from collections.abc import Callable, Iterable
+from functools import partial
 from itertools import combinations
 from random import Random
 
@@ -146,7 +147,7 @@ def _composition_checks(max_n: int) -> list[Check]:
                "n={} k={}".format),
         _agree("avoid/contain jump matches the window recurrence",
                [(k, n) for k in range(1, 13) for n in range(far - k, far + 1)],
-               lambda k, n: compositions._avoiding_jump(windows[k][0], n),
+               lambda k, n: compositions._recurrence_term(compositions._avoiding_taps(k), windows[k][0], n),
                lambda k, n: windows[k][1][n - far + k], "k={} n={}".format),
         _agree("bounded-part totals match enumeration",
                [(m, n) for m in range(1, 5) for n in range(min(max_n, 10) + 1)],
@@ -195,15 +196,6 @@ def _series_checks(max_n: int) -> list[Check]:
                lambda family, k: list(map(str, series.family_series(family, k, order).coefficients)),
                "{} k={}".format),
     ]
-
-
-def _ladder_recurrence(rungs: int) -> list[int]:
-    """Ladder counts for 1..rungs rungs by the rung recurrence: 2, 12, then
-    6 * previous + one before that."""
-    counts = [2, 12]
-    while len(counts) < rungs:
-        counts.append(6 * counts[-1] + counts[-2])
-    return counts[:rungs]
 
 
 def _graph_label(graph: graphcomp.LabeledGraph) -> str:
@@ -310,7 +302,8 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     families = (("path", range(0, min(max_n, 16) + 1)), ("tree", range(0, min(max_n, 14) + 1)),
                 ("complete", range(0, top + 1)), ("complete_minus_edge", range(2, top + 1)),
                 ("cycle", range(3, min(max_n, 16) + 1)), ("ladder", range(1, min(max_n, 7) + 1)))
-    ladders = list(enumerate(_ladder_recurrence(50), start=1))
+    # the rung recurrence L(n) = 6 L(n - 1) + L(n - 2) from L(1) = 2, L(2) = 12
+    ladder_recurrence = partial(compositions._recurrence_term, (6, 1), (2, 12))
 
     def stirling_sum(m: int) -> int:  # Bell(m) by a sum that reads no Bell number
         return sum(exactnum.stirling2(m, k) for k in range(m + 1))
@@ -339,8 +332,8 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks += [
         _agree("decomposition product matches the subset DP", [(graph,) for graph in decomposed],
                graphcomp.reduce_and_count, count, _graph_label),
-        _agree("ladder closed form matches the recurrence", ladders,
-               lambda n, _: graphcomp.ladder_binet(n), lambda _, expected: expected, "n={}".format),
+        _agree("ladder closed form matches the recurrence", [(n,) for n in range(1, 51)],
+               graphcomp.ladder_binet, ladder_recurrence, "n={}".format),
         _agree("tree counts do not depend on tree shape", [(tree,) for tree in trees],
                count, lambda tree: 1 << (tree.vertex_count - 1), _graph_label),
     ]
@@ -350,10 +343,11 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
     checks += [
         _agree("frontier DP matches subset DP", [(graph,) for graph in thin],
                frontier, count, _graph_label),
-        _agree("ladder recurrence matches the frontier DP", ladders[:2 * min(max_n, 16)],
-               lambda rungs, _: (frontier(graphcomp.build_family("ladder", rungs)),
-                                 graphcomp.family_count("ladder", rungs)),
-               lambda _, expected: (expected, expected), "rungs={}".format),
+        _agree("ladder recurrence matches the frontier DP",
+               [(rungs,) for rungs in range(1, 2 * min(max_n, 16) + 1)],
+               lambda rungs: (frontier(graphcomp.build_family("ladder", rungs)),
+                              graphcomp.family_count("ladder", rungs)),
+               lambda rungs: (ladder_recurrence(rungs),) * 2, "rungs={}".format),
         _agree("universal-vertex route matches the subset DP", [(graph,) for graph in dense],
                count, _whole_table, _graph_label),
         _agree("the subset DP's last-vertex sum matches its whole table", [(graph,) for graph in cut],

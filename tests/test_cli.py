@@ -474,6 +474,15 @@ def test_verify_catches_a_wrong_series_parallel_count(monkeypatch):
     assert "series-parallel route matches the subset DP" in failed
 
 
+def test_verify_catches_a_wrong_recurrence_jump(monkeypatch):
+    true_jump = compositions._recurrence_term
+    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    monkeypatch.setattr(compositions, "_recurrence_term", lambda taps, seeds, n: true_jump(taps, seeds, n) + 1)
+    failed = [name for name, ok, _ in verify.run_suite("all", 10, 0) if not ok]
+    assert failed == ["avoid/contain jump matches the window recurrence",
+                      "ladder closed form matches the recurrence", "ladder recurrence matches the frontier DP"]
+
+
 def test_verify_catches_a_wrong_triangle_row(monkeypatch):
     true_triangle = compositions.triangle
     monkeypatch.setattr(compositions, "triangle", lambda kind, rows: tuple(
@@ -484,7 +493,7 @@ def test_verify_catches_a_wrong_triangle_row(monkeypatch):
 
 def test_verify_catches_a_memo_key_shared_by_blocks_that_are_not_isomorphic(monkeypatch):
     monkeypatch.setattr(graphcomp, "_block_counts", {})
-    monkeypatch.setattr(graphcomp, "_refined_key", lambda n, edges: (n, len(edges)))
+    monkeypatch.setattr(graphcomp, "_refined_key", lambda adj: (len(adj), sum(map(len, adj)) // 2))
     failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
     assert "relabelled blocks take the memo's count" in failed
 

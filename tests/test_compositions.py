@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compcount import compositions, exactnum, series
+from compcount import compositions, exactnum, graphcomp, series
 from compcount.compositions import PartBounds, NONNEGATIVE_PARTS, POSITIVE_PARTS
 from compcount.errors import ResourceLimitError
 
@@ -309,11 +309,41 @@ def test_avoid_rejects_nonpositive_part():
 
 
 def test_the_jump_matches_the_window_recurrence():
+    assert compositions._avoiding_taps(1) == (1, 1)  # 2c(m-1) - c(m-1) + c(m-2)
+    assert compositions._avoiding_taps(4) == (2, 0, 0, -1, 1)
     for n in range(1, 301):
         for k in (*range(1, 26), n, n + 1, 10 ** 19):
             k = min(k, n + 1)  # as count_avoiding clamps it
             seeds = compositions._avoiding_window(k + 1, k)
-            assert compositions._avoiding_jump(seeds, n) == compositions._avoiding_window(n, k)[-1], (n, k)
+            assert compositions._recurrence_term(compositions._avoiding_taps(k), seeds, n) \
+                == compositions._avoiding_window(n, k)[-1], (n, k)
+
+
+def test_the_jump_on_the_ladder_taps_matches_the_closed_form():
+    # L(n) = 6 L(n - 1) + L(n - 2), the n-rung ladder's count, from 2 and 12
+    for n in range(1, 2001):
+        assert compositions._recurrence_term((6, 1), (2, 12), n) == graphcomp.ladder_binet(n), n
+
+
+def test_the_jump_on_unit_taps_gives_the_higher_order_fibonacci_numbers():
+    for m in range(1, 9):
+        seeds = [compositions.fibonacci_higher(m, n) for n in range(1, m + 1)]
+        for n in range(1, 200):
+            assert compositions._recurrence_term((1,) * m, seeds, n) \
+                == compositions.fibonacci_higher(m, n), (m, n)
+
+
+def test_the_jump_with_zero_and_negative_taps_matches_a_plain_loop():
+    rng = Random(1985)
+    for _ in range(200):
+        d = rng.randint(1, 7)
+        taps = [rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(d)]
+        seeds = [rng.randint(-50, 50) for _ in range(d)]
+        values = list(seeds)
+        while len(values) < 150:
+            values.append(sum(tap * values[-j] for j, tap in enumerate(taps, start=1)))
+        for n in range(1, 151):
+            assert compositions._recurrence_term(taps, seeds, n) == values[n - 1], (taps, seeds, n)
 
 
 def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
@@ -330,7 +360,8 @@ def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
 
 def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
     routes = []
-    monkeypatch.setattr(compositions, "_avoiding_jump", lambda seeds, n: routes.append(("jump", n)) or 0)
+    monkeypatch.setattr(compositions, "_recurrence_term",
+                        lambda taps, seeds, n: routes.append(("jump", n)) or 0)
     monkeypatch.setattr(compositions, "_avoiding_window", lambda n, k: routes.append(("window", n)) or [0])
     # the jump is the faster route for k = 30 at n = 340000, but its price is
     # over the budget and the window's is not

@@ -613,7 +613,7 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     reached = []  # each counter run: its route, the block's n, DFS and refined keys, and count
 
     def on_count(route, n, edges, count):
-        key, refined = _dfs_key(n, edges), graphcomp._refined_key(n, edges)
+        key, refined = _dfs_key(n, edges), graphcomp._refined_key(graphcomp._adjacency(n, edges))
         # a counter runs only where the DFS key missed, and a DP only where
         # the refined key missed too; neither is kept before it returns
         assert key not in graphcomp._block_counts
@@ -847,7 +847,7 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
         if count is not None:
             counted[_dfs_key(n, edges)] = count
         if route != "reductions":
-            refined[graphcomp._refined_key(n, edges)] = count
+            refined[graphcomp._refined_key(graphcomp._adjacency(n, edges))] = count
 
     _record_counters(monkeypatch, on_count)
     memo = graphcomp._block_counts
@@ -937,19 +937,30 @@ def test_each_block_reaches_the_reductions_and_the_refined_key_at_most_once(monk
     pool += [(graphcomp.build_family("cycle", n), (1 << n) - n) for n in (5, 30, 70)]
     pool += [(graphcomp.build_family("ladder", rungs), graphcomp.ladder_binet(rungs)) for rungs in (3, 21, 45)]
     pool += [(complete(m), exactnum.bell(m)) for m in (7, 66)]
-    reductions, refined = [], []  # (n, edges, ...) of each call, its edge list kept alive
+    # (n, edges or neighbour lists, ...) of each call, its edge list kept
+    # alive; each routed block's edge list with the refined keys taken
+    # before and after its route
+    reductions, refined, routed = [], [], []
     series_parallel, refined_key = graphcomp._series_parallel, graphcomp._refined_key
+    count_block = graphcomp._count_block
 
     def recording_reductions(n, edges):
         reductions.append((n, edges, series_parallel(n, edges)))
         return reductions[-1][-1]
 
-    def recording_refined(n, edges):
-        refined.append((n, edges))
-        return refined_key(n, edges)
+    def recording_refined(adj):
+        refined.append((len(adj), adj))
+        return refined_key(adj)
+
+    def recording_block(n, edges):
+        before = len(refined)
+        found = count_block(n, edges)
+        routed.append((n, edges, before, len(refined)))
+        return found
 
     monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
     monkeypatch.setattr(graphcomp, "_refined_key", recording_refined)
+    monkeypatch.setattr(graphcomp, "_count_block", recording_block)
     rng = Random(64)
     for _ in range(3):
         monkeypatch.setattr(graphcomp, "_block_counts", {})
@@ -957,14 +968,21 @@ def test_each_block_reaches_the_reductions_and_the_refined_key_at_most_once(monk
         rng.shuffle(picked)
         reductions.clear()
         refined.clear()
+        routed.clear()
         assert graphcomp.reduce_and_count(_glued(rng, [block for block, _ in picked])) \
             == math.prod(count for _, count in picked)
-        for calls in (reductions, refined):  # no block's edge list twice
+        for calls in (reductions, routed):  # no block's edge list twice
             assert len({id(edges) for _, edges, *_ in calls}) == len(calls)
+        # every refined key is taken by a routed block, at most one a block
+        assert all(after - before <= 1 for *_, before, after in routed)
+        assert sum(after - before for *_, before, after in routed) == len(refined)
         assert {n for n, _, count in reductions if count is None} == set(crossed)
         assert {n for n, _, count in reductions if count is not None} == {30, 70, 42, 90}
         assert {n for n, _ in refined} == {12, 20, 40, 64, 5, 6, 7}
-        assert {id(edges) for _, edges, _ in reductions} & {id(edges) for _, edges in refined}
+        # the blocks within the memo's bound where the reductions stall are
+        # looked up under their refined key
+        stalled = {(n, frozenset(edges)) for n, edges, count in reductions if count is None and n <= 64}
+        assert stalled and stalled <= {(n, frozenset(_edges_of(adj))) for n, adj in refined}
 
 
 def test_the_reductions_are_not_tried_where_their_price_is_above_the_frontier_dps_least(monkeypatch):
