@@ -5,7 +5,7 @@ serialization unchanged. Each command returns its output lines and its exit
 code, and the lines are written with one writelines: a number is converted
 to decimal as its line is written, so no output is held whole. Exit codes:
 0 success, 1 domain error or a failed verify check, 2 usage error, 3
-resource-guard error.
+resource-guard error or out of memory.
 """
 
 import argparse
@@ -246,8 +246,12 @@ def run(argv: list[str], out=None, err=None) -> int:
     if limited:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
+    err = sys.stderr if err is None else err
     try:
-        return _run(argv, sys.stdout if out is None else out, sys.stderr if err is None else err)
+        return _run(argv, sys.stdout if out is None else out, err)
+    except MemoryError:  # counting, or writing the lazy lines: admitted, but more than the process may hold
+        err.write("resource limit: out of memory, though the work budget admitted the command\n")
+        return 3
     finally:
         if limited:
             sys.set_int_max_str_digits(limit)

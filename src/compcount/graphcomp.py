@@ -35,9 +35,9 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import chain, combinations, compress, islice, repeat
-from operator import add, and_, lshift, mul, rshift, sub
+from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from random import Random
 from typing import Iterable, Iterator
 
@@ -48,6 +48,9 @@ ENUMERATION_VERTEX_LIMIT = 10
 # The subset DP sums a cube of at most this many vertices above the lowest
 # vertex state by state, and a larger one by one ranked subset convolution.
 DIRECT_CUBE_BITS = 7
+# The ranked convolution forms its product this many entries at a time, so
+# it holds two lists of the packed numbers of its cube, not three.
+PRODUCT_CHUNK = 1024
 
 # Each named family with its smallest size (rungs for the ladder).
 FAMILY_MIN_SIZE = {"path": 0, "tree": 0, "complete": 0, "complete_minus_edge": 2,
@@ -302,63 +305,84 @@ def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
 
     The block through the lowest vertex v of S is {v} plus some Z inside the
     rest Y of S, and the other blocks compose Y minus Z, which lies above v,
-    so ways({v} + Y) = sum over Z inside Y of connected({v} + Z) ways(Y - Z).
-    The states go by lowest vertex v = n - 1 down to 0, from ways(empty) = 1.
-    For each, a search over a table of neighbour unions grows the component C
-    of v inside every S = {v} + Y and marks the connected ones. If the cube
-    of the m = n - 1 - v vertices above v has at most DIRECT_CUBE_BITS of
-    them, each S is counted in turn: ways(C) ways(S minus C) if C is not S,
-    else a sum over the 2^m' connected submasks through v, m' = |Y| (at most
-    3^m steps). A larger cube is counted all at once by _ranked_convolution
-    on strided slices of the two tables, in about m 2^m transform steps.
+    so ways({v} + Y) = sum over Z inside Y of connected({v} + Z) ways(Y - Z),
+    with the table of connected sets built first, for all of them at once, by
+    _connected_sets. The states go by lowest vertex v = n - 1 down to 0, from
+    ways(empty) = 1. If the cube of the m = n - 1 - v vertices above v has at
+    most DIRECT_CUBE_BITS of them, each S is summed in turn over the 2^|Y|
+    submasks of Y (3^m steps in all); a larger cube is counted all at once by
+    _ranked_convolution on strided slices of the two tables, in about m 2^m
+    transform steps.
 
     With count_only, the caller reads only ways[-1], the whole vertex set F,
-    and the other sets through vertex 0 are left at 0: once the search at
-    v = 0 has marked the connected sets T through vertex 0, ways(F) is one
-    sum of ways(F minus T) over them, a lookup and an add each, in place of
-    the largest cube's convolution (about half of all transform steps).
-    Unpriced: count_compositions_graph prices it, by _subset_cost."""
+    and the other sets through vertex 0 are left at 0: ways(F) is one sum of
+    ways(F minus T) over the connected sets T through vertex 0, a lookup and
+    an add each, in place of the largest cube's convolution (about half of
+    all transform steps). Unpriced: count_compositions_graph prices it, by
+    _subset_cost."""
     ways = [0] * (1 << n)
     ways[0] = 1
-    connected = bytearray(1 << n)
-    reach = [0]  # reach[T]: the neighbours of the vertices of T
-    for mask in nbr:
-        reach += [r | mask for r in reach]
+    connected = _connected_sets(nbr)
     top = n - 2 if count_only else n - 1  # the largest cube that may be convolved
     popcounts = [0]  # of its sets, when it is
     for _ in range(top if top > DIRECT_CUBE_BITS else 0):
         popcounts += [c + 1 for c in popcounts]
     for v in range(n - 1, -1, -1):
         low = 1 << v
-        last = count_only and v == 0
-        direct = n - 1 - v <= DIRECT_CUBE_BITS and not last
-        for state in range(low, 1 << n, low << 1):
-            component, grown = 0, low
-            while grown != component:
-                component = grown
-                grown = reach[component] & state | component
-            if component != state:
-                if direct:
-                    ways[state] = ways[component] * ways[state ^ component]
-                continue
-            connected[state] = 1
-            if direct:
+        if count_only and v == 0:
+            # F minus the odd state 2k + 1 is the even index F - 1 - 2k
+            ways[-1] = sum(compress(islice(reversed(ways), 1, None, 2), connected[1::2]))
+        elif n - 1 - v > DIRECT_CUBE_BITS:
+            ways[low::low << 1] = _ranked_convolution(connected[low::low << 1],
+                                                      ways[0::low << 1], popcounts)
+        else:
+            for state in range(low, 1 << n, low << 1):
                 # each block T through low is state ^ other for a submask other of rest
                 rest = state ^ low
-                acc = 1  # T = state
+                acc = connected[state]  # T = state
                 other = rest
                 while other:
                     if connected[state ^ other]:
                         acc += ways[other]
                     other = (other - 1) & rest
                 ways[state] = acc
-        if last:
-            # F minus the odd state 2k + 1 is the even index F - 1 - 2k
-            ways[-1] = sum(compress(islice(reversed(ways), 1, None, 2), connected[1::2]))
-        elif not direct:
-            ways[low::low << 1] = _ranked_convolution(connected[low::low << 1],
-                                                      ways[0::low << 1], popcounts)
     return ways
+
+
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _connected_sets(nbr: list[int]) -> bytes:
+    """connected[S] = 1 where the vertex set S induces a connected subgraph,
+    for all 2^n sets of the n vertices of these neighbour masks at once, with
+    ints as bitsets over the sets, bit S for the set S. holding[u], the sets
+    that hold u, is a run of 2^u sets without u and 2^u with it, doubled out
+    to 2^n sets by shifts. reach[u], the sets in which u is reached from
+    their lowest vertex, starts as the sets whose lowest vertex is u and
+    takes in, vertex by vertex in a round, the sets that hold u and reach a
+    neighbour of u, until a round adds nothing: 3-6 rounds with that last one
+    on G(10-18, .6), n on the path 0, n - 1, ..., 1. A set is connected where
+    it is not empty and reaches every vertex it holds."""
+    n = len(nbr)
+    holding, reach, below = [], [], 0
+    for u in range(n):
+        sets, width = (1 << (1 << u)) - 1 << (1 << u), 2 << u
+        while width < 1 << n:
+            sets |= sets << width
+            width <<= 1
+        holding.append(sets)
+        reach.append(sets & ~below)
+        below |= sets
+    neighbours = [[w for w in range(n) if mask >> w & 1] for mask in nbr]
+    grown = True
+    while grown:
+        grown = False
+        for u, sets in enumerate(holding):
+            more = reach[u] | sets & reduce(or_, [reach[w] for w in neighbours[u]], 0)
+            if more != reach[u]:
+                reach[u], grown = more, True
+    apart = reduce(or_, map(xor, holding, reach), 1)  # the empty set, and sets missing a vertex they hold
+    return format((1 << (1 << n)) - 1 ^ apart, f"0{1 << n}b")[::-1].encode().translate(_BITS_TO_BYTES)
 
 
 def _price_subset_dp(n: int) -> None:
@@ -392,10 +416,17 @@ def _ranked_convolution(blocks: bytes, rest: list[int], popcounts: list[int]) ->
     _zeta(packed_blocks, add)
     _zeta(packed_rest, add)
     ranks = (1 << width * (m + 1)) - 1
-    product = list(map(and_, map(mul, packed_blocks, packed_rest), repeat(ranks)))
-    del packed_blocks, packed_rest
-    _zeta(product, sub)
-    return map(and_, map(rshift, product, shifts), repeat((1 << width) - 1))
+    # the product takes packed_rest's place a chunk at a time, and the packed
+    # blocks behind it are let go: two lists of the cube are held, not three
+    step = min(len(rest), PRODUCT_CHUNK)
+    zeros = bytes(step)
+    for start in range(0, len(rest), step):
+        chunk = slice(start, start + step)
+        packed_rest[chunk] = map(and_, map(mul, packed_blocks[chunk], packed_rest[chunk]), repeat(ranks))
+        packed_blocks[chunk] = zeros
+    del packed_blocks
+    _zeta(packed_rest, sub)
+    return map(and_, map(rshift, packed_rest, shifts), repeat((1 << width) - 1))
 
 
 def _zeta(values: list[int], op) -> None:
@@ -786,14 +817,15 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
 
 # A direct subset-DP step in check_work operations: 1.5 of about 27 word
 # steps; a transform step (one element of a zeta or Möbius pass, with the
-# search, packing and product of each set folded in) 2 of the packed numbers
-# of the largest cube. scripts/step_costs.py measures 21-37 word steps a
-# direct step at 8-12 vertices (priced 40). On K_n minus a Hamiltonian
-# cycle, which has no universal vertex, the DP sums its last vertex instead
-# of convolving the largest cube, so it takes 24-53 word steps a priced
-# transform step at 10-17 (priced 67-104), and the whole DP is priced at
-# 1.75-3.72 times its time (two runs, CPython 3.11, 2-vCPU x86-64 guest
-# whose speed drifts by up to 40% between them, 4 ns a word step).
+# connected-set table and the packing and product of each set folded in) 2
+# of the packed numbers of the largest cube. scripts/step_costs.py measures
+# 18-23 word steps a direct step at 8-12 vertices (priced 40), a cube of m
+# taking exactly 3^m. On K_n minus a Hamiltonian cycle, which has no
+# universal vertex, the DP sums its last vertex instead of convolving the
+# largest cube, so it takes 16-33 word steps a priced transform step at
+# 10-17 (priced 67-104), and the whole DP is priced at 2.8-5.5 times its
+# time (three runs, CPython 3.11, 2-vCPU x86-64 guest whose speed drifts by
+# up to 40% between them, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
 # The frontier DP's price in word steps a step of its state bound (a state
@@ -835,15 +867,19 @@ def _subset_cost(n: int) -> tuple[float, float, float]:
     they act on and how many numbers it holds at once, all infinite past
     n = 600, where a float no longer holds 3^n.
 
-    A cube of m <= DIRECT_CUBE_BITS vertices takes at most 3^m direct steps,
-    a larger one m 2^m transform steps: the passes of its zeta and Möbius
-    transforms, with the search, packing and product of each of its sets
-    folded into their price. When some cube is convolved, every step is
-    priced on the packed numbers of the largest, m = n - 1: m + 1 fields of
-    at most 2m + m log2(m + 1) + 1 bits (a count of m vertices is at most
-    Bell(m)); otherwise on counts of n log2(n + 1) bits. Where no vertex is
-    universal the DP sums the last vertex instead of convolving that largest
-    cube, but its steps stay in the price, which is kept as an upper bound."""
+    A cube of m <= DIRECT_CUBE_BITS vertices takes 3^m direct steps, a
+    larger one m 2^m transform steps: the passes of its zeta and Möbius
+    transforms, with the connected-set table and the packing and product of
+    each of its sets folded into their price. When some cube is convolved,
+    every step is priced on the packed numbers of the largest, m = n - 1:
+    m + 1 fields of at most 2m + m log2(m + 1) + 1 bits (a count of m
+    vertices is at most Bell(m)); otherwise on counts of n log2(n + 1) bits.
+    Where no vertex is universal the DP sums the last vertex instead of
+    convolving that largest cube, but its steps stay in the price, which is
+    kept as an upper bound. So are the 2^(n+1) numbers held: 2^n counts,
+    with 2^n bytes of connected sets, and two lists of 2^m packed numbers
+    while a cube of m vertices is convolved, m at most n - 1, or n - 2 where
+    no vertex is universal."""
     if n > 600:
         return math.inf, math.inf, math.inf
     top = n - 1

@@ -742,15 +742,13 @@ def test_the_largest_triangle_prints_in_a_gigabyte(fmt, tmp_path):
         target.unlink(missing_ok=True)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
-def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
-    # no vertex is universal, so the subset DP reads only the whole set's
-    # count and sums it over the connected sets through vertex 0: the largest
-    # cube is never convolved, whose packed products ran out of this space
+def count_k19_minus_a_hamiltonian_cycle(tmp_path, megabytes):
+    """graph count on K19 minus a Hamiltonian cycle in a child process under
+    an RLIMIT_AS of this many megabytes."""
     import resource
 
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
     n = 19
     edges = [f"{u} {v}" for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
@@ -758,9 +756,25 @@ def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
     source.write_text("\n".join([str(n), *edges]) + "\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "compcount", "graph", "count", "--file", str(source)],
+    return subprocess.run([sys.executable, "-m", "compcount", "graph", "count", "--file", str(source)],
                           capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=10)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
+def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
+    # no vertex is universal, so the subset DP reads only the whole set's
+    # count and sums it over the connected sets through vertex 0: the largest
+    # cube is never convolved, whose packed products ran out of this space
+    done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 200)
     assert (done.returncode, done.stdout, done.stderr) == (0, "4302601688761\n", "")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
+def test_k19_minus_a_hamiltonian_cycle_out_of_memory_exits_3(tmp_path):
+    # the work budget admits it, but it needs about 80 MB of address space
+    done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 50)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("resource limit: out of memory") and "Traceback" not in done.stderr
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
@@ -841,6 +855,26 @@ def test_sizes_past_the_range_of_a_float_are_refused(argv, tmp_path, monkeypatch
         digits = 400 if argv[-1] == "nines.txt" else 5000
         assert err == f"resource limit: line 1: a vertex count of {digits} digits is too large to price\n"
     assert time.perf_counter() - start < 1
+
+
+def test_running_out_of_memory_exits_3_with_no_traceback(tmp_path, monkeypatch):
+    # once while counting, once while the lazy lines are written
+    def no_memory(*_):
+        raise MemoryError
+
+    def decimals_then_no_memory(*_):
+        yield 1
+        raise MemoryError
+
+    source = tmp_path / "k3.txt"
+    source.write_text("3\n0 1\n1 2\n0 2\n")
+    monkeypatch.setattr(graphcomp, "reduce_and_count", no_memory)
+    monkeypatch.setattr(series, "family_decimals", decimals_then_no_memory)
+    for argv in (["graph", "count", "--file", str(source)],
+                 ["series", "--family", "fweak", "--k", "3", "--order", "5"]):
+        code, _, err = run_cli(argv)
+        assert code == 3, argv
+        assert err.startswith("resource limit: out of memory") and "Traceback" not in err, argv
 
 
 # Library calls on sizes past the range of a float, whose cost estimates overflow.

@@ -246,6 +246,23 @@ def test_count_multiplies_over_disjoint_pieces():
     assert graphcomp.count_compositions_graph(LabeledGraph(9, mixed)) == 15 * 4
 
 
+def test_the_connected_set_table_matches_a_search_on_every_set():
+    rng = Random(2001)
+    graphs = [LabeledGraph(n) for n in range(15)] + [complete(n) for n in range(15)]
+    for n in range(2, 15):
+        # induced paths whose lowest vertex is an end: along the vertex order, and
+        # 0 - (n - 1) - ... - 1 against it, which takes a round a vertex
+        graphs += [path(n), LabeledGraph(n, {(0, n - 1)} | {(v, v + 1) for v in range(1, n - 1)})]
+    graphs += [graphcomp.random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+               for n in [0, 1, 2, 14] + [rng.randint(3, 13) for _ in range(4)]]
+    for graph in graphs:
+        nbr, n = graph.neighbor_masks(), graph.vertex_count
+        connected = graphcomp._connected_sets(nbr)
+        assert len(connected) == 1 << n and connected[0] == 0
+        assert [connected[s] for s in range(1, 1 << n)] == \
+            [graphcomp._mask_connected(s, nbr) for s in range(1, 1 << n)], sorted(graph.edges)
+
+
 def per_state_ways(nbr, n):
     """The subset DP state by state in increasing order, the oracle of the
     ranked convolution: a state that is not connected multiplies the counts of
