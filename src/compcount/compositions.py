@@ -9,13 +9,12 @@ linear recurrences, all in exact integer arithmetic.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import repeat
 from operator import lshift
-from typing import Callable, Sequence
 
 from . import exactnum
-from .errors import ResourceLimitError, check_work, pricing
+from .errors import Frozen, ResourceLimitError, check_work, pricing
 
 Composition = tuple[int, ...]
 
@@ -26,18 +25,17 @@ COMPOSITIONS_DISTINCT = "compositions-distinct"
 TRIANGLE_KINDS = (PARTITIONS_DISTINCT, COMPOSITIONS_DISTINCT)
 
 
-@dataclass(frozen=True)
-class PartBounds:
+class PartBounds(Frozen):
     """Inclusive part-value bounds; ``upper=None`` means unbounded above."""
 
-    lower: int = 0
-    upper: int | None = None
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.lower < 0:
+    def __init__(self, lower: int = 0, upper: int | None = None):
+        if lower < 0:
             raise ValueError("lower part bound must be nonnegative")
-        if self.upper is not None and self.upper < self.lower:
+        if upper is not None and upper < lower:
             raise ValueError("upper part bound is below the lower bound")
+        super().__init__(lower, upper)
 
 
 NONNEGATIVE_PARTS = PartBounds(0, None)

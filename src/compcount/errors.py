@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the work guard of the counters.
+"""Exceptions shared across the package, the work guard of the counters, and
+the frozen base of the package's value classes.
 
 Each counter calls check_work before its loops start, with an estimate from
 its arguments alone, never from what a cache already holds (a graph block
@@ -79,6 +80,45 @@ from contextlib import contextmanager
 OP_STEPS = 25
 WORK_BUDGET = 2e9
 MEMORY_BUDGET = 1e9
+
+
+class Frozen:
+    """A value of the fields that its class names in __slots__, set once by
+    __init__ from its arguments in that order. Two values are equal when
+    they are of the same type and their fields are; a value hashes and
+    prints as its fields, and pickles and copies as its class called on
+    them. A plain class, not a dataclass: importing dataclasses at start-up
+    also imports inspect, ast and dis, which no command uses."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class ResourceLimitError(RuntimeError):

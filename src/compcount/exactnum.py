@@ -9,9 +9,9 @@ accumulated as exact ``fractions.Fraction`` values, never floats.
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
 
 from .errors import check_work, pricing
 

@@ -34,15 +34,14 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache, reduce
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from random import Random
-from typing import Iterable, Iterator
 
 from . import exactnum
-from .errors import MEMORY_BUDGET, ResourceLimitError, check_work, pricing, word_steps
+from .errors import MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, pricing, word_steps
 
 ENUMERATION_VERTEX_LIMIT = 10
 # The subset DP sums a cube of at most this many vertices above the lowest
@@ -62,30 +61,28 @@ class GraphParseError(ValueError):
     """Malformed edge-list input; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Frozen):
     """An undirected simple graph on vertices 0..vertex_count-1.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; loops and
     out-of-range endpoints are rejected, duplicates collapse.
     """
 
-    vertex_count: int
-    edges: frozenset = field(default_factory=frozenset)
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
-                    f"edge ({u}, {v}) has an endpoint outside 0..{self.vertex_count - 1}"
+                    f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
                 )
             normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        super().__init__(vertex_count, frozenset(normalized))
 
     def adjacency(self) -> list[list[int]]:
         return _adjacency(self.vertex_count, self.edges)

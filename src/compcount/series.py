@@ -5,10 +5,10 @@ shorter operand's order, and truncation order is always explicit at the call
 site; there is no implicit global precision.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from . import exactnum
-from .errors import check_work
+from .errors import Frozen, check_work
 
 Polynomial = tuple[int, ...]
 
@@ -22,16 +22,16 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly through z^order."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not self.coefficients:
+    def __init__(self, coefficients: Iterable[int]):
+        coefficients = tuple(coefficients)
+        if not coefficients:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
+        super().__init__(coefficients)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -85,8 +85,7 @@ class TruncatedSeries:
         return TruncatedSeries(coeffs[: self.order + 1])
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Frozen):
     """A ratio of integer polynomials, stored as ascending coefficient tuples.
 
     The denominator's constant term must be nonzero (invertible over the
@@ -94,14 +93,13 @@ class RationalGF:
     series coefficients stay integers.
     """
 
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(self.numerator))
-        object.__setattr__(self, "denominator", tuple(self.denominator))
-        if not self.denominator or self.denominator[0] == 0:
+    def __init__(self, numerator: Iterable[int], denominator: Iterable[int]):
+        numerator, denominator = tuple(numerator), tuple(denominator)
+        if not denominator or denominator[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
+        super().__init__(numerator, denominator)
 
     def __mul__(self, other: "RationalGF") -> "RationalGF":
         return RationalGF(

@@ -359,5 +359,9 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
         _agree("series-parallel route matches the subset DP", reducible, graphcomp._series_parallel,
                lambda n, edges: _whole_table(graphcomp.LabeledGraph(n, edges)) if _no_k4_minor(n, edges)
                else None, "n={} edges={}".format),
+        _agree("edge lists round-trip",
+               [(graph,) for graph in small + connected + decomposed + trees + thin + dense + cut],
+               lambda graph: graphcomp.parse_edge_list(graphcomp.format_edge_list(graph)),
+               lambda graph: graph, _graph_label),
     ]
     return checks

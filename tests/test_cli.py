@@ -349,12 +349,21 @@ def test_verify_suites_are_offered_without_importing_verify():
     assert run_cli(["verify", "--suite", "everything"])[0] == 2
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect_nor_typing():
+    # -S: no site module, which on some installs imports typing itself
+    code = ("import sys, compcount, compcount.cli; compcount.cli.build_parser(); "
+            "print(*[name for name in ('dataclasses', 'inspect', 'typing') if name in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "\n"), done.stderr
+
+
 def test_verify_csv_needs_no_quoting():
     code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "csv"])
     assert code == 0
     code, listed, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     names = [check["name"] for check in json.loads(listed)["checks"]]
-    assert len(names) == 31
+    assert len(names) == 32
     assert not any(char in name for name in names for char in ',"\r\n')
     assert list(csv.reader(io.StringIO(out))) == [["name", "ok"]] + [[name, "ok"] for name in names]
 
@@ -496,6 +505,13 @@ def test_verify_catches_a_memo_key_shared_by_blocks_that_are_not_isomorphic(monk
     monkeypatch.setattr(graphcomp, "_refined_key", lambda adj: (len(adj), sum(map(len, adj)) // 2))
     failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
     assert "relabelled blocks take the memo's count" in failed
+
+
+def test_verify_catches_an_edge_list_that_loses_an_edge(monkeypatch):
+    true_format = graphcomp.format_edge_list
+    monkeypatch.setattr(graphcomp, "format_edge_list", lambda graph: true_format(graph).rsplit("\n", 2)[0] + "\n")
+    failed = [name for name, ok, _ in verify.run_suite("graphs", 6, 0) if not ok]
+    assert failed == ["edge lists round-trip"]
 
 
 # --- output bytes, and the work guard -----------------------------------------
