@@ -11,7 +11,7 @@ import math
 from collections import deque
 from collections.abc import Callable, Sequence
 from itertools import repeat
-from operator import lshift
+from operator import lshift, mul
 
 from . import exactnum
 from .errors import Frozen, ResourceLimitError, check_work, pricing
@@ -260,15 +260,37 @@ def _leading_total(n: int) -> int:
     window recurrence for each m below _by_window's crossover; from m0, the
     first m past it, each a(n - m) - a(n - m - 1) of _fibonacci_higher's
     binomial form, summed by column, one for each count q - 1 of oversize
-    parts at n and at n - 1, the columns alternating in sign with q."""
+    parts at n and at n - 1, the columns alternating in sign with q.
+
+    _LAST["leading"] keeps the last n's windows, at most m0, and its column
+    sums at n and n - 1 by (size, m0), about 2n/m0. A later call moves each
+    window |n - last| steps where that is fewer than its n - m from scratch,
+    and sums only the columns it lacks.
+    """
+    m0 = _leading_crossover(n)
+    last, kept, columns = _LAST.pop("leading", (n, {}, {}))
+    windows = {m: _move(kept[m], n - last, *_FIBONACCI_STEPS) if m in kept and abs(n - last) < n - m
+               else _fibonacci_window(m, n - m) for m in range(1, m0)}
+    tops = (n + 1) // (m0 + 1)
+    sums = {}
+    for size in (n, n - 1):
+        have = columns.get((size, m0), [])[:tops]
+        sums[size, m0] = have + [_leading_column(size, q, m0) for q in range(len(have) + 1, tops + 1)]
+    total = sum(window[-1] for window in windows.values())
+    for q, (now, before) in enumerate(zip(sums[n, m0], sums[n - 1, m0]), start=1):
+        column = now - before
+        total += column if q % 2 else -column
+    _LAST["leading"] = (n, windows, sums)
+    return total
+
+
+def _leading_crossover(n: int) -> int:
+    """m0 of _leading_total(n): the first m whose fibonacci_higher(m, n - m)
+    it takes from the binomial columns rather than a window recurrence."""
     m0 = 1
     while m0 <= n and _by_window(m0, n - m0):
         m0 += 1
-    total = sum(_fibonacci_higher(m, n - m) for m in range(1, m0))
-    for q in range(1, (n + 1) // (m0 + 1) + 1):
-        column = _leading_column(n, q, m0) - _leading_column(n - 1, q, m0)
-        total += column if q % 2 else -column
-    return total
+    return m0
 
 
 def _leading_column(n: int, q: int, m0: int) -> int:
@@ -286,13 +308,17 @@ def count_avoiding(n: int, k: int) -> int:
     denominator, c(m) = 2c(m-1) - c(m-k) + c(m-k-1) + [m=1] - [m=k] + [m=k+1]
     with c(m <= 0) = 0. The published form of this recurrence with
     +c(m-k+1) as the final term is wrong (k = 2, m = 4 gives 5 instead of 4),
-    which the test suite pins down. Below the crossover of _by_jump, the
-    recurrence seeds c(1..k+1) and _recurrence_term jumps on its taps to
-    c(n); above it, _avoiding_window runs the recurrence to n. Each
-    route is priced as it runs. The jump's price, 3 (k+1)^2 Karatsuba
+    which the test suite pins down. Below the crossover of _by_jump,
+    _avoiding_jump jumps on its taps to c(n - k..n); above it,
+    _avoiding_window runs the recurrence to n. Each route is priced as it
+    runs, as if nothing were kept. The jump's price, 3 (k+1)^2 Karatsuba
     products on n bits, was 1.1-2.6 times its time at n = 3000-300000 and
     k = 2-9, the window's 0.6-1.3 times its own, so near both the crossover
     and the budget the window runs where only its price fits.
+
+    _LAST["avoiding"] keeps c(n - k..n) of the last n > k. A later call with
+    the same k moves them |n - last| steps, up or down, where that is fewer
+    than n and _by_jump(k, |n - last|) is false.
     """
     if k < 1:
         raise ValueError("the avoided part must be positive")
@@ -308,13 +334,40 @@ def count_avoiding(n: int, k: int) -> int:
             jump = False
         if not jump:
             check_work(what, n, n, held=min(k, n) + 1)
-    if jump:
-        return _recurrence_term(_avoiding_taps(k), _avoiding_window(k + 1, k), n)
-    return _avoiding_window(n, k)[-1]
+    last_k, last, window = _LAST.pop("avoiding", (0, 0, None))
+    steps = abs(n - last)
+    if k == last_k and k < n and steps < n and not _by_jump(k, steps):
+        window = _move(window, n - last, *_AVOIDING_STEPS)
+    else:
+        window = _avoiding_jump(k, n) if jump else _avoiding_window(n, k)
+    if k < n:
+        _LAST["avoiding"] = (k, n, window)
+    return window[-1]
+
+
+# Exact values kept from the last call of count_avoiding and _leading_total,
+# which no price reads. A call takes its entry out while it works, so one
+# interrupted midway leaves no half-moved window behind.
+_LAST: dict[str, tuple] = {}
+
+# The terms after and before a window of a recurrence's last values, the
+# second solved for the term that the first reads last (its tap is 1 or -1).
+_AVOIDING_STEPS = (lambda w: 2 * w[-1] - w[1] + w[0], lambda w: w[-1] - 2 * w[-2] + w[0])
+_FIBONACCI_STEPS = (lambda w: 2 * w[-1] - w[0], lambda w: 2 * w[-2] - w[-1])
+
+
+def _move(window: deque[int], steps: int, after: Callable, before: Callable) -> deque[int]:
+    """Move a full window of a recurrence's last values `steps` terms up,
+    or down where steps < 0, in place, and return it."""
+    for _ in range(steps):
+        window.append(after(window))
+    for _ in range(-steps):
+        window.appendleft(before(window))
+    return window
 
 
 def _by_jump(k: int, n: int) -> bool:
-    """Whether _recurrence_term beats _avoiding_window: while (k + 1)^2 Karatsuba
+    """Whether _avoiding_jump beats _avoiding_window: while (k + 1)^2 Karatsuba
     products on n bits, w^0.585 word additions each for w words, cost less
     than the window's n additions after a setup of about 128 of them
     (measured crossovers, the last k where the jump wins: none at n = 60,
@@ -327,7 +380,7 @@ def _avoiding_window(n: int, k: int) -> deque[int]:
     """c(n-k..n) of count_avoiding's recurrence, c(n) last, for n >= 1 and
     k <= n + 1 (some of the values at m <= 0 absent): n additions of at most
     n bits, holding the last k + 1 values. The route above _by_jump's
-    crossover, the seeds of _recurrence_term below it, and the oracle of the
+    crossover, the seeds of _avoiding_jump below it, and the oracle of the
     jump in verify and the tests."""
     # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
     # one of these zeros, so min(k, n) + 1 of them suffice
@@ -347,18 +400,34 @@ def _avoiding_taps(k: int) -> tuple[int, ...]:
     return (2,) + (0,) * (k - 2) + (-1, 1) if k > 1 else (1, 1)
 
 
+def _avoiding_jump(k: int, n: int) -> deque[int]:
+    """c(n-k..n) of count_avoiding's recurrence, for n > k, by one jump:
+    the sequences c(m + j), j = 0..k, follow the same recurrence from the
+    seeds c(1+j..k+1+j), so x^(n-k-1) modulo it read against each of them
+    gives c(n-k+j), k + 1 products of the power's numbers by small seeds."""
+    seeds = [*_avoiding_window(k + 1, k)][:k] + [*_avoiding_window(2 * k + 1, k)]  # c(1..2k+1)
+    power = _recurrence_power(_avoiding_taps(k), n - k - 1)
+    return deque((sum(map(mul, power, seeds[j:])) for j in range(k + 1)), maxlen=k + 1)
+
+
 def _recurrence_term(taps: Sequence[int], seeds: Sequence[int], n: int) -> int:
     """c(n), n >= 1, of c(m) = sum_j taps[j-1] c(m-j) from the seeds c(1..d),
     d = len(taps) = len(seeds), unpriced: sum_i r_i c(1+i), where
     sum_i r_i x^i = x^(n-1) mod x^d - sum_j taps[j-1] x^(d-j) (Fiduccia
-    1985). The power is found by squaring over the bits of n - 1 from the
-    top, a set bit shifting the square up by one: d(d+1)/2 products a square,
-    then a reduction by the nonzero taps, small multiples and additions only.
-    """
-    d = len(seeds)
+    1985)."""
+    return sum(map(mul, _recurrence_power(taps, n - 1), seeds))
+
+
+def _recurrence_power(taps: Sequence[int], e: int) -> list[int]:
+    """x^e mod x^d - sum_j taps[j-1] x^(d-j), d = len(taps), as its at most d
+    coefficients from x^0 up, unpriced. The power is found by squaring over
+    the bits of e from the top, a set bit shifting the square up by one:
+    d(d+1)/2 products a square, then a reduction by the nonzero taps, small
+    multiples and additions only."""
+    d = len(taps)
     reductions = [(j, tap) for j, tap in enumerate(taps, start=1) if tap]
-    power = [1]  # x^e mod the characteristic polynomial, e the bits read so far
-    for bit in bin(n - 1)[2:]:
+    power = [1]  # x^f mod the characteristic polynomial, f the bits read so far
+    for bit in bin(e)[2:]:
         shift = bit == "1"
         size = len(power)
         square = [0] * (2 * size - 1 + shift)
@@ -373,7 +442,7 @@ def _recurrence_term(taps: Sequence[int], seeds: Sequence[int], n: int) -> int:
                 square[top - j] += tap * lead
         del square[d:]
         power = square
-    return sum(r * c for r, c in zip(power, seeds))
+    return power
 
 
 def count_containing(n: int, k: int) -> int:
@@ -419,18 +488,23 @@ def _fibonacci_higher(m: int, n: int) -> int:
     a(t) = sum_i (-1)^i C(t-im, i) 2^(t-i(m+1)) is the coefficient of z^t in
     1/(1 - 2z + z^(m+1)): O(n/m) binomials."""
     if _by_window(m, n):
-        # f(t-m..t) at t = 0, with f(-m) = 1 standing in so that the
-        # recurrence gives f(1) = 1
-        window = deque([1] + [0] * (m - 1) + [1], maxlen=m + 1)
-        for _ in range(n):
-            window.append(2 * window[-1] - window[0])
-        return window[-1]
+        return _fibonacci_window(m, n)[-1]
 
     def a(t: int) -> int:
         return sum((-1) ** i * math.comb(t - i * m, i) << (t - i * (m + 1))
                    for i in range(t // (m + 1) + 1)) if t >= 0 else 0
 
     return a(n) - a(n - 1)
+
+
+def _fibonacci_window(m: int, n: int) -> deque[int]:
+    """f(n-m..n) of the window recurrence of fibonacci_higher(m, .), n >= 0."""
+    # f(t-m..t) at t = 0, with f(-m) = 1 standing in so that the recurrence
+    # gives f(1) = 1
+    window = deque([1] + [0] * (m - 1) + [1], maxlen=m + 1)
+    for _ in range(n):
+        window.append(2 * window[-1] - window[0])
+    return window
 
 
 def triangle(kind: str, rows: int) -> tuple[tuple[int, ...], ...]:

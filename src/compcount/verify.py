@@ -149,6 +149,7 @@ def _composition_checks(max_n: int) -> list[Check]:
                [(k, n) for k in range(1, 13) for n in range(far - k, far + 1)],
                lambda k, n: compositions._recurrence_term(compositions._avoiding_taps(k), windows[k][0], n),
                lambda k, n: windows[k][1][n - far + k], "k={} n={}".format),
+        _neighbour_check(max_n),
         _agree("bounded-part totals match enumeration",
                [(m, n) for m in range(1, 5) for n in range(min(max_n, 10) + 1)],
                compositions.fibonacci_higher,
@@ -164,6 +165,38 @@ def _composition_checks(max_n: int) -> list[Check]:
                     if counts[upper] < counts[upper - 1]]
     checks.append(_check("counts grow with the upper part bound", bad))
     return checks
+
+
+def _neighbour_check(max_n: int) -> Check:
+    """The counters that continue from their last call's values, called in a
+    walk that moves those values forward, backward and far, across a change
+    of the leading totals' crossover m0 and of the avoided part, with strict
+    and weak totals interleaved; each value against the same call made with
+    nothing kept."""
+    top = 4 * max_n
+    far, jump = max(40, top), max(300, top)  # jump: where k <= 8 takes the jump
+    change = max(n for n in range(3, top + 2)
+                 if compositions._leading_crossover(n) != compositions._leading_crossover(n - 1))
+    weak, strict = compositions.leading_weak_total, compositions.count_leading_strict_total
+    walk = [(weak, n) for n in range(change - 2, change + 2)]
+    walk += [(strict, n) for n in range(change + 2, change - 3, -1)]  # strict n reads the columns of n - 1
+    walk += [(weak, 1), (weak, top), (strict, top + 1), (weak, top - 1), (strict, top - 1)]
+    avoid, contain = compositions.count_avoiding, compositions.count_containing
+    for k in (1, 2, 3, 5, 8):
+        walk += [(avoid, n, k) for n in range(1, 2 * k + 3)]  # its values are kept from n = k + 1
+        walk += [(contain, n, k) for n in (far + 1, far, far - 1)]
+        walk += [(avoid, n, k) for n in (jump, jump + 1, jump + 2, jump - 1)] + [(contain, far, k)]
+    compositions._LAST.clear()
+    moved = [count(*args) for count, *args in walk]
+
+    def fresh(i: int) -> int:
+        compositions._LAST.clear()
+        count, *args = walk[i]
+        return count(*args)
+
+    return _agree("neighbouring counts match fresh counts", [(i,) for i in range(len(walk))],
+                  moved.__getitem__, fresh,
+                  lambda i: f"{walk[i][0].__name__}({', '.join(map(str, walk[i][1:]))})")
 
 
 def _series_checks(max_n: int) -> list[Check]:

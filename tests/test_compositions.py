@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compcount import compositions, exactnum, graphcomp, series
+from compcount import compositions, errors, exactnum, graphcomp, series
 from compcount.compositions import PartBounds, NONNEGATIVE_PARTS, POSITIVE_PARTS
 from compcount.errors import ResourceLimitError
 
@@ -317,6 +317,8 @@ def test_the_jump_matches_the_window_recurrence():
             seeds = compositions._avoiding_window(k + 1, k)
             assert compositions._recurrence_term(compositions._avoiding_taps(k), seeds, n) \
                 == compositions._avoiding_window(n, k)[-1], (n, k)
+            if k < n:  # count_avoiding's jump gives the whole window it keeps
+                assert compositions._avoiding_jump(k, n) == compositions._avoiding_window(n, k), (n, k)
 
 
 def test_the_jump_on_the_ladder_taps_matches_the_closed_form():
@@ -360,8 +362,9 @@ def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
 
 def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
     routes = []
-    monkeypatch.setattr(compositions, "_recurrence_term",
-                        lambda taps, seeds, n: routes.append(("jump", n)) or 0)
+    # the jump to c(n - k..n) raises x to the power n - k - 1, k + 1 = len(taps)
+    monkeypatch.setattr(compositions, "_recurrence_power",
+                        lambda taps, e: routes.append(("jump", e + len(taps))) or [0])
     monkeypatch.setattr(compositions, "_avoiding_window", lambda n, k: routes.append(("window", n)) or [0])
     # the jump is the faster route for k = 30 at n = 340000, but its price is
     # over the budget and the window's is not
@@ -375,6 +378,93 @@ def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
     assert routes.pop() == ("jump", 1621154)
     with pytest.raises(ResourceLimitError):
         compositions.count_avoiding(1621155, 4)
+
+
+def fresh(count, *args):
+    """count(*args) with nothing kept from an earlier call."""
+    compositions._LAST.clear()
+    return count(*args)
+
+
+def test_neighbouring_calls_give_the_values_of_calls_with_nothing_kept():
+    rng = Random(37)
+    weak, strict = compositions.leading_weak_total, compositions.count_leading_strict_total
+    avoid, contain = compositions.count_avoiding, compositions.count_containing
+    walks = []
+    for _ in range(12):  # strict and weak walks of 2 or 3 sizes, up or down, as the seed-7 order mixes them
+        n, step = rng.choice((rng.randint(800, 1300), rng.randint(1, 60))), rng.choice((1, -1))
+        walks.append([(rng.choice((weak, strict)), n + step * i) for i in range(rng.randint(2, 3))])
+    for _ in range(40):  # the avoided part alternating between walks, some far from the last
+        k = rng.choice((1, 2, 3, 5, 9, 12))
+        n = rng.choice((rng.randint(1, 40), rng.randint(200, 3000), rng.randint(2000, 12000)))
+        step = rng.choice((1, -1))
+        walks.append([(rng.choice((avoid, contain)), max(1, n + step * i), k) for i in range(rng.randint(1, 4))])
+    rng.shuffle(walks)
+    calls = [call for walk in walks for call in walk]
+    moved = [count(*args) for count, *args in calls]
+    assert moved == [fresh(count, *args) for count, *args in calls]
+    # and the stateless routes, on the small sizes
+    for (count, *args), value in zip(calls, moved):
+        if count is avoid and args[0] <= 3000:
+            assert value == compositions._avoiding_window(args[0], min(args[1], args[0] + 1))[-1], args
+        if count is weak and args[0] <= 60:
+            assert value == sum(compositions.fibonacci_higher(k, args[0] - k) for k in range(1, args[0] + 1))
+
+
+def test_refusals_do_not_depend_on_a_neighbouring_call(monkeypatch):
+    for count, args, after in ((compositions.count_avoiding, (5000, 3), (5001, 3)),
+                               (compositions.count_containing, (5000, 3), (4999, 3)),
+                               (compositions.leading_weak_total, (1000,), (1001,)),
+                               (compositions.count_leading_strict_total, (1000,), (999,))):
+        value, kept = fresh(count, *after), count(*args)
+        monkeypatch.setattr(errors, "WORK_BUDGET", 1e4)
+        for size in (args, after):  # the same call, and its neighbour, after it
+            with pytest.raises(ResourceLimitError):
+                count(*size)
+        with pytest.raises(ResourceLimitError):
+            fresh(count, *after)
+        monkeypatch.undo()
+        assert (count(*args), count(*after)) == (kept, value)
+
+
+def test_a_total_after_its_neighbour_moves_each_window_once_and_sums_one_column_per_q(monkeypatch):
+    n = 1000
+    m0 = compositions._leading_crossover(n)
+    assert compositions._leading_crossover(n + 1) == m0
+    want = fresh(compositions.leading_weak_total, n + 1)
+    fresh(compositions.leading_weak_total, n)
+    columns, moves = [], []
+    true_column, true_move = compositions._leading_column, compositions._move
+    monkeypatch.setattr(compositions, "_leading_column",
+                        lambda size, q, m0: columns.append((size, q)) or true_column(size, q, m0))
+    monkeypatch.setattr(compositions, "_move", lambda window, steps, *recurrence:
+                        moves.append((len(window), steps)) or true_move(window, steps, *recurrence))
+    monkeypatch.setattr(compositions, "_fibonacci_window", None)  # no window starts afresh
+    assert compositions.leading_weak_total(n + 1) == want
+    assert moves == [(m + 1, 1) for m in range(1, m0)]
+    assert columns == [(n + 1, q) for q in range(1, (n + 2) // (m0 + 1) + 1)]
+    # the strict total of n + 2 reads the same total: nothing moves, nothing is summed
+    del moves[:], columns[:]
+    assert compositions.count_leading_strict_total(n + 2) == want
+    assert moves == [(m + 1, 0) for m in range(1, m0)] and columns == []
+
+
+def test_one_avoided_part_and_one_leading_total_are_kept():
+    for k in range(1, 40):
+        for n in (k, 3 * k, 500, 499, 2000 + k):
+            compositions.count_avoiding(n, k)
+            compositions.count_containing(n + 1, k)
+    for n in (*range(1, 60), 1200, 5, 900, 901):
+        compositions.leading_weak_total(n)
+    assert set(compositions._LAST) == {"avoiding", "leading"}
+    k, n, window = compositions._LAST["avoiding"]
+    assert (k, n, list(window)) == (39, 2040, list(compositions._avoiding_window(2040, 39)))
+    n, windows, columns = compositions._LAST["leading"]
+    m0 = compositions._leading_crossover(901)
+    assert n == 901 and sorted(windows) == list(range(1, m0))
+    assert all(list(window) == list(compositions._fibonacci_window(m, n - m)) for m, window in windows.items())
+    assert sorted(columns) == [(900, m0), (901, m0)]
+    assert all(len(sums) == 902 // (m0 + 1) for sums in columns.values())
 
 
 # --- bounded-part totals ----------------------------------------------------
@@ -517,17 +607,9 @@ def test_leading_totals_match_the_per_first_part_sums():
     assert_leading_totals_match_the_first_part_sums([*range(401), *SEED_7_LEADING])
 
 
-def first_column_part(n):
-    """The first m whose fibonacci_higher(m, n - m) the leading totals take
-    from the binomial columns rather than a window recurrence."""
-    m = 1
-    while m <= n and compositions._by_window(m, n - m):
-        m += 1
-    return m
-
-
 def test_leading_totals_match_on_each_side_of_a_change_of_the_crossover():
-    changes = [n for n in range(1, 1500) if first_column_part(n) != first_column_part(n - 1)]
+    crossover = compositions._leading_crossover
+    changes = [n for n in range(1, 1500) if crossover(n) != crossover(n - 1)]
     assert len(changes) > 10
     # the strict total of n + 1 reads the columns of n
     assert_leading_totals_match_the_first_part_sums(
