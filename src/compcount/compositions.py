@@ -316,9 +316,12 @@ def count_avoiding(n: int, k: int) -> int:
     k = 2-9, the window's 0.6-1.3 times its own, so near both the crossover
     and the budget the window runs where only its price fits.
 
-    _LAST["avoiding"] keeps c(n - k..n) of the last n > k. A later call with
-    the same k moves them |n - last| steps, up or down, where that is fewer
-    than n and _by_jump(k, |n - last|) is false.
+    _LAST["avoiding"] keeps c(n - k..n) of the last n that took the jump,
+    about 1.4 MB at most within its price; the window route keeps nothing,
+    as its k may reach n. A later call with
+    the same k that would take the jump moves them |n - last| steps instead,
+    up or down, where those steps' additions of n bits number fewer than
+    _jump_cost(k, n).
     """
     if k < 1:
         raise ValueError("the avoided part must be positive")
@@ -334,14 +337,14 @@ def count_avoiding(n: int, k: int) -> int:
             jump = False
         if not jump:
             check_work(what, n, n, held=min(k, n) + 1)
+    if not jump:
+        return _avoiding_window(n, k)[-1]
     last_k, last, window = _LAST.pop("avoiding", (0, 0, None))
-    steps = abs(n - last)
-    if k == last_k and k < n and steps < n and not _by_jump(k, steps):
+    if k == last_k and abs(n - last) < _jump_cost(k, n):
         window = _move(window, n - last, *_AVOIDING_STEPS)
     else:
-        window = _avoiding_jump(k, n) if jump else _avoiding_window(n, k)
-    if k < n:
-        _LAST["avoiding"] = (k, n, window)
+        window = _avoiding_jump(k, n)
+    _LAST["avoiding"] = (k, n, window)
     return window[-1]
 
 
@@ -367,13 +370,18 @@ def _move(window: deque[int], steps: int, after: Callable, before: Callable) -> 
 
 
 def _by_jump(k: int, n: int) -> bool:
-    """Whether _avoiding_jump beats _avoiding_window: while (k + 1)^2 Karatsuba
-    products on n bits, w^0.585 word additions each for w words, cost less
-    than the window's n additions after a setup of about 128 of them
+    """Whether _avoiding_jump beats _avoiding_window: while _jump_cost(k, n)
+    is less than the window's n additions after a setup of about 128 of them
     (measured crossovers, the last k where the jump wins: none at n = 60,
     4 at 200, 8 at 400, 12 at 800, 17 at 2000, 18 at 5000, 21 at 12000,
     24 at 30000; this rule says 0, 4, 8, 11, 14, 18, 22 and 27)."""
-    return (k + 1) ** 2 * (n / 64 + 1) ** 0.585 < n - 128
+    return _jump_cost(k, n) < n - 128
+
+
+def _jump_cost(k: int, n: int) -> float:
+    """The time of _avoiding_jump(k, n) in additions of n bits: (k + 1)^2
+    Karatsuba products on n bits, w^0.585 word additions each for w words."""
+    return (k + 1) ** 2 * (n / 64 + 1) ** 0.585
 
 
 def _avoiding_window(n: int, k: int) -> deque[int]:

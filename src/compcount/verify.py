@@ -100,8 +100,7 @@ def _composition_checks(max_n: int) -> list[Check]:
                      for n in range(4 * max_n + 1)]
     strict_sum, weak_sum = (_per_k_sum(gf, last) for gf in (series.gf_leading_strict, series.gf_leading_weak))
     far = max(40, 4 * max_n)  # past enumeration
-    windows = {k: (compositions._avoiding_window(k + 1, k), compositions._avoiding_window(far, k))
-               for k in range(1, 13)}
+    windows = {k: compositions._avoiding_window(far, k) for k in range(1, 13)}
     first_parts = [(n, k) for n in range(1, top + 1) for k in range(1, min(n, 6) + 1)]
 
     checks = [
@@ -146,9 +145,9 @@ def _composition_checks(max_n: int) -> list[Check]:
                lambda n, k: (sum(k not in c for c in positive[n]), sum(k in c for c in positive[n])),
                "n={} k={}".format),
         _agree("avoid/contain jump matches the window recurrence",
-               [(k, n) for k in range(1, 13) for n in range(far - k, far + 1)],
-               lambda k, n: compositions._recurrence_term(compositions._avoiding_taps(k), windows[k][0], n),
-               lambda k, n: windows[k][1][n - far + k], "k={} n={}".format),
+               [(k, far) for k in range(1, 13)],
+               lambda k, n: list(compositions._avoiding_jump(k, n)), lambda k, n: list(windows[k]),
+               "k={} n={}".format),
         _neighbour_check(max_n),
         _agree("bounded-part totals match enumeration",
                [(m, n) for m in range(1, 5) for n in range(min(max_n, 10) + 1)],
@@ -174,7 +173,6 @@ def _neighbour_check(max_n: int) -> Check:
     and weak totals interleaved; each value against the same call made with
     nothing kept."""
     top = 4 * max_n
-    far, jump = max(40, top), max(300, top)  # jump: where k <= 8 takes the jump
     change = max(n for n in range(3, top + 2)
                  if compositions._leading_crossover(n) != compositions._leading_crossover(n - 1))
     weak, strict = compositions.leading_weak_total, compositions.count_leading_strict_total
@@ -183,9 +181,13 @@ def _neighbour_check(max_n: int) -> Check:
     walk += [(weak, 1), (weak, top), (strict, top + 1), (weak, top - 1), (strict, top - 1)]
     avoid, contain = compositions.count_avoiding, compositions.count_containing
     for k in (1, 2, 3, 5, 8):
-        walk += [(avoid, n, k) for n in range(1, 2 * k + 3)]  # its values are kept from n = k + 1
-        walk += [(contain, n, k) for n in (far + 1, far, far - 1)]
-        walk += [(avoid, n, k) for n in (jump, jump + 1, jump + 2, jump - 1)] + [(contain, far, k)]
+        start = 1
+        while not compositions._by_jump(k, start):  # to the first n that takes the jump, and keeps its window
+            start += 1
+        cost = int(compositions._jump_cost(k, start))
+        walk += [(avoid, n, k) for n in (start - 1, start, start + 1)]
+        # moved up and down, then farther than a fresh jump costs, then down one
+        walk += [(contain, n, k) for n in (start + cost, start + cost // 2, start + 3 * cost, start + 3 * cost - 1)]
     compositions._LAST.clear()
     moved = [count(*args) for count, *args in walk]
 

@@ -488,8 +488,20 @@ def test_verify_catches_a_wrong_recurrence_jump(monkeypatch):
     monkeypatch.setattr(graphcomp, "_block_counts", {})
     monkeypatch.setattr(compositions, "_recurrence_term", lambda taps, seeds, n: true_jump(taps, seeds, n) + 1)
     failed = [name for name, ok, _ in verify.run_suite("all", 10, 0) if not ok]
-    assert failed == ["avoid/contain jump matches the window recurrence",
-                      "ladder closed form matches the recurrence", "ladder recurrence matches the frontier DP"]
+    assert failed == ["ladder closed form matches the recurrence", "ladder recurrence matches the frontier DP"]
+
+
+def test_verify_catches_a_wrong_avoiding_jump(monkeypatch):
+    true_jump = compositions._avoiding_jump
+
+    def first_off(k, n):
+        window = true_jump(k, n)
+        window[0] += 1
+        return window
+
+    monkeypatch.setattr(compositions, "_avoiding_jump", first_off)
+    failed = [name for name, ok, _ in verify.run_suite("compositions", 10, 0) if not ok]
+    assert failed == ["avoid/contain jump matches the window recurrence", "neighbouring counts match fresh counts"]
 
 
 def test_verify_catches_a_wrong_triangle_row(monkeypatch):

@@ -386,6 +386,29 @@ def fresh(count, *args):
     return count(*args)
 
 
+def test_only_the_jump_keeps_its_window():
+    # the window route's values grow with k: c(10000..20000) would hold about 20 MB
+    assert not compositions._by_jump(10000, 20000)
+    compositions.count_avoiding(20000, 10000)
+    compositions.count_containing(30000, 40)
+    assert compositions._LAST == {}
+
+
+def test_a_later_avoid_count_moves_where_its_steps_cost_less_than_the_jump(monkeypatch):
+    routes = []
+    true_jump, true_move = compositions._avoiding_jump, compositions._move
+    monkeypatch.setattr(compositions, "_avoiding_jump", lambda k, n: routes.append("jump") or true_jump(k, n))
+    monkeypatch.setattr(compositions, "_move", lambda window, steps, *recurrence:
+                        routes.append("move") or true_move(window, steps, *recurrence))
+    # 500 steps against a jump of about 790 additions at k = 5 and n = 12500,
+    # and 300 against about 210 at k = 3 and n = 5300
+    for k, n, later, route in ((5, 12000, 12500, "move"), (5, 12000, 11500, "move"), (3, 5000, 5300, "jump")):
+        compositions.count_avoiding(n, k)
+        del routes[:]
+        assert compositions.count_avoiding(later, k) == fresh(compositions.count_avoiding, later, k)
+        assert routes[0] == route, (k, n, later)
+
+
 def test_neighbouring_calls_give_the_values_of_calls_with_nothing_kept():
     rng = Random(37)
     weak, strict = compositions.leading_weak_total, compositions.count_leading_strict_total
@@ -454,11 +477,13 @@ def test_one_avoided_part_and_one_leading_total_are_kept():
         for n in (k, 3 * k, 500, 499, 2000 + k):
             compositions.count_avoiding(n, k)
             compositions.count_containing(n + 1, k)
+    compositions.count_avoiding(3000, 9)
     for n in (*range(1, 60), 1200, 5, 900, 901):
         compositions.leading_weak_total(n)
+    compositions.count_avoiding(2039, 39)  # the window route keeps nothing, and leaves the jump's window
     assert set(compositions._LAST) == {"avoiding", "leading"}
     k, n, window = compositions._LAST["avoiding"]
-    assert (k, n, list(window)) == (39, 2040, list(compositions._avoiding_window(2040, 39)))
+    assert (k, n, list(window)) == (9, 3000, list(compositions._avoiding_window(3000, 9)))
     n, windows, columns = compositions._LAST["leading"]
     m0 = compositions._leading_crossover(901)
     assert n == 901 and sorted(windows) == list(range(1, m0))
