@@ -9,11 +9,11 @@ linear recurrences, all in exact integer arithmetic.
 
 import math
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from itertools import repeat
-from operator import lshift, mul
+from operator import lshift
 
-from . import exactnum
+from . import exactnum, series
 from .errors import Frozen, ResourceLimitError, check_work, pricing
 
 Composition = tuple[int, ...]
@@ -309,19 +309,19 @@ def count_avoiding(n: int, k: int) -> int:
     with c(m <= 0) = 0. The published form of this recurrence with
     +c(m-k+1) as the final term is wrong (k = 2, m = 4 gives 5 instead of 4),
     which the test suite pins down. Below the crossover of _by_jump,
-    _avoiding_jump jumps on its taps to c(n - k..n); above it,
-    _avoiding_window runs the recurrence to n. Each route is priced as it
-    runs, as if nothing were kept. The jump's price, 3 (k+1)^2 Karatsuba
-    products on n bits, was 1.1-2.6 times its time at n = 3000-300000 and
-    k = 2-9, the window's 0.6-1.3 times its own, so near both the crossover
-    and the budget the window runs where only its price fits.
+    series._jump reads c(n - k..n) off gf_avoiding(k); above it, the
+    hand-written _avoiding_window runs the recurrence to n. Each route is
+    priced as it runs, as if nothing were kept. The jump's price, 3 (k+1)^2
+    Karatsuba products on n bits, was 1.1-2.6 times its time at
+    n = 3000-300000 and k = 2-9, the window's 0.6-1.3 times its own, so near
+    both the crossover and the budget the window runs where only its price
+    fits.
 
     _LAST["avoiding"] keeps c(n - k..n) of the last n that took the jump,
     about 1.4 MB at most within its price; the window route keeps nothing,
-    as its k may reach n. A later call with
-    the same k that would take the jump moves them |n - last| steps instead,
-    up or down, where those steps' additions of n bits number fewer than
-    _jump_cost(k, n).
+    as its k may reach n. A later call with the same k that would take the
+    jump moves them |n - last| steps instead, up or down, where those steps'
+    additions of n bits number fewer than _jump_cost(k, n).
     """
     if k < 1:
         raise ValueError("the avoided part must be positive")
@@ -343,7 +343,7 @@ def count_avoiding(n: int, k: int) -> int:
     if k == last_k and abs(n - last) < _jump_cost(k, n):
         window = _move(window, n - last, *_AVOIDING_STEPS)
     else:
-        window = _avoiding_jump(k, n)
+        window = deque(series._jump(series.gf_avoiding(k), n, k + 1), maxlen=k + 1)
     _LAST["avoiding"] = (k, n, window)
     return window[-1]
 
@@ -370,7 +370,7 @@ def _move(window: deque[int], steps: int, after: Callable, before: Callable) -> 
 
 
 def _by_jump(k: int, n: int) -> bool:
-    """Whether _avoiding_jump beats _avoiding_window: while _jump_cost(k, n)
+    """Whether the jump beats _avoiding_window: while _jump_cost(k, n)
     is less than the window's n additions after a setup of about 128 of them
     (measured crossovers, the last k where the jump wins: none at n = 60,
     4 at 200, 8 at 400, 12 at 800, 17 at 2000, 18 at 5000, 21 at 12000,
@@ -379,7 +379,7 @@ def _by_jump(k: int, n: int) -> bool:
 
 
 def _jump_cost(k: int, n: int) -> float:
-    """The time of _avoiding_jump(k, n) in additions of n bits: (k + 1)^2
+    """The time of count_avoiding's jump in additions of n bits: (k + 1)^2
     Karatsuba products on n bits, w^0.585 word additions each for w words."""
     return (k + 1) ** 2 * (n / 64 + 1) ** 0.585
 
@@ -388,8 +388,7 @@ def _avoiding_window(n: int, k: int) -> deque[int]:
     """c(n-k..n) of count_avoiding's recurrence, c(n) last, for n >= 1 and
     k <= n + 1 (some of the values at m <= 0 absent): n additions of at most
     n bits, holding the last k + 1 values. The route above _by_jump's
-    crossover, the seeds of _avoiding_jump below it, and the oracle of the
-    jump in verify and the tests."""
+    crossover, and the oracle of the jump in verify and the tests."""
     # c(m-k-1), ..., c(m-1); for m <= k every value read from the left end is
     # one of these zeros, so min(k, n) + 1 of them suffice
     window = deque([0] * (min(k, n) + 1), maxlen=k + 1)
@@ -399,58 +398,6 @@ def _avoiding_window(n: int, k: int) -> deque[int]:
     for _ in range(seeded + 1, n + 1):
         window.append(2 * window[-1] - window[1] + window[0])
     return window
-
-
-def _avoiding_taps(k: int) -> tuple[int, ...]:
-    """The taps of count_avoiding's recurrence past its indicator terms,
-    c(m) = 2c(m-1) - c(m-k) + c(m-k-1): (2, 0, ..., 0, -1, 1), which merge
-    to (1, 1) at k = 1."""
-    return (2,) + (0,) * (k - 2) + (-1, 1) if k > 1 else (1, 1)
-
-
-def _avoiding_jump(k: int, n: int) -> deque[int]:
-    """c(n-k..n) of count_avoiding's recurrence, for n > k, by one jump:
-    the sequences c(m + j), j = 0..k, follow the same recurrence from the
-    seeds c(1+j..k+1+j), so x^(n-k-1) modulo it read against each of them
-    gives c(n-k+j), k + 1 products of the power's numbers by small seeds."""
-    seeds = [*_avoiding_window(k + 1, k)][:k] + [*_avoiding_window(2 * k + 1, k)]  # c(1..2k+1)
-    power = _recurrence_power(_avoiding_taps(k), n - k - 1)
-    return deque((sum(map(mul, power, seeds[j:])) for j in range(k + 1)), maxlen=k + 1)
-
-
-def _recurrence_term(taps: Sequence[int], seeds: Sequence[int], n: int) -> int:
-    """c(n), n >= 1, of c(m) = sum_j taps[j-1] c(m-j) from the seeds c(1..d),
-    d = len(taps) = len(seeds), unpriced: sum_i r_i c(1+i), where
-    sum_i r_i x^i = x^(n-1) mod x^d - sum_j taps[j-1] x^(d-j) (Fiduccia
-    1985)."""
-    return sum(map(mul, _recurrence_power(taps, n - 1), seeds))
-
-
-def _recurrence_power(taps: Sequence[int], e: int) -> list[int]:
-    """x^e mod x^d - sum_j taps[j-1] x^(d-j), d = len(taps), as its at most d
-    coefficients from x^0 up, unpriced. The power is found by squaring over
-    the bits of e from the top, a set bit shifting the square up by one:
-    d(d+1)/2 products a square, then a reduction by the nonzero taps, small
-    multiples and additions only."""
-    d = len(taps)
-    reductions = [(j, tap) for j, tap in enumerate(taps, start=1) if tap]
-    power = [1]  # x^f mod the characteristic polynomial, f the bits read so far
-    for bit in bin(e)[2:]:
-        shift = bit == "1"
-        size = len(power)
-        square = [0] * (2 * size - 1 + shift)
-        for i, a in enumerate(power):
-            square[2 * i + shift] += a * a
-            twice = a << 1
-            for j in range(i + 1, size):
-                square[i + j + shift] += twice * power[j]
-        for top in range(len(square) - 1, d - 1, -1):
-            lead = square[top]
-            for j, tap in reductions:
-                square[top - j] += tap * lead
-        del square[d:]
-        power = square
-    return power
 
 
 def count_containing(n: int, k: int) -> int:

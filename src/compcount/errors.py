@@ -15,7 +15,7 @@ found in the block memo runs no counter, so it is not priced):
   and the per-k leading counts through it: 2n additions of n bits below
   m < 0.85 n^0.4, else 2(n/(m + 1) + 1) of those binomials;
 - count_avoiding, and count_containing through it, by the route it takes:
-  the jump (_avoiding_jump) below (k + 1)^2 (n/64 + 1)^0.585 < n - 128,
+  the jump (series._jump) below (k + 1)^2 (n/64 + 1)^0.585 < n - 128,
   3(k + 1)^2 Karatsuba products of n bits, 3k + 3 of them held; the window
   above it, and below it where only the window's price is within the
   budget, n additions of at most n bits, min(k, n) + 1 of them held;

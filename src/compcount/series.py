@@ -5,7 +5,8 @@ shorter operand's order, and truncation order is always explicit at the call
 site; there is no implicit global precision.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from operator import mul
 
 from . import exactnum
 from .errors import Frozen, check_work
@@ -142,6 +143,53 @@ def _long_division(num, den, order: int, zero) -> list:
             acc -= d * coeffs[m - j]
         coeffs[m] = acc if lead == 1 else -acc
     return coeffs
+
+
+def _jump(gf: RationalGF, n: int, width: int = 1) -> list[int]:
+    """Coefficients n - width + 1..n of gf, whose denominator has constant
+    term 1, unpriced. With d the denominator's degree, the coefficients from
+    s + d on, s = max(0, len(numerator) - d), follow the recurrence whose taps
+    are the denominator's tail, negated (Stanley, EC1, Thm 4.1.1): so
+    x^(n - width + 1 - s) modulo it, read against the long division's seeds
+    c(s + i..s + i + d - 1), gives c(n - width + 1 + i) (Fiduccia 1985). Up to
+    the last seed it reads the long division."""
+    if gf.denominator[0] != 1 or n < width - 1:
+        raise ValueError("the jump needs a denominator with constant term 1 and n >= width - 1")
+    d = len(gf.denominator) - 1
+    s = max(0, len(gf.numerator) - d)
+    last_seed = s + d + width - 2
+    if n <= last_seed:
+        return _long_division(gf.numerator, gf.denominator, n, 0)[n - width + 1:]
+    seeds = _long_division(gf.numerator, gf.denominator, last_seed, 0)[s:]
+    power = _recurrence_power([-tap for tap in gf.denominator[1:]], n - width + 1 - s)
+    return [sum(map(mul, power, seeds[i:])) for i in range(width)]
+
+
+def _recurrence_power(taps: Sequence[int], e: int) -> list[int]:
+    """x^e mod x^d - sum_j taps[j-1] x^(d-j), d = len(taps), as its at most d
+    coefficients from x^0 up, unpriced. The power is found by squaring over
+    the bits of e from the top, a set bit shifting the square up by one:
+    d(d+1)/2 products a square, then a reduction by the nonzero taps, small
+    multiples and additions only."""
+    d = len(taps)
+    reductions = [(j, tap) for j, tap in enumerate(taps, start=1) if tap]
+    power = [1]  # x^f mod the characteristic polynomial, f the bits read so far
+    for bit in bin(e)[2:]:
+        shift = bit == "1"
+        size = len(power)
+        square = [0] * (2 * size - 1 + shift)
+        for i, a in enumerate(power):
+            square[2 * i + shift] += a * a
+            twice = a << 1
+            for j in range(i + 1, size):
+                square[i + j + shift] += twice * power[j]
+        for top in range(len(square) - 1, d - 1, -1):
+            lead = square[top]
+            for j, tap in reductions:
+                square[top - j] += tap * lead
+        del square[d:]
+        power = square
+    return power
 
 
 def _exact_context():

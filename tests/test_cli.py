@@ -337,25 +337,18 @@ def test_verify_runs_every_suite_at_max_n_1(suite):
                                     for name, _, detail in listed] + [f"passed {len(listed)}/{len(listed)} checks"]
 
 
-def test_verify_suites_are_offered_without_importing_verify():
-    # decimal, which only the printed series use, is not imported at start-up either
-    code = ("import sys, compcount.cli; compcount.cli.build_parser(); "
-            "print('compcount.verify' in sys.modules, 'decimal' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.stdout == "False False\n", done.stderr
-    assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
-    assert run_cli(["verify", "--suite", "everything"])[0] == 2
-
-
-def test_start_up_imports_neither_dataclasses_nor_inspect_nor_typing():
-    # -S: no site module, which on some installs imports typing itself
-    code = ("import sys, compcount, compcount.cli; compcount.cli.build_parser(); "
-            "print(*[name for name in ('dataclasses', 'inspect', 'typing') if name in sys.modules])")
+def test_start_up_imports_none_of_the_modules_that_only_some_commands_read():
+    # verify, decimal (the printed series) and fractions (exactnum's lazy
+    # import) load on first use; dataclasses would bring inspect, and -S
+    # leaves out the site module, which on some installs imports typing itself
+    names = ("compcount.verify", "decimal", "fractions", "dataclasses", "inspect", "typing")
+    code = (f"import sys, compcount, compcount.cli; compcount.cli.build_parser(); "
+            f"print(*[name for name in {names} if name in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout) == (0, "\n"), done.stderr
+    assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
+    assert run_cli(["verify", "--suite", "everything"])[0] == 2
 
 
 def test_verify_csv_needs_no_quoting():
@@ -483,25 +476,20 @@ def test_verify_catches_a_wrong_series_parallel_count(monkeypatch):
     assert "series-parallel route matches the subset DP" in failed
 
 
-def test_verify_catches_a_wrong_recurrence_jump(monkeypatch):
-    true_jump = compositions._recurrence_term
+def test_verify_catches_a_wrong_jump(monkeypatch):
+    true_jump = series._jump
+
+    def first_off(gf, n, width=1):
+        values = true_jump(gf, n, width)
+        values[0] += 1
+        return values
+
     monkeypatch.setattr(graphcomp, "_block_counts", {})
-    monkeypatch.setattr(compositions, "_recurrence_term", lambda taps, seeds, n: true_jump(taps, seeds, n) + 1)
+    monkeypatch.setattr(series, "_jump", first_off)
     failed = [name for name, ok, _ in verify.run_suite("all", 10, 0) if not ok]
-    assert failed == ["ladder closed form matches the recurrence", "ladder recurrence matches the frontier DP"]
-
-
-def test_verify_catches_a_wrong_avoiding_jump(monkeypatch):
-    true_jump = compositions._avoiding_jump
-
-    def first_off(k, n):
-        window = true_jump(k, n)
-        window[0] += 1
-        return window
-
-    monkeypatch.setattr(compositions, "_avoiding_jump", first_off)
-    failed = [name for name, ok, _ in verify.run_suite("compositions", 10, 0) if not ok]
-    assert failed == ["avoid/contain jump matches the window recurrence", "neighbouring counts match fresh counts"]
+    assert failed == ["avoid/contain jump matches the window recurrence", "neighbouring counts match fresh counts",
+                      "leading-summand series match the recurrences", "ladder closed form matches the recurrence",
+                      "ladder recurrence matches the frontier DP"]
 
 
 def test_verify_catches_a_wrong_triangle_row(monkeypatch):

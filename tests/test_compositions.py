@@ -309,30 +309,39 @@ def test_avoid_rejects_nonpositive_part():
 
 
 def test_the_jump_matches_the_window_recurrence():
-    assert compositions._avoiding_taps(1) == (1, 1)  # 2c(m-1) - c(m-1) + c(m-2)
-    assert compositions._avoiding_taps(4) == (2, 0, 0, -1, 1)
+    # the jump's taps, gf_avoiding's denominator negated: (1, 1) at k = 1,
+    # where 2c(m-1) - c(m-1) + c(m-2) merge, and (2, 0, 0, -1, 1) at k = 4
+    assert series.gf_avoiding(1).denominator == (1, -1, -1)
+    assert series.gf_avoiding(4).denominator == (1, -2, 0, 0, 1, -1)
     for n in range(1, 301):
         for k in (*range(1, 26), n, n + 1, 10 ** 19):
             k = min(k, n + 1)  # as count_avoiding clamps it
-            seeds = compositions._avoiding_window(k + 1, k)
-            assert compositions._recurrence_term(compositions._avoiding_taps(k), seeds, n) \
-                == compositions._avoiding_window(n, k)[-1], (n, k)
+            gf = series.gf_avoiding(k)
+            assert series._jump(gf, n) == [compositions._avoiding_window(n, k)[-1]], (n, k)
             if k < n:  # count_avoiding's jump gives the whole window it keeps
-                assert compositions._avoiding_jump(k, n) == compositions._avoiding_window(n, k), (n, k)
+                assert series._jump(gf, n, k + 1) == list(compositions._avoiding_window(n, k)), (n, k)
+
+
+def recurrence_gf(taps, seeds):
+    """The GF of c(0) = 0, c(1..d) = seeds and c(m) = sum_j taps[j-1] c(m-j)
+    past them, d = len(taps): Q = 1 - sum_j taps[j-1] z^j over P = Q C
+    truncated to degree d."""
+    q, c = (1, *(-tap for tap in taps)), (0, *seeds)
+    return series.RationalGF([sum(q[j] * c[m - j] for j in range(m + 1)) for m in range(len(c))], q)
 
 
 def test_the_jump_on_the_ladder_taps_matches_the_closed_form():
     # L(n) = 6 L(n - 1) + L(n - 2), the n-rung ladder's count, from 2 and 12
+    ladder = recurrence_gf((6, 1), (2, 12))
     for n in range(1, 2001):
-        assert compositions._recurrence_term((6, 1), (2, 12), n) == graphcomp.ladder_binet(n), n
+        assert series._jump(ladder, n) == [graphcomp.ladder_binet(n)], n
 
 
 def test_the_jump_on_unit_taps_gives_the_higher_order_fibonacci_numbers():
     for m in range(1, 9):
-        seeds = [compositions.fibonacci_higher(m, n) for n in range(1, m + 1)]
+        gf = recurrence_gf((1,) * m, [compositions.fibonacci_higher(m, n) for n in range(1, m + 1)])
         for n in range(1, 200):
-            assert compositions._recurrence_term((1,) * m, seeds, n) \
-                == compositions.fibonacci_higher(m, n), (m, n)
+            assert series._jump(gf, n) == [compositions.fibonacci_higher(m, n)], (m, n)
 
 
 def test_the_jump_with_zero_and_negative_taps_matches_a_plain_loop():
@@ -340,12 +349,13 @@ def test_the_jump_with_zero_and_negative_taps_matches_a_plain_loop():
     for _ in range(200):
         d = rng.randint(1, 7)
         taps = [rng.choice((-3, -1, 0, 0, 1, 2, 5)) for _ in range(d)]
-        seeds = [rng.randint(-50, 50) for _ in range(d)]
-        values = list(seeds)
-        while len(values) < 150:
+        values = [0] + [rng.randint(-50, 50) for _ in range(d)]  # c(0..d)
+        while len(values) < 151:
             values.append(sum(tap * values[-j] for j, tap in enumerate(taps, start=1)))
+        gf = recurrence_gf(taps, values[1:d + 1])
         for n in range(1, 151):
-            assert compositions._recurrence_term(taps, seeds, n) == values[n - 1], (taps, seeds, n)
+            width = min(n + 1, 1 + n % 4)
+            assert series._jump(gf, n, width) == values[n + 1 - width:n + 1], (taps, values[:d + 1], n)
 
 
 def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
@@ -363,7 +373,7 @@ def test_a_large_avoid_count_is_quick_and_matches_the_recurrence_mod_a_prime():
 def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
     routes = []
     # the jump to c(n - k..n) raises x to the power n - k - 1, k + 1 = len(taps)
-    monkeypatch.setattr(compositions, "_recurrence_power",
+    monkeypatch.setattr(series, "_recurrence_power",
                         lambda taps, e: routes.append(("jump", e + len(taps))) or [0])
     monkeypatch.setattr(compositions, "_avoiding_window", lambda n, k: routes.append(("window", n)) or [0])
     # the jump is the faster route for k = 30 at n = 340000, but its price is
@@ -396,8 +406,8 @@ def test_only_the_jump_keeps_its_window():
 
 def test_a_later_avoid_count_moves_where_its_steps_cost_less_than_the_jump(monkeypatch):
     routes = []
-    true_jump, true_move = compositions._avoiding_jump, compositions._move
-    monkeypatch.setattr(compositions, "_avoiding_jump", lambda k, n: routes.append("jump") or true_jump(k, n))
+    true_jump, true_move = series._jump, compositions._move
+    monkeypatch.setattr(series, "_jump", lambda gf, n, width: routes.append("jump") or true_jump(gf, n, width))
     monkeypatch.setattr(compositions, "_move", lambda window, steps, *recurrence:
                         routes.append("move") or true_move(window, steps, *recurrence))
     # 500 steps against a jump of about 790 additions at k = 5 and n = 12500,

@@ -133,6 +133,25 @@ def test_geometric_block_identity():
         assert (one_minus_z * block).coefficients == tuple(expected)
 
 
+@pytest.mark.parametrize("family", series.SERIES_FAMILIES)
+def test_the_jump_matches_the_long_division(family):
+    # n up to the last seed reads the long division; gf_leading_strict(1),
+    # whose numerator outruns its denominator, needs that at n = 1
+    for k in range(1, 13):
+        gf = series.SERIES_FAMILIES[family](k)
+        expansion = series.series_from_rational(gf, 300).coefficients
+        for n in range(301):
+            for width in {1, k + 1} & set(range(1, n + 2)):
+                assert series._jump(gf, n, width) == list(expansion[n + 1 - width:n + 1]), (k, n, width)
+
+
+def test_the_jump_refuses_what_it_cannot_read():
+    with pytest.raises(ValueError):  # its taps are the denominator's tail over a constant term of 1
+        series._jump(RationalGF((1,), (-1, 1)), 5)
+    with pytest.raises(ValueError):  # no coefficient before z^0
+        series._jump(series.gf_avoiding(3), 2, 4)
+
+
 # --- avoid / contain ----------------------------------------------------------
 
 def test_avoiding_gf_values():
