@@ -31,6 +31,15 @@ found in the block memo runs no counter, so it is not priced):
   last admitted orders take 0.24-0.31 s, 26-33 times under the price;
 - exactnum.bell, and exactnum._stirling_row behind stirling1 and
   stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
+- the listings, from the number of items each lists, before the first:
+  compositions.enumerate_compositions its count_restricted(n, k, bounds)
+  k-tuples, k + 10 operations each, all held at 8k + 64 bytes;
+  graphcomp.enumerate_graph_compositions Bell(n) set partitions, 9n
+  operations and n numbers held each; the Stirling sums of exactnum
+  C(n - 1, k - 1) compositions, 64 + b/32 operations each on numbers of
+  b = log2(n!) bits; its binomial sum p(n, k) partitions, 7k + 40
+  operations each, after the float table of n - k + 1 cells that counts
+  them at k additions a cell;
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: 16 Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
@@ -51,7 +60,8 @@ found in the block memo runs no counter, so it is not priced):
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
-split, 4 numbers held and 20 operations per vertex and edge, and hands each
+split, 4 numbers held and 20 operations per vertex and edge (as
+graphcomp.is_connected prices its search), and hands each
 block whose count is not in its memo of at most 4096 blocks of at most 64
 vertices to graphcomp._count_block, which prices each counter once and runs
 the series-parallel reductions where they are priced lowest, else (or where

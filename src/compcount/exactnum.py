@@ -154,7 +154,17 @@ def nested_parts(n: int, k: int, choices: Callable) -> Iterator[tuple[int, ...]]
 
 
 def _positive_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n, lexicographically."""
+    """Ordered k-tuples of positive integers summing to n, lexicographically.
+
+    The Stirling sums over them are priced first: C(n - 1, k - 1) tuples,
+    each 64 + b/32 operations on numbers of b = log2(n!) bits (fit to
+    stirling2_via_compositions, 4.2-555 us a tuple at n = 20-2000;
+    stirling1_via_compositions takes 0.5-0.8 times that to n = 200 and
+    0.2-0.5 times from n = 1000; CPython 3.11, 2-vCPU x86-64 guest)."""
+    with pricing(what := f"the compositions of {n} into {k} positive parts"):
+        bits = math.lgamma(n + 1) / math.log(2)
+        count = math.exp(math.lgamma(n) - math.lgamma(k) - math.lgamma(n - k + 1)) if 1 <= k <= n else 1
+        check_work(what, count * (64 + bits / 32), bits, held=k + 4, printed=0)
     return nested_parts(n, k, lambda rest, left, previous: range(1, rest - left + 2))
 
 
@@ -163,10 +173,7 @@ def stirling2_via_compositions(n: int, k: int) -> int:
     of splitting n into k positive summands, divided (exactly) by k!."""
     if n < 1 or k < 1:
         raise ValueError("requires n >= 1 and k >= 1")
-    total = 0
-    for parts in _positive_compositions(n, k):
-        total += multinomial(n, parts)
-    return exact_div(total, factorial(k))
+    return exact_div(sum(multinomial(n, parts) for parts in _positive_compositions(n, k)), factorial(k))
 
 
 def stirling1_via_compositions(n: int, k: int) -> int:
@@ -180,9 +187,7 @@ def stirling1_via_compositions(n: int, k: int) -> int:
 
     if n < 1 or k < 1:
         raise ValueError("requires n >= 1 and k >= 1")
-    total = Fraction(0)
-    for parts in _positive_compositions(n, k):
-        total += Fraction(1, math.prod(parts))
+    total = sum((Fraction(1, math.prod(parts)) for parts in _positive_compositions(n, k)), Fraction(0))
     result = Fraction(factorial(n), factorial(k)) * total
     if result.denominator != 1:
         raise ArithmeticError("reciprocal sum did not yield an integer")
@@ -205,7 +210,22 @@ def equal_block_partitions(eta: int, kappa: int, lam: int) -> int:
 def _partitions_into_k_parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing k-tuples of positive integers summing to n, in reverse
     lexicographic order: each part is at most the one before, and at least
-    the mean of what is left for it and the parts after it."""
+    the mean of what is left for it and the parts after it.
+
+    The multiplicity sum over them is priced first, from their number
+    p(n, k): the partitions of n - k into parts of at most k, counted in
+    floats one pass a part size 2..min(k, n - k) over a table of n - k + 1
+    cells, priced at k additions a cell (where the table is built, p(n, k)
+    is at least half its cells), then 7k + 40 operations a partition (fit
+    to 4.7-17 us a partition at k = 2-20 and n = 50-3000; CPython 3.11,
+    2-vCPU x86-64 guest)."""
+    cells = n - k + 1 if min(k, n - k) > 1 else 1
+    check_work(what := f"the partitions of {n} into {k} parts", k * cells, 64, held=cells, printed=0)
+    ways = [1.0] * cells
+    for size in range(2, min(k, cells - 1) + 1):
+        for total in range(size, cells):
+            ways[total] += ways[total - size]
+    check_work(what, ways[-1] * (7 * k + 40), 0, held=k + 4, printed=0)
 
     def choices(rest: int, left: int, previous: int | None) -> range:
         top = rest - left + 1 if previous is None else min(previous, rest - left + 1)
@@ -220,7 +240,4 @@ def binomial_via_partition_multiplicities(n: int, k: int) -> int:
     contributes k! / (m_1! m_2! ...), the number of its orderings."""
     if n < 1 or k < 1 or k > n:
         return 0
-    total = 0
-    for parts in _partitions_into_k_parts(n, k):
-        total += multinomial(k, Counter(parts).values())
-    return total
+    return sum(multinomial(k, Counter(parts).values()) for parts in _partitions_into_k_parts(n, k))

@@ -44,11 +44,13 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     sums of the leading totals' check about 7 top^2 ln(top) (1 us each at
     max_n = 25-200), the avoid/contain jump check about
     4e4 (last/64 + 1)^0.585 on last-bit numbers for last = max(40, top), the
-    series about 20 order^2 on order-bit numbers, in about 4 series of
-    order + 1 terms, for order = max(40, 2 max_n), and the check of their
-    printed text about 500 order more (1.0-1.3 times its time at
-    order = 196-1600). Left out: the 24 leading values at 4 order, jumped and
-    counted, 33 ms of the series' 2.6-3.4 s at max_n = 616, the largest."""
+    series about 20 order^2 on order-bit numbers, holding the 24 expansions
+    of _series_checks (four families, k = 1..6), the distinct total and z,
+    26 series of order + 1 terms, for order = max(40, 2 max_n), and the
+    check of their printed text about 500 order more (1.0-1.3 times its
+    time at order = 196-1600). Left out: the 24 leading values at 4 order,
+    jumped and counted, 33 ms of the series' 2.6-3.4 s at max_n = 616, the
+    largest."""
     top, order = 4 * max_n, max(40, 2 * max_n)
     operations = held = 0
     with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
@@ -57,7 +59,7 @@ def _check_suite_work(suite: str, max_n: int) -> None:
                           + 4e4 * (max(40, top) / 64 + 1) ** 0.585)
             held = top
         if suite in ("all", "series"):
-            operations, held = operations + 20 * order ** 2 + 500 * order, held + 4 * order
+            operations, held = operations + 20 * order ** 2 + 500 * order, held + 26 * (order + 1)
         check_work(what, operations, max(top, order), held=held, printed=0)
 
 

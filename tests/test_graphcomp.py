@@ -13,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compcount import errors, exactnum, graphcomp, verify
+from compcount import compositions, errors, exactnum, graphcomp, verify
 from compcount.errors import ResourceLimitError
 from compcount.graphcomp import GraphParseError, LabeledGraph
 
@@ -223,6 +223,16 @@ def test_is_connected_rejects_bad_subsets():
         graphcomp.is_connected(g, {5})
 
 
+def test_is_connected_searches_inside_the_subset_within_its_price():
+    g = path(100000)
+    assert graphcomp.is_connected(g, range(100000))
+    assert not graphcomp.is_connected(g, [0, 99999])
+    assert not graphcomp.is_connected(g, [v for v in range(100000) if v != 500])
+    assert graphcomp.is_connected(graphcomp.build_family("cycle", 6), [5, 0, 1])
+    with pytest.raises(ResourceLimitError, match="is_connected on 100000000 vertices needs"):
+        graphcomp.is_connected(LabeledGraph(10 ** 8), [0])
+
+
 # --- the subset DP -----------------------------------------------------------------
 
 def test_count_known_graphs():
@@ -391,9 +401,53 @@ def test_enumeration_matches_dp():
         )
 
 
-def test_enumeration_scale_guard():
-    with pytest.raises(ResourceLimitError):
-        graphcomp.enumerate_graph_compositions(path(11))
+class _Listed(Exception):
+    """Raised by a patched enumerator: the listing was priced and let through."""
+
+
+def _listed(*args):
+    raise _Listed
+
+
+def test_enumeration_scale_guard(monkeypatch):
+    # priced only: 11 vertices are admitted (K_11 lists in about 6.7 s), 12 refused
+    monkeypatch.setattr(graphcomp, "_set_partitions_masks", _listed)
+    for graph in (path(11), complete(11)):
+        with pytest.raises(_Listed):
+            graphcomp.enumerate_graph_compositions(graph)
+    for graph in (path(12), complete(12), LabeledGraph(40)):
+        with pytest.raises(ResourceLimitError, match=f"the set partitions of {graph.vertex_count} vertices needs"):
+            graphcomp.enumerate_graph_compositions(graph)
+
+
+@pytest.mark.parametrize("listing, args", [
+    (compositions.enumerate_compositions, (8, 24)),
+    (exactnum.stirling2_via_compositions, (60, 30)),
+    (exactnum.stirling1_via_compositions, (60, 30)),
+    (exactnum.binomial_via_partition_multiplicities, (200, 15)),
+    (graphcomp.enumerate_graph_compositions, (path(12),)),
+], ids=["compositions", "stirling2", "stirling1", "binomial", "graph"])
+def test_over_budget_listings_are_refused_before_their_first_item(monkeypatch, listing, args):
+    monkeypatch.setattr(exactnum, "nested_parts", _listed)
+    monkeypatch.setattr(graphcomp, "_set_partitions_masks", _listed)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="needs an estimated .* over the budget of"):
+        listing(*args)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_graph_listing_refusal_moves_with_the_budget(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e7)
+    assert len(graphcomp.enumerate_graph_compositions(path(8))) == 2 ** 7
+    with pytest.raises(ResourceLimitError, match="the set partitions of 9 vertices needs"):
+        graphcomp.enumerate_graph_compositions(path(9))
+    # no vertex cap is left: within a larger budget, 12 and 13 vertices are listed
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e12)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1e12)
+    monkeypatch.setattr(graphcomp, "_set_partitions_masks", _listed)
+    for n in (12, 13):
+        with pytest.raises(_Listed):
+            graphcomp.enumerate_graph_compositions(path(n))
 
 
 def test_complete_bipartite_two_three():
