@@ -28,14 +28,16 @@ found in the block memo runs no counter, so it is not priced):
   coefficients of at most order bits, each one product per factor or
   denominator term, all printed. A Decimal prints in time linear in its
   digits, so the printing term (2 w^2) over-prices family_decimals, whose
-  last admitted orders take 0.24-0.31 s, 26-33 times under the price;
+  last admitted orders (about 15,900) print in 0.21-0.23 s as a command,
+  35-38 times under the price, with nothing kept;
 - exactnum.bell, and exactnum._stirling_row behind stirling1 and
   stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - the listings, from the number of items each lists, before the first:
   compositions.enumerate_compositions its count_restricted(n, k, bounds)
   k-tuples, k + 10 operations each, all held at 8k + 64 bytes;
   graphcomp.enumerate_graph_compositions Bell(n) set partitions, 9n
-  operations and n numbers held each; the Stirling sums of exactnum
+  operations and n numbers held each, first at the lower bound 2^(n-1) so
+  that a refused listing finds no Bell number; the Stirling sums of exactnum
   C(n - 1, k - 1) compositions, 64 + b/32 operations each on numbers of
   b = log2(n!) bits; its binomial sum p(n, k) partitions, 7k + 40
   operations each, after the float table of n - k + 1 cells that counts
@@ -75,7 +77,7 @@ first character over the budget. verify.run_suite prices the checks that
 grow with max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
 bounded-part DP, 7 (4 max_n)^2 ln(4 max_n) for the per-first-part sums that
 check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for
-the avoid/contain jump check, 20 order^2 + 500 order for the series. A size
+the avoid/contain jump check, 20 order^2 + 1000 order for the series. A size
 past the range of a float (about 10^308) is refused where its estimate
 overflows.
 """

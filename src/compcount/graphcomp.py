@@ -671,9 +671,17 @@ def enumerate_graph_compositions(graph: LabeledGraph) -> list[tuple[tuple[int, .
     where every partition is kept: Bell(n) partitions, 9n operations and n
     held numbers each (fit to 7.9-11.6 us and 298-389 traced bytes a
     partition at n = 9-11; CPython 3.11, 2-vCPU x86-64 guest), so 11
-    vertices are listed and 12 refused."""
-    n, count = graph.vertex_count, exactnum.bell(graph.vertex_count)
-    check_work(f"the set partitions of {n} vertices", count * 9 * n, 0, held=count * n, printed=0)
+    vertices are listed and 12 refused. The price is first checked at
+    2^(n-1) partitions, the interval partitions of a path, which Bell(n) is
+    at least, so a listing refused there is refused before Bell(n) is found."""
+    n, what = graph.vertex_count, f"the set partitions of {graph.vertex_count} vertices"
+
+    def check(count):
+        check_work(what, count * 9 * n, 0, held=count * n, printed=0)
+
+    with pricing(what):
+        check(2.0 ** (n - 1))
+    check(exactnum.bell(n))
     nbr = graph.neighbor_masks()
     return sorted(tuple(sorted(map(_mask_vertices, blocks))) for blocks in _set_partitions_masks(n)
                   if all(_mask_connected(block, nbr) for block in blocks))

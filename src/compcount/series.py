@@ -117,32 +117,55 @@ def series_from_rational(gf: RationalGF, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(_long_division(gf.numerator, gf.denominator, order, 0)))
 
 
-def _long_division(num, den, order: int, zero) -> list:
-    """Coefficients 0..order of num / den by long division.
-
-    With denominator d_0 + d_1 z + ... the coefficients satisfy
-    c_m = (num_m - sum_{j>=1} d_j c_{m-j}) / d_0, and d_0 = +-1 keeps every
-    step in the integers. The steps are sums, products and negations, so
-    they run exactly on ints, and on Decimals in an exact context; `zero` is
-    the 0 of the terms' type. The sum runs over the nonzero d_j only, so a
-    sparse denominator such as 1 - 2z + z^k costs O(order) steps, not
-    O(order k).
-    """
+def _long_division(num, den, order: int, zero, known: list | None = None) -> list:
+    """Coefficients 0..order of num / den by long division (_divide), as a
+    new list, or as `known` extended in place where it holds the first of
+    them: family_decimals continues the series it keeps that way, and
+    divides a fresh contain series by its two denominator factors in turn
+    over one list. The steps are additions, products and negations, so they
+    run exactly on ints, and on Decimals in an exact context; `zero` is the
+    0 of the terms' type."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    coeffs = [] if known is None else known
+    start = len(coeffs)
+    coeffs += num[start: order + 1]
+    coeffs += [zero] * (order + 1 - len(coeffs))
+    _divide(coeffs, den, start)
+    return coeffs
+
+
+def _divide(coeffs: list, den, start: int) -> None:
+    """Divide coeffs by den in place from index start on, below which they
+    already hold the quotient; from start on they hold the dividend.
+
+    With denominator d_0 + d_1 z + ... the quotient satisfies
+    c_m = (num_m - sum_{j>=1} d_j c_{m-j}) / d_0, and d_0 = +-1 keeps every
+    step in the integers. The sum runs over the nonzero d_j only, so a
+    sparse denominator such as 1 - 2z + z^k costs O(order) steps, not
+    O(order k); a d_j of 1, -1 or -2 (every composition series has -2 at
+    z^1) is applied by adding or subtracting c_{m-j}, the others by a
+    product.
+    """
     lead = den[0]
     if lead not in (1, -1):
         raise ValueError("denominator constant term must be +1 or -1 for integer expansion")
-    terms = [(j, d) for j, d in enumerate(den) if j and d]
-    coeffs = list(num[: order + 1]) + [zero] * (order + 1 - len(num))
-    for m in range(order + 1):
+    taps = [(j, -d) for j, d in enumerate(den) if j and d]
+    for m in range(start, len(coeffs)):
         acc = coeffs[m]
-        for j, d in terms:
+        for j, d in taps:
             if j > m:
                 break
-            acc -= d * coeffs[m - j]
+            c = coeffs[m - j]
+            if d == 1:
+                acc += c
+            elif d == -1:
+                acc -= c
+            elif d == 2:
+                acc += c + c
+            else:
+                acc += d * c
         coeffs[m] = acc if lead == 1 else -acc
-    return coeffs
 
 
 def _jump(gf: RationalGF, n: int, width: int = 1) -> list[int]:
@@ -200,18 +223,6 @@ def _exact_context():
     return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                            traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
                                   decimal.InvalidOperation])
-
-
-def _decimal_expansion(gf: RationalGF, order: int) -> list:
-    """series_from_rational's coefficients as decimal.Decimal, by the same
-    long division in _exact_context. An int converts to decimal text in time
-    quadratic in its digits, a Decimal in linear time, so this is the route
-    of a series that is to be printed."""
-    from decimal import Decimal, localcontext
-
-    with localcontext(_exact_context()):
-        return _long_division([*map(Decimal, gf.numerator)], [*map(Decimal, gf.denominator)],
-                              order, Decimal(0))
 
 
 def gf_all_compositions() -> RationalGF:
@@ -278,27 +289,61 @@ def _check_expansion(what: str, order: int, terms: int) -> None:
     check_work(what, size * max(terms, 1), size, held=size, printed=size)
 
 
-def _family_gf(family: str, k: int, order: int) -> RationalGF:
-    """The SERIES_FAMILIES series with parameter k, once its coefficients
-    0..order are priced. It is priced before its dense polynomials are built,
-    at the terms of k = 3, where no two exponents collide, so no k has more.
-    Every exponent that depends on k is at least k, so a k past order + 1 is
-    built as order + 1, which changes no coefficient up to z^order."""
+def _family_k(family: str, k: int, order: int) -> int:
+    """The parameter k of the SERIES_FAMILIES series whose coefficients
+    0..order are asked for, once they are priced. They are priced before the
+    series' dense polynomials are built, at the terms of k = 3, where no two
+    exponents collide, so no k has more. Every exponent that depends on k is
+    at least k, so a k past order + 1 is taken as order + 1, which changes no
+    coefficient up to z^order."""
     terms = sum(1 for d in SERIES_FAMILIES[family](3).denominator[1:] if d)
     _check_expansion(f"the {family} series with k = {k} to order {order}", order, terms)
-    return SERIES_FAMILIES[family](min(k, max(order, 0) + 1))
+    return min(k, max(order, 0) + 1)
 
 
 def family_series(family: str, k: int, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the SERIES_FAMILIES series with parameter k,
     by long division over the nonzero denominator terms."""
-    return _family_gf(family, k, order).expand(order)
+    return SERIES_FAMILIES[family](_family_k(family, k, order)).expand(order)
 
 
 def family_decimals(family: str, k: int, order: int) -> list:
     """family_series's coefficients as decimal.Decimal, priced the same way,
-    for printing (see _decimal_expansion)."""
-    return _decimal_expansion(_family_gf(family, k, order), order)
+    in a new list: the same long division in _exact_context. An int converts
+    to decimal text in time quadratic in its digits, a Decimal in linear
+    time, so this is the route of a series that is to be printed.
+
+    _LAST["decimals"] keeps the series last asked for (after the k clamp of
+    _family_k) and the most coefficients found for it. A call for the same
+    series reads a prefix of them, or divides only for the terms it lacks;
+    any other series starts afresh and takes their place. The price assumes
+    nothing is kept. A fresh contain series is divided by gf_avoiding's
+    denominator D, then by 1 - 2z over the same list: the taps -2, 1 and -1
+    of D and the -2 of 1 - 2z are additions, where its product's 4, -4, -3
+    and 2 are products (see gf_containing).
+    """
+    from decimal import Decimal, localcontext
+
+    k = _family_k(family, k, order)
+    gf = SERIES_FAMILIES[family](k)
+    kept_gf, coeffs = _LAST.pop("decimals", (None, None))
+    numerator, zero = [*map(Decimal, gf.numerator)], Decimal(0)
+    with localcontext(_exact_context()):
+        if gf == kept_gf:
+            _long_division(numerator, gf.denominator, order, zero, coeffs)
+        elif family == "contain":
+            coeffs = _long_division(numerator, gf_avoiding(k).denominator, order, zero)
+            _divide(coeffs, (1, -2), 0)
+        else:
+            coeffs = _long_division(numerator, gf.denominator, order, zero)
+    _LAST["decimals"] = (gf, coeffs)
+    return coeffs[: order + 1]
+
+
+# The coefficients last found by family_decimals, which no price reads. A
+# call takes them out while it works, so one interrupted midway leaves no
+# half-extended list behind.
+_LAST: dict[str, tuple] = {}
 
 
 def gf_distinct_total(order: int) -> TruncatedSeries:

@@ -47,10 +47,10 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     series about 20 order^2 on order-bit numbers, holding the 24 expansions
     of _series_checks (four families, k = 1..6), the distinct total and z,
     26 series of order + 1 terms, for order = max(40, 2 max_n), and the
-    check of their printed text about 500 order more (1.0-1.3 times its
-    time at order = 196-1600). Left out: the 24 leading values at 4 order,
-    jumped and counted, 33 ms of the series' 2.6-3.4 s at max_n = 616, the
-    largest."""
+    check of their printed text, each series at order - 1 and at order,
+    about 1000 order more (1.5-2.1 times its time at order = 196-1600).
+    Left out: the 24 leading values at 4 order, jumped and counted, about
+    33 ms of the series' 2.3-3.9 s at max_n = 611, the largest."""
     top, order = 4 * max_n, max(40, 2 * max_n)
     operations = held = 0
     with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
@@ -59,7 +59,7 @@ def _check_suite_work(suite: str, max_n: int) -> None:
                           + 4e4 * (max(40, top) / 64 + 1) ** 0.585)
             held = top
         if suite in ("all", "series"):
-            operations, held = operations + 20 * order ** 2 + 500 * order, held + 26 * (order + 1)
+            operations, held = operations + 20 * order ** 2 + 1000 * order, held + 26 * (order + 1)
         check_work(what, operations, max(top, order), held=held, printed=0)
 
 
@@ -211,6 +211,7 @@ def _series_checks(max_n: int) -> list[Check]:
     z = series.TruncatedSeries((0, 1) + (0,) * (order - 1))
     by_k = [(k, n) for k in range(1, 7) for n in range(order + 1)]
     leading = (series.gf_leading_strict, series.gf_leading_weak)
+    series._LAST.clear()
     return [
         # past the expansions the jump reads them, at 4 order, where weak k >= 7 take the binomial route
         _agree("leading-summand series match the recurrences", by_k + [(k, 4 * order) for k in range(1, 13)],
@@ -230,11 +231,13 @@ def _series_checks(max_n: int) -> list[Check]:
         _agree("both denominator forms of the strict gf agree", [(k,) for k in range(2, 7)],
                lambda k: series.RationalGF((0,) * k + (1,), (1,) + (-1,) * (k - 1)).expand(order),
                strict.get, "k={}".format),
+        # each series at order - 1, then continued to order (k = order + 2 is clamped to a new series)
         _agree("printed series match the int expansion",
-               [(family, k) for family in series.SERIES_FAMILIES for k in (*range(1, 7), order + 2)],
-               lambda family, k: list(map(str, series.family_decimals(family, k, order))),
-               lambda family, k: list(map(str, series.family_series(family, k, order).coefficients)),
-               "{} k={}".format),
+               [(family, k, n) for family in series.SERIES_FAMILIES for k in (*range(1, 7), order + 2)
+                for n in (order - 1, order)],
+               lambda family, k, n: list(map(str, series.family_decimals(family, k, n))),
+               lambda family, k, n: list(map(str, series.family_series(family, k, n).coefficients)),
+               "{} k={} order={}".format),
     ]
 
 

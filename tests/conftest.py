@@ -17,8 +17,10 @@ def nothing_kept_from_an_earlier_test():
     """Start and leave each test with no values kept by the counters that
     continue from their last call, so that no test that pins a route or a
     step count depends on the tests before it."""
-    from compcount import compositions
+    from compcount import compositions, series
 
     compositions._LAST.clear()
+    series._LAST.clear()
     yield
     compositions._LAST.clear()
+    series._LAST.clear()

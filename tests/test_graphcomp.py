@@ -420,6 +420,16 @@ def test_enumeration_scale_guard(monkeypatch):
             graphcomp.enumerate_graph_compositions(graph)
 
 
+def test_a_listing_refused_at_its_lower_bound_never_finds_its_bell_number(monkeypatch):
+    # Bell(n) >= 2^(n-1): 40 vertices are refused at that bound, before Bell(40)
+    monkeypatch.setattr(exactnum, "bell", _listed)
+    with pytest.raises(ResourceLimitError, match="the set partitions of 40 vertices needs"):
+        graphcomp.enumerate_graph_compositions(LabeledGraph(40))
+    for n in (2769, 10 ** 400):
+        with pytest.raises(ResourceLimitError, match="too large to price"):
+            graphcomp.enumerate_graph_compositions(LabeledGraph(n))
+
+
 @pytest.mark.parametrize("listing, args", [
     (compositions.enumerate_compositions, (8, 24)),
     (exactnum.stirling2_via_compositions, (60, 30)),

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from compcount import compositions, series
+from compcount import compositions, errors, series
+from compcount.errors import ResourceLimitError
 from compcount.series import RationalGF, TruncatedSeries
 
 
@@ -235,13 +236,20 @@ def test_expansion_is_multiplicative(na, nb, da, db, flip_a, flip_b):
 
 # --- the fast routes against the routes they replaced -------------------------
 
+def decimal_division(gf, order):
+    """gf's coefficients 0..order as Decimals, by one long division over its
+    whole denominator."""
+    with decimal.localcontext(series._exact_context()):
+        return series._long_division([*map(Decimal, gf.numerator)], gf.denominator, order, Decimal(0))
+
+
 @given(num=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
        den=st.lists(st.integers(min_value=-4, max_value=4), max_size=6),
        lead=st.sampled_from((1, -1)), order=st.integers(min_value=0, max_value=30))
 @example(num=[0, 1, 0], den=[], lead=-1, order=4)  # zeros negated
 def test_the_decimal_division_matches_the_int_one(num, den, lead, order):
     gf = RationalGF(tuple(num), (lead, *den))
-    decimals = series._decimal_expansion(gf, order)
+    decimals = decimal_division(gf, order)
     assert all(isinstance(value, Decimal) for value in decimals)
     # equal text, so no zero prints as -0
     assert list(map(str, decimals)) == list(map(str, series.series_from_rational(gf, order).coefficients))
@@ -304,3 +312,91 @@ def test_a_k_past_the_order_changes_no_coefficient(family):
     for order in range(8):
         for k in range(order + 1, order + 5):
             assert series.family_series(family, k, order) == series.SERIES_FAMILIES[family](k).expand(order)
+
+
+# --- printed series continued from the last expansion ----------------------------
+
+def as_text(values):
+    return list(map(str, values))
+
+
+def test_a_walk_of_printed_series_matches_the_int_expansions():
+    # orders that go up, down, repeat and jump, k past order + 1, families switching
+    rng = Random(40)
+    family, k, order = "avoid", 3, 10
+    for _ in range(300):
+        move = rng.random()
+        if move < 0.15:
+            family = rng.choice(sorted(series.SERIES_FAMILIES))
+        elif move < 0.3:
+            k = rng.choice((1, 2, 3, 5, 8, 12, order + 1, order + 2, 10 ** 6))
+        order = max(0, rng.choice((order, order + 1, order + 2, order - 1, order - 7, order + 30,
+                                   rng.randrange(120))))
+        assert as_text(series.family_decimals(family, k, order)) == \
+            as_text(series.family_series(family, k, order).coefficients), (family, k, order)
+
+
+def test_an_interrupted_extension_leaves_the_next_call_correct(monkeypatch):
+    real = series._divide
+
+    def divide_then_no_memory(coeffs, den, start):
+        real(coeffs, den, start)
+        coeffs[-1] += 1  # the list is left wrong, as a half-finished division would leave it
+        raise MemoryError
+
+    expected = as_text(series.family_series("fweak", 4, 90).coefficients)
+    assert as_text(series.family_decimals("fweak", 4, 60)) == expected[:61]
+    monkeypatch.setattr(series, "_divide", divide_then_no_memory)
+    with pytest.raises(MemoryError):
+        series.family_decimals("fweak", 4, 90)
+    assert series._LAST == {}
+    monkeypatch.setattr(series, "_divide", real)
+    for order in (90, 60, 75):
+        assert as_text(series.family_decimals("fweak", 4, order)) == expected[:order + 1]
+
+
+def test_the_last_series_keeps_its_most_coefficients_and_divides_only_those_it_lacks(monkeypatch):
+    divided = []
+    real = series._divide
+
+    def recorded(coeffs, den, start):
+        divided.append((start, len(coeffs)))
+        real(coeffs, den, start)
+
+    monkeypatch.setattr(series, "_divide", recorded)
+    for order in (30, 40, 20, 41):
+        printed = series.family_decimals("avoid", 5, order)
+    assert divided == [(0, 31), (31, 41), (41, 41), (41, 42)]
+    kept_gf, kept = series._LAST["decimals"]
+    assert kept_gf == series.gf_avoiding(5) and len(kept) == 42
+    assert printed == kept and printed is not kept
+    printed[3] = Decimal(-1)  # the caller's list is its own
+    assert series.family_decimals("avoid", 5, 3)[3] == series.family_series("avoid", 5, 3)[3]
+    # another series replaces it; a k past order + 1 is kept as order + 1, so
+    # contain with k = 10^6 at order 10 and with k = 11 are the same series
+    divided.clear()
+    series.family_decimals("contain", 10 ** 6, 10)
+    assert series._LAST["decimals"][0] == series.gf_containing(11)
+    assert [start for start, _ in divided] == [0, 0]  # by D, then by 1 - 2z
+    series.family_decimals("contain", 11, 12)
+    assert divided[2:] == [(11, 13)] and len(series._LAST["decimals"][1]) == 13
+    # at order 12, k = 10^6 is k = 13: a different series, found afresh
+    series.family_decimals("contain", 10 ** 6, 12)
+    assert series._LAST["decimals"][0] == series.gf_containing(13) and divided[3:] == [(0, 13), (0, 13)]
+
+
+def test_a_kept_series_is_priced_as_if_nothing_were_kept(monkeypatch):
+    series.family_decimals("contain", 4, 2000)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e5)
+    with pytest.raises(ResourceLimitError):
+        series.family_decimals("contain", 4, 1999)
+    assert series._LAST["decimals"][0] == series.gf_containing(4)  # a refusal takes nothing out
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_factored_contain_division_matches_the_product_denominator(k):
+    for order in (0, k - 1, k, k + 2, 300):
+        series._LAST.clear()
+        factored = series.family_decimals("contain", k, order)
+        assert all(isinstance(value, Decimal) for value in factored)
+        assert as_text(factored) == as_text(decimal_division(series.gf_containing(min(k, order + 1)), order))
