@@ -172,7 +172,7 @@ def routed_counter(n, edges):
             return count
         return run
 
-    graphcomp._block_counts.clear()
+    errors.forget()
     try:
         for name in counters:
             setattr(graphcomp, name, recording(name))
@@ -180,7 +180,6 @@ def routed_counter(n, edges):
     finally:
         for name, original in originals.items():
             setattr(graphcomp, name, original)
-        graphcomp._block_counts.clear()
     (route,) = counted
     return route
 

@@ -15,7 +15,7 @@ from itertools import chain
 
 from . import VERIFY_SUITES, compositions, graphcomp, series
 from .compositions import PartBounds
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, memo
 from .graphcomp import GraphParseError
 
 TRIANGLE_KIND_FLAGS = {"pi": compositions.PARTITIONS_DISTINCT,
@@ -119,10 +119,6 @@ COMMANDS = (
 )
 GROUPS = {"count": "composition counters", "graph": "graph composition counting"}
 
-# The parser of _run, built on its first call and reused: parsing leaves it
-# unchanged, and building it costs about 2 ms a query.
-_parser: argparse.ArgumentParser | None = None
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -145,6 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
         keys = tuple(flag[2:] for flag, options in flags if options.get("action") != "store_true")
         p.set_defaults(handler=handler, words=" ".join(words), keys=keys)
     return parser
+
+
+# The parser of _run, built on its first call and reused: parsing leaves it
+# unchanged, and building it costs about 2 ms a query.
+_parser = memo(1)(build_parser)
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
@@ -258,11 +259,8 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def _run(argv: list[str], out, err) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

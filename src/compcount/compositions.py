@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import lshift
 
 from . import exactnum, series
-from .errors import Frozen, ResourceLimitError, check_work, pricing
+from .errors import KEPT, Frozen, ResourceLimitError, check_work, pricing
 
 Composition = tuple[int, ...]
 
@@ -127,10 +127,6 @@ def _count_by_dp(n: int, k: int, lower: int, upper: int | None) -> int:
     return ways[n]
 
 
-# The unordered (False) and ordered (True) distinct-part tables, grown on demand.
-_DISTINCT_ROWS: dict[bool, list[tuple[int, ...]]] = {False: [(1,)], True: [(1,)]}
-
-
 def _distinct_table_size(last_row: int) -> tuple[float, float]:
     """Entries of the distinct-part table up to last_row (about 0.94 n^1.5),
     and a bound on their bits: k! e^(pi sqrt(n/3)) for the largest k."""
@@ -147,15 +143,13 @@ def _distinct_rows(last_row: int, ordered: bool) -> list[tuple[int, ...]]:
     k distinct parts (smallest part was > 1) or leaves k-1 (smallest part was
     exactly 1); for ordered counts the reattached unit part can sit in any of
     the k positions. Row m stops at the largest k with k(k+1)/2 <= m, the
-    least sum of k distinct parts, since every later entry is zero. Each table
-    grows to the largest row asked for, at the cost of the rows it adds only:
-    about 0.94 n^1.5 entries up to row n. The work is priced as if the table
-    were empty, so a refusal does not depend on the queries before it.
-    """
+    least sum of k distinct parts, since every later entry is zero. Each
+    table, kept under its triangle kind, grows to the largest row asked for,
+    at the cost of the rows it adds only, priced as if it were empty."""
     with pricing(what := f"the distinct-part table to row {last_row}"):
         entries, bits = _distinct_table_size(last_row)
         check_work(what, entries, bits, held=entries)
-    rows = _DISTINCT_ROWS[ordered]
+    rows = KEPT.setdefault(COMPOSITIONS_DISTINCT if ordered else PARTITIONS_DISTINCT, [(1,)])
     for m in range(len(rows), last_row + 1):
         row = [0]
         for k in range(1, exactnum.triangular_root(m) + 1):
@@ -258,15 +252,12 @@ def _leading_total(n: int) -> int:
     window recurrence for each m below _by_window's crossover; from m0, the
     first m past it, each a(n - m) - a(n - m - 1) of _fibonacci_higher's
     binomial form, summed by column, one for each count q - 1 of oversize
-    parts at n and at n - 1, the columns alternating in sign with q.
-
-    _LAST["leading"] keeps the last n's windows, at most m0, and its column
-    sums at n and n - 1 by (size, m0), about 2n/m0. A later call moves each
-    window |n - last| steps where that is fewer than its n - m from scratch,
-    and sums only the columns it lacks.
-    """
+    parts at n and at n - 1, the columns alternating in sign with q. A later
+    call moves each window kept from the last n |n - last| steps where that
+    is fewer than its n - m from scratch, and sums only the columns (by size
+    and m0) that it lacks."""
     m0 = _leading_crossover(n)
-    last, kept, columns = _LAST.pop("leading", (n, {}, {}))
+    last, kept, columns = KEPT.pop("leading", (n, {}, {}))
     windows = {m: _move(kept[m], n - last, *_FIBONACCI_STEPS) if m in kept and abs(n - last) < n - m
                else _fibonacci_window(m, n - m) for m in range(1, m0)}
     tops = (n + 1) // (m0 + 1)
@@ -278,7 +269,7 @@ def _leading_total(n: int) -> int:
     for q, (now, before) in enumerate(zip(sums[n, m0], sums[n - 1, m0]), start=1):
         column = now - before
         total += column if q % 2 else -column
-    _LAST["leading"] = (n, windows, sums)
+    KEPT["leading"] = (n, windows, sums)
     return total
 
 
@@ -309,16 +300,12 @@ def count_avoiding(n: int, k: int) -> int:
     which the test suite pins down. Below the crossover of _by_jump,
     series._jump reads c(n - k..n) off gf_avoiding(k); above it, the
     hand-written _avoiding_window runs the recurrence to n. Each route is
-    priced as it runs, as if nothing were kept. The jump's price, 3 (k+1)^2
-    Karatsuba products on n bits, was 1.1-2.6 times its time at
-    n = 3000-300000 and k = 2-9, the window's 0.6-1.3 times its own, so near
-    both the crossover and the budget the window runs where only its price
-    fits.
-
-    _LAST["avoiding"] keeps c(n - k..n) of the last n that took the jump,
-    about 1.4 MB at most within its price; the window route keeps nothing,
-    as its k may reach n. A later call with the same k that would take the
-    jump moves them |n - last| steps instead, up or down, where those steps'
+    priced as it runs. The jump's price, 3 (k+1)^2 Karatsuba products on n
+    bits, was 1.1-2.6 times its time at n = 3000-300000 and k = 2-9, the
+    window's 0.6-1.3 times its own, so near both the crossover and the budget
+    the window runs where only its price fits. Only the jump keeps its values
+    (the window's k may reach n); a later call with the same k that would take
+    the jump moves them |n - last| steps, up or down, where those steps'
     additions of n bits number fewer than _jump_cost(k, n).
     """
     if k < 1:
@@ -337,19 +324,14 @@ def count_avoiding(n: int, k: int) -> int:
             check_work(what, n, n, held=min(k, n) + 1)
     if not jump:
         return _avoiding_window(n, k)[-1]
-    last_k, last, window = _LAST.pop("avoiding", (0, 0, None))
+    last_k, last, window = KEPT.pop("avoiding", (0, 0, None))
     if k == last_k and abs(n - last) < _jump_cost(k, n):
         window = _move(window, n - last, *_AVOIDING_STEPS)
     else:
         window = deque(series._jump(series.gf_avoiding(k), n, k + 1), maxlen=k + 1)
-    _LAST["avoiding"] = (k, n, window)
+    KEPT["avoiding"] = (k, n, window)
     return window[-1]
 
-
-# Exact values kept from the last call of count_avoiding and _leading_total,
-# which no price reads. A call takes its entry out while it works, so one
-# interrupted midway leaves no half-moved window behind.
-_LAST: dict[str, tuple] = {}
 
 # The terms after and before a window of a recurrence's last values, the
 # second solved for the term that the first reads last (its tap is 1 or -1).

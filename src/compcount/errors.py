@@ -1,8 +1,8 @@
-"""Exceptions shared across the package, the work guard of the counters, and
-the frozen base of the package's value classes.
+"""Exceptions shared across the package, the work guard of the counters, the
+store of values kept between calls, and the frozen base of the value classes.
 
 Each counter calls check_work before its loops start, with an estimate from
-its arguments alone, never from what a cache already holds (a graph block
+its arguments alone, never from what KEPT or a memo holds (a graph block
 found in the block memo runs no counter, so it is not priced):
 
 - the distinct-part table to row n (compositions._distinct_rows): about
@@ -30,8 +30,8 @@ found in the block memo runs no counter, so it is not priced):
   digits, so the printing term (2 w^2) over-prices family_decimals, whose
   last admitted orders (about 15,900) print in 0.21-0.23 s as a command,
   35-38 times under the price, with nothing kept;
-- exactnum.bell, and exactnum._stirling_row behind stirling1 and
-  stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
+- exactnum.bell_numbers and exactnum._stirling_row, behind bell, stirling1
+  and stirling2: n(n+1)/2 additions of n log2(n+1) bits over the triangle rows;
 - the listings, from the number of items each lists, before the first:
   compositions.enumerate_compositions its count_restricted(n, k, bounds)
   k-tuples, k + 10 operations each, all held at 8k + 64 bytes;
@@ -63,15 +63,14 @@ found in the block memo runs no counter, so it is not priced):
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge (as
-graphcomp.is_connected prices its search), and hands each
-block whose count is not in its memo of at most 4096 blocks of at most 64
-vertices to graphcomp._count_block, which prices each counter once and runs
+graphcomp.is_connected prices its search), and hands each block that its
+memo lacks to graphcomp._count_block, which prices each counter once and runs
 the series-parallel reductions where they are priced lowest, else (or where
 they stall) the DP of the lower price, and refuses the block where the price
 of the counter it picks is over the budget: a memo hit does no work and is
 not priced again, and a refused block is not kept. On n vertices of which
-some are universal, the subset DP also prices its Bell sum as
-exactnum.bell(n), whose numbers it reads. graphcomp.read_edge_list prices an
+some are universal, the subset DP also prices its Bell sum by
+exactnum.bell_numbers(n), whose numbers it reads. graphcomp.read_edge_list prices an
 edge-list file at 36 bytes held a character, and reads no further than the
 first character over the budget. verify.run_suite prices the checks that
 grow with max_n: 0.9 (4 max_n)^3 operations for the leading totals and the
@@ -80,9 +79,34 @@ check the leading totals' column sums, about 4e4 (max_n/16 + 1)^0.585 for
 the avoid/contain jump check, 20 order^2 + 1000 order for the series. A size
 past the range of a float (about 10^308) is refused where its estimate
 overflows.
+
+Every value kept from one call to the next is an entry of KEPT, taken out
+(pop) while a call works and put back when done, or grown in place
+(setdefault) a whole row at a time, so that an interrupted call leaves
+nothing half-changed. Each is bounded by the largest call the budget admits:
+
+- "avoiding": count_avoiding's k and c(n - k..n) at the last n that took
+  the jump, at most 1.4 MB (13 numbers of 826,000 bits);
+- "leading": the leading totals' windows at the last n, one for each first
+  part below the crossover m0, and their column sums at n and n - 1, about
+  2n/m0 numbers, at most 1.1 MB (n = 9029);
+- "decimals": family_decimals's last series (k clamped) and the most Decimal
+  coefficients found for it, at most 18 MB (contain at order 15,896);
+- "partitions-distinct", "compositions-distinct": the distinct-part tables'
+  rows up to the largest n asked, about 0.95 n^1.5 entries;
+- "stirling1", "stirling2": the last Stirling row built of each kind, and n;
+- "bell": Bell(0..n) and row n of the Bell triangle, for the largest n
+  asked, in one entry so that the two stay in step;
+- "blocks": reduce_and_count's block memo, at most 4096 counts of blocks of
+  at most 64 vertices, about 3 MB.
+
+Memos are lru_caches registered by memo(): exactnum.bell (16 entries),
+graphcomp._successors (4096, 3.0-3.6 MB), graphcomp._state_bounds and
+cli._parser (1 each); forget() empties them and KEPT, as in a new process.
 """
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 # Work is counted in word steps: a big-integer operation costs OP_STEPS plus
 # one per 64-bit word of its operands, and printing a number of w words about
@@ -92,6 +116,25 @@ from contextlib import contextmanager
 OP_STEPS = 25
 WORK_BUDGET = 2e9
 MEMORY_BUDGET = 1e9
+
+
+KEPT: dict = {}
+_MEMOS: list = []  # filled as their modules are imported
+
+
+def memo(maxsize: int):
+    """functools.lru_cache(maxsize), registered so that forget() clears it."""
+    def register(function):
+        _MEMOS.append(lru_cache(maxsize)(function))
+        return _MEMOS[-1]
+    return register
+
+
+def forget() -> None:
+    """Drop every value kept between calls: the entries of KEPT and every memo."""
+    KEPT.clear()
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 class Frozen:

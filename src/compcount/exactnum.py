@@ -10,10 +10,9 @@ accumulated as exact ``fractions.Fraction`` values, never floats.
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from functools import lru_cache
 from itertools import accumulate
 
-from .errors import check_work, pricing
+from .errors import KEPT, check_work, memo, pricing
 
 
 def exact_div(numerator: int, divisor: int) -> int:
@@ -60,45 +59,37 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     return result
 
 
-# Bell numbers 0..len-1 and the last Bell-triangle row, which starts with the last.
-_BELLS = [1]
-_BELL_ROW = [1]
-
-
-@lru_cache(maxsize=16)
+@memo(16)
 def bell(n: int) -> int:
-    """Number of set partitions of an n-element set; bell(0) == 1.
+    """Number of set partitions of an n-element set; bell(0) == 1."""
+    return bell_numbers(n)[n] if n >= 0 else 0
 
-    Row m of the Bell triangle starts with Bell(m), the last entry of row
-    m - 1, and adds the entry above at every step. The numbers found so far
-    and the last row are kept, so a larger n costs only the rows it adds.
-    The work is priced as if no row were kept: n(n+1)/2 additions of numbers
-    of at most n log2(n+1) bits, two rows held at once.
-    """
-    if n < 0:
-        return 0
+
+def bell_numbers(n: int) -> list[int]:
+    """Bell(0..n) at least, for n >= 0, as the kept list, which the caller
+    reads only. Row m of the Bell triangle starts with Bell(m), the last
+    entry of row m - 1, and adds the entry above at every step; a larger n
+    adds rows to the kept ones, priced as if none were kept: n(n+1)/2
+    additions of numbers of at most n log2(n+1) bits, two rows held."""
     with pricing(what := f"bell({n})"):
         check_work(what, n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
-    global _BELL_ROW
-    while len(_BELLS) <= n:
-        _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
-        _BELLS.append(_BELL_ROW[0])
-    return _BELLS[n]
-
-
-# Per kind (True for the first), the index and entries of the last row built.
-_STIRLING_LAST = {False: (0, (1,)), True: (0, (1,))}
+    bells, row = KEPT.pop("bell", ([1], [1]))
+    while len(bells) <= n:
+        row = list(accumulate(row, initial=row[-1]))
+        bells.append(row[0])
+    KEPT["bell"] = (bells, row)
+    return bells
 
 
 def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
     """Row n of the Stirling triangle of either kind (see stirling1 and
     stirling2), continued from the last row built unless that is past n, so
     an increasing sweep builds each row once and only the last is kept; a
-    repeated n returns it. The work is priced as in bell, as if no row were
-    kept."""
-    with pricing(what := f"stirling{1 if first_kind else 2} row {n}"):
+    repeated n returns it. Priced as in bell_numbers."""
+    name = f"stirling{1 if first_kind else 2}"
+    with pricing(what := f"{name} row {n}"):
         check_work(what, n * (n + 1) / 2, n * math.log2(n + 1), held=2 * n + 2)
-    m, row = _STIRLING_LAST[first_kind]
+    m, row = KEPT.pop(name, (0, (1,)))
     if m > n:
         m, row = 0, (1,)
     while m < n:
@@ -106,7 +97,7 @@ def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
         above = row + (0,)
         row = (0,) + tuple((m - 1 if first_kind else k) * above[k] + above[k - 1]
                            for k in range(1, m + 1))
-    _STIRLING_LAST[first_kind] = (m, row)
+    KEPT[name] = (m, row)
     return row
 
 

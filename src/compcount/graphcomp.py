@@ -16,10 +16,8 @@ bounded memo (_successors) that every block shares. ``reduce_and_count``
 finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2. A block of at least 3 and at most
-BLOCK_MEMO_VERTICES = 64 vertices is looked up in an LRU memo of
-BLOCK_MEMO_ENTRIES = 4096 counts, keyed by those labels as (n, bits), bit
-a n + b for each edge a < b; a hit runs no counter and is not priced again.
+bridge (a two-vertex block) contributes 2. A block of 3 to 64 vertices is
+looked up in the block memo under those labels; a hit runs no counter.
 Every other block goes to _count_block, the one router, which counts its
 degrees once, prices each counter once under the shared work budget
 (errors.check_work) and tries, in order: series and parallel reductions
@@ -35,13 +33,13 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import cache, lru_cache, reduce
+from functools import reduce
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from random import Random
 
 from . import exactnum
-from .errors import MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, pricing, word_steps
+from .errors import KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, memo, pricing, word_steps
 
 # The largest graph whose set partitions perfbench/pin_dense.py lists to check
 # a pinned count; nothing here reads it, as check_work prices each listing.
@@ -269,9 +267,9 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     vertex 0 in place of the largest cube's convolution, about half the
     transform steps. The work budget refuses it past 19 vertices that are not
     universal, priced on the degrees before any list of n entries is built,
-    and the Bell numbers by exactnum.bell; reduce_and_count splits a graph
-    into biconnected blocks and hands here those the subset DP counts for less
-    than the frontier DP."""
+    and the Bell numbers by exactnum.bell_numbers; reduce_and_count splits
+    a graph into biconnected blocks and hands here those the subset DP
+    counts for less than the frontier DP."""
     _price_subset_dp(_not_universal(graph.vertex_count, graph.edges))
     return _count_subset(graph.adjacency())
 
@@ -291,8 +289,7 @@ def _count_subset(adj: list[list[int]]) -> int:
     nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
         return _subset_ways(nbr, n, True)[-1]
-    exactnum.bell(n)  # prices Bell(0..n) and keeps them in _BELLS
-    bells = exactnum._BELLS
+    bells = exactnum.bell_numbers(n)
     by_size = [0] * (h + 1)
     for subset, ways in enumerate(_subset_ways(nbr, h)):
         by_size[subset.bit_count()] += ways
@@ -537,10 +534,8 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     one block leave together. Work follows the number of states, at most the
     two-level Bell number of the frontier width, not 2^n. A step's
     transitions depend only on its shape in frontier positions, so the
-    successors of each (shape, state) pair are kept in an LRU memo of
-    FRONTIER_MEMO_ENTRIES entries, which long blocks of few step shapes, such
-    as grids, hit on most steps. Priced at one step a vertex before the
-    adjacency.
+    successors of each (shape, state) pair come from the memo _successors.
+    Priced at one step a vertex before the adjacency.
     """
     _price_frontier(graph.vertex_count, len(graph.edges))
     adj = graph.adjacency()
@@ -591,12 +586,11 @@ def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -
 # frontier DP took 7 times as long on a 3 x 200 grid, 3-8 times on a
 # 2000-cycle, 4.5 times on a 4 x 30 grid and 2-3 times on a 5 x 20 grid
 # than with it cleared before the run (two runs). On a wide block almost
-# every pair is new (a block of width 8 ran 15% faster without it), and the
-# memo stays at this size (it held 3.0-3.6 MB after blocks of width 8).
+# every pair is new (a block of width 8 ran 15% faster without it).
 FRONTIER_MEMO_ENTRIES = 4096
 
 
-@lru_cache(maxsize=FRONTIER_MEMO_ENTRIES)
+@memo(FRONTIER_MEMO_ENTRIES)
 def _successors(shape: tuple, state: tuple) -> tuple[tuple, ...]:
     """The states that one frontier DP state leads to in one step, once for
     each way, given the step's shape: the frontier width, the positions the
@@ -858,7 +852,7 @@ FRONTIER_STEP_PRICE = 585
 SERIES_PARALLEL_OPERATIONS = 6
 
 
-@cache
+@memo(1)
 def _state_bounds() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Bell numbers, and two-level Bell numbers 1, 1, 3, 12, 60, 358, ...
     (a(n+1) = sum over k of C(n, k) a(k) Bell(n+1-k)): the ways to split w
@@ -1003,13 +997,9 @@ def _balanced_product(values: list[int]) -> int:
 
 
 # The most blocks whose counts reduce_and_count keeps, and the most vertices
-# of a block it keeps: a key is at most 64^2 bits and a count of at most 64
-# vertices at most Bell(64) < 2^217, so the memo holds at most about 3 MB.
+# of a block it keeps (a key of at most 64^2 bits, a count below 2^217).
 BLOCK_MEMO_ENTRIES = 4096
 BLOCK_MEMO_VERTICES = 64
-# Block counts by (n, bits), least recently used first: a dict keeps its
-# insertion order, and a hit is taken out and put back at the end.
-_block_counts: dict[tuple[int, int], int] = {}
 
 
 def reduce_and_count(graph: LabeledGraph) -> int:
@@ -1020,13 +1010,13 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     _blocks make one shift and its blocks one balanced product.
 
     A block of at least 3 vertices and at most BLOCK_MEMO_VERTICES is looked
-    up in the memo _block_counts of at most BLOCK_MEMO_ENTRIES entries, keyed
-    by (n, bits) with bit a n + b for each edge (a, b) under the labels of
-    _blocks, in DFS discovery order: every labelling of C_n or K_m gives one
-    key, and a key has at most n^2 bits. A key is the block's edge set under
-    a bijective relabelling, so a hit is an isomorphic block, of equal count,
-    and runs no counter. Any other block goes to _count_block, and a count
-    is then kept under its key; a refusal raises before anything is kept."""
+    up in the block memo, least recently used first, keyed by (n, bits) with
+    bit a n + b for each edge (a, b) under the labels of _blocks, in DFS
+    discovery order: every labelling of C_n or K_m gives one key. A key is
+    the block's edge set under a bijective relabelling, so a hit is an
+    isomorphic block, of equal count, and runs no counter. Any other block
+    goes to _count_block, and a count is then kept under its key; a refusal
+    raises before anything is kept."""
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
     size = graph.vertex_count + len(graph.edges)
@@ -1034,16 +1024,17 @@ def reduce_and_count(graph: LabeledGraph) -> int:
                20 * size, 0, held=4 * size, printed=0)
     bridges = len(graph.edges)
     counts = []
+    known = KEPT.setdefault("blocks", {})  # a hit is taken out and put back at the end
     for n, edges in _blocks(graph):
         bridges -= len(edges)
         key = (n, sum(1 << a * n + b for a, b in edges)) if n <= BLOCK_MEMO_VERTICES else None
-        found = _block_counts.pop(key, None)  # None for a larger block, which has no key
+        found = known.pop(key, None)  # None for a larger block, which has no key
         if found is None:
             found = _count_block(n, edges)
         if key:
-            _block_counts[key] = found
-            while len(_block_counts) > BLOCK_MEMO_ENTRIES:
-                del _block_counts[next(iter(_block_counts))]
+            known[key] = found
+            while len(known) > BLOCK_MEMO_ENTRIES:
+                del known[next(iter(known))]
         counts.append(found)
     return _balanced_product(counts) << bridges
 
@@ -1103,7 +1094,8 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
                 return found
     adj = _adjacency(n, edges) if n <= BLOCK_MEMO_VERTICES else None
     refined = _refined_key(adj) if adj else None
-    found = _block_counts.pop(refined, None)
+    known = KEPT.setdefault("blocks", {})
+    found = known.pop(refined, None)
     if found is None and subset > least:
         _price_frontier(n, len(edges), _block_widths(n))  # before the order, and a larger block's adjacency
         adj = adj or _adjacency(n, edges)
@@ -1114,7 +1106,7 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
         # the benchmark's tracer counts this call; ROADMAP item 2 removes it
         found = count_compositions_graph(LabeledGraph(n, edges))
     if refined:
-        _block_counts[refined] = found
+        known[refined] = found
     return found
 
 

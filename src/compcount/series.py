@@ -9,7 +9,7 @@ from collections.abc import Iterable, Sequence
 from operator import mul
 
 from . import exactnum
-from .errors import Frozen, check_work
+from .errors import KEPT, Frozen, check_work
 
 Polynomial = tuple[int, ...]
 
@@ -313,37 +313,32 @@ def family_decimals(family: str, k: int, order: int) -> list:
     to decimal text in time quadratic in its digits, a Decimal in linear
     time, so this is the route of a series that is to be printed.
 
-    _LAST["decimals"] keeps the series last asked for (after the k clamp of
-    _family_k) and the most coefficients found for it. A call for the same
-    series reads a prefix of them, or divides only for the terms it lacks;
-    any other series starts afresh and takes their place. The price assumes
-    nothing is kept. A fresh contain series is divided by gf_avoiding's
-    denominator D, then by 1 - 2z over the same list: the taps -2, 1 and -1
-    of D and the -2 of 1 - 2z are additions, where its product's 4, -4, -3
-    and 2 are products (see gf_containing).
+    The last series asked for (k clamped by _family_k) is kept: a call for
+    it reads a prefix, or divides for the terms it lacks where that costs
+    less than afresh, and another series replaces it. A fresh contain series
+    is divided by gf_avoiding's denominator D, then by 1 - 2z over the same
+    list, all by additions, where their product (see gf_containing) has the
+    products 4, -4, -3 and 2. A term's division takes time linear in its
+    index, so with n = order + 1, terms j..order take (n^2 - j^2)/n^2 of a
+    division's time, 1.2-2.5 times that by the product (k = 3-12,
+    n = 500-15000): a contain series continues where n^2 - j^2 < n^2/2.
     """
     from decimal import Decimal, localcontext
 
     k = _family_k(family, k, order)
     gf = SERIES_FAMILIES[family](k)
-    kept_gf, coeffs = _LAST.pop("decimals", (None, None))
-    numerator, zero = [*map(Decimal, gf.numerator)], Decimal(0)
+    kept_gf, coeffs = KEPT.pop("decimals", (None, None))
+    numerator, zero, n = [*map(Decimal, gf.numerator)], Decimal(0), order + 1
     with localcontext(_exact_context()):
-        if gf == kept_gf:
+        if gf == kept_gf and (n * n - len(coeffs) ** 2) * (2 if family == "contain" else 1) < n * n:
             _long_division(numerator, gf.denominator, order, zero, coeffs)
         elif family == "contain":
             coeffs = _long_division(numerator, gf_avoiding(k).denominator, order, zero)
             _divide(coeffs, (1, -2), 0)
         else:
             coeffs = _long_division(numerator, gf.denominator, order, zero)
-    _LAST["decimals"] = (gf, coeffs)
+    KEPT["decimals"] = (gf, coeffs)
     return coeffs[: order + 1]
-
-
-# The coefficients last found by family_decimals, which no price reads. A
-# call takes them out while it works, so one interrupted midway leaves no
-# half-extended list behind.
-_LAST: dict[str, tuple] = {}
 
 
 def gf_distinct_total(order: int) -> TruncatedSeries:

@@ -15,7 +15,7 @@ from random import Random
 
 from . import VERIFY_SUITES, compositions, exactnum, graphcomp, series
 from .compositions import PartBounds
-from .errors import check_work, pricing
+from .errors import check_work, forget, pricing
 
 Check = tuple[str, bool, str]
 
@@ -190,14 +190,13 @@ def _neighbour_check(max_n: int) -> Check:
         walk += [(avoid, n, k) for n in (start - 1, start, start + 1)]
         # moved up and down, then farther than a fresh jump costs, then down one
         walk += [(contain, n, k) for n in (start + cost, start + cost // 2, start + 3 * cost, start + 3 * cost - 1)]
-    compositions._LAST.clear()
-    moved = [count(*args) for count, *args in walk]
 
     def fresh(i: int) -> int:
-        compositions._LAST.clear()
+        forget()
         count, *args = walk[i]
         return count(*args)
 
+    moved = [fresh(0), *(count(*args) for count, *args in walk[1:])]
     return _agree("neighbouring counts match fresh counts", [(i,) for i in range(len(walk))],
                   moved.__getitem__, fresh,
                   lambda i: f"{walk[i][0].__name__}({', '.join(map(str, walk[i][1:]))})")
@@ -211,7 +210,6 @@ def _series_checks(max_n: int) -> list[Check]:
     z = series.TruncatedSeries((0, 1) + (0,) * (order - 1))
     by_k = [(k, n) for k in range(1, 7) for n in range(order + 1)]
     leading = (series.gf_leading_strict, series.gf_leading_weak)
-    series._LAST.clear()
     return [
         # past the expansions the jump reads them, at 4 order, where weak k >= 7 take the binomial route
         _agree("leading-summand series match the recurrences", by_k + [(k, 4 * order) for k in range(1, 13)],

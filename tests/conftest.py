@@ -14,13 +14,9 @@ settings.register_profile("ci", max_examples=1000)
 
 @pytest.fixture(autouse=True)
 def nothing_kept_from_an_earlier_test():
-    """Start and leave each test with no values kept by the counters that
-    continue from their last call, so that no test that pins a route or a
-    step count depends on the tests before it."""
-    from compcount import compositions, series
+    """Start each test with nothing kept between calls, as in a new process,
+    so that no test that pins a route, a step count or a memo's contents
+    depends on the tests before it."""
+    from compcount import errors
 
-    compositions._LAST.clear()
-    series._LAST.clear()
-    yield
-    compositions._LAST.clear()
-    series._LAST.clear()
+    errors.forget()

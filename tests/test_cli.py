@@ -268,8 +268,7 @@ def test_help_exits_zero():
     assert code == 0
 
 
-def test_a_second_run_in_one_process_behaves_like_the_first(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_parser", None)  # the first run below builds it
+def test_a_second_run_in_one_process_behaves_like_the_first(capsys):
     queries = (["count", "distinct", "--n", "6", "--format", "csv"],
                ["count", "restricted", "--n", "3", "--badflag"],
                ["graph", "family", "--name", "ladder", "--n", "2"],
@@ -278,11 +277,11 @@ def test_a_second_run_in_one_process_behaves_like_the_first(capsys, monkeypatch)
                ["count", "leading", "--mode", "weak", "--n", "5", "--format", "json"])
     first = [run_cli(argv) for argv in queries]
     assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 0]
-    parser = cli._parser
+    parser = cli._parser()
     capsys.readouterr()  # argparse writes usage and help to the process streams
     assert [run_cli(argv) for argv in queries] == first
     assert [run_cli(argv) for argv in reversed(queries)] == first[::-1]
-    assert cli._parser is parser
+    assert cli._parser() is parser and cli._parser.cache_info().misses == 1  # built by the first run
 
 
 def test_seed_and_cap_are_accepted_only_where_they_act(tmp_path):
@@ -445,20 +444,15 @@ def test_verify_sends_every_complete_graph_through_the_whole_subset_table(monkey
     assert complete >= set(range(3, 13))
 
 
-def test_verify_catches_a_wrong_bell_number_whatever_bell_has_cached(monkeypatch):
+def test_verify_catches_a_wrong_bell_number_whatever_bell_has_cached():
     # the counts of K_n and K_n - e through their universal vertices read
-    # exactnum._BELLS, so their closed forms must not: with bell(10) not
-    # cached, both sides would read it
-    monkeypatch.setattr(graphcomp, "_block_counts", {})
+    # the kept Bell numbers, so their closed forms must not: with bell(10)
+    # not cached, both sides would read them
     exactnum.bell(12)
-    right = exactnum._BELLS[10]
-    exactnum._BELLS[10] += 1
+    bells, _ = errors.KEPT["bell"]
+    bells[10] += 1
     exactnum.bell.cache_clear()
-    try:
-        checks = {name: (ok, detail) for name, ok, detail in verify.run_suite("graphs", 12, 0)}
-    finally:
-        exactnum._BELLS[10] = right
-        exactnum.bell.cache_clear()
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_suite("graphs", 12, 0)}
     assert checks["family closed forms match the subset DP"] == (
         False, "complete n=10; complete_minus_edge n=10; complete_minus_edge n=12")
 
@@ -470,7 +464,6 @@ def test_verify_catches_a_wrong_series_parallel_count(monkeypatch):
         count = true_reductions(n, edges)
         return None if count is None else count + 1
 
-    monkeypatch.setattr(graphcomp, "_block_counts", {})
     monkeypatch.setattr(graphcomp, "_series_parallel", skewed)
     failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
     assert "series-parallel route matches the subset DP" in failed
@@ -484,7 +477,6 @@ def test_verify_catches_a_wrong_jump(monkeypatch):
         values[0] += 1
         return values
 
-    monkeypatch.setattr(graphcomp, "_block_counts", {})
     monkeypatch.setattr(series, "_jump", first_off)
     failed = [name for name, ok, _ in verify.run_suite("all", 10, 0) if not ok]
     assert failed == ["avoid/contain jump matches the window recurrence", "neighbouring counts match fresh counts",
@@ -501,7 +493,6 @@ def test_verify_catches_a_wrong_triangle_row(monkeypatch):
 
 
 def test_verify_catches_a_memo_key_shared_by_blocks_that_are_not_isomorphic(monkeypatch):
-    monkeypatch.setattr(graphcomp, "_block_counts", {})
     monkeypatch.setattr(graphcomp, "_refined_key", lambda adj: (len(adj), sum(map(len, adj)) // 2))
     failed = [name for name, ok, _ in verify.run_suite("graphs", 10, 0) if not ok]
     assert "relabelled blocks take the memo's count" in failed
@@ -711,10 +702,9 @@ def test_a_long_series_is_written_without_holding_its_output(fmt):
     assert peak < 20e6
 
 
-def test_the_largest_triangle_holds_the_table_and_a_row(monkeypatch):
+def test_the_largest_triangle_holds_the_table_and_a_row():
     # the rows are printed from the truncated table itself, so the peak is
     # the table and one row of output (about 10 MB)
-    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
@@ -946,9 +936,8 @@ def test_library_calls_are_refused_like_the_cli(call):
     assert time.perf_counter() - start < 1
 
 
-def test_a_refusal_does_not_depend_on_the_table_grown_before_it(monkeypatch):
+def test_a_refusal_does_not_depend_on_the_table_grown_before_it():
     # the first sizes the guards refuse; each estimate counts the whole table
-    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
     for argv, smaller in ((["count", "distinct", "--n", "24409"], ["count", "distinct", "--n", "3000"]),
                           (["triangle", "--kind", "pi", "--rows", "3821"],
                            ["triangle", "--kind", "pi", "--rows", "3000"]),

@@ -392,7 +392,7 @@ def test_avoiding_takes_the_window_where_only_its_price_fits(monkeypatch):
 
 def fresh(count, *args):
     """count(*args) with nothing kept from an earlier call."""
-    compositions._LAST.clear()
+    errors.forget()
     return count(*args)
 
 
@@ -401,7 +401,7 @@ def test_only_the_jump_keeps_its_window():
     assert not compositions._by_jump(10000, 20000)
     compositions.count_avoiding(20000, 10000)
     compositions.count_containing(30000, 40)
-    assert compositions._LAST == {}
+    assert errors.KEPT == {}
 
 
 def test_a_later_avoid_count_moves_where_its_steps_cost_less_than_the_jump(monkeypatch):
@@ -491,10 +491,10 @@ def test_one_avoided_part_and_one_leading_total_are_kept():
     for n in (*range(1, 60), 1200, 5, 900, 901):
         compositions.leading_weak_total(n)
     compositions.count_avoiding(2039, 39)  # the window route keeps nothing, and leaves the jump's window
-    assert set(compositions._LAST) == {"avoiding", "leading"}
-    k, n, window = compositions._LAST["avoiding"]
+    assert set(errors.KEPT) == {"avoiding", "leading"}
+    k, n, window = errors.KEPT["avoiding"]
     assert (k, n, list(window)) == (9, 3000, list(compositions._avoiding_window(3000, 9)))
-    n, windows, columns = compositions._LAST["leading"]
+    n, windows, columns = errors.KEPT["leading"]
     m0 = compositions._leading_crossover(901)
     assert n == 901 and sorted(windows) == list(range(1, m0))
     assert all(list(window) == list(compositions._fibonacci_window(m, n - m)) for m, window in windows.items())
@@ -590,18 +590,17 @@ def test_truncated_rows_match_the_full_recurrence():
             assert not any(full[n][head:])
 
 
-def test_distinct_table_grows_to_the_largest_row_asked(monkeypatch):
-    monkeypatch.setattr(compositions, "_DISTINCT_ROWS", {False: [(1,)], True: [(1,)]})
+def test_distinct_table_grows_to_the_largest_row_asked():
     sizes = list(range(1, 601))
     Random(6).shuffle(sizes)
     for n in sizes:
         compositions.count_compositions_distinct_total(n)
-    table = compositions._DISTINCT_ROWS[True]
+    table = errors.KEPT[compositions.COMPOSITIONS_DISTINCT]
     assert len(table) == 601
     entries = sum(len(row) for row in table)
     assert entries == sum((math.isqrt(8 * m + 1) - 1) // 2 + 1 for m in range(601))
     assert entries < 601 ** 1.5  # about 0.94 n^1.5 + n, not n^2 / 2
-    assert compositions._DISTINCT_ROWS[False] == [(1,)]
+    assert compositions.PARTITIONS_DISTINCT not in errors.KEPT
 
 
 def test_leading_totals_match_the_sums_of_the_per_k_recurrences():

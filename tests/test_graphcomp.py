@@ -649,7 +649,7 @@ def _record_counters(monkeypatch, on_count=lambda route, n, edges, count: None):
     counter's loop, on_count gets its route ("subset", "frontier" or
     "reductions"), the block's n and DFS-labelled edges, and its count, None
     where the reductions stall."""
-    monkeypatch.setattr(graphcomp, "_block_counts", CountingMemo())
+    monkeypatch.setitem(errors.KEPT, "blocks", CountingMemo())
     subset_sizes, frontier_sizes, reduced_sizes = [], [], []
     subset = graphcomp._count_subset
     frontier = graphcomp._count_frontier
@@ -697,15 +697,15 @@ def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
         key, refined = _dfs_key(n, edges), graphcomp._refined_key(graphcomp._adjacency(n, edges))
         # a counter runs only where the DFS key missed, and a DP only where
         # the refined key missed too; neither is kept before it returns
-        assert key not in graphcomp._block_counts
-        assert route == "reductions" or refined not in graphcomp._block_counts
+        assert key not in errors.KEPT["blocks"]
+        assert route == "reductions" or refined not in errors.KEPT["blocks"]
         reached.append((route, n, key, refined, count))
 
     recorded = _record_counters(monkeypatch, on_count)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
-        memo = graphcomp._block_counts
+        memo = errors.KEPT["blocks"]
         known, hits, start = set(memo), memo.hits, len(reached)
         assert graphcomp.reduce_and_count(graph) == expected
         # each block with at least 3 vertices whose DFS key misses goes to the
@@ -806,7 +806,7 @@ def test_warm_and_cold_block_memos_match_the_oracles(monkeypatch):
     rng = Random(1507)
     pool = _pool(rng)
     memo = CountingMemo()
-    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    monkeypatch.setitem(errors.KEPT, "blocks", memo)
     for _ in range(8):
         picked = [rng.choice(pool) for _ in range(40)]
         graph = _glued(rng, [block for block, _ in picked])
@@ -834,7 +834,7 @@ def test_every_relabelling_of_a_cycle_or_complete_graph_is_one_memo_entry(monkey
     for family in ("cycle", "complete"):
         for n in range(3, graphcomp.BLOCK_MEMO_VERTICES + 1):
             memo = CountingMemo()
-            monkeypatch.setattr(graphcomp, "_block_counts", memo)
+            monkeypatch.setitem(errors.KEPT, "blocks", memo)
             expected = graphcomp.family_count(family, n)
             graphs = list(_relabellings(graphcomp.build_family(family, n), rng))
             for graph in graphs:
@@ -865,7 +865,7 @@ def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(m
     assert counts[k33] != counts[prism]
     rng = Random(33)
     for first, second in ((k33, prism), (prism, k33)):
-        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        errors.forget()
         for graph in (first, second) * 2:
             for _ in range(4):
                 assert graphcomp.reduce_and_count(relabelled(graph, rng)) == counts[graph]
@@ -874,7 +874,7 @@ def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(m
 def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
     rng = Random(5000)
     memo = CountingMemo()
-    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    monkeypatch.setitem(errors.KEPT, "blocks", memo)
     # 9-cycles with random chords, each one block, kept where the sorted
     # (degree, sorted neighbour degrees) of their vertices is new, so that no
     # two are isomorphic
@@ -894,7 +894,7 @@ def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
 
 def test_blocks_past_the_memo_vertex_bound_leave_it_untouched(monkeypatch):
     memo = CountingMemo()
-    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    monkeypatch.setitem(errors.KEPT, "blocks", memo)
     assert graphcomp.reduce_and_count(complete(64)) == exactnum.bell(64)
     for m in (65, 600):
         assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
@@ -906,7 +906,7 @@ def test_blocks_past_the_memo_vertex_bound_leave_it_untouched(monkeypatch):
 
 def test_a_refused_block_is_not_kept(monkeypatch):
     memo = CountingMemo()
-    monkeypatch.setattr(graphcomp, "_block_counts", memo)
+    monkeypatch.setitem(errors.KEPT, "blocks", memo)
     block = complete_minus_cycle(12)
     budget = errors.WORK_BUDGET
     monkeypatch.setattr(errors, "WORK_BUDGET", 1e5)
@@ -931,7 +931,7 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
             refined[graphcomp._refined_key(graphcomp._adjacency(n, edges))] = count
 
     _record_counters(monkeypatch, on_count)
-    memo = graphcomp._block_counts
+    memo = errors.KEPT["blocks"]
     rng = Random(1818)
     pool = _pool(rng)
     for _ in range(4):
@@ -1001,7 +1001,7 @@ def test_every_block_with_a_k4_minor_stalls_the_reductions_and_reaches_the_paren
         n = block.vertex_count
         assert not verify._no_k4_minor(n, block.edges)
         assert series_parallel(n, list(block.edges)) is None
-        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        errors.forget()
         subset_sizes.clear()
         frontier_sizes.clear()
         assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks(), n)[-1]
@@ -1044,7 +1044,7 @@ def test_each_block_reaches_the_reductions_and_the_refined_key_at_most_once(monk
     monkeypatch.setattr(graphcomp, "_count_block", recording_block)
     rng = Random(64)
     for _ in range(3):
-        monkeypatch.setattr(graphcomp, "_block_counts", {})
+        errors.forget()
         picked = pool + [rng.choice(pool) for _ in range(10)]  # repeats, which the memo may hold
         rng.shuffle(picked)
         reductions.clear()
@@ -1224,12 +1224,16 @@ def test_universal_route_caps_the_vertices_that_are_not_universal(monkeypatch):
     matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
     with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^30 vertex sets needs"):
         graphcomp.count_compositions_graph(matching)
-    # the Bell sum over the universal vertices is priced as bell(n), whatever its cache holds
+    # the Bell sum over the universal vertices is priced as bell(n), whatever
+    # bell's memo and the kept Bell numbers hold
     graph = complete(40)
-    exactnum.bell.cache_clear()
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1e4)
-    with pytest.raises(ResourceLimitError, match=r"bell\(40\) needs"):
-        graphcomp.count_compositions_graph(graph)
+    for warm in (False, True):
+        if warm:
+            exactnum.bell(40)
+        monkeypatch.setattr(errors, "WORK_BUDGET", 1e4)
+        with pytest.raises(ResourceLimitError, match=r"bell\(40\) needs"):
+            graphcomp.count_compositions_graph(graph)
+        monkeypatch.undo()
 
 
 def test_the_subset_side_prices_itself_before_building_its_masks():
@@ -1328,7 +1332,6 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
     monkeypatch.setattr(graphcomp, "_subset_ways", started("subset"))
     monkeypatch.setattr(graphcomp, "_successors", started("frontier"))
     monkeypatch.setattr(graphcomp, "_series_parallel", reduced)
-    monkeypatch.setattr(graphcomp, "_block_counts", {})  # stays empty: every call raises
     cases = []
     for block in _routing_blocks():
         n, edges = max(graphcomp._blocks(block))  # the labels reduce_and_count routes on
@@ -1551,7 +1554,6 @@ def test_the_successor_memo_stays_bounded_on_a_wide_block(monkeypatch):
     adj = graph.adjacency()
     order, widths = graphcomp._frontier_order(adj)
     assert max(widths) == 8
-    graphcomp._successors.cache_clear()
     assert graphcomp._count_frontier(adj, order, widths) == per_state_frontier(adj, order)
     info = graphcomp._successors.cache_info()
     assert info.maxsize == graphcomp.FRONTIER_MEMO_ENTRIES
@@ -1560,7 +1562,6 @@ def test_the_successor_memo_stays_bounded_on_a_wide_block(monkeypatch):
 
 
 def test_cycles_and_ladders_share_a_few_memo_entries():
-    graphcomp._successors.cache_clear()
     for n in range(4, 15):
         assert graphcomp.count_compositions_frontier(graphcomp.build_family("cycle", n)) == \
             (1 << n) - n

@@ -349,7 +349,7 @@ def test_an_interrupted_extension_leaves_the_next_call_correct(monkeypatch):
     monkeypatch.setattr(series, "_divide", divide_then_no_memory)
     with pytest.raises(MemoryError):
         series.family_decimals("fweak", 4, 90)
-    assert series._LAST == {}
+    assert errors.KEPT == {}
     monkeypatch.setattr(series, "_divide", real)
     for order in (90, 60, 75):
         assert as_text(series.family_decimals("fweak", 4, order)) == expected[:order + 1]
@@ -367,7 +367,7 @@ def test_the_last_series_keeps_its_most_coefficients_and_divides_only_those_it_l
     for order in (30, 40, 20, 41):
         printed = series.family_decimals("avoid", 5, order)
     assert divided == [(0, 31), (31, 41), (41, 41), (41, 42)]
-    kept_gf, kept = series._LAST["decimals"]
+    kept_gf, kept = errors.KEPT["decimals"]
     assert kept_gf == series.gf_avoiding(5) and len(kept) == 42
     assert printed == kept and printed is not kept
     printed[3] = Decimal(-1)  # the caller's list is its own
@@ -376,13 +376,26 @@ def test_the_last_series_keeps_its_most_coefficients_and_divides_only_those_it_l
     # contain with k = 10^6 at order 10 and with k = 11 are the same series
     divided.clear()
     series.family_decimals("contain", 10 ** 6, 10)
-    assert series._LAST["decimals"][0] == series.gf_containing(11)
+    assert errors.KEPT["decimals"][0] == series.gf_containing(11)
     assert [start for start, _ in divided] == [0, 0]  # by D, then by 1 - 2z
     series.family_decimals("contain", 11, 12)
-    assert divided[2:] == [(11, 13)] and len(series._LAST["decimals"][1]) == 13
+    assert divided[2:] == [(11, 13)] and len(errors.KEPT["decimals"][1]) == 13
     # at order 12, k = 10^6 is k = 13: a different series, found afresh
     series.family_decimals("contain", 10 ** 6, 12)
-    assert series._LAST["decimals"][0] == series.gf_containing(13) and divided[3:] == [(0, 13), (0, 13)]
+    assert errors.KEPT["decimals"][0] == series.gf_containing(13) and divided[3:] == [(0, 13), (0, 13)]
+    # continuing a contain series by its product denominator takes about
+    # twice the time of a fresh division of the same terms, and a term's
+    # time grows with its index, so one whose missing terms hold half of
+    # order^2 or more is divided afresh by the factors
+    for walk, route in (((10, 2900), [(0, 11), (0, 11), (0, 2901), (0, 2901)]),
+                        ((1800, 2900), [(0, 1801), (0, 1801), (0, 2901), (0, 2901)]),
+                        ((2899, 2900), [(0, 2900), (0, 2900), (2900, 2901)]),
+                        ((2200, 2900), [(0, 2201), (0, 2201), (2201, 2901)])):
+        errors.forget()
+        del divided[:]
+        printed = [series.family_decimals("contain", 6, order) for order in walk]
+        assert divided == route
+        assert as_text(printed[-1]) == as_text(series.family_series("contain", 6, 2900).coefficients)
 
 
 def test_a_kept_series_is_priced_as_if_nothing_were_kept(monkeypatch):
@@ -390,13 +403,13 @@ def test_a_kept_series_is_priced_as_if_nothing_were_kept(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", 1e5)
     with pytest.raises(ResourceLimitError):
         series.family_decimals("contain", 4, 1999)
-    assert series._LAST["decimals"][0] == series.gf_containing(4)  # a refusal takes nothing out
+    assert errors.KEPT["decimals"][0] == series.gf_containing(4)  # a refusal takes nothing out
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_the_factored_contain_division_matches_the_product_denominator(k):
     for order in (0, k - 1, k, k + 2, 300):
-        series._LAST.clear()
+        errors.forget()
         factored = series.family_decimals("contain", k, order)
         assert all(isinstance(value, Decimal) for value in factored)
         assert as_text(factored) == as_text(decimal_division(series.gf_containing(min(k, order + 1)), order))
