@@ -19,16 +19,20 @@ warm. The series-parallel reductions (graphcomp._series_parallel) are
 priced at SERIES_PARALLEL_OPERATIONS operations for each of at most n + m
 reductions, on numbers of graphcomp._count_bits; this script times them on
 cycles, ladders and random 2-trees against that price. graphcomp._count_block,
-the one router of a block, runs them first where they are priced lowest, and
-sends each block they do not count to the DP of the lower price.
-This script times the counters with the guard switched off, prints the
-cost of each step in nanoseconds and in word steps next to its price, times
-both counters on small blocks (the benchmark's pinned dense blocks among
-them) under the labels of graphcomp._blocks, on which
-graphcomp.reduce_and_count routes and counts them, and lists those that the
-prices send to the slower counter with the slowdown of each, and checks the
-guard on a 100,000-vertex cycle, which is counted, and a 370,000-vertex one,
-which is refused before its frontier order is built. Word steps are
+the one router of a block, runs them first where they are priced lowest,
+sends each block they do not count to the DP of the lower price, and
+returns the route it took.
+This script times the counters with the work and memory budgets
+(errors.WORK_BUDGET, errors.MEMORY_BUDGET) set to infinity, so that the
+guard admits every run; its own cost, one pass over an order's widths,
+falls inside the timings. It prints the cost of each step in nanoseconds
+and in word steps next to its price, times both counters on small blocks
+(the benchmark's pinned dense blocks among them) under the labels of
+graphcomp._blocks, on which graphcomp.reduce_and_count routes and counts
+them, and lists those that the prices send to the slower counter with the
+slowdown of each. With the budgets restored, it checks the guard on a
+100,000-vertex cycle, which is counted, and a 370,000-vertex one, which is
+refused before its frontier order is built. Word steps are
 converted at --ns-per-word-step, the speed the budget assumes (errors.py).
 
     PYTHONPATH=src python3 scripts/step_costs.py [--repeat 3]
@@ -156,34 +160,6 @@ def series_parallel_steps(word_ns, repeat):
         print(f"{name:<22} {n:>7} {seconds:>9.4f} {priced:>9.4f} {priced / seconds:>10.1f}")
 
 
-def routed_counter(n, edges):
-    """The counter that graphcomp._count_block picks for a block, from an
-    empty block memo: "series-parallel", "frontier" or "subset"."""
-    counters = {"_series_parallel": "series-parallel", "_count_frontier": "frontier",
-                "count_compositions_graph": "subset"}
-    originals = {name: getattr(graphcomp, name) for name in counters}
-    counted = []
-
-    def recording(name):
-        def run(*args):
-            count = originals[name](*args)
-            if count is not None:  # the reductions stall with None
-                counted.append(counters[name])
-            return count
-        return run
-
-    errors.forget()
-    try:
-        for name in counters:
-            setattr(graphcomp, name, recording(name))
-        graphcomp._count_block(n, edges)
-    finally:
-        for name, original in originals.items():
-            setattr(graphcomp, name, original)
-    (route,) = counted
-    return route
-
-
 def routing(word_ns, repeat):
     """Time both DPs on the small blocks that the series-parallel reductions
     do not count, where routing decides (the frontier DP with its memo
@@ -206,7 +182,8 @@ def routing(word_ns, repeat):
         if not any(graphcomp._blocks(graph)):
             continue  # a tree: no block of 3 or more vertices to route
         n, edges = largest_block(graph)
-        route = routed_counter(n, edges)
+        errors.forget()  # the route of a block new to the block memo
+        route = graphcomp._count_block(n, edges)[1]
         if route == "series-parallel":
             continue  # counted by the reductions, by neither DP
         dp_blocks += 1
@@ -231,7 +208,6 @@ def routing(word_ns, repeat):
 
 
 def long_cycles():
-    graphcomp.check_work = errors.check_work
     print("\nthe guard on long cycles")
     for n in (100_000, 370_000):
         cycle = graphcomp.build_family("cycle", n)
@@ -249,11 +225,13 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="runs per graph; the best counts")
     parser.add_argument("--ns-per-word-step", type=float, default=4.0)
     args = parser.parse_args()
-    graphcomp.check_work = lambda *_, **__: None  # time the loops, not the guard
+    budgets = errors.WORK_BUDGET, errors.MEMORY_BUDGET
+    errors.WORK_BUDGET = errors.MEMORY_BUDGET = math.inf
     subset_steps(args.ns_per_word_step, args.repeat)
     frontier_steps(args.ns_per_word_step, args.repeat)
     series_parallel_steps(args.ns_per_word_step, args.repeat)
     routing(args.ns_per_word_step, args.repeat)
+    errors.WORK_BUDGET, errors.MEMORY_BUDGET = budgets
     long_cycles()
 
 

@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import lshift
 
 from . import exactnum, series
-from .errors import KEPT, Frozen, ResourceLimitError, check_work, pricing
+from .errors import KEPT, Frozen, ResourceLimitError, check_work, karatsuba, pricing
 
 Composition = tuple[int, ...]
 
@@ -208,7 +208,7 @@ def _check_binomial_sums(what: str, n: int, binomials: float) -> None:
     """Refuse sums of the given number of binomials of n bits, each about
     log2(n)/4 Karatsuba products (fit to timings at n = 1300-6000)."""
     products = binomials * math.log2(n + 1) / 4
-    check_work(what, products * (n / 64 + 1) ** 0.585, n, held=1)
+    check_work(what, karatsuba(products, n), n, held=1)
 
 
 def _check_leading_total(name: str, n: int) -> None:
@@ -317,7 +317,7 @@ def count_avoiding(n: int, k: int) -> int:
         jump = _by_jump(k, n)
         try:
             if jump:
-                check_work(what, 3 * (k + 1) ** 2 * (n / 64 + 1) ** 0.585, n, held=3 * k + 3)
+                check_work(what, karatsuba(3 * (k + 1) ** 2, n), n, held=3 * k + 3)
         except ResourceLimitError:
             jump = False
         if not jump:
@@ -360,8 +360,8 @@ def _by_jump(k: int, n: int) -> bool:
 
 def _jump_cost(k: int, n: int) -> float:
     """The time of count_avoiding's jump in additions of n bits: (k + 1)^2
-    Karatsuba products on n bits, w^0.585 word additions each for w words."""
-    return (k + 1) ** 2 * (n / 64 + 1) ** 0.585
+    Karatsuba products on n bits."""
+    return karatsuba((k + 1) ** 2, n)
 
 
 def _avoiding_window(n: int, k: int) -> deque[int]:

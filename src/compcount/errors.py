@@ -63,12 +63,13 @@ found in the block memo runs no counter, so it is not priced):
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge (as
-graphcomp.is_connected prices its search), and hands each block that its
-memo lacks to graphcomp._count_block, which prices each counter once and runs
-the series-parallel reductions where they are priced lowest, else (or where
-they stall) the DP of the lower price, and refuses the block where the price
-of the counter it picks is over the budget: a memo hit does no work and is
-not priced again, and a refused block is not kept. On n vertices of which
+graphcomp.is_connected prices its search), and hands each block to
+graphcomp._count_block, which looks it up in the block memo and, on a miss,
+prices each counter once and runs the series-parallel reductions where they
+are priced lowest, else (or where they stall) the DP of the lower price, and
+refuses the block where the price of the counter it picks is over the
+budget: a memo hit does no work and is not priced again, and a refused block
+is not kept. On n vertices of which
 some are universal, the subset DP also prices its Bell sum by
 exactnum.bell_numbers(n), whose numbers it reads. graphcomp.read_edge_list prices an
 edge-list file at 36 bytes held a character, and reads no further than the
@@ -97,8 +98,8 @@ nothing half-changed. Each is bounded by the largest call the budget admits:
 - "stirling1", "stirling2": the last Stirling row built of each kind, and n;
 - "bell": Bell(0..n) and row n of the Bell triangle, for the largest n
   asked, in one entry so that the two stay in step;
-- "blocks": reduce_and_count's block memo, at most 4096 counts of blocks of
-  at most 64 vertices, about 3 MB.
+- "blocks": graphcomp._count_block's block memo, at most 4096 counts of
+  blocks of at most 64 vertices, about 3 MB.
 
 Memos are lru_caches registered by memo(): exactnum.bell (16 entries),
 graphcomp._successors (4096, 3.0-3.6 MB), graphcomp._state_bounds and
@@ -188,6 +189,12 @@ def word_steps(operations: float, bits: float) -> float:
     """The word steps of `operations` big-integer operations on numbers of at
     most `bits` bits."""
     return operations * (OP_STEPS + bits / 64 + 1)
+
+
+def karatsuba(count: float, bits: float) -> float:
+    """The operations that check_work reads for `count` Karatsuba products
+    of numbers of `bits` bits: w^0.585 word additions each, for w words."""
+    return count * (bits / 64 + 1) ** 0.585
 
 
 @contextmanager

@@ -16,16 +16,14 @@ bounded memo (_successors) that every block shares. ``reduce_and_count``
 finds the biconnected blocks in one linear-time DFS, which labels the
 vertices of each in discovery order, and returns the product of their counts:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2. A block of 3 to 64 vertices is
-looked up in the block memo under those labels; a hit runs no counter.
-Every other block goes to _count_block, the one router, which counts its
-degrees once, prices each counter once under the shared work budget
-(errors.check_work) and tries, in order: series and parallel reductions
-(_series_parallel), which count a block with no K_4 minor (a cycle, ladder,
-fan or 2-tree), where they are priced lowest; the memo again, for a block
-within its bound, under the same bits on labels ordered by colour
-refinement; the subset or the frontier DP, whichever is priced lower, which
-refuses the block where that price is over the budget."""
+bridge (a two-vertex block) contributes 2. Each block of 3 or more vertices
+goes to _count_block, the one place where a block's count is found, which
+returns it with the route it took: the block memo, under those labels or
+under labels ordered by colour refinement, where a hit runs no counter;
+else, priced under the shared work budget (errors.check_work), series and
+parallel reductions (_series_parallel), which count a block with no K_4
+minor (a cycle, ladder, fan or 2-tree), where they are priced lowest, or
+the subset or the frontier DP, whichever is priced lower."""
 
 import heapq
 import math
@@ -39,7 +37,8 @@ from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from random import Random
 
 from . import exactnum
-from .errors import KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, memo, pricing, word_steps
+from .errors import (KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, karatsuba, memo, pricing,
+                     word_steps)
 
 # The largest graph whose set partitions perfbench/pin_dense.py lists to check
 # a pinned count; nothing here reads it, as check_work prices each listing.
@@ -750,13 +749,12 @@ def ladder_binet(n: int) -> int:
     x + y sqrt(10), its conjugate (3-sqrt(10))^n is x - y sqrt(10), so the
     count is 2y: one power, by squaring over the bits of n from the top. It
     reaches about 2.63n bits, and costs about as much as 16 Karatsuba
-    products of that size, w^0.585 word additions each for w words (timings
-    at n = 5e4-4e5 fit 10-13).
+    products of that size (timings at n = 5e4-4e5 fit 10-13).
     """
     if n < 1:
         raise ValueError("ladder needs n >= 1")
     with pricing(what := f"ladder_binet({n})"):
-        check_work(what, 16 * (2.63 * n / 64 + 1) ** 0.585, 2.63 * n, held=8)
+        check_work(what, karatsuba(16, 2.63 * n), 2.63 * n, held=8)
     x, y = 1, 0  # (3 + sqrt(10))^m = x + y sqrt(10), m the bits of n read so far
     for bit in bin(n)[2:]:
         x, y = x * x + 10 * y * y, 2 * x * y
@@ -996,8 +994,8 @@ def _balanced_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
-# The most blocks whose counts reduce_and_count keeps, and the most vertices
-# of a block it keeps (a key of at most 64^2 bits, a count below 2^217).
+# The most blocks whose counts _count_block keeps, and the most vertices of
+# a block it keeps (a key of at most 64^2 bits, a count below 2^217).
 BLOCK_MEMO_ENTRIES = 4096
 BLOCK_MEMO_VERTICES = 64
 
@@ -1007,16 +1005,8 @@ def reduce_and_count(graph: LabeledGraph) -> int:
 
     C(G) is the product of C(B) over the blocks B of every component (the
     cut-vertex rule); a bridge contributes 2, so the edges in no block of
-    _blocks make one shift and its blocks one balanced product.
-
-    A block of at least 3 vertices and at most BLOCK_MEMO_VERTICES is looked
-    up in the block memo, least recently used first, keyed by (n, bits) with
-    bit a n + b for each edge (a, b) under the labels of _blocks, in DFS
-    discovery order: every labelling of C_n or K_m gives one key. A key is
-    the block's edge set under a bijective relabelling, so a hit is an
-    isomorphic block, of equal count, and runs no counter. Any other block
-    goes to _count_block, and a count is then kept under its key; a refusal
-    raises before anything is kept."""
+    _blocks make one shift, and the counts that _count_block finds for its
+    blocks one balanced product."""
     # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
     # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
     size = graph.vertex_count + len(graph.edges)
@@ -1024,18 +1014,9 @@ def reduce_and_count(graph: LabeledGraph) -> int:
                20 * size, 0, held=4 * size, printed=0)
     bridges = len(graph.edges)
     counts = []
-    known = KEPT.setdefault("blocks", {})  # a hit is taken out and put back at the end
     for n, edges in _blocks(graph):
         bridges -= len(edges)
-        key = (n, sum(1 << a * n + b for a, b in edges)) if n <= BLOCK_MEMO_VERTICES else None
-        found = known.pop(key, None)  # None for a larger block, which has no key
-        if found is None:
-            found = _count_block(n, edges)
-        if key:
-            known[key] = found
-            while len(known) > BLOCK_MEMO_ENTRIES:
-                del known[next(iter(known))]
-        counts.append(found)
+        counts.append(_count_block(n, edges)[0])
     return _balanced_product(counts) << bridges
 
 
@@ -1060,19 +1041,26 @@ def _refined_key(adj: list[list[int]]) -> tuple[int, int]:
                   for a, neighbours in enumerate(adj) for b in neighbours if label[a] < label[b])
 
 
-def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
-    """The count of a block on vertices 0..n-1 that missed the memo under
-    its DFS key or is past its vertex bound: the one place where a block's
-    counter is picked. The degrees are counted once, for h, the vertices
-    that are not universal, and the least degree, and each counter is priced
-    once in word steps, the unit check_work reads: the subset DP at
-    _subset_cost(h), the frontier DP at its least price, on _block_widths
-    (no order of a block is narrower: 9n - 18 steps of the state bound), and
-    the reductions at _series_parallel_cost. Then, in order:
+def _count_block(n: int, edges: list[tuple[int, int]]) -> tuple[int, str]:
+    """The count of a block on vertices 0..n-1, with the route that found
+    it: "memo", "series-parallel", "frontier" or "subset". This is the one
+    place where a block's count is found and its counter picked.
+
+    A block of at most BLOCK_MEMO_VERTICES is first looked up in the block
+    memo, least recently used first, keyed by (n, bits) with bit a n + b for
+    each edge (a, b) under the labels of _blocks, in DFS discovery order:
+    every labelling of C_n or K_m gives one key. A key is the block's edge
+    set under a bijective relabelling, so a hit is an isomorphic block, of
+    equal count, and runs no counter. On a miss the degrees are counted
+    once, for h, the vertices that are not universal, and the least degree,
+    and each counter is priced once in word steps, the unit check_work
+    reads: the subset DP at _subset_cost(h), the frontier DP at its least
+    price, on _block_widths (no order of a block is narrower: 9n - 18 steps
+    of the state bound), and the reductions at _series_parallel_cost. Then,
+    in order:
     1. the series-parallel reductions, priced and refused here, where a
        vertex has degree 2 and the subset DP's price is above that least,
-       which is at least theirs; a count they give is kept under the DFS
-       key alone;
+       which is at least theirs;
     2. where they stall, on a K_4 minor, or were not tried, a block within
        BLOCK_MEMO_VERTICES is looked up under _refined_key of its adjacency;
     3. on a miss, the DP of the lower price, kept under the refined key: the
@@ -1080,7 +1068,16 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
        where the subset DP's price is above the least and the least fits the
        budget, and it runs where its price on that order is still below the
        subset DP's. Each DP prices itself; where the lower DP price is over
-       the work budget, so is the other."""
+       the work budget, so is the other.
+    A count is then kept under the DFS key, and the least recently used
+    entries past BLOCK_MEMO_ENTRIES go; a refusal raises before anything is
+    kept."""
+    known = KEPT.setdefault("blocks", {})
+    key = (n, sum(1 << a * n + b for a, b in edges)) if n <= BLOCK_MEMO_VERTICES else None
+    found = known.pop(key, None)  # None for a larger block, which has no key
+    if found is not None:
+        known[key] = found  # put back as the most recently used
+        return found, "memo"
     degrees = Counter(chain.from_iterable(edges)).values()
     subset = word_steps(*_subset_cost(n - sum(d == n - 1 for d in degrees))[:2])
     least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
@@ -1089,25 +1086,27 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> int:
         if least >= word_steps(operations, bits):
             check_work(f"the series-parallel reductions of {n} vertices", operations, bits,
                        held=held, printed=0)
-            found = _series_parallel(n, edges)
-            if found is not None:
-                return found
-    adj = _adjacency(n, edges) if n <= BLOCK_MEMO_VERTICES else None
-    refined = _refined_key(adj) if adj else None
-    known = KEPT.setdefault("blocks", {})
-    found = known.pop(refined, None)
-    if found is None and subset > least:
-        _price_frontier(n, len(edges), _block_widths(n))  # before the order, and a larger block's adjacency
-        adj = adj or _adjacency(n, edges)
-        order, widths = _frontier_order(adj)
-        if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
-            found = _count_frontier(adj, order, widths)
+            found, route = _series_parallel(n, edges), "series-parallel"
     if found is None:
-        # the benchmark's tracer counts this call; ROADMAP item 2 removes it
-        found = count_compositions_graph(LabeledGraph(n, edges))
-    if refined:
-        known[refined] = found
-    return found
+        adj = _adjacency(n, edges) if key else None
+        refined = _refined_key(adj) if key else None
+        found, route = known.pop(refined, None), "memo"
+        if found is None and subset > least:
+            _price_frontier(n, len(edges), _block_widths(n))  # before the order, and a larger block's adjacency
+            adj = adj or _adjacency(n, edges)
+            order, widths = _frontier_order(adj)
+            if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
+                found, route = _count_frontier(adj, order, widths), "frontier"
+        if found is None:
+            # the benchmark's tracer counts this call; ROADMAP item 2 removes it
+            found, route = count_compositions_graph(LabeledGraph(n, edges)), "subset"
+        if refined:
+            known[refined] = found
+    if key:
+        known[key] = found
+        while len(known) > BLOCK_MEMO_ENTRIES:
+            del known[next(iter(known))]
+    return found, route
 
 
 def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:

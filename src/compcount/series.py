@@ -121,8 +121,8 @@ def _long_division(num, den, order: int, zero, known: list | None = None) -> lis
     """Coefficients 0..order of num / den by long division (_divide), as a
     new list, or as `known` extended in place where it holds the first of
     them: family_decimals continues the series it keeps that way, and
-    divides a fresh contain series by its two denominator factors in turn
-    over one list. The steps are additions, products and negations, so they
+    divides a contain series by its two denominator factors in turn over
+    one list. The steps are additions, products and negations, so they
     run exactly on ints, and on Decimals in an exact context; `zero` is the
     0 of the terms' type."""
     if order < 0:
@@ -314,29 +314,33 @@ def family_decimals(family: str, k: int, order: int) -> list:
     time, so this is the route of a series that is to be printed.
 
     The last series asked for (k clamped by _family_k) is kept: a call for
-    it reads a prefix, or divides for the terms it lacks where that costs
-    less than afresh, and another series replaces it. A fresh contain series
-    is divided by gf_avoiding's denominator D, then by 1 - 2z over the same
-    list, all by additions, where their product (see gf_containing) has the
-    products 4, -4, -3 and 2. A term's division takes time linear in its
-    index, so with n = order + 1, terms j..order take (n^2 - j^2)/n^2 of a
-    division's time, 1.2-2.5 times that by the product (k = 3-12,
-    n = 500-15000): a contain series continues where n^2 - j^2 < n^2/2.
+    it reads a prefix, or divides for the terms it lacks, and another series
+    starts from no terms and replaces it. A contain series is divided by
+    gf_avoiding's denominator D, then by 1 - 2z over the same list, all by
+    additions, where their product (see gf_containing) has the products 4,
+    -4, -3 and 2. To continue one, the last len(D) - 1 kept terms c_i, which
+    D's division reads, are turned back into their quotient by D,
+    c_i - 2c_(i-1) from the top down; D then divides the missing terms, and
+    1 - 2z the terms from the first one turned back.
     """
     from decimal import Decimal, localcontext
 
     k = _family_k(family, k, order)
     gf = SERIES_FAMILIES[family](k)
     kept_gf, coeffs = KEPT.pop("decimals", (None, None))
-    numerator, zero, n = [*map(Decimal, gf.numerator)], Decimal(0), order + 1
+    if gf != kept_gf:
+        coeffs = []
+    numerator, zero = [*map(Decimal, gf.numerator)], Decimal(0)
     with localcontext(_exact_context()):
-        if gf == kept_gf and (n * n - len(coeffs) ** 2) * (2 if family == "contain" else 1) < n * n:
+        if family != "contain":
             _long_division(numerator, gf.denominator, order, zero, coeffs)
-        elif family == "contain":
-            coeffs = _long_division(numerator, gf_avoiding(k).denominator, order, zero)
-            _divide(coeffs, (1, -2), 0)
-        else:
-            coeffs = _long_division(numerator, gf.denominator, order, zero)
+        elif len(coeffs) <= order:
+            denominator = gf_avoiding(k).denominator
+            low = max(0, len(coeffs) - len(denominator) + 1)
+            for i in range(len(coeffs) - 1, max(low, 1) - 1, -1):
+                coeffs[i] -= 2 * coeffs[i - 1]
+            _long_division(numerator, denominator, order, zero, coeffs)
+            _divide(coeffs, (1, -2), low)
     KEPT["decimals"] = (gf, coeffs)
     return coeffs[: order + 1]
 

@@ -15,7 +15,7 @@ from random import Random
 
 from . import VERIFY_SUITES, compositions, exactnum, graphcomp, series
 from .compositions import PartBounds
-from .errors import check_work, forget, pricing
+from .errors import check_work, forget, karatsuba, pricing
 
 Check = tuple[str, bool, str]
 
@@ -42,13 +42,13 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     the leading totals and the bounded-part DP take about 0.9 top^3
     operations on top-bit numbers for top = 4 max_n, the per-first-part
     sums of the leading totals' check about 7 top^2 ln(top) (1 us each at
-    max_n = 25-200), the avoid/contain jump check about
-    4e4 (last/64 + 1)^0.585 on last-bit numbers for last = max(40, top), the
-    series about 20 order^2 on order-bit numbers, holding the 24 expansions
-    of _series_checks (four families, k = 1..6), the distinct total and z,
-    26 series of order + 1 terms, for order = max(40, 2 max_n), and the
-    check of their printed text, each series at order - 1 and at order,
-    about 1000 order more (1.5-2.1 times its time at order = 196-1600).
+    max_n = 25-200), the avoid/contain jump check about 4e4 Karatsuba
+    products of last bits for last = max(40, top), the series about
+    20 order^2 on order-bit numbers, holding the 24 expansions of
+    _series_checks (four families, k = 1..6), the distinct total and z, 26
+    series of order + 1 terms, for order = max(40, 2 max_n), and the check
+    of their printed text, each series at order - 1 and at order, about
+    1000 order more (1.5-2.1 times its time at order = 196-1600).
     Left out: the 24 leading values at 4 order, jumped and counted, about
     33 ms of the series' 2.3-3.9 s at max_n = 611, the largest."""
     top, order = 4 * max_n, max(40, 2 * max_n)
@@ -56,7 +56,7 @@ def _check_suite_work(suite: str, max_n: int) -> None:
     with pricing(what := f"verify --suite {suite} --max-n {max_n}"):
         if suite in ("all", "compositions"):
             operations = (0.9 * top ** 3 + 7 * top ** 2 * math.log(top)
-                          + 4e4 * (max(40, top) / 64 + 1) ** 0.585)
+                          + karatsuba(4e4, max(40, top)))
             held = top
         if suite in ("all", "series"):
             operations, held = operations + 20 * order ** 2 + 1000 * order, held + 26 * (order + 1)

@@ -641,43 +641,30 @@ class CountingMemo(dict):
         return found
 
 
-def _record_counters(monkeypatch, on_count=lambda route, n, edges, count: None):
-    """Route the three block counters through recorders, from an empty block
-    memo that counts its hits; returns the lists of vertex counts the subset
-    DP and the frontier DP each receive, and those of the blocks that the
-    series-parallel reductions count (not those where they stall). After each
-    counter's loop, on_count gets its route ("subset", "frontier" or
-    "reductions"), the block's n and DFS-labelled edges, and its count, None
-    where the reductions stall."""
+ROUTES = ("memo", "series-parallel", "frontier", "subset")  # the routes of _count_block
+
+
+def _record_blocks(monkeypatch):
+    """Route every block through a recorder of _count_block, from an empty
+    block memo that counts its hits; returns the list that gets, for each
+    block, its route (one of ROUTES), its n and DFS-labelled edges, and its
+    count."""
     monkeypatch.setitem(errors.KEPT, "blocks", CountingMemo())
-    subset_sizes, frontier_sizes, reduced_sizes = [], [], []
-    subset = graphcomp._count_subset
-    frontier = graphcomp._count_frontier
-    series_parallel = graphcomp._series_parallel
+    recorded = []
+    count_block = graphcomp._count_block
 
-    def recording_subset(adj):
-        subset_sizes.append(len(adj))
-        count = subset(adj)
-        on_count("subset", len(adj), _edges_of(adj), count)
-        return count
+    def recording(n, edges):
+        count, route = count_block(n, edges)
+        recorded.append((route, n, edges, count))
+        return count, route
 
-    def recording_frontier(adj, order, widths):
-        frontier_sizes.append(len(adj))
-        count = frontier(adj, order, widths)
-        on_count("frontier", len(adj), _edges_of(adj), count)
-        return count
+    monkeypatch.setattr(graphcomp, "_count_block", recording)
+    return recorded
 
-    def recording_reductions(n, edges):
-        found = series_parallel(n, edges)
-        if found is not None:
-            reduced_sizes.append(n)
-        on_count("reductions", n, edges, found)
-        return found
 
-    monkeypatch.setattr(graphcomp, "_count_subset", recording_subset)
-    monkeypatch.setattr(graphcomp, "_count_frontier", recording_frontier)
-    monkeypatch.setattr(graphcomp, "_series_parallel", recording_reductions)
-    return subset_sizes, frontier_sizes, reduced_sizes
+def _routes(recorded, *routes):
+    """The sizes of the recorded blocks of these routes, in order."""
+    return [n for route, n, *_ in recorded if route in routes]
 
 
 def _edges_of(adj):
@@ -691,45 +678,50 @@ def _dfs_key(n, edges):
 
 def test_reduce_matches_family_product_on_glued_graphs(monkeypatch):
     rng = Random(314)
-    reached = []  # each counter run: its route, the block's n, DFS and refined keys, and count
+    recorded = _record_blocks(monkeypatch)
+    memo, count_block = errors.KEPT["blocks"], graphcomp._count_block
 
-    def on_count(route, n, edges, count):
-        key, refined = _dfs_key(n, edges), graphcomp._refined_key(graphcomp._adjacency(n, edges))
+    def keys(n, edges):
+        return _dfs_key(n, edges), graphcomp._refined_key(graphcomp._adjacency(n, edges))
+
+    def checking(n, edges):
         # a counter runs only where the DFS key missed, and a DP only where
-        # the refined key missed too; neither is kept before it returns
-        assert key not in errors.KEPT["blocks"]
-        assert route == "reductions" or refined not in errors.KEPT["blocks"]
-        reached.append((route, n, key, refined, count))
+        # the refined key missed too
+        kept = [key in memo for key in keys(n, edges)]
+        count, route = count_block(n, edges)
+        assert route == "memo" or not kept[0]
+        assert route in ("memo", "series-parallel") or not kept[1]
+        return count, route
 
-    recorded = _record_counters(monkeypatch, on_count)
+    monkeypatch.setattr(graphcomp, "_count_block", checking)
     for _ in range(5):
         graph, expected, block_sizes = _glued_graph(rng)
         assert graph.vertex_count >= 300
-        memo = errors.KEPT["blocks"]
-        known, hits, start = set(memo), memo.hits, len(reached)
+        known, hits, first = set(memo), memo.hits, len(recorded)
         assert graphcomp.reduce_and_count(graph) == expected
         # each block with at least 3 vertices whose DFS key misses goes to the
         # router; one the series-parallel reductions count is kept under that
         # key alone, and one whose refined key misses too reaches exactly one
         # DP, once, and is then kept under both; every other block is a memo
         # hit, which adds at most its DFS key
-        runs = reached[start:]
-        counted = [(n, {key, refined}) for route, n, key, refined, _ in runs if route != "reductions"]
-        reduced = [(n, key) for route, n, key, _, count in runs if route == "reductions" and count is not None]
+        runs = [(route, n, *keys(n, edges)) for route, n, edges, _ in recorded[first:] if route != "memo"]
+        counted = [(n, {key, refined}) for route, n, key, refined in runs if route != "series-parallel"]
+        reduced = [(n, key) for route, n, key, _ in runs if route == "series-parallel"]
         new, missed = set(memo) - known, set().union(*(keys for _, keys in counted))
         reduced_keys = {key for _, key in reduced}
         assert missed | reduced_keys <= new and len(new - missed - reduced_keys) <= memo.hits - hits
         assert len(counted) + len(reduced) + memo.hits - hits == len(block_sizes)
         assert set(block_sizes) - {n for n, _ in known} <= {n for n, _ in counted + reduced} <= set(block_sizes)
-    assert all(recorded)
+        assert len(_routes(recorded[first:], "memo")) == memo.hits - hits
+    assert {route for route, *_ in recorded} == set(ROUTES)
 
 
 def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_frontier_dp(monkeypatch):
-    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
+    recorded = _record_blocks(monkeypatch)
     for m in range(6, 12):
         assert graphcomp.reduce_and_count(complete(m)) == exactnum.bell(m)
-    assert subset_sizes == list(range(6, 12)) and not frontier_sizes and not reduced_sizes
-    subset_sizes.clear()
+    assert _routes(recorded, "subset") == list(range(6, 12)) == _routes(recorded, *ROUTES)
+    recorded.clear()
     # thin blocks with a K_4 minor, where the reductions stall
     for n in (12, 13, 16, 20, 40):
         block = crossed_cycle(n)
@@ -738,35 +730,34 @@ def test_reduce_routes_dense_blocks_to_the_subset_dp_and_thin_ones_to_the_fronti
         block = grid(rows, columns)
         by_columns = sorted(range(rows * columns), key=lambda v: (v % columns, v // columns))
         assert graphcomp.reduce_and_count(block) == per_state_frontier(block.adjacency(), by_columns)
-    assert not subset_sizes and not reduced_sizes
-    assert frontier_sizes == [12, 13, 16, 20, 40, 12, 30, 90]
+    assert _routes(recorded, "frontier") == [12, 13, 16, 20, 40, 12, 30, 90] == _routes(recorded, *ROUTES)
     # cycles and ladders have no K_4 minor: from C_7 and 4 rungs on, where the
     # subset DP's price is over the frontier DP's least, the reductions count
     # them, and neither DP runs
-    frontier_sizes.clear()
+    recorded.clear()
     for n in (7, 12, 13, 16, 20, 40, 100):
         assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
     for rungs in (4, 5, 6, 10, 30, 50):
         ladder = graphcomp.build_family("ladder", rungs)
         assert graphcomp.reduce_and_count(ladder) == graphcomp.ladder_binet(rungs)
-    assert reduced_sizes == [7, 12, 13, 16, 20, 40, 100, 8, 10, 12, 20, 60, 100]
-    assert not subset_sizes and not frontier_sizes
-    reduced_sizes.clear()
+    assert _routes(recorded, "series-parallel") == [7, 12, 13, 16, 20, 40, 100, 8, 10, 12, 20, 60, 100] \
+        == _routes(recorded, *ROUTES)
+    recorded.clear()
     for n in (3, 4, 5, 6):
         assert graphcomp.reduce_and_count(graphcomp.build_family("cycle", n)) == (1 << n) - n
     assert graphcomp.reduce_and_count(graphcomp.build_family("ladder", 3)) == graphcomp.ladder_binet(3)
-    assert subset_sizes == [3, 4, 5, 6, 6] and not frontier_sizes and not reduced_sizes
+    assert _routes(recorded, "subset") == [3, 4, 5, 6, 6] == _routes(recorded, *ROUTES)
     # pinned blocks of the benchmark on both sides of the two prices: the
     # frontier DP's state bound is loose on the denser ones
-    subset_sizes.clear()
+    recorded.clear()
     pinned = json.loads(PINNED_DENSE.read_text())
     for n, p in ((10, 0.7), (10, 0.4), (12, 0.4)):
         for entry in [e for e in pinned if e["n"] == n and e["p"] == p]:
             block = LabeledGraph(n, {tuple(edge) for edge in entry["edges"]})
             assert graphcomp.reduce_and_count(block) == int(entry["count"])
-    assert subset_sizes == [10, 10, 10, 10, 12]
-    assert frontier_sizes == [10, 10, 12, 12]
-    assert not reduced_sizes
+    assert _routes(recorded, "subset") == [10, 10, 10, 10, 12]
+    assert _routes(recorded, "frontier") == [10, 10, 12, 12]
+    assert not _routes(recorded, "series-parallel")
 
 
 # --- the block memo --------------------------------------------------------------------------
@@ -845,16 +836,16 @@ def test_every_relabelling_of_a_cycle_or_complete_graph_is_one_memo_entry(monkey
 def test_relabelled_pinned_blocks_mostly_reach_a_counter_once(monkeypatch):
     # ties inside a colour class follow the DFS labels, so where refinement
     # leaves a class of more than one vertex a copy may be counted again
-    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
+    recorded = _record_blocks(monkeypatch)
     rng = Random(5454)
     once = 0
     for entry in json.loads(PINNED_DENSE.read_text()):
         block = LabeledGraph(entry["n"], {tuple(edge) for edge in entry["edges"]})
-        before = len(subset_sizes) + len(frontier_sizes)
+        before = len(_routes(recorded, "subset", "frontier"))
         for _ in range(8):
             assert graphcomp.reduce_and_count(relabelled(block, rng)) == int(entry["count"])
-        once += len(subset_sizes) + len(frontier_sizes) == before + 1
-    assert once >= 50 and not reduced_sizes
+        once += len(_routes(recorded, "subset", "frontier")) == before + 1
+    assert once >= 50 and not _routes(recorded, "series-parallel")
 
 
 def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(monkeypatch):
@@ -922,21 +913,17 @@ def test_a_refused_block_is_not_kept(monkeypatch):
 
 
 def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
-    counted, refined = {}, {}  # the count of each counter run, by its DFS key and by its refined key
-
-    def on_count(route, n, edges, count):
-        if count is not None:
-            counted[_dfs_key(n, edges)] = count
-        if route != "reductions":
-            refined[graphcomp._refined_key(graphcomp._adjacency(n, edges))] = count
-
-    _record_counters(monkeypatch, on_count)
+    recorded = _record_blocks(monkeypatch)
     memo = errors.KEPT["blocks"]
     rng = Random(1818)
     pool = _pool(rng)
     for _ in range(4):
         graphcomp.reduce_and_count(_glued(rng, [rng.choice(pool)[0] for _ in range(30)]))
     assert memo.hits > 20
+    # the count of each counter run, by its DFS key and by its refined key
+    counted = {_dfs_key(n, edges): count for route, n, edges, count in recorded if route != "memo"}
+    refined = {graphcomp._refined_key(graphcomp._adjacency(n, edges)): count
+               for route, n, edges, count in recorded if route in ("subset", "frontier")}
     assert counted.items() <= memo.items() and refined.items() <= memo.items()
     assert len(refined) < len(counted) < len(memo)
     # every key, DFS or refined, is the edge set of a block with the count it holds
@@ -944,6 +931,26 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
         edges = [(a, b) for a, b in combinations(range(n), 2) if bits >> a * n + b & 1]
         assert _dfs_key(n, edges) == (n, bits)
         assert graphcomp._subset_ways(LabeledGraph(n, set(edges)).neighbor_masks(), n)[-1] == count
+
+
+def test_count_block_returns_the_route_of_each_count():
+    cycle = sorted(graphcomp.build_family("cycle", 12).edges)
+    crossed = crossed_cycle(12)
+    assert graphcomp._count_block(12, cycle) == ((1 << 12) - 12, "series-parallel")
+    assert graphcomp._count_block(6, sorted(complete(6).edges)) == (exactnum.bell(6), "subset")
+    assert graphcomp._count_block(12, sorted(crossed.edges)) == \
+        (per_state_frontier(crossed.adjacency(), range(12)), "frontier")
+    # a memo hit under the DFS key, and one under the refined key alone: the
+    # pinned block with its labels reversed has another DFS key
+    assert graphcomp._count_block(12, cycle) == ((1 << 12) - 12, "memo")
+    entry = json.loads(PINNED_DENSE.read_text())[0]
+    n, count, edges = entry["n"], int(entry["count"]), sorted(map(tuple, entry["edges"]))
+    reversed_edges = sorted((n - 1 - b, n - 1 - a) for a, b in edges)
+    assert graphcomp._count_block(n, edges) in ((count, "subset"), (count, "frontier"))
+    kept = dict(errors.KEPT["blocks"])
+    assert _dfs_key(n, reversed_edges) not in kept
+    assert graphcomp._count_block(n, reversed_edges) == (count, "memo")
+    assert errors.KEPT["blocks"] == kept | {_dfs_key(n, reversed_edges): count}
 
 
 # --- the series-parallel reductions ---------------------------------------------------------
@@ -992,20 +999,20 @@ def test_every_block_with_a_k4_minor_stalls_the_reductions_and_reaches_the_paren
     tried = []  # what each try of the reductions gave
     series_parallel = graphcomp._series_parallel
 
-    def on_count(route, n, edges, count):
-        if route == "reductions":
-            tried.append(count)
+    def trying(n, edges):
+        tried.append(series_parallel(n, edges))
+        return tried[-1]
 
-    subset_sizes, frontier_sizes, _ = _record_counters(monkeypatch, on_count)
+    monkeypatch.setattr(graphcomp, "_series_parallel", trying)
+    recorded = _record_blocks(monkeypatch)
     for block in blocks:
         n = block.vertex_count
         assert not verify._no_k4_minor(n, block.edges)
         assert series_parallel(n, list(block.edges)) is None
         errors.forget()
-        subset_sizes.clear()
-        frontier_sizes.clear()
+        recorded.clear()
         assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks(), n)[-1]
-        assert subset_sizes + frontier_sizes == [n]
+        assert _routes(recorded, "subset", "frontier") == [n]
     assert len(tried) > 5 and not any(tried)
 
 
@@ -1069,11 +1076,11 @@ def test_each_block_reaches_the_reductions_and_the_refined_key_at_most_once(monk
 def test_the_reductions_are_not_tried_where_their_price_is_above_the_frontier_dps_least(monkeypatch):
     # so ladders of more than about 18,200 rungs go to the frontier DP, and
     # from 37,500 to 42,800 rungs only its price fits the budget
-    subset_sizes, frontier_sizes, reduced_sizes = _record_counters(monkeypatch)
+    recorded = _record_blocks(monkeypatch)
     cycle = graphcomp.build_family("cycle", 40)
     monkeypatch.setattr(graphcomp, "SERIES_PARALLEL_OPERATIONS", 1e4)
     assert graphcomp.reduce_and_count(cycle) == (1 << 40) - 40
-    assert frontier_sizes == [40] and not subset_sizes and not reduced_sizes
+    assert _routes(recorded, "frontier") == [40] == _routes(recorded, *ROUTES)
 
 
 def test_a_random_two_tree_of_ten_thousand_vertices_is_counted_under_the_default_budget():

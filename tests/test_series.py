@@ -378,24 +378,27 @@ def test_the_last_series_keeps_its_most_coefficients_and_divides_only_those_it_l
     series.family_decimals("contain", 10 ** 6, 10)
     assert errors.KEPT["decimals"][0] == series.gf_containing(11)
     assert [start for start, _ in divided] == [0, 0]  # by D, then by 1 - 2z
+    # continued: the 11 kept terms, fewer than len(D) - 1 = 12, are all
+    # turned back into their quotient by D, D divides the two missing terms
+    # and 1 - 2z all 13
     series.family_decimals("contain", 11, 12)
-    assert divided[2:] == [(11, 13)] and len(errors.KEPT["decimals"][1]) == 13
+    assert divided[2:] == [(11, 13), (0, 13)] and len(errors.KEPT["decimals"][1]) == 13
     # at order 12, k = 10^6 is k = 13: a different series, found afresh
     series.family_decimals("contain", 10 ** 6, 12)
-    assert errors.KEPT["decimals"][0] == series.gf_containing(13) and divided[3:] == [(0, 13), (0, 13)]
-    # continuing a contain series by its product denominator takes about
-    # twice the time of a fresh division of the same terms, and a term's
-    # time grows with its index, so one whose missing terms hold half of
-    # order^2 or more is divided afresh by the factors
-    for walk, route in (((10, 2900), [(0, 11), (0, 11), (0, 2901), (0, 2901)]),
-                        ((1800, 2900), [(0, 1801), (0, 1801), (0, 2901), (0, 2901)]),
-                        ((2899, 2900), [(0, 2900), (0, 2900), (2900, 2901)]),
-                        ((2200, 2900), [(0, 2201), (0, 2201), (2201, 2901)])):
+    assert errors.KEPT["decimals"][0] == series.gf_containing(13) and divided[4:] == [(0, 13), (0, 13)]
+    # with k = 6, D = 1 - 2z + z^6 - z^7 reads the 7 terms before each one
+    # it divides: a kept series continues whatever share it holds, D divides
+    # only the missing terms and 1 - 2z those from 7 below the first, and a
+    # shorter order reads a prefix
+    for walk, route in (((10, 2900, 20), [(0, 11), (0, 11), (11, 2901), (4, 2901)]),
+                        ((2000, 2900), [(0, 2001), (0, 2001), (2001, 2901), (1994, 2901)]),
+                        ((2899, 2900), [(0, 2900), (0, 2900), (2900, 2901), (2893, 2901)])):
         errors.forget()
         del divided[:]
         printed = [series.family_decimals("contain", 6, order) for order in walk]
         assert divided == route
-        assert as_text(printed[-1]) == as_text(series.family_series("contain", 6, 2900).coefficients)
+        for order, coeffs in zip(walk, printed):
+            assert as_text(coeffs) == as_text(series.family_series("contain", 6, order).coefficients)
 
 
 def test_a_kept_series_is_priced_as_if_nothing_were_kept(monkeypatch):
