@@ -6,6 +6,12 @@ code, and the lines are written with one writelines: a number is converted
 to decimal as its line is written, so no output is held whole. Exit codes:
 0 success, 1 domain error or a failed verify check, 2 usage error, 3
 resource-guard error or out of memory.
+
+Importing this module and building its parser import no counting module.
+Each command finds its modules on this import of the package (_package),
+which imports each on its first use, so a process loads only those that its
+command reads: the graph commands graphcomp and exactnum; series, series and
+exactnum; count and triangle, compositions besides; verify all of them.
 """
 
 import argparse
@@ -13,16 +19,17 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
-from . import VERIFY_SUITES, compositions, graphcomp, series
-from .compositions import PartBounds
+from . import COMPOSITIONS_DISTINCT, FAMILIES, PARTITIONS_DISTINCT, VERIFY_SUITES, _SERIES_FAMILIES
 from .errors import ResourceLimitError, memo
-from .graphcomp import GraphParseError
 
-TRIANGLE_KIND_FLAGS = {"pi": compositions.PARTITIONS_DISTINCT,
-                       "cdistinct": compositions.COMPOSITIONS_DISTINCT}
+# This import of the package, whose attributes are its modules: a command reads
+# its counters there, at one attribute lookup a module, and not by name in
+# sys.modules, which may hold another import of the package.
+_package = sys.modules[__package__]
+
+TRIANGLE_KIND_FLAGS = {"pi": PARTITIONS_DISTINCT, "cdistinct": COMPOSITIONS_DISTINCT}
 # --name flags: each family's own name, except kminus for complete_minus_edge.
-FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name
-                for name in graphcomp.FAMILIES}
+FAMILY_FLAGS = {"kminus" if name == "complete_minus_edge" else name: name for name in FAMILIES}
 
 
 class UsageError(Exception):
@@ -35,12 +42,14 @@ def _value(count):
 
 
 def _distinct(args: argparse.Namespace) -> int:
+    compositions = _package.compositions
     if args.k is None:
         return compositions.count_compositions_distinct_total(args.n)
     return compositions.count_compositions_distinct(args.n, args.k)
 
 
 def _leading(args: argparse.Namespace) -> int:
+    compositions = _package.compositions
     strict = args.mode == "strict"
     if args.k is None:
         total = compositions.count_leading_strict_total if strict else compositions.leading_weak_total
@@ -49,11 +58,13 @@ def _leading(args: argparse.Namespace) -> int:
 
 
 def _graph_count(args: argparse.Namespace) -> int:
+    graphcomp = _package.graphcomp
     with open(args.file, encoding="utf-8") as handle:
         return graphcomp.reduce_and_count(graphcomp.read_edge_list(handle))
 
 
 def _series(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
+    series = _package.series
     if args.family == "distinct-total":
         if args.k is not None:
             raise UsageError("--k does not apply to the distinct-total series")
@@ -65,6 +76,7 @@ def _series(args: argparse.Namespace, command: str, params: dict) -> tuple[Itera
 
 def _graph_family(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
     family = FAMILY_FLAGS[args.name]
+    graphcomp = _package.graphcomp
     if not args.emit_graph:
         return _values(command, params, [graphcomp.family_count(family, args.n)], args.format), 0
     if args.format != "plain":
@@ -73,9 +85,7 @@ def _graph_family(args: argparse.Namespace, command: str, params: dict) -> tuple
 
 
 def _verify(args: argparse.Namespace, command: str, params: dict) -> tuple[Iterable[str], int]:
-    from . import verify  # only this command needs it, so start-up skips it
-
-    checks = verify.run_suite(args.suite, args.max_n, args.seed)
+    checks = _package.verify.run_suite(args.suite, args.max_n, args.seed)
     return _check_lines(params, checks, args.format), 1 if any(not ok for _, ok, _ in checks) else 0
 
 
@@ -91,20 +101,21 @@ K_OR_NONE = ("--k", {"type": int, "default": None})
 COMMANDS = (
     (("count", "restricted"), "k-part compositions with bounded parts",
      (N, K, ("--min", {"type": int, "default": 0}), ("--max", {"type": int, "default": None})),
-     _value(lambda args: compositions.count_restricted(args.n, args.k, PartBounds(args.min, args.max)))),
+     _value(lambda args: _package.compositions.count_restricted(
+         args.n, args.k, _package.compositions.PartBounds(args.min, args.max)))),
     (("count", "distinct"), "compositions into distinct nonzero parts", (N, K_OR_NONE), _value(_distinct)),
     (("count", "leading"), "compositions with the largest part first",
      (("--mode", {"choices": ("strict", "weak"), "required": True}), N, K_OR_NONE), _value(_leading)),
     (("count", "avoid"), "compositions with no part equal to k", (K, N),
-     _value(lambda args: compositions.count_avoiding(args.n, args.k))),
+     _value(lambda args: _package.compositions.count_avoiding(args.n, args.k))),
     (("count", "contain"), "compositions with at least one part k", (K, N),
-     _value(lambda args: compositions.count_containing(args.n, args.k))),
+     _value(lambda args: _package.compositions.count_containing(args.n, args.k))),
     (("triangle",), "rows of a distinct-part counting triangle",
      (("--kind", {"choices": sorted(TRIANGLE_KIND_FLAGS), "required": True}), ("--rows", INT)),
      lambda args, command, params: (_triangle_lines(
-         params, compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows), args.format), 0)),
+         params, _package.compositions.triangle(TRIANGLE_KIND_FLAGS[args.kind], args.rows), args.format), 0)),
     (("series",), "generating-function coefficients",
-     (("--family", {"choices": (*series.SERIES_FAMILIES, "distinct-total"), "required": True}), K_OR_NONE,
+     (("--family", {"choices": (*_SERIES_FAMILIES, "distinct-total"), "required": True}), K_OR_NONE,
       ("--order", INT)), _series),
     (("graph", "count"), "count a graph from an edge-list file", (("--file", {"required": True}),),
      _value(_graph_count)),
@@ -274,7 +285,7 @@ def _run(argv: list[str], out, err) -> int:
     except OverflowError as exc:  # a size past a float's range, in a cost estimate
         err.write(f"resource limit: a size too large to price ({exc})\n")
         return 3
-    except (GraphParseError, ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # a GraphParseError is a ValueError
         err.write(f"error: {exc}\n")
         return 1
     out.writelines(lines)

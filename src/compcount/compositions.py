@@ -13,13 +13,11 @@ from collections.abc import Callable
 from itertools import repeat
 from operator import lshift
 
-from . import exactnum, series
+from . import COMPOSITIONS_DISTINCT, PARTITIONS_DISTINCT, exactnum, series
 from .errors import KEPT, Frozen, ResourceLimitError, check_work, karatsuba, pricing
 
 Composition = tuple[int, ...]
 
-PARTITIONS_DISTINCT = "partitions-distinct"
-COMPOSITIONS_DISTINCT = "compositions-distinct"
 TRIANGLE_KINDS = (PARTITIONS_DISTINCT, COMPOSITIONS_DISTINCT)
 
 

@@ -36,7 +36,7 @@ from itertools import chain, combinations, compress, islice, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 from random import Random
 
-from . import exactnum
+from . import FAMILIES, exactnum
 from .errors import (KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, karatsuba, memo, pricing,
                      word_steps)
 
@@ -50,10 +50,8 @@ DIRECT_CUBE_BITS = 7
 # it holds two lists of the packed numbers of its cube, not three.
 PRODUCT_CHUNK = 1024
 
-# Each named family with its smallest size (rungs for the ladder).
-FAMILY_MIN_SIZE = {"path": 0, "tree": 0, "complete": 0, "complete_minus_edge": 2,
-                   "cycle": 3, "ladder": 1}
-FAMILIES = tuple(FAMILY_MIN_SIZE)
+# Each named family's smallest size, in the order of FAMILIES (rungs for the ladder).
+FAMILY_MIN_SIZE = dict(zip(FAMILIES, (0, 0, 0, 2, 3, 1), strict=True))
 
 
 class GraphParseError(ValueError):

@@ -8,7 +8,7 @@ site; there is no implicit global precision.
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from . import exactnum
+from . import _SERIES_FAMILIES, exactnum
 from .errors import KEPT, Frozen, check_work
 
 Polynomial = tuple[int, ...]
@@ -274,10 +274,11 @@ def gf_containing(k: int) -> RationalGF:
     return RationalGF(_poly((k, 1), (k + 1, -2), (k + 2, 1)), denominator)
 
 
-# The --family flags of the rational composition series. Each coefficient m
-# counts compositions of m, so it is below 2^m.
-SERIES_FAMILIES = {"fstrict": gf_leading_strict, "fweak": gf_leading_weak,
-                   "avoid": gf_avoiding, "contain": gf_containing}
+# The --family flags of the rational composition series, by the names that the
+# package defines for the CLI parser. Each coefficient m counts compositions of
+# m, so it is below 2^m.
+SERIES_FAMILIES = dict(zip(_SERIES_FAMILIES, (gf_leading_strict, gf_leading_weak, gf_avoiding, gf_containing),
+                           strict=True))
 
 
 def _check_expansion(what: str, order: int, terms: int) -> None:

@@ -337,10 +337,12 @@ def test_verify_runs_every_suite_at_max_n_1(suite):
 
 
 def test_start_up_imports_none_of_the_modules_that_only_some_commands_read():
-    # verify, decimal (the printed series) and fractions (exactnum's lazy
-    # import) load on first use; dataclasses would bring inspect, and -S
-    # leaves out the site module, which on some installs imports typing itself
-    names = ("compcount.verify", "decimal", "fractions", "dataclasses", "inspect", "typing")
+    # the counting modules, decimal (the printed series) and fractions
+    # (exactnum's lazy import) load on first use; dataclasses would bring
+    # inspect, and -S leaves out the site module, which on some installs
+    # imports typing itself
+    names = ("compcount.verify", "compcount.compositions", "compcount.graphcomp", "compcount.series",
+             "compcount.exactnum", "decimal", "fractions", "dataclasses", "inspect", "typing")
     code = (f"import sys, compcount, compcount.cli; compcount.cli.build_parser(); "
             f"print(*[name for name in {names} if name in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -348,6 +350,41 @@ def test_start_up_imports_none_of_the_modules_that_only_some_commands_read():
     assert (done.returncode, done.stdout) == (0, "\n"), done.stderr
     assert VERIFY_SUITES == ("all", "compositions", "series", "graphs")
     assert run_cli(["verify", "--suite", "everything"])[0] == 2
+
+
+# One argv for each entry of cli.COMMANDS, with the compcount modules that a
+# new interpreter has imported once it has run it: the graph commands never
+# import compositions or series, and no other command but verify imports
+# graphcomp.
+COMMAND_MODULES = {
+    "count restricted": (["--n", "9", "--k", "3", "--max", "4"], {"compositions", "series", "exactnum"}),
+    "count distinct": (["--n", "6"], {"compositions", "series", "exactnum"}),
+    "count leading": (["--mode", "weak", "--n", "8"], {"compositions", "series", "exactnum"}),
+    "count avoid": (["--k", "3", "--n", "10"], {"compositions", "series", "exactnum"}),
+    "count contain": (["--k", "3", "--n", "10"], {"compositions", "series", "exactnum"}),
+    "triangle": (["--kind", "pi", "--rows", "4"], {"compositions", "series", "exactnum"}),
+    "series": (["--family", "contain", "--k", "3", "--order", "8"], {"series", "exactnum"}),
+    "graph count": (["--file", "CYCLE"], {"graphcomp", "exactnum"}),
+    "graph family": (["--name", "ladder", "--n", "5"], {"graphcomp", "exactnum"}),
+    "verify": (["--suite", "graphs", "--max-n", "1"],
+               {"compositions", "series", "exactnum", "graphcomp", "verify"}),
+}
+
+
+def test_each_command_imports_only_the_counting_modules_it_reads(tmp_path):
+    assert sorted(COMMAND_MODULES) == sorted(" ".join(words) for words, *_ in cli.COMMANDS)
+    cycle = tmp_path / "c5.txt"
+    cycle.write_text(graphcomp.format_edge_list(graphcomp.build_family("cycle", 5)))
+    code = ("import io, sys; from compcount import cli; "
+            "assert cli.run(sys.argv[1:], io.StringIO(), io.StringIO()) == 0; "
+            "print(*sorted(name for name in sys.modules if name.startswith('compcount.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for command, (flags, modules) in COMMAND_MODULES.items():
+        argv = [*command.split(), *(str(cycle) if flag == "CYCLE" else flag for flag in flags)]
+        done = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, (argv, done.stderr)
+        imported = {name.removeprefix("compcount.") for name in done.stdout.split()}
+        assert imported == {"cli", "errors", *modules}, argv
 
 
 def test_verify_csv_needs_no_quoting():
