@@ -12,6 +12,10 @@ Each command finds its modules on this import of the package (_package),
 which imports each on its first use, so a process loads only those that its
 command reads: the graph commands graphcomp and exactnum; series, series and
 exactnum; count and triangle, compositions besides; verify all of them.
+
+The parser is one tree: the top parser, a group's (count, graph), and each
+command's. A query's argv is parsed by its command's parser alone (_parse);
+help, unknown words and leftover arguments go through the whole tree.
 """
 
 import argparse
@@ -132,6 +136,8 @@ GROUPS = {"count": "composition counters", "graph": "graph composition counting"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree of commands; its command_parsers maps each command's
+    words, a tuple, to the parser of its flags."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
                         help="output format (default plain)")
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of integer compositions and graph compositions.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    groups = {}
+    groups, parser.command_parsers = {}, {}
     for words, help_text, flags, handler in COMMANDS:
         if len(words) == 2 and words[0] not in groups:
             group = commands.add_parser(words[0], help=GROUPS[words[0]])
@@ -151,12 +157,30 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **options)
         keys = tuple(flag[2:] for flag, options in flags if options.get("action") != "store_true")
         p.set_defaults(handler=handler, words=" ".join(words), keys=keys)
+        parser.command_parsers[words] = p
     return parser
 
 
-# The parser of _run, built on its first call and reused: parsing leaves it
-# unchanged, and building it costs about 2 ms a query.
+# The tree of _run with its command parsers, built on a process's first query
+# and reused, as parsing leaves it unchanged: the first build takes about 8 ms
+# (argparse imports its help formatter's modules), a later one about 2.4 ms.
 _parser = memo(1)(build_parser)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the tree parses it, less the tree's command and
+    subcommand, which nothing reads. The tree hands a command's parser the
+    words after the command's own, so that parser alone parses them, with
+    the same help and errors; argv that names no command, or leaves words
+    over (which the tree reports as compcount's), goes through the tree."""
+    tree = _parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in tree.command_parsers:
+            args, rest = tree.command_parsers[words].parse_known_args(argv[len(words):])
+            if not rest:
+                return args
+            break
+    return tree.parse_args(argv)
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
@@ -271,7 +295,7 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 def _run(argv: list[str], out, err) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -34,7 +34,6 @@ from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
-from random import Random
 
 from . import FAMILIES, exactnum
 from .errors import (KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work, karatsuba, memo, pricing,
@@ -1128,7 +1127,7 @@ def _tree_edges_from_sequence(seq: list[int], n: int) -> set[tuple[int, int]]:
     return edges
 
 
-def random_tree(rng: Random, n: int) -> LabeledGraph:
+def random_tree(rng: "random.Random", n: int) -> LabeledGraph:
     """A uniformly random labeled tree on n vertices."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -1138,7 +1137,7 @@ def random_tree(rng: Random, n: int) -> LabeledGraph:
     return LabeledGraph(n, frozenset(_tree_edges_from_sequence(seq, n)))
 
 
-def random_graph(rng: Random, n: int, edge_probability: float) -> LabeledGraph:
+def random_graph(rng: "random.Random", n: int, edge_probability: float) -> LabeledGraph:
     """Each of the n*(n-1)/2 possible edges appears independently."""
     edges = {
         (u, v)
@@ -1149,7 +1148,7 @@ def random_graph(rng: Random, n: int, edge_probability: float) -> LabeledGraph:
     return LabeledGraph(n, frozenset(edges))
 
 
-def random_connected_graph(rng: Random, n: int, extra_edge_probability: float = 0.0) -> LabeledGraph:
+def random_connected_graph(rng: "random.Random", n: int, extra_edge_probability: float = 0.0) -> LabeledGraph:
     """A random tree plus independent extra edges, so always connected."""
     edges = set(random_tree(rng, n).edges)
     for u in range(n):

@@ -17,7 +17,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from compcount import (VERIFY_SUITES, ResourceLimitError, cli, compositions, errors, exactnum, graphcomp,
                        series, verify)
@@ -355,7 +355,7 @@ def test_start_up_imports_none_of_the_modules_that_only_some_commands_read():
 # One argv for each entry of cli.COMMANDS, with the compcount modules that a
 # new interpreter has imported once it has run it: the graph commands never
 # import compositions or series, and no other command but verify imports
-# graphcomp.
+# graphcomp, or random, which verify alone draws from.
 COMMAND_MODULES = {
     "count restricted": (["--n", "9", "--k", "3", "--max", "4"], {"compositions", "series", "exactnum"}),
     "count distinct": (["--n", "6"], {"compositions", "series", "exactnum"}),
@@ -377,14 +377,14 @@ def test_each_command_imports_only_the_counting_modules_it_reads(tmp_path):
     cycle.write_text(graphcomp.format_edge_list(graphcomp.build_family("cycle", 5)))
     code = ("import io, sys; from compcount import cli; "
             "assert cli.run(sys.argv[1:], io.StringIO(), io.StringIO()) == 0; "
-            "print(*sorted(name for name in sys.modules if name.startswith('compcount.')))")
+            "print(*sorted(name for name in sys.modules if name.startswith('compcount.') or name == 'random'))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     for command, (flags, modules) in COMMAND_MODULES.items():
         argv = [*command.split(), *(str(cycle) if flag == "CYCLE" else flag for flag in flags)]
         done = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env)
         assert done.returncode == 0, (argv, done.stderr)
         imported = {name.removeprefix("compcount.") for name in done.stdout.split()}
-        assert imported == {"cli", "errors", *modules}, argv
+        assert imported == {"cli", "errors", *modules, *(["random"] if command == "verify" else [])}, argv
 
 
 def test_verify_csv_needs_no_quoting():
@@ -1180,6 +1180,45 @@ def test_every_command_keeps_the_resource_contract(argv, contract_dir):
     else:
         prefix = {1: "error: ", 2: "usage error: ", 3: "resource limit: "}[code]
         assert err.getvalue().startswith(prefix) or code == 2 and process_err.getvalue(), argv
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: its namespace less the tree's command and
+    subcommand, or the code of the SystemExit it raises; with what argparse
+    writes to the process's stdout and stderr."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            args = vars(parse(argv))
+            outcome = {key: value for key, value in args.items() if key not in ("command", "subcommand")}
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+# help at every level of the tree, and argv that the tree reports from its top
+# parser, that a command's parser might read otherwise, or that argparse
+# treats specially
+AVOID = ["count", "avoid", "--k", "3", "--n", "5"]
+PARSE_EDGE_ARGV = [
+    *([*words, flag] for words in [[], ["count"], ["graph"], *(list(words) for words, *_ in cli.COMMANDS)]
+      for flag in ("-h", "--help")),
+    [], ["bogus"], ["series", "count"], [*AVOID, "extra"],
+    ["count", "avoid", "--n", "5", "--k"], ["count", "avoid", "--k=3", "--n", "5"], [*AVOID, "--fo", "csv"],
+    ["verify", "--max", "2"], ["--format", "csv", *AVOID], ["count", "avoid", "--", "--k", "3", "--n", "5"],
+    ["graph", "count", "--file", "-h"], ["count", "avoid", "--k", "-3", "--n", "5"],
+]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=contract_argv())
+def test_each_argv_parses_as_the_whole_parser_parses_it(argv):
+    # _run parses a query with its command's parser alone; the tree is the reference
+    assert parse_outcome(cli._parse, argv) == parse_outcome(cli._parser().parse_args, argv), argv
+
+
+for edge_argv in PARSE_EDGE_ARGV:
+    test_each_argv_parses_as_the_whole_parser_parses_it = example(argv=edge_argv)(
+        test_each_argv_parses_as_the_whole_parser_parses_it)
 
 
 def test_the_readme_command_lines_print_their_numbers(tmp_path, monkeypatch):
