@@ -13,17 +13,19 @@ join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
 whose states follow the frontier width instead, and suits thin graphs of
 any size; the successors of a state in a step of a given shape come from a
 bounded memo (_successors) that every block shares. ``reduce_and_count``
-finds the biconnected blocks in one linear-time DFS, which labels the
-vertices of each in discovery order, and returns the product of their counts:
+returns the product of the counts of the biconnected blocks:
 C(G1 u G2) = C(G1)C(G2) for disjoint or one-shared-vertex unions, so a
-bridge (a two-vertex block) contributes 2. Each block of 3 or more vertices
-goes to _count_block, the one place where a block's count is found, which
-returns it with the route it took: the block memo, under those labels or
-under labels ordered by colour refinement, where a hit runs no counter;
-else, priced under the shared work budget (errors.check_work), series and
-parallel reductions (_series_parallel), which count a block with no K_4
-minor (a cycle, ladder, fan or 2-tree), where they are priced lowest, or
-the subset or the frontier DP, whichever is priced lower."""
+bridge (a two-vertex block) contributes 2, and a forest of m edges, which
+union-find proves acyclic in near-linear time, has 2^m compositions with no
+search. Any other graph is split into its blocks by one linear-time DFS,
+which labels the vertices of each in discovery order. Each block of 3 or
+more vertices goes to _count_block, the one place where a block's count is
+found, which returns it with the route it took: the block memo, under those
+labels or under labels ordered by colour refinement, where a hit runs no
+counter; else, priced under the shared work budget (errors.check_work),
+series and parallel reductions (_series_parallel), which count a block with
+no K_4 minor (a cycle, ladder, fan or 2-tree), where they are priced lowest,
+or the subset or the frontier DP, whichever is priced lower."""
 
 import heapq
 import math
@@ -760,14 +762,39 @@ def ladder_binet(n: int) -> int:
     return 2 * y
 
 
+def _is_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges close no cycle on vertices 0..n-1, by union-find
+    with path halving and union by size (Tarjan and van Leeuwen 1984): False
+    at the first edge whose ends already share a root."""
+    parent = list(range(n))
+    size = [1] * n
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
+    return True
+
+
 def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """The biconnected blocks as (n, edges), by one iterative lowlink DFS
     (Hopcroft and Tarjan) that keeps the edges of the open blocks on a stack,
     each as (a, b) with a discovered first. A block's vertices are relabelled
     0..n-1 as its edges are popped, in order of first appearance, which is
     their order of discovery, so a < b on every edge. Only blocks of 3 or
-    more vertices come out: bridges and isolated vertices yield nothing."""
+    more vertices come out: bridges and isolated vertices yield nothing, so
+    a forest, which _is_forest finds before any neighbour list is built,
+    yields nothing with no DFS. A graph of m >= n edges has a cycle and
+    skips that test."""
     n = graph.vertex_count
+    if len(graph.edges) < n and _is_forest(n, graph.edges):
+        return
     adj: list[list[int]] = [[] for _ in range(n)]  # in edge-set order: the split needs none
     for u, v in graph.edges:
         adj[u].append(v)
@@ -1004,8 +1031,12 @@ def reduce_and_count(graph: LabeledGraph) -> int:
     cut-vertex rule); a bridge contributes 2, so the edges in no block of
     _blocks make one shift, and the counts that _count_block finds for its
     blocks one balanced product."""
-    # the block split holds up to 183 bytes and takes up to 2.1 us per vertex
-    # and edge (graphs of 1e6 vertices): 4 numbers held and 20 operations
+    # the block split, priced at 4 numbers held and 20 operations (about 2.1
+    # us) a vertex and edge, holds up to 183 bytes a vertex and edge on
+    # graphs of 1e6 vertices. There a forest takes 0.35-0.65 us and up to 26
+    # bytes, in union-find alone; the DFS takes 2.4-3.8 us, over half of it
+    # in the garbage collector, as much with union-find first (a cycle that
+    # it meets at its last edge) as without (CPython 3.11, 2-vCPU x86-64 guest)
     size = graph.vertex_count + len(graph.edges)
     check_work(f"the block split of {graph.vertex_count} vertices and {len(graph.edges)} edges",
                20 * size, 0, held=4 * size, printed=0)
@@ -1021,19 +1052,22 @@ def _refined_key(adj: list[list[int]]) -> tuple[int, int]:
     """The memo key of the block of these neighbour lists relabelled in order
     of (colour, DFS label), its colours found by colour refinement (1-WL):
     from the degrees, each round ranks (colour, sorted neighbour colours)
-    among the sorted distinct signatures until no class splits. Where every
-    vertex ends with its own colour, as in almost every random graph (Babai,
-    Erdős and Selkow 1980), isomorphic blocks share the key."""
+    among the sorted distinct signatures until no class splits or every
+    vertex has its own colour, whose order no further round changes. Where
+    every vertex ends with its own colour, as in almost every random graph
+    (Babai, Erdős and Selkow 1980), isomorphic blocks share the key."""
     n = len(adj)
     colours = list(map(len, adj))
     classes = len(set(colours))
-    while True:
-        signatures = [(c, tuple(sorted(colours[w] for w in nbrs))) for c, nbrs in zip(colours, adj)]
+    while classes < n:
+        signatures = [(c, tuple(sorted(map(colours.__getitem__, nbrs)))) for c, nbrs in zip(colours, adj)]
         rank = {signature: i for i, signature in enumerate(sorted(set(signatures)))}
         if len(rank) == classes:
             break
         colours, classes = [rank[signature] for signature in signatures], len(rank)
-    label = dict(zip(sorted(range(n), key=lambda v: colours[v]), range(n)))  # a stable sort: ties in DFS order
+    label = [0] * n
+    for i, v in enumerate(sorted(range(n), key=colours.__getitem__)):  # a stable sort: ties in DFS order
+        label[v] = i
     return n, sum(1 << label[a] * n + label[b]
                   for a, neighbours in enumerate(adj) for b in neighbours if label[a] < label[b])
 

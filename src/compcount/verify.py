@@ -375,8 +375,10 @@ def _graph_checks(max_n: int, seed: int) -> list[Check]:
                graphcomp.reduce_and_count, count, _graph_label),
         _agree("ladder closed form matches the recurrence", [(n,) for n in range(1, 51)],
                graphcomp.ladder_binet, lambda n: series._jump(ladder, n)[0], "n={}".format),
+        # each tree by the subset DP and by reduce_and_count, which counts a forest with no DFS
         _agree("tree counts do not depend on tree shape", [(tree,) for tree in trees],
-               count, lambda tree: 1 << (tree.vertex_count - 1), _graph_label),
+               lambda tree: (count(tree), graphcomp.reduce_and_count(tree)),
+               lambda tree: (1 << (tree.vertex_count - 1),) * 2, _graph_label),
     ]
     bad = [f"n={graph.vertex_count} edge={extra}" for graph, extra in added
            if count(graphcomp.LabeledGraph(graph.vertex_count, graph.edges | {extra})) < count(graph)]

@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -862,6 +863,44 @@ def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(m
                 assert graphcomp.reduce_and_count(relabelled(graph, rng)) == counts[graph]
 
 
+def _refined_key_refined_to_the_end(adj):
+    """The refined key with refinement run until no class splits, even once
+    every vertex has its own colour, and labels read from a dict: the
+    oracle of _refined_key, which stops at the first discrete colouring."""
+    n = len(adj)
+    colours = list(map(len, adj))
+    classes = len(set(colours))
+    while True:
+        signatures = [(c, tuple(sorted(colours[w] for w in nbrs))) for c, nbrs in zip(colours, adj)]
+        rank = {signature: i for i, signature in enumerate(sorted(set(signatures)))}
+        if len(rank) == classes:
+            break
+        colours, classes = [rank[signature] for signature in signatures], len(rank)
+    label = dict(zip(sorted(range(n), key=lambda v: colours[v]), range(n)))
+    return n, sum(1 << label[a] * n + label[b]
+                  for a, neighbours in enumerate(adj) for b in neighbours if label[a] < label[b])
+
+
+def test_the_refined_key_is_the_key_of_refinement_run_to_the_end(monkeypatch):
+    monkeypatch.syspath_prepend(str(PINNED_DENSE.parent))
+    import workloads  # the benchmark's generator, which reads no compcount code
+
+    blocks = [block for text in workloads.generate("graph-dense", 7).files.values()
+              for block in graphcomp._blocks(graphcomp.parse_edge_list(text))]
+    assert len(blocks) == 150
+    rng = Random(2025)
+    regular = [graphcomp.build_family(family, size) for family, size in
+               (("cycle", 9), ("ladder", 5), ("complete", 7), ("complete_minus_edge", 8))]
+    regular += [LabeledGraph(6, {(u, v) for u in range(3) for v in range(3, 6)}), grid(4, 4)]
+    while len(blocks) < 2150:
+        graph = graphcomp.random_graph(rng, rng.randint(3, 14), rng.uniform(0.15, 0.9)) if len(blocks) % 4 \
+            else relabelled(rng.choice(regular), rng)
+        blocks += graphcomp._blocks(graph)
+    for n, edges in blocks:
+        adj = graphcomp._adjacency(n, edges)
+        assert graphcomp._refined_key(adj) == _refined_key_refined_to_the_end(adj)
+
+
 def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
     rng = Random(5000)
     memo = CountingMemo()
@@ -1163,18 +1202,138 @@ def test_the_block_split_yields_each_block_under_its_dfs_labels():
         offset += tree.vertex_count
     graphs += [LabeledGraph(6), relabelled(LabeledGraph(offset + 3, forest), rng)]
     for graph in graphs:
-        blocks = list(graphcomp._blocks(graph))
-        oracle = [block for block in _oracle_blocks(graph) if len(block) > 1]  # bridges yield nothing
-        assert len(blocks) == len(oracle)
-        for n, edges in blocks:
-            assert list(dict.fromkeys(v for edge in edges for v in edge)) == list(range(n))
-            assert all(a < b for a, b in edges)
-            # each block is one of the graph's, and no two are the same one
-            match = next(target for target in oracle if _maps_onto(n, edges, target))
-            oracle.remove(match)
-        assert all(n >= 3 for n, _ in blocks)
+        _assert_the_split_matches_the_oracle(graph)
     assert not list(graphcomp._blocks(LabeledGraph(6)))
     assert not list(graphcomp._blocks(graphs[-1]))
+
+
+def _assert_the_split_matches_the_oracle(graph):
+    """_blocks yields each block of 3 or more vertices that _oracle_blocks
+    finds, once, under DFS labels: 0..n-1 in order of first appearance,
+    with a < b on every edge."""
+    blocks = list(graphcomp._blocks(graph))
+    oracle = [block for block in _oracle_blocks(graph) if len(block) > 1]  # bridges yield nothing
+    assert len(blocks) == len(oracle)
+    for n, edges in blocks:
+        assert list(dict.fromkeys(v for edge in edges for v in edge)) == list(range(n))
+        assert all(a < b for a, b in edges)
+        # each block is one of the graph's, and no two are the same one
+        match = next(target for target in oracle if _maps_onto(n, edges, target))
+        oracle.remove(match)
+    assert all(n >= 3 for n, _ in blocks)
+
+
+def _forest(rng, sizes, isolated):
+    """Random trees of these sizes and `isolated` more vertices side by side,
+    under a random relabelling."""
+    edges, offset = set(), 0
+    for n in sizes:
+        edges |= {(u + offset, v + offset) for u, v in graphcomp.random_tree(rng, n).edges}
+        offset += n
+    return relabelled(LabeledGraph(offset + isolated, edges), rng)
+
+
+def _record_forest_answers(monkeypatch):
+    """Route every call of _is_forest through a recorder; returns the list
+    of its answers."""
+    answers = []
+    is_forest = graphcomp._is_forest
+
+    def recording(n, edges):
+        answers.append(is_forest(n, edges))
+        return answers[-1]
+
+    monkeypatch.setattr(graphcomp, "_is_forest", recording)
+    return answers
+
+
+def test_a_forest_yields_no_block_and_counts_two_to_the_power_of_its_edges(monkeypatch):
+    rng = Random(1984)
+    forests = [LabeledGraph(0), LabeledGraph(1), LabeledGraph(2), path(2)]
+    forests += [_forest(rng, [rng.randint(1, 30) for _ in range(rng.randint(1, 6))], rng.randint(0, 5))
+                for _ in range(40)]
+    answers = _record_forest_answers(monkeypatch)
+    for graph in forests:
+        assert not list(graphcomp._blocks(graph))
+        assert graphcomp.reduce_and_count(graph) == 1 << len(graph.edges)
+        if graph.vertex_count <= 12:
+            assert graphcomp.count_compositions_graph(graph) == 1 << len(graph.edges)
+    # every forest but the empty graph, whose m = n = 0, was found by union-find, twice
+    assert answers == [True] * 2 * (len(forests) - 1)
+
+
+def _closing_last(rng, n, isolated):
+    """A random tree on n vertices plus one more edge, beside `isolated`
+    vertices, drawn until the edge set iterates that edge last, so that
+    union-find meets the one cycle at the graph's last edge. The tree is
+    drawn anew each time: a tree edge may hold the set's last slot."""
+    while True:
+        tree = graphcomp.random_tree(rng, n)
+        extra = tuple(sorted(rng.sample(range(n), 2)))
+        graph = LabeledGraph(n + isolated, tree.edges | {extra})
+        if extra not in tree.edges and list(graph.edges)[-1] == extra:
+            return graph
+
+
+def test_a_graph_of_fewer_edges_than_vertices_with_a_cycle_yields_the_oracles_blocks(monkeypatch):
+    rng = Random(1985)
+    graphs = [relabelled(LabeledGraph(n, {(0, 1), (1, 2), (0, 2)}), rng) for n in (4, 7)]
+    for size in (4, 9, 16):  # a cycle and a tree side by side: n - 1 edges
+        tree = {(u + size, v + size) for u, v in graphcomp.random_tree(rng, 12).edges}
+        graphs.append(relabelled(LabeledGraph(size + 12, graphcomp.build_family("cycle", size).edges | tree), rng))
+    graphs += [_closing_last(rng, n, isolated) for n, isolated in ((5, 1), (12, 2), (20, 1))]
+    answers = _record_forest_answers(monkeypatch)
+    for graph in graphs:
+        assert len(graph.edges) < graph.vertex_count
+        _assert_the_split_matches_the_oracle(graph)
+    assert answers == [False] * len(graphs)
+
+
+def _components(graph):
+    """The number of connected components, by a search from each unreached vertex."""
+    adj, reached, components = graph.adjacency(), set(), 0
+    for start in range(graph.vertex_count):
+        if start not in reached:
+            components += 1
+            reached.add(start)
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+    return components
+
+
+def test_union_find_finds_a_forest_exactly_where_m_is_n_minus_the_components():
+    rng = Random(1986)
+    answers = Counter()
+    for _ in range(3000):
+        n = rng.randint(0, 14)
+        graph = graphcomp.random_graph(rng, n, rng.uniform(0, 0.35))
+        edges = list(graph.edges)
+        rng.shuffle(edges)
+        forest = graphcomp._is_forest(n, edges)
+        assert forest == (len(edges) == n - _components(graph))
+        answers[forest] += 1
+    assert min(answers[True], answers[False]) > 800
+
+
+def test_a_random_recursive_tree_of_200000_vertices_counts_without_recursion(monkeypatch):
+    rng = Random(1987)
+    n = 2 * 10 ** 5
+    tree = relabelled(LabeledGraph(n, {(rng.randrange(v), v) for v in range(1, n)}), rng)
+    answers = _record_forest_answers(monkeypatch)
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)  # room for the calls, none for a search that recurses
+    try:
+        count = graphcomp.reduce_and_count(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 1 << (n - 1) and answers == [True]
 
 
 # --- the universal-vertex route --------------------------------------------------------------
