@@ -6,26 +6,25 @@ The subset DP (graphcomp._subset_ways, which
 graphcomp.count_compositions_graph prices before it runs) is priced at
 SUBSET_STEP_OPERATIONS operations a direct step (3^m for a cube of
 m <= DIRECT_CUBE_BITS vertices) and TRANSFORM_STEP_OPERATIONS a transform
-step (m 2^m for a larger cube), on the numbers of graphcomp._subset_cost.
+step (m 2^m for a larger cube), on the numbers of graphcomp._subset_charge.
 Its direct steps are timed on the whole table with the cutoff raised; its
 transform steps and the whole DP against its price on the path that
 count_compositions_graph takes, which sums the last vertex's connected sets
 where no vertex is universal, so the price counts the largest cube's
 transform steps that path no longer takes.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
-of its counts a step of its state bound (graphcomp._frontier_price, by
-graphcomp._frontier_cost), timed here with its successor memo cold and
+of its counts a step of its state bound (graphcomp._frontier_price, in
+graphcomp._frontier_charge), timed here with its successor memo cold and
 warm. The series-parallel reductions (graphcomp._series_parallel) are
 priced at SERIES_PARALLEL_OPERATIONS operations for each of at most n + m
-reductions, on numbers of graphcomp._count_bits; this script times them on
-cycles, ladders and random 2-trees against that price. graphcomp._count_block,
-the one router of a block, runs them first where they are priced lowest,
-sends each block they do not count to the DP of the lower price, and
-returns the route it took.
+reductions, on numbers of graphcomp._count_bits (graphcomp._reductions_charge);
+this script times them on cycles, ladders and random 2-trees against that
+price. graphcomp._count_block, the one router of a block, runs them first
+where they are priced lowest, sends each block they do not count to the DP
+of the lower price, and returns the route it took.
 This script times the counters with the work and memory budgets
 (errors.WORK_BUDGET, errors.MEMORY_BUDGET) set to infinity, so that the
-guard admits every run; its own cost, one pass over an order's widths,
-falls inside the timings. It prints the cost of each step in nanoseconds
+guard admits every run. It prints the cost of each step in nanoseconds
 and in word steps next to its price, times both counters on small blocks
 (the benchmark's pinned dense blocks among them) under the labels of
 graphcomp._blocks, on which graphcomp.reduce_and_count routes and counts
@@ -102,7 +101,7 @@ def subset_steps(word_ns, repeat):
     direct = (3 ** (shipped + 1) - 1) / 2
     for n in range(shipped + 3, 18):
         graph = complete_minus_cycle(n)
-        operations, bits, _ = graphcomp._subset_cost(n)
+        _, operations, bits, _ = graphcomp._subset_charge(n)
         steps = ((operations - graphcomp.SUBSET_STEP_OPERATIONS * direct)
                  / graphcomp.TRANSFORM_STEP_OPERATIONS)
         seconds = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat if n < 16 else 1)
@@ -113,10 +112,10 @@ def subset_steps(word_ns, repeat):
               f"{priced:>7.1f} {ratio:>15.2f}")
 
 
-def cold_frontier(adj, order, widths):
+def cold_frontier(adj, order):
     """The frontier DP as a block new to it runs: its successor memo cleared."""
     graphcomp._successors.cache_clear()
-    return graphcomp._count_frontier(adj, order, widths)
+    return graphcomp._count_frontier(adj, order)
 
 
 def frontier_steps(word_ns, repeat):
@@ -135,11 +134,11 @@ def frontier_steps(word_ns, repeat):
     for name, graph in graphs:
         adj = graph.adjacency()
         order, widths = graphcomp._frontier_order(adj)
-        steps = graphcomp._frontier_price(widths)[0]
-        cold_seconds = best_time(lambda: cold_frontier(adj, order, widths), repeat)
-        warm_seconds = best_time(lambda: graphcomp._count_frontier(adj, order, widths), repeat)
-        priced = errors.word_steps(*graphcomp._frontier_cost(graph.vertex_count, len(graph.edges),
-                                                             widths)[:2]) / steps
+        steps, states = graphcomp._frontier_price(widths)
+        cold_seconds = best_time(lambda: cold_frontier(adj, order), repeat)
+        warm_seconds = best_time(lambda: graphcomp._count_frontier(adj, order), repeat)
+        priced = errors.word_steps(*graphcomp._frontier_charge(graph.vertex_count, len(graph.edges),
+                                                               steps, states)[1:3]) / steps
         cold_steps, warm_steps = (s / steps * 1e9 / word_ns for s in (cold_seconds, warm_seconds))
         print(f"{name:<32} {graph.vertex_count:>5} {max(widths):>5} {steps:>9.3g} {cold_seconds:>8.4f} "
               f"{warm_seconds:>8.4f} {cold_steps:>15.0f} {warm_steps:>15.0f} {priced:>7.0f}")
@@ -156,7 +155,7 @@ def series_parallel_steps(word_ns, repeat):
     for name, graph in graphs:
         n, edges = max(graphcomp._blocks(graph))
         seconds = best_time(lambda: graphcomp._series_parallel(n, edges), repeat if n < 20000 else 1)
-        priced = errors.word_steps(*graphcomp._series_parallel_cost(n, len(edges))[:2]) * word_ns / 1e9
+        priced = errors.word_steps(*graphcomp._reductions_charge(n, len(edges))[1:3]) * word_ns / 1e9
         print(f"{name:<22} {n:>7} {seconds:>9.4f} {priced:>9.4f} {priced / seconds:>10.1f}")
 
 
@@ -194,7 +193,7 @@ def routing(word_ns, repeat):
         subset = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat)
         # at 60 word steps or more a bound step, the frontier DP would lose 20-fold: not timed
         frontier = math.inf if steps * 60 * word_ns / 1e9 > 20 * subset else \
-            best_time(lambda: cold_frontier(adj, order, widths), repeat)
+            best_time(lambda: cold_frontier(adj, order), repeat)
         frontier_first = route == "frontier"
         routed, other = (frontier, subset) if frontier_first else (subset, frontier)
         if routed > other:

@@ -45,31 +45,30 @@ found in the block memo runs no counter, so it is not priced):
 - graphcomp.family_count: one shift of n bits for path, tree and cycle;
   graphcomp.ladder_binet: 16 Karatsuba products of about 2.63n bits;
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
-- the graph block counters, by graphcomp._subset_cost, _frontier_cost and
-  _series_parallel_cost: the subset DP on n vertices 1.5 operations a
-  direct step, 3^m of them for each cube of m <= 7 vertices above a lowest
-  vertex, and 2 a transform step, m 2^m for each larger cube, all on the
-  packed numbers of the largest cube, n fields of about 2n + n log2 n bits,
-  2^(n+1) of them held; the frontier DP 585 word steps and one addition of
-  min(edges, n log2(n + 1)) bits a step of its state bound
-  (_frontier_price), its states held; before its order, on a block, that
-  bound on the widths 0, 1, 2, 2, ... that no order of a block goes below
-  (9n - 18 steps), and on any graph one step a vertex; the series-parallel
-  reductions 6 operations on numbers of those bits for each of at most
-  n + edges reductions, 3 numbers held. None prices a decimal conversion.
-  The public counters of the two DPs price themselves before any list of n
-  entries.
+- the graph block counters, each by one charge function of graphcomp that
+  gives what check_work reads, (what, operations, bits, held); no counter
+  body prices itself. _subset_charge: 1.5 operations a direct step, 3^m for
+  each cube of m <= 7 vertices above a lowest vertex, and 2 a transform
+  step, m 2^m for each larger cube, on the packed numbers of the largest
+  cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them held.
+  _frontier_charge: 585 word steps and one addition of min(edges,
+  n log2(n + 1)) bits a step of the state bound (_frontier_price), the
+  states held; before the order, on a block, 9n - 18 steps of the least
+  widths 0, 1, 2, 2, ..., and on any graph one step a vertex.
+  _reductions_charge: 6 operations on numbers of those bits for each of at
+  most n + edges reductions, 3 numbers held. None prices a decimal
+  conversion; the public DPs charge themselves before any list of n entries.
 
 A counter also prices one decimal conversion of each number it returns, as
 its caller usually prints it. graphcomp.reduce_and_count prices its block
 split, 4 numbers held and 20 operations per vertex and edge (as
 graphcomp.is_connected prices its search), and hands each block to
 graphcomp._count_block, which looks it up in the block memo and, on a miss,
-prices each counter once and runs the series-parallel reductions where they
-are priced lowest, else (or where they stall) the DP of the lower price, and
-refuses the block where the price of the counter it picks is over the
-budget: a memo hit does no work and is not priced again, and a refused block
-is not kept. On n vertices of which
+finds each counter's charge once and runs the series-parallel reductions
+where they are priced lowest, else (or where they stall) the DP of the lower
+price, and refuses the block where the charge of the counter it picks is
+over the budget, charging the route it runs once: a memo hit does no work
+and is not priced again, and a refused block is not kept. On n vertices of which
 some are universal, the subset DP also prices its Bell sum by
 exactnum.bell_numbers(n), whose numbers it reads. graphcomp.read_edge_list prices an
 edge-list file at 36 bytes held a character, and reads no further than the

@@ -22,10 +22,13 @@ which labels the vertices of each in discovery order. Each block of 3 or
 more vertices goes to _count_block, the one place where a block's count is
 found, which returns it with the route it took: the block memo, under those
 labels or under labels ordered by colour refinement, where a hit runs no
-counter; else, priced under the shared work budget (errors.check_work),
+counter; else, charged under the shared work budget (errors.check_work),
 series and parallel reductions (_series_parallel), which count a block with
 no K_4 minor (a cycle, ladder, fan or 2-tree), where they are priced lowest,
-or the subset or the frontier DP, whichever is priced lower."""
+or the subset or the frontier DP, whichever is priced lower. Each counter
+has one charge function, _subset_charge, _frontier_charge or
+_reductions_charge, which gives what check_work reads; the counter bodies
+price nothing, and whoever calls one charges it."""
 
 import heapq
 import math
@@ -268,7 +271,7 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     and the Bell numbers by exactnum.bell_numbers; reduce_and_count splits
     a graph into biconnected blocks and hands here those the subset DP
     counts for less than the frontier DP."""
-    _price_subset_dp(_not_universal(graph.vertex_count, graph.edges))
+    check_work(*_subset_charge(_not_universal(graph.vertex_count, graph.edges)), printed=0)
     return _count_subset(graph.adjacency())
 
 
@@ -317,8 +320,8 @@ def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
     and the other sets through vertex 0 are left at 0: ways(F) is one sum of
     ways(F minus T) over the connected sets T through vertex 0, a lookup and
     an add each, in place of the largest cube's convolution (about half of
-    all transform steps). Unpriced: count_compositions_graph prices it, by
-    _subset_cost."""
+    all transform steps). Unpriced: count_compositions_graph charges it, at
+    _subset_charge."""
     ways = [0] * (1 << n)
     ways[0] = 1
     connected = _connected_sets(nbr)
@@ -382,14 +385,6 @@ def _connected_sets(nbr: list[int]) -> bytes:
                 reach[u], grown = more, True
     apart = reduce(or_, map(xor, holding, reach), 1)  # the empty set, and sets missing a vertex they hold
     return format((1 << (1 << n)) - 1 ^ apart, f"0{1 << n}b")[::-1].encode().translate(_BITS_TO_BYTES)
-
-
-def _price_subset_dp(n: int) -> None:
-    """Refuse the subset DP on n vertices where _subset_cost puts it over the
-    work budget. Neither block counter prices a decimal conversion: a block
-    count is a factor of the count printed."""
-    operations, bits, held = _subset_cost(n)
-    check_work(f"the subset DP over 2^{n} vertex sets", operations, bits, held=held, printed=0)
 
 
 def _ranked_convolution(blocks: bytes, rest: list[int], popcounts: list[int]) -> Iterator[int]:
@@ -533,19 +528,23 @@ def count_compositions_frontier(graph: LabeledGraph) -> int:
     two-level Bell number of the frontier width, not 2^n. A step's
     transitions depend only on its shape in frontier positions, so the
     successors of each (shape, state) pair come from the memo _successors.
-    Priced at one step a vertex before the adjacency.
+    Charged at one step a vertex before the adjacency, then at the state
+    bound of its order (_frontier_charge).
     """
-    _price_frontier(graph.vertex_count, len(graph.edges))
+    n, edge_count = graph.vertex_count, len(graph.edges)
+    check_work(*_frontier_charge(n, edge_count), printed=0)
     adj = graph.adjacency()
-    return _count_frontier(adj, *_frontier_order(adj))
+    order, widths = _frontier_order(adj)
+    check_work(*_frontier_charge(n, edge_count, *_frontier_price(widths)), printed=0)
+    return _count_frontier(adj, order)
 
 
-def _count_frontier(adj: list[list[int]], order: list[int], widths: list[int]) -> int:
+def _count_frontier(adj: list[list[int]], order: list[int]) -> int:
     """The frontier DP of count_compositions_frontier along the given order,
-    priced by _price_frontier on the frontier widths of the order. Each step
-    is described by its shape, in frontier positions, and each state is
-    advanced by the successors that _successors gives for that shape."""
-    _price_frontier(len(adj), sum(map(len, adj)) // 2, widths)
+    unpriced, like _count_subset: its callers charge it at _frontier_charge.
+    Each step is described by its shape, in frontier positions, and each
+    state is advanced by the successors that _successors gives for that
+    shape."""
     rank = [0] * len(adj)
     for i, v in enumerate(order):
         rank[v] = i
@@ -887,10 +886,13 @@ def _state_bounds() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(map(float, bell)), tuple(map(float, two))
 
 
-def _subset_cost(n: int) -> tuple[float, float, float]:
-    """The subset DP on n vertices: its operations, the bits of the numbers
-    they act on and how many numbers it holds at once, all infinite past
-    n = 600, where a float no longer holds 3^n.
+def _subset_charge(n: int) -> tuple[str, float, float, float]:
+    """The subset DP on n vertices as check_work reads it: what it is, its
+    operations, the bits of the numbers they act on and how many numbers it
+    holds at once, all infinite past n = 600, where a float no longer holds
+    3^n. Its callers pass printed=0, as do those of _frontier_charge and
+    _reductions_charge: no block counter prices a decimal conversion, a
+    block count being a factor of the count printed.
 
     A cube of m <= DIRECT_CUBE_BITS vertices takes 3^m direct steps, a
     larger one m 2^m transform steps: the passes of its zeta and Möbius
@@ -905,16 +907,17 @@ def _subset_cost(n: int) -> tuple[float, float, float]:
     with 2^n bytes of connected sets, and two lists of 2^m packed numbers
     while a cube of m vertices is convolved, m at most n - 1, or n - 2 where
     no vertex is universal."""
+    what = f"the subset DP over 2^{n} vertex sets"
     if n > 600:
-        return math.inf, math.inf, math.inf
+        return what, math.inf, math.inf, math.inf
     top = n - 1
     if top <= DIRECT_CUBE_BITS:
-        return SUBSET_STEP_OPERATIONS * (3.0 ** n - 1) / 2, n * math.log2(n + 1), 2.0 ** n
+        return what, SUBSET_STEP_OPERATIONS * (3.0 ** n - 1) / 2, n * math.log2(n + 1), 2.0 ** n
     low = DIRECT_CUBE_BITS
     direct = (3.0 ** (low + 1) - 1) / 2
     transform = (top - 1) * 2.0 ** (top + 1) - (low - 1) * 2.0 ** (low + 1)  # m 2^m for m > low
     bits = n * (2 * top + top * math.log2(n) + 1)
-    return (SUBSET_STEP_OPERATIONS * direct + TRANSFORM_STEP_OPERATIONS * transform, bits,
+    return (what, SUBSET_STEP_OPERATIONS * direct + TRANSFORM_STEP_OPERATIONS * transform, bits,
             2 * 2.0 ** n)
 
 
@@ -931,44 +934,33 @@ def _frontier_price(widths: list[int]) -> tuple[float, float]:
     return sum(s * (w + 1) for s, w in zip(states, widths)), max(states, default=0)
 
 
-def _block_widths(n: int) -> list[int]:
-    """The least frontier widths of any order of a block of n >= 3 vertices:
-    before its third vertex the two processed ones each have an unprocessed
-    neighbour, and after that a frontier of one vertex would be a cut vertex."""
-    return [0, 1] + [2] * (n - 2)
-
-
 def _count_bits(n: int, edge_count: int) -> float:
     """Bits that bound a composition count: its blocks' edges fix it, and it
     is at most Bell(n) < (n + 1)^n."""
     return min(edge_count, n * math.log2(n + 1))
 
 
-def _frontier_cost(n: int, edge_count: int, widths: list[int] | None = None) -> tuple[float, float, float]:
-    """The frontier DP on n vertices and edge_count edges, as _subset_cost
+def _frontier_charge(n: int, edge_count: int, steps: float | None = None,
+                     states: float = 1) -> tuple[str, float, float, float]:
+    """The frontier DP on n vertices and edge_count edges as _subset_charge
     gives the subset DP's: FRONTIER_STEP_PRICE word steps and one addition of
-    its counts a step of _frontier_price on the widths of its order, its
-    largest state bound held; without the widths, one step a vertex."""
-    steps, states = (n, 1) if widths is None else _frontier_price(widths)
-    bits = _count_bits(n, edge_count)
-    return steps * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits)), bits, states
+    its counts for each of the steps of its state bound, with up to `states`
+    states held, both as _frontier_price finds them on the widths of an
+    order; without them, one step a vertex."""
+    with pricing(what := f"the frontier DP on {n} vertices"):  # _count_bits overflows past 10^308
+        bits = _count_bits(n, edge_count)
+        operations = (n if steps is None else steps) * (1 + FRONTIER_STEP_PRICE / word_steps(1, bits))
+    what += ", at one step a vertex," if steps is None else f" and up to {states:.3g} states"
+    return what, operations, bits, states
 
 
-def _price_frontier(n: int, edge_count: int, widths: list[int] | None = None) -> None:
-    """Refuse the frontier DP on n vertices where _frontier_cost puts it over
-    the work budget."""
-    with pricing(f"the frontier DP on {n} vertices"):  # _count_bits overflows past 10^308
-        operations, bits, states = _frontier_cost(n, edge_count, widths)
-    what = ", at one step a vertex," if widths is None else f" and up to {states:.3g} states"
-    check_work(f"the frontier DP on {n} vertices{what}", operations, bits, held=states, printed=0)
-
-
-def _series_parallel_cost(n: int, edge_count: int) -> tuple[float, float, float]:
-    """_series_parallel on n vertices and edge_count edges, as _subset_cost
+def _reductions_charge(n: int, edge_count: int) -> tuple[str, float, float, float]:
+    """_series_parallel on n vertices and edge_count edges as _subset_charge
     gives the subset DP's: SERIES_PARALLEL_OPERATIONS a reduction, at most
     n + edge_count of them, on numbers of _count_bits, the three counts of a
     state held."""
-    return SERIES_PARALLEL_OPERATIONS * (n + edge_count), _count_bits(n, edge_count), 3
+    return (f"the series-parallel reductions of {n} vertices", SERIES_PARALLEL_OPERATIONS * (n + edge_count),
+            _count_bits(n, edge_count), 3)
 
 
 def _series_parallel(n: int, edges: list[tuple[int, int]]) -> int | None:
@@ -985,7 +977,7 @@ def _series_parallel(n: int, edges: list[tuple[int, int]]) -> int | None:
     in parallel, and once two vertices are left, their edge counts a + b.
     Each vertex keeps a dict from neighbour to edge state, and a stack holds
     the vertices that may be of degree 2. Unpriced, like _count_subset:
-    _count_block prices it at _series_parallel_cost before it calls it."""
+    _count_block charges it at _reductions_charge before it calls it."""
     links: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
     for a, b in edges:
         links[a][b] = links[b][a] = (1, 1, 0)
@@ -1084,12 +1076,11 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> tuple[int, str]:
     set under a bijective relabelling, so a hit is an isomorphic block, of
     equal count, and runs no counter. On a miss the degrees are counted
     once, for h, the vertices that are not universal, and the least degree,
-    and each counter is priced once in word steps, the unit check_work
-    reads: the subset DP at _subset_cost(h), the frontier DP at its least
-    price, on _block_widths (no order of a block is narrower: 9n - 18 steps
-    of the state bound), and the reductions at _series_parallel_cost. Then,
-    in order:
-    1. the series-parallel reductions, priced and refused here, where a
+    and each counter's charge is found once and compared in word steps, the
+    unit check_work reads: the subset DP's at _subset_charge(h), the
+    frontier DP's least, before any order (9n - 18 steps of the state
+    bound), and the reductions' at _reductions_charge. Then, in order:
+    1. the series-parallel reductions, charged and refused here, where a
        vertex has degree 2 and the subset DP's price is above that least,
        which is at least theirs;
     2. where they stall, on a K_4 minor, or were not tried, a block within
@@ -1097,9 +1088,11 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> tuple[int, str]:
     3. on a miss, the DP of the lower price, kept under the refined key: the
        frontier DP's order (and a larger block's adjacency) is built only
        where the subset DP's price is above the least and the least fits the
-       budget, and it runs where its price on that order is still below the
-       subset DP's. Each DP prices itself; where the lower DP price is over
-       the work budget, so is the other.
+       budget, and it runs where its charge on that order is still below the
+       subset DP's. Where the lower DP price is over the budget, so is the
+       other.
+    No counter body prices itself: the frontier DP is charged here, at its
+    least and then on its order, the subset DP by count_compositions_graph.
     A count is then kept under the DFS key, and the least recently used
     entries past BLOCK_MEMO_ENTRIES go; a refusal raises before anything is
     kept."""
@@ -1110,24 +1103,29 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> tuple[int, str]:
         known[key] = found  # put back as the most recently used
         return found, "memo"
     degrees = Counter(chain.from_iterable(edges)).values()
-    subset = word_steps(*_subset_cost(n - sum(d == n - 1 for d in degrees))[:2])
-    least = word_steps(*_frontier_cost(n, len(edges), _block_widths(n))[:2])
+    subset = word_steps(*_subset_charge(n - sum(d == n - 1 for d in degrees))[1:3])
+    # 0, 1, 2, 2, ... are the least frontier widths of any order of a block (a
+    # frontier of one vertex after the first two would be a cut vertex), on
+    # which _frontier_price is 9n - 18 steps of at most 3 states (2 at n = 3)
+    least_charge = _frontier_charge(n, len(edges), 9 * n - 18, min(n - 1, 3))
+    least = word_steps(*least_charge[1:3])
     if min(degrees) <= 2 and subset > least:
-        operations, bits, held = _series_parallel_cost(n, len(edges))
-        if least >= word_steps(operations, bits):
-            check_work(f"the series-parallel reductions of {n} vertices", operations, bits,
-                       held=held, printed=0)
+        reductions = _reductions_charge(n, len(edges))
+        if least >= word_steps(*reductions[1:3]):
+            check_work(*reductions, printed=0)
             found, route = _series_parallel(n, edges), "series-parallel"
     if found is None:
         adj = _adjacency(n, edges) if key else None
         refined = _refined_key(adj) if key else None
         found, route = known.pop(refined, None), "memo"
         if found is None and subset > least:
-            _price_frontier(n, len(edges), _block_widths(n))  # before the order, and a larger block's adjacency
+            check_work(*least_charge, printed=0)  # before the order, and a larger block's adjacency
             adj = adj or _adjacency(n, edges)
             order, widths = _frontier_order(adj)
-            if word_steps(*_frontier_cost(n, len(edges), widths)[:2]) < subset:
-                found, route = _count_frontier(adj, order, widths), "frontier"
+            charge = _frontier_charge(n, len(edges), *_frontier_price(widths))
+            if word_steps(*charge[1:3]) < subset:
+                check_work(*charge, printed=0)
+                found, route = _count_frontier(adj, order), "frontier"
         if found is None:
             # the benchmark's tracer counts this call; ROADMAP item 2 removes it
             found, route = count_compositions_graph(LabeledGraph(n, edges)), "subset"

@@ -387,6 +387,22 @@ def test_each_command_imports_only_the_counting_modules_it_reads(tmp_path):
         assert imported == {"cli", "errors", *modules, *(["random"] if command == "verify" else [])}, argv
 
 
+def test_run_suite_refuses_an_unknown_suite_and_a_max_n_below_1():
+    with pytest.raises(ValueError, match="unknown suite 'everything'"):
+        verify.run_suite("everything")
+    with pytest.raises(ValueError, match="max_n must be positive"):
+        verify.run_suite("all", 0)
+
+
+def test_an_overflow_in_a_handler_exits_3_as_a_size_too_large_to_price(monkeypatch):
+    def overflow(*_):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(graphcomp, "family_count", overflow)
+    assert run_cli(["graph", "family", "--name", "cycle", "--n", "5"]) == \
+        (3, "", "resource limit: a size too large to price (int too large to convert to float)\n")
+
+
 def test_verify_csv_needs_no_quoting():
     code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "4", "--format", "csv"])
     assert code == 0

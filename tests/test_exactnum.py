@@ -142,6 +142,10 @@ def test_stirling1_values():
     assert exactnum.stirling1(4, 0) == 0
 
 
+def test_stirling1_is_0_outside_its_triangle():
+    assert exactnum.stirling1(-1, 0) == 0
+
+
 def test_stirling1_counts_permutation_cycles():
     for n in range(7):
         for k in range(n + 1):

@@ -992,6 +992,50 @@ def test_count_block_returns_the_route_of_each_count():
     assert errors.KEPT["blocks"] == kept | {_dfs_key(n, reversed_edges): count}
 
 
+def test_each_route_is_charged_by_whoever_runs_it_and_no_counter_body_prices_itself(monkeypatch):
+    charges = []
+    monkeypatch.setattr(graphcomp, "check_work", lambda what, *_, **__: charges.append(what))
+    count_compositions_graph = graphcomp.count_compositions_graph
+
+    def counting(graph):
+        charges.append("count_compositions_graph")
+        return count_compositions_graph(graph)
+
+    monkeypatch.setattr(graphcomp, "count_compositions_graph", counting)
+    monkeypatch.setitem(errors.KEPT, "blocks", {})
+
+    def charged(n, edges):
+        charges.clear()
+        graphcomp._count_block(n, edges)
+        return list(charges)
+
+    cycle = max(graphcomp._blocks(graphcomp.build_family("cycle", 12)))
+    assert charged(*cycle) == ["the series-parallel reductions of 12 vertices"]
+    # the crossed cycle's vertices of degree 2 have the reductions tried
+    # first; they stall on its K_4 minor, and the frontier DP is charged at
+    # its least, then on its order
+    crossed = max(graphcomp._blocks(crossed_cycle(12)))
+    adj = graphcomp._adjacency(*crossed)
+    order, widths = graphcomp._frontier_order(adj)
+    states = graphcomp._frontier_price(widths)[1]
+    assert charged(*crossed) == ["the series-parallel reductions of 12 vertices",
+                                 "the frontier DP on 12 vertices and up to 3 states",
+                                 f"the frontier DP on 12 vertices and up to {states:.3g} states"]
+    assert charged(*max(graphcomp._blocks(complete(6)))) == ["count_compositions_graph",
+                                                             "the subset DP over 2^0 vertex sets"]
+    # a hit under the DFS key, and one under the refined key alone
+    assert charged(*cycle) == []
+    entry = json.loads(PINNED_DENSE.read_text())[0]
+    n, edges = entry["n"], sorted(map(tuple, entry["edges"]))
+    reversed_edges = sorted((n - 1 - b, n - 1 - a) for a, b in edges)
+    charged(n, edges)
+    assert _dfs_key(n, reversed_edges) not in errors.KEPT["blocks"]
+    assert charged(n, reversed_edges) == []
+    charges.clear()
+    assert graphcomp._count_frontier(adj, order) == errors.KEPT["blocks"][_dfs_key(*crossed)]
+    assert charges == []
+
+
 # --- the series-parallel reductions ---------------------------------------------------------
 
 def test_the_reductions_match_the_subset_dp_on_random_blocks():
@@ -1186,6 +1230,11 @@ def _maps_onto(n, edges, target):
                    and extend(image + [x]) for x in candidates)
 
     return len(neighbours) == n and len(edges) == len(target) and extend([])
+
+
+def test_random_tree_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        graphcomp.random_tree(Random(0), -1)
 
 
 def test_the_block_split_yields_each_block_under_its_dfs_labels():
@@ -1480,7 +1529,7 @@ def _refused(price, *args):
 
 
 def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_both_are(monkeypatch):
-    # each DP loop is stopped as it starts, after its counter priced itself;
+    # each DP loop is stopped as it starts, after its counter was charged;
     # the series-parallel reductions, priced before they start, run to their
     # end and are stopped there where they count the block
     def started(counter):
@@ -1506,12 +1555,12 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
         h = sum(len(neighbours) < n - 1 for neighbours in adj)
         widths = graphcomp._frontier_order(adj)[1]
         step = graphcomp.FRONTIER_STEP_PRICE + errors.word_steps(1, graphcomp._count_bits(n, m))
-        subset = errors.word_steps(*graphcomp._subset_cost(h)[:2])
+        subset = errors.word_steps(*graphcomp._subset_charge(h)[1:3])
         lower = "subset" if subset <= step * graphcomp._frontier_price(widths)[0] else "frontier"
         # no order of a block has a frontier narrower than these widths
         least = step * graphcomp._frontier_price([0, 1] + [2] * (n - 2))[0]
-        reductions = graphcomp._series_parallel_cost(n, m)
-        if verify._no_k4_minor(n, edges) and subset > least >= errors.word_steps(*reductions[:2]):
+        reductions = graphcomp._reductions_charge(n, m)
+        if verify._no_k4_minor(n, edges) and subset > least >= errors.word_steps(*reductions[1:3]):
             lower = "series-parallel"
         cases.append((block, h, widths, reductions, lower))
     routes = Counter(lower for *_, lower in cases)
@@ -1521,14 +1570,16 @@ def test_each_block_goes_to_its_lower_priced_counter_and_is_refused_only_where_b
         monkeypatch.setattr(errors, "WORK_BUDGET", budget)
         outcomes = []
         for block, h, widths, reductions, lower in cases:
-            both_refuse = (_refused(graphcomp._price_subset_dp, h) and
-                           _refused(graphcomp._price_frontier, block.vertex_count, len(block.edges), widths))
+            frontier = graphcomp._frontier_charge(block.vertex_count, len(block.edges),
+                                                  *graphcomp._frontier_price(widths))
+            both_refuse = (_refused(errors.check_work, *graphcomp._subset_charge(h), 0) and
+                           _refused(errors.check_work, *frontier, 0))
             with pytest.raises((_Started, ResourceLimitError)) as outcome:
                 graphcomp.reduce_and_count(block)
             refused = outcome.type is ResourceLimitError
             if lower == "series-parallel":
                 # the lowest of the three prices: where it is over the budget, so are the others
-                assert refused == _refused(errors.check_work, "the reductions", *reductions, 0)
+                assert refused == _refused(errors.check_work, *reductions, 0)
                 assert both_refuse or not refused, (budget, sorted(block.edges))
             else:
                 assert refused == both_refuse, (budget, sorted(block.edges))
@@ -1699,8 +1750,8 @@ def per_state_frontier(adj, order):
 
 def _frontier_both_ways(graph):
     adj = graph.adjacency()
-    order, widths = graphcomp._frontier_order(adj)
-    return graphcomp._count_frontier(adj, order, widths), per_state_frontier(adj, order)
+    order = graphcomp._frontier_order(adj)[0]
+    return graphcomp._count_frontier(adj, order), per_state_frontier(adj, order)
 
 
 def test_memoised_frontier_dp_matches_the_per_state_dp():
@@ -1714,13 +1765,12 @@ def test_memoised_frontier_dp_matches_the_per_state_dp():
         assert memoised == oracle, sorted(graph.edges)
 
 
-def test_the_successor_memo_stays_bounded_on_a_wide_block(monkeypatch):
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1e12)
+def test_the_successor_memo_stays_bounded_on_a_wide_block():
     graph = graphcomp.random_connected_graph(Random(0), 15, 0.5)
     adj = graph.adjacency()
     order, widths = graphcomp._frontier_order(adj)
     assert max(widths) == 8
-    assert graphcomp._count_frontier(adj, order, widths) == per_state_frontier(adj, order)
+    assert graphcomp._count_frontier(adj, order) == per_state_frontier(adj, order)
     info = graphcomp._successors.cache_info()
     assert info.maxsize == graphcomp.FRONTIER_MEMO_ENTRIES
     assert info.misses > info.maxsize  # entries were evicted

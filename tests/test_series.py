@@ -56,6 +56,17 @@ def test_shift_keeps_order():
     assert s.shifted(2).coefficients == (0, 0, 1, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: TruncatedSeries((1, 2)).shifted(-1), "shift exponent must be nonnegative"),
+    (lambda: series.gf_leading_strict(0), "k must be positive"),
+    (lambda: series.gf_avoiding(0), "k must be positive"),
+    (lambda: series.gf_distinct_total(-1), "order must be nonnegative"),
+])
+def test_arguments_outside_their_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- rational expansion ------------------------------------------------------
 
 def test_expansion_of_all_compositions_gf():
