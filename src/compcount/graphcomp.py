@@ -1127,7 +1127,8 @@ def _count_block(n: int, edges: list[tuple[int, int]]) -> tuple[int, str]:
                 check_work(*charge, printed=0)
                 found, route = _count_frontier(adj, order), "frontier"
         if found is None:
-            # the benchmark's tracer counts this call; ROADMAP item 2 removes it
+            # the benchmark's tracer counts this call: perfbench/test_perfbench.py
+            # asserts 1 call and 32 states on C_5. ROADMAP item 2b removes it
             found, route = count_compositions_graph(LabeledGraph(n, edges)), "subset"
         if refined:
             known[refined] = found

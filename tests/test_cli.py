@@ -307,11 +307,12 @@ def test_seed_and_cap_are_accepted_only_where_they_act(tmp_path):
 
 # --- verification -------------------------------------------------------------------
 
-def test_verify_passes_on_correct_build():
-    code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "10", "--seed", "1"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_passes_on_correct_build(seed):
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "10", "--seed", str(seed)])
     assert code == 0
     assert "FAIL" not in out
-    assert out.startswith("# verify suite=all max-n=10 seed=1\n")
+    assert out.startswith(f"# verify suite=all max-n=10 seed={seed}\n")
 
 
 def test_verify_refuses_a_max_n_whose_cubic_checks_are_over_the_budget():
@@ -771,28 +772,36 @@ def test_the_largest_triangle_holds_the_table_and_a_row():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_the_largest_triangle_prints_in_a_gigabyte(fmt, tmp_path):
+@pytest.mark.parametrize("output", ["triangle.csv", "triangle.json", "fweak.csv", "contain.csv"])
+def test_the_largest_triangle_and_a_12001_term_series_print_in_60_mb(output, tmp_path):
     # the price admits 3000 rows (3821 are refused); its output is written a
-    # row at a time, so memory is the table and one row, not the whole output
+    # row at a time, so memory is the table and one row, not the whole output.
+    # A series is written a line at a time too, and contain's is divided by
+    # its two denominator factors over one list
     import resource
 
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (60 << 20, 60 << 20))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    target = tmp_path / f"triangle.{fmt}"
-    try:
-        with open(target, "wb") as out:
-            done = subprocess.run([sys.executable, "-m", "compcount", "triangle", "--kind", "cdistinct",
-                                   "--rows", "3000", "--format", fmt],
-                                  stdout=out, stderr=subprocess.PIPE, env=env,
-                                  preexec_fn=cap_address_space, timeout=10)
-        assert (done.returncode, done.stderr) == (0, b"")
+    name, fmt = output.split(".")
+    if name == "triangle":
+        argv = ["triangle", "--kind", "cdistinct", "--rows", "3000"]
         cells = 3000 * 3001 // 2
         lines, last = {"csv": (1 + cells, b"\n2999:2999,0\n"),
                        "json": (9 + 4 * cells, b'\n      "2999:2999",\n      "0"\n    ]\n  ]\n}\n')}[fmt]
+    else:  # the last term by the family's own counter, not by its series
+        argv = ["series", "--family", name, "--k", "3", "--order", "12000"]
+        count = {"fweak": compositions.count_leading_weak, "contain": compositions.count_containing}[name]
+        lines, last = 12002, f"\n12000,{count(12000, 3)}\n".encode()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    target = tmp_path / output
+    try:
+        with open(target, "wb") as out:
+            done = subprocess.run([sys.executable, "-m", "compcount", *argv, "--format", fmt],
+                                  stdout=out, stderr=subprocess.PIPE, env=env,
+                                  preexec_fn=cap_address_space, timeout=10)
+        assert (done.returncode, done.stderr) == (0, b"")
         with open(target, "rb") as printed:
             assert sum(chunk.count(b"\n") for chunk in iter(lambda: printed.read(1 << 20), b"")) == lines
             printed.seek(-len(last), os.SEEK_END)
@@ -820,11 +829,11 @@ def count_k19_minus_a_hamiltonian_cycle(tmp_path, megabytes):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
-def test_k19_minus_a_hamiltonian_cycle_counts_in_200_mb(tmp_path):
+def test_k19_minus_a_hamiltonian_cycle_counts_in_100_mb(tmp_path):
     # no vertex is universal, so the subset DP reads only the whole set's
     # count and sums it over the connected sets through vertex 0: the largest
-    # cube is never convolved, whose packed products ran out of this space
-    done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 200)
+    # cube is never convolved, whose packed products ran out of 200 MB
+    done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 100)
     assert (done.returncode, done.stdout, done.stderr) == (0, "4302601688761\n", "")
 
 
@@ -1019,6 +1028,9 @@ def test_closed_form_restricted_counts_answer_at_any_size():
     n = 10 ** 12
     code, out, _ = run_cli(["count", "restricted", "--n", str(n), "--k", "5"])
     assert (code, out) == (0, f"{math.comb(n + 4, 4)}\n")
+    # each part at least 2: the compositions of 5000 - 100 into 100 parts of at least 0
+    code, out, _ = run_cli(["count", "restricted", "--n", "5000", "--k", "100", "--min", "2"])
+    assert (code, out) == (0, f"{math.comb(4899, 99)}\n")
 
 
 def test_restricted_counts_past_any_sum_of_the_parts_are_zero():
