@@ -3,15 +3,12 @@ the word steps of compcount's work budget, and the blocks that routing on
 the two DPs' prices sends to the slower DP.
 
 The subset DP (graphcomp._subset_ways, which
-graphcomp.count_compositions_graph prices before it runs) is priced at
-SUBSET_STEP_OPERATIONS operations a direct step (3^m for a cube of
-m <= DIRECT_CUBE_BITS vertices) and TRANSFORM_STEP_OPERATIONS a transform
-step (m 2^m for a larger cube), on the numbers of graphcomp._subset_charge.
-Its direct steps are timed on the whole table with the cutoff raised; its
-transform steps and the whole DP against its price on the path that
-count_compositions_graph takes, which sums the last vertex's connected sets
-where no vertex is universal, so the price counts the largest cube's
-transform steps that path no longer takes.
+graphcomp.count_compositions_graph prices before it runs) keeps the price of
+the per-cube kernel it replaced, graphcomp._subset_charge: SUBSET_STEP_OPERATIONS
+operations a direct step and TRANSFORM_STEP_OPERATIONS a transform step of
+that kernel. This script times the ranked table at 8-16 vertices against
+that price, on K_n minus a Hamiltonian cycle, which has no universal vertex:
+the whole-set count that count_compositions_graph takes, and the whole table.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
 of its counts a step of its state bound (graphcomp._frontier_price, in
 graphcomp._frontier_charge), timed here with its successor memo cold and
@@ -24,8 +21,9 @@ where they are priced lowest, sends each block they do not count to the DP
 of the lower price, and returns the route it took.
 This script times the counters with the work and memory budgets
 (errors.WORK_BUDGET, errors.MEMORY_BUDGET) set to infinity, so that the
-guard admits every run. It prints the cost of each step in nanoseconds
-and in word steps next to its price, times both counters on small blocks
+guard admits every run. It prints the subset DP's time next to its
+priced time, the cost of a frontier or reduction step in word steps next
+to its price, times both DPs on small blocks
 (the benchmark's pinned dense blocks among them) under the labels of
 graphcomp._blocks, on which graphcomp.reduce_and_count routes and counts
 them, and lists those that the prices send to the slower counter with the
@@ -76,40 +74,22 @@ def largest_block(graph):
 
 
 def subset_steps(word_ns, repeat):
-    """Direct steps with every cube summed state by state, then transform
-    steps at the shipped cutoff, on K_n minus a Hamiltonian cycle."""
-    shipped = graphcomp.DIRECT_CUBE_BITS
-    print("subset DP on K_n minus a Hamiltonian cycle")
-    print(f"direct steps, every cube summed state by state (priced "
-          f"{graphcomp.SUBSET_STEP_OPERATIONS} operations of n log2(n + 1) bits)")
-    print(f"{'n':>4} {'steps':>10} {'seconds':>9} {'ns/step':>8} {'word steps':>10} {'priced':>7}")
-    for n in range(shipped + 1, shipped + 6):
-        nbr = complete_minus_cycle(n).neighbor_masks()
-        steps = (3 ** n - 1) / 2
-        graphcomp.DIRECT_CUBE_BITS = n
-        seconds = best_time(lambda: graphcomp._subset_ways(nbr, n), repeat)
-        graphcomp.DIRECT_CUBE_BITS = shipped
-        priced = errors.word_steps(graphcomp.SUBSET_STEP_OPERATIONS, n * math.log2(n + 1))
-        ns = seconds / steps * 1e9
-        print(f"{n:>4} {steps:>10.3g} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} {priced:>7.1f}")
-    print(f"\ntransform steps, cubes past {shipped} bits convolved (priced "
-          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} operations of the packed bits), timed on the "
-          f"path count_compositions_graph takes, which sums the last vertex instead of "
-          f"convolving its cube; the whole DP against its price")
-    print(f"{'n':>4} {'steps':>10} {'bits':>6} {'seconds':>9} {'ns/step':>8} {'word steps':>10} "
-          f"{'priced':>7} {'DP priced/taken':>15}")
-    direct = (3 ** (shipped + 1) - 1) / 2
-    for n in range(shipped + 3, 18):
+    """The ranked table on K_n minus a Hamiltonian cycle against its price,
+    for the whole-set count and for the whole table."""
+    print(f"subset DP on K_n minus a Hamiltonian cycle against its price, graphcomp._subset_charge "
+          f"({graphcomp.SUBSET_STEP_OPERATIONS} operations a direct step, "
+          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} a transform step)")
+    print(f"{'n':>4} {'rank bits':>9} {'count s':>9} {'table s':>9} {'priced s':>9} "
+          f"{'priced/count':>12} {'priced/table':>12}")
+    for n in range(8, 17):
         graph = complete_minus_cycle(n)
-        _, operations, bits, _ = graphcomp._subset_charge(n)
-        steps = ((operations - graphcomp.SUBSET_STEP_OPERATIONS * direct)
-                 / graphcomp.TRANSFORM_STEP_OPERATIONS)
-        seconds = best_time(lambda: graphcomp.count_compositions_graph(graph), repeat if n < 16 else 1)
-        priced = errors.word_steps(graphcomp.TRANSFORM_STEP_OPERATIONS, bits)
-        ns = seconds / steps * 1e9
-        ratio = errors.word_steps(operations, bits) * word_ns / 1e9 / seconds
-        print(f"{n:>4} {steps:>10.3g} {bits:>6.0f} {seconds:>9.3f} {ns:>8.1f} {ns / word_ns:>10.1f} "
-              f"{priced:>7.1f} {ratio:>15.2f}")
+        nbr = graph.neighbor_masks()
+        runs = repeat if n < 15 else 1
+        count = best_time(lambda: graphcomp.count_compositions_graph(graph), runs)
+        table = best_time(lambda: graphcomp._subset_ways(nbr, n), runs)
+        priced = errors.word_steps(*graphcomp._subset_charge(n)[1:3]) * word_ns / 1e9
+        print(f"{n:>4} {graphcomp._field_bits(n):>9} {count:>9.4f} {table:>9.4f} {priced:>9.4f} "
+              f"{priced / count:>12.2f} {priced / table:>12.2f}")
 
 
 def cold_frontier(adj, order):

@@ -47,10 +47,11 @@ found in the block memo runs no counter, so it is not priced):
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
 - the graph block counters, each by one charge function of graphcomp that
   gives what check_work reads, (what, operations, bits, held); no counter
-  body prices itself. _subset_charge: 1.5 operations a direct step, 3^m for
-  each cube of m <= 7 vertices above a lowest vertex, and 2 a transform
-  step, m 2^m for each larger cube, on the packed numbers of the largest
-  cube, n fields of about 2n + n log2 n bits, 2^(n+1) of them held.
+  body prices itself. _subset_charge, the replaced per-cube kernel's price
+  kept as an upper bound on the ranked table: 1.5 operations a direct step,
+  3^m for each cube of m <= 7 vertices above a lowest vertex, and 2 a
+  transform step, m 2^m for each larger cube, on n fields of about
+  2n + n log2 n bits, 2^(n+1) numbers held.
   _frontier_charge: 585 word steps and one addition of min(edges,
   n log2(n + 1)) bits a step of the state bound (_frontier_price), the
   states held; before the order, on a block, 9n - 18 steps of the least
@@ -101,8 +102,9 @@ nothing half-changed. Each is bounded by the largest call the budget admits:
   blocks of at most 64 vertices, about 3 MB.
 
 Memos are lru_caches registered by memo(): exactnum.bell (16 entries),
-graphcomp._successors (4096, 3.0-3.6 MB), graphcomp._state_bounds and
-cli._parser (1 each); forget() empties them and KEPT, as in a new process.
+graphcomp._successors (4096, 3.0-3.6 MB), graphcomp._field_bits (64 ints),
+graphcomp._state_bounds and cli._parser (1 each); forget() empties them and
+KEPT, as in a new process.
 """
 
 from contextlib import contextmanager

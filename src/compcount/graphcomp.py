@@ -5,10 +5,11 @@ each induce a connected subgraph (the induced subgraph on a block is unique,
 so the partition alone identifies the composition). Two exact counters:
 ``count_compositions_graph`` runs a subset dynamic program over the 2^h
 bitmask states of the h vertices that are not universal (adjacent to all
-others), one ranked subset convolution per lowest vertex but the last in
-about h 2^h steps, and adds the universal vertices by a signed Bell sum, so
-it suits small dense graphs and K_n costs one Bell number (the first step of
-join decomposition: Gallai 1967; Corneil, Perl and Stewart 1985);
+others), one table kept in the ranked zeta domain with one transform per
+vertex, in about h 2^h steps, and adds the universal vertices by a signed
+Bell sum, so it suits small dense graphs and K_n costs one Bell number (the
+first step of join decomposition: Gallai 1967; Corneil, Perl and Stewart
+1985);
 ``count_compositions_frontier`` runs a frontier DP along a vertex order,
 whose states follow the frontier width instead, and suits thin graphs of
 any size; the successors of a state in a step of a given shape come from a
@@ -37,7 +38,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import add, and_, lshift, mul, or_, rshift, sub, xor
 
 from . import FAMILIES, exactnum
@@ -47,12 +48,10 @@ from .errors import (KEPT, MEMORY_BUDGET, Frozen, ResourceLimitError, check_work
 # The largest graph whose set partitions perfbench/pin_dense.py lists to check
 # a pinned count; nothing here reads it, as check_work prices each listing.
 ENUMERATION_VERTEX_LIMIT = 10
-# The subset DP sums a cube of at most this many vertices above the lowest
-# vertex state by state, and a larger one by one ranked subset convolution.
-DIRECT_CUBE_BITS = 7
-# The ranked convolution forms its product this many entries at a time, so
-# it holds two lists of the packed numbers of its cube, not three.
-PRODUCT_CHUNK = 1024
+# The subset DP replaces its packed numbers this many at a time, in its
+# products and in each pass of its transforms, so it never holds a second
+# copy of a list of them.
+PACKED_CHUNK = 1024
 
 # Each named family's smallest size, in the order of FAMILIES (rungs for the ladder).
 FAMILY_MIN_SIZE = dict(zip(FAMILIES, (0, 0, 0, 2, 3, 1), strict=True))
@@ -263,14 +262,15 @@ def count_compositions_graph(graph: LabeledGraph) -> int:
     (K_n - e: g = [1, 0, -1]); on the sets Y inside W it gives c[j] = sum over
     |Y| = j of C(G[Y]) = sum over k of g[k] C(h - k, j - k) Bell(j - k), which
     is solved forward for g. One subset DP on G[W] gives every C(G[Y]) in 2^h
-    states and about h 2^h steps, so K_n costs one Bell number. With u = 0 the
-    count is its last entry alone, summed over the connected sets through
-    vertex 0 in place of the largest cube's convolution, about half the
-    transform steps. The work budget refuses it past 19 vertices that are not
-    universal, priced on the degrees before any list of n entries is built,
-    and the Bell numbers by exactnum.bell_numbers; reduce_and_count splits
-    a graph into biconnected blocks and hands here those the subset DP
-    counts for less than the frontier DP."""
+    states and about h 2^h steps, so K_n costs one Bell number. With
+    u = 0 the count is its last entry alone, one sum over the connected sets
+    through the last vertex, which the DP's table then never takes in, so
+    its largest transforms run on 2^(h-2) sets, not 2^(h-1). The work budget
+    refuses it past 19 vertices that are not universal, priced on the
+    degrees before any list of n entries is built, and the Bell numbers by
+    exactnum.bell_numbers; reduce_and_count splits a graph into biconnected
+    blocks and hands here those the subset DP counts for less than the
+    frontier DP."""
     check_work(*_subset_charge(_not_universal(graph.vertex_count, graph.edges)), printed=0)
     return _count_subset(graph.adjacency())
 
@@ -305,50 +305,79 @@ def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
     vertex set S, given the neighbour masks of n vertices; over all n it is
     the reference that the tests and verify compare against.
 
-    The block through the lowest vertex v of S is {v} plus some Z inside the
-    rest Y of S, and the other blocks compose Y minus Z, which lies above v,
-    so ways({v} + Y) = sum over Z inside Y of connected({v} + Z) ways(Y - Z),
-    with the table of connected sets built first, for all of them at once, by
-    _connected_sets. The states go by lowest vertex v = n - 1 down to 0, from
-    ways(empty) = 1. If the cube of the m = n - 1 - v vertices above v has at
-    most DIRECT_CUBE_BITS of them, each S is summed in turn over the 2^|Y|
-    submasks of Y (3^m steps in all); a larger cube is counted all at once by
-    _ranked_convolution on strided slices of the two tables, in about m 2^m
-    transform steps.
+    Each part of a partition is counted through its highest vertex u, so the
+    parts through u are the connected sets in connected[2^u : 2^(u+1)],
+    which _connected_sets finds for all sets at once. One table stays in
+    the ranked zeta domain (Björklund, Husfeldt, Kaski and Koivisto, STOC
+    2007): table[X], over the sets X of the vertices below u, is the
+    polynomial whose rank-k coefficient counts the tuples of parts, one or
+    none through each vertex below u, all inside X, of k vertices in all.
+    It is packed into one int of _field_bits(n) bits a rank (Kronecker
+    substitution), so one add or product acts on every rank at once. For
+    each u the slice of parts through u is rank-packed and zeta-transformed
+    once, and the table times one plus it, for the sets through u, extends
+    the table. Each product drops the ranks above the u + 1 vertices seen:
+    the parts of a partition are disjoint, so only tuples that overlap are
+    lost, and the last read ignores those anyway. The Möbius transform then
+    leaves, in rank |Y| of Y, the tuples of disjoint parts whose union is
+    Y, which are its compositions. That is one transform of the 2^u sets
+    below each vertex, about n 2^n steps in all: the last vertex is not
+    added to the table, but one Möbius pass runs over the table and one
+    over that vertex's products.
 
     With count_only, the caller reads only ways[-1], the whole vertex set F,
-    and the other sets through vertex 0 are left at 0: ways(F) is one sum of
-    ways(F minus T) over the connected sets T through vertex 0, a lookup and
-    an add each, in place of the largest cube's convolution (about half of
-    all transform steps). Unpriced: count_compositions_graph charges it, at
-    _subset_charge."""
-    ways = [0] * (1 << n)
-    ways[0] = 1
+    and the table stops one vertex earlier: the list holds the counts of the
+    sets without the last vertex, then ways(F), one sum of ways(F minus T)
+    over the connected sets T through that vertex, a lookup and an add each.
+    Unpriced: count_compositions_graph charges it, at _subset_charge."""
     connected = _connected_sets(nbr)
-    top = n - 2 if count_only else n - 1  # the largest cube that may be convolved
-    popcounts = [0]  # of its sets, when it is
-    for _ in range(top if top > DIRECT_CUBE_BITS else 0):
-        popcounts += [c + 1 for c in popcounts]
-    for v in range(n - 1, -1, -1):
-        low = 1 << v
-        if count_only and v == 0:
-            # F minus the odd state 2k + 1 is the even index F - 1 - 2k
-            ways[-1] = sum(compress(islice(reversed(ways), 1, None, 2), connected[1::2]))
-        elif n - 1 - v > DIRECT_CUBE_BITS:
-            ways[low::low << 1] = _ranked_convolution(connected[low::low << 1],
-                                                      ways[0::low << 1], popcounts)
-        else:
-            for state in range(low, 1 << n, low << 1):
-                # each block T through low is state ^ other for a submask other of rest
-                rest = state ^ low
-                acc = connected[state]  # T = state
-                other = rest
-                while other:
-                    if connected[state ^ other]:
-                        acc += ways[other]
-                    other = (other - 1) & rest
-                ways[state] = acc
+    width = _field_bits(n)
+    last = n - 2 if count_only else n - 1  # the last vertex multiplied in
+    table, ranks, packed = [1], [1], []  # ranks[X]: the vertices of X and u, a part through u
+    for u in range(last + 1):
+        low = 1 << u
+        packed = list(map(lshift, connected[low:low << 1], map(mul, ranks, repeat(width))))
+        if u < last:
+            packed[0] += 1  # the tuples with no part through u: the table's own counts
+        _zeta(packed, add)
+        cut = (1 << width * (u + 2)) - 1  # ranks 0..u + 1
+        for start in range(0, low, PACKED_CHUNK):  # the products take the packed parts' place
+            chunk = slice(start, start + PACKED_CHUNK)
+            packed[chunk] = map(and_, map(mul, table[chunk], packed[chunk]), repeat(cut))
+        if u == last:
+            break
+        table += packed
+        ranks += [r + 1 for r in ranks]
+    field = (1 << width) - 1
+    _zeta(table, sub)
+    ways = [m >> width * (r - 1) & field for m, r in zip(table, ranks)]
+    del table  # let the packed table go before the products' counts are read
+    _zeta(packed, sub)
+    ways += [m >> width * r & field for m, r in zip(packed, ranks)]
+    if count_only and n:
+        # F minus the set T = X + the last vertex is the reversed index of X
+        ways.append(sum(compress(reversed(ways), connected[len(ways):])))
     return ways
+
+
+@memo(64)
+def _field_bits(n: int) -> int:
+    """The bits of one rank of _subset_ways' packed numbers on n vertices: of
+    the largest coefficient of x^0..x^n in the product over u < n of
+    1 + x(1 + x)^u, which counts tuples of parts through distinct vertices u,
+    each inside the vertices up to u, by their vertices in all (37 bits at
+    13 vertices, 62 at 19). Every kept rank of the table, of its products
+    and of the partial sums of both transforms counts some of those, so none
+    overflows or borrows, and a carry past the cut goes up, into ranks cut
+    too. The product is packed in fields wider than any coefficient, which
+    is at most the product of 1 + 2^u, below 2^(n(n + 1)/2)."""
+    shift = n * (n + 1) // 2 + 1
+    x, cut = 1 << shift, (1 << shift * (n + 1)) - 1
+    poly = power = 1  # power: (1 + x)^u
+    for _ in range(n):
+        poly = poly * (1 + x * power) & cut
+        power = power * (x + 1) & cut
+    return max(poly >> shift * k & x - 1 for k in range(n + 1)).bit_length()
 
 
 _BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -387,58 +416,27 @@ def _connected_sets(nbr: list[int]) -> bytes:
     return format((1 << (1 << n)) - 1 ^ apart, f"0{1 << n}b")[::-1].encode().translate(_BITS_TO_BYTES)
 
 
-def _ranked_convolution(blocks: bytes, rest: list[int], popcounts: list[int]) -> Iterator[int]:
-    """f(Y) = sum over Z inside Y of blocks[Z] rest[Y minus Z], for the 2^m
-    sets Y of an m-bit cube, as a ranked subset convolution (Björklund,
-    Husfeldt, Kaski and Koivisto, STOC 2007) in O(m 2^m) operations.
-
-    Each entry is shifted by w|Z| bits, so one int holds its rank polynomial
-    (Kronecker substitution) and one add, product or subtraction acts on all
-    ranks at once. Both sides are zeta-transformed, multiplied pointwise and
-    cut to ranks 0..m; the Möbius transform then gives, in rank |Y| of Y, the
-    sum over disjoint pairs. With blocks 0 or 1 and every rest entry at most
-    M, a rank-k coefficient counts at most C(2m, k) pairs of sets, so it is at
-    most M C(2m, m) < 2^w for w = bitlen(C(2m, m)) + bitlen(M), and every
-    partial transform is a sum of such terms, so no field overflows or borrows
-    and the packed arithmetic is exact. Here M is at most Bell(m), rest being
-    subset-DP counts of m vertices, so w <= 2m + bitlen(Bell(m))."""
-    m = len(rest).bit_length() - 1
-    width = math.comb(2 * m, m).bit_length() + max(rest).bit_length()
-    shifts = [width * c for c in popcounts[:len(rest)]]
-    packed_blocks = list(map(lshift, blocks, shifts))
-    packed_rest = list(map(lshift, rest, shifts))
-    _zeta(packed_blocks, add)
-    _zeta(packed_rest, add)
-    ranks = (1 << width * (m + 1)) - 1
-    # the product takes packed_rest's place a chunk at a time, and the packed
-    # blocks behind it are let go: two lists of the cube are held, not three
-    step = min(len(rest), PRODUCT_CHUNK)
-    zeros = bytes(step)
-    for start in range(0, len(rest), step):
-        chunk = slice(start, start + step)
-        packed_rest[chunk] = map(and_, map(mul, packed_blocks[chunk], packed_rest[chunk]), repeat(ranks))
-        packed_blocks[chunk] = zeros
-    del packed_blocks
-    _zeta(packed_rest, sub)
-    return map(and_, map(rshift, packed_rest, shifts), repeat((1 << width) - 1))
-
-
 def _zeta(values: list[int], op) -> None:
     """values[S] = op(values[S], values[S without j]) in place for each bit j
     of the 2^m indices, one bit at a time: with add the sum over subsets (the
     zeta transform), with sub its inverse (the Möbius transform). Each bit
-    takes whichever is fewer, strided slices or contiguous blocks."""
-    size = len(values)
-    step = 1
+    takes whichever is fewer, strided slices or contiguous blocks, cut into
+    slices of at most PACKED_CHUNK entries."""
+    size, step = len(values), 1
     while step < size:
         span = step << 1
         if step * span < size:
-            for r in range(step):
-                values[step + r::span] = map(op, values[step + r::span], values[r::span])
+            band = span * PACKED_CHUNK
+            for start in range(0, size, band):
+                for r in range(start + step, start + span):
+                    values[r:start + band:span] = map(op, values[r:start + band:span],
+                                                      values[r - step:start + band:span])
         else:
-            for base in range(0, size, span):
-                values[base + step:base + span] = map(op, values[base + step:base + span],
-                                                      values[base:base + step])
+            width = min(step, PACKED_CHUNK)
+            for half in range(0, size >> 1, width):  # a chunk of the upper halves of the blocks
+                low = half + (half // step + 1) * step
+                values[low:low + width] = map(op, values[low:low + width],
+                                              values[low - step:low - step + width])
         step = span
 
 
@@ -839,17 +837,14 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
                     yield len(label), edges
 
 
-# A direct subset-DP step in check_work operations: 1.5 of about 27 word
-# steps; a transform step (one element of a zeta or Möbius pass, with the
-# connected-set table and the packing and product of each set folded in) 2
-# of the packed numbers of the largest cube. scripts/step_costs.py measures
-# 18-23 word steps a direct step at 8-12 vertices (priced 40), a cube of m
-# taking exactly 3^m. On K_n minus a Hamiltonian cycle, which has no
-# universal vertex, the DP sums its last vertex instead of convolving the
-# largest cube, so it takes 16-33 word steps a priced transform step at
-# 10-17 (priced 67-104), and the whole DP is priced at 2.8-5.5 times its
-# time (three runs, CPython 3.11, 2-vCPU x86-64 guest whose speed drifts by
-# up to 40% between them, 4 ns a word step).
+# The subset DP's price in check_work operations: 1.5 a direct step and 2 a
+# transform step of the per-cube kernel that the ranked table replaced
+# (_subset_charge), kept so that no route or refusal moved.
+# scripts/step_costs.py times the table on K_n minus a Hamiltonian cycle at
+# 8-16 vertices, which has no universal vertex: the whole-set count that
+# count_compositions_graph takes there is priced at 1.4-6.6 times its time,
+# and the whole table at 1.1-3.0 (three runs, CPython 3.11, 2-vCPU x86-64
+# guest whose speed drifts by up to 40% between them, 4 ns a word step).
 SUBSET_STEP_OPERATIONS = 1.5
 TRANSFORM_STEP_OPERATIONS = 2
 # The frontier DP's price in word steps a step of its state bound (a state
@@ -894,26 +889,27 @@ def _subset_charge(n: int) -> tuple[str, float, float, float]:
     _reductions_charge: no block counter prices a decimal conversion, a
     block count being a factor of the count printed.
 
-    A cube of m <= DIRECT_CUBE_BITS vertices takes 3^m direct steps, a
-    larger one m 2^m transform steps: the passes of its zeta and Möbius
-    transforms, with the connected-set table and the packing and product of
-    each of its sets folded into their price. When some cube is convolved,
-    every step is priced on the packed numbers of the largest, m = n - 1:
-    m + 1 fields of at most 2m + m log2(m + 1) + 1 bits (a count of m
-    vertices is at most Bell(m)); otherwise on counts of n log2(n + 1) bits.
-    Where no vertex is universal the DP sums the last vertex instead of
-    convolving that largest cube, but its steps stay in the price, which is
-    kept as an upper bound. So are the 2^(n+1) numbers held: 2^n counts,
-    with 2^n bytes of connected sets, and two lists of 2^m packed numbers
-    while a cube of m vertices is convolved, m at most n - 1, or n - 2 where
-    no vertex is universal."""
+    The price is that of the per-cube kernel that the ranked table
+    replaced, kept as it was so that no route or refusal moved: on n <= 8
+    vertices, 3^n direct steps on counts of n log2(n + 1) bits; past that,
+    the direct steps of a cube of 7 vertices and m 2^m transform steps for
+    each cube of m = 8..n - 1 vertices above a lowest vertex, on n fields of
+    2(n - 1) + (n - 1) log2 n + 1 bits. It stays an upper bound: the whole
+    table takes one zeta pass over the 2^u sets below each vertex u and two
+    Möbius passes over 2^(n - 1) sets each, with its packing and products
+    about as many steps as the transform steps priced, and the whole-set
+    count about half as many, each on n + 1 fields of _field_bits(n) bits
+    (37 at 13 vertices, 62 at 19), about 0.57 of the bits priced. Held:
+    2^(n+1) numbers, with 2^n bytes of connected sets: at the end, the table
+    and the last vertex's products are 2^n packed numbers, and the counts
+    read from them 2^n more."""
     what = f"the subset DP over 2^{n} vertex sets"
     if n > 600:
         return what, math.inf, math.inf, math.inf
     top = n - 1
-    if top <= DIRECT_CUBE_BITS:
+    if top <= 7:
         return what, SUBSET_STEP_OPERATIONS * (3.0 ** n - 1) / 2, n * math.log2(n + 1), 2.0 ** n
-    low = DIRECT_CUBE_BITS
+    low = 7
     direct = (3.0 ** (low + 1) - 1) / 2
     transform = (top - 1) * 2.0 ** (top + 1) - (low - 1) * 2.0 ** (low + 1)  # m 2^m for m > low
     bits = n * (2 * top + top * math.log2(n) + 1)

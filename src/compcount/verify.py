@@ -290,7 +290,8 @@ def _no_k4_minor(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 def _graph_checks(max_n: int, seed: int) -> list[Check]:
     # the random pools are drawn in the order of the checks that read them
     rng, top = Random(seed), min(max_n, 12)
-    # past 8 vertices the subset DP convolves its largest cubes
+    # the subset DP's whole table against enumeration, which lists the
+    # Bell(9) = 21,147 partitions of the largest
     small = [graph for n in range(min(max_n, 9) + 1)
              for graph in (graphcomp.build_family("path", n), graphcomp.build_family("complete", n),
                            graphcomp.random_graph(rng, n, 0.4), graphcomp.random_graph(rng, n, 0.7))]

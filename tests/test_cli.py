@@ -831,15 +831,16 @@ def count_k19_minus_a_hamiltonian_cycle(tmp_path, megabytes):
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
 def test_k19_minus_a_hamiltonian_cycle_counts_in_100_mb(tmp_path):
     # no vertex is universal, so the subset DP reads only the whole set's
-    # count and sums it over the connected sets through vertex 0: the largest
-    # cube is never convolved, whose packed products ran out of 200 MB
+    # count and sums it over the connected sets through the last vertex: its
+    # table stops a vertex early and replaces its packed numbers a chunk at a
+    # time, so it holds no second copy of them
     done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 100)
     assert (done.returncode, done.stdout, done.stderr) == (0, "4302601688761\n", "")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS, honoured on Linux")
 def test_k19_minus_a_hamiltonian_cycle_out_of_memory_exits_3(tmp_path):
-    # the work budget admits it, but it needs about 80 MB of address space
+    # the work budget admits it, but it needs about 90 MB of address space
     done = count_k19_minus_a_hamiltonian_cycle(tmp_path, 50)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("resource limit: out of memory") and "Traceback" not in done.stderr

@@ -276,7 +276,7 @@ def test_the_connected_set_table_matches_a_search_on_every_set():
 
 def per_state_ways(nbr, n):
     """The subset DP state by state in increasing order, the oracle of the
-    ranked convolution: a state that is not connected multiplies the counts of
+    ranked table: a state that is not connected multiplies the counts of
     its lowest vertex's component and of the rest, a connected one sums over
     its connected submasks through its lowest vertex."""
     ways = [0] * (1 << n)
@@ -308,19 +308,14 @@ def per_state_ways(nbr, n):
     return ways
 
 
-def test_ranked_convolution_tables_match_the_per_state_dp(monkeypatch):
+def test_the_ranked_table_matches_the_per_state_dp():
     rng = Random(2007)
     graphs = [graphcomp.random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1)
               for n in [14] + [rng.randint(0, 13) for _ in range(5)]]
-    shipped = graphcomp.DIRECT_CUBE_BITS
     for graph in graphs:
         nbr = graph.neighbor_masks()
         expected = per_state_ways(nbr, graph.vertex_count)
-        # every cube through the convolution, then only those past the cutoff
-        for cutoff in (0, shipped):
-            monkeypatch.setattr(graphcomp, "DIRECT_CUBE_BITS", cutoff)
-            assert graphcomp._subset_ways(nbr, graph.vertex_count) == expected, \
-                (cutoff, sorted(graph.edges))
+        assert graphcomp._subset_ways(nbr, graph.vertex_count) == expected, sorted(graph.edges)
 
 
 def complete_minus_matching(n):
@@ -328,7 +323,7 @@ def complete_minus_matching(n):
     return LabeledGraph(n, {(u, v) for u, v in combinations(range(n), 2) if (u, v) != (u, u + 1) or u % 2})
 
 
-def test_the_last_vertex_sum_matches_the_whole_table(monkeypatch):
+def test_the_last_vertex_sum_matches_the_whole_table():
     rng = Random(1985)
     graphs = [LabeledGraph(0), LabeledGraph(1), LabeledGraph(2), complete(2)]
     graphs += [complete_minus_matching(n) for n in range(2, 15, 2)]
@@ -338,16 +333,24 @@ def test_the_last_vertex_sum_matches_the_whole_table(monkeypatch):
         if graphcomp._not_universal(n, graph.edges) == n:
             graphs.append(graph)
     assert {g.vertex_count for g in graphs} == set(range(15))
-    shipped = graphcomp.DIRECT_CUBE_BITS
     for graph in graphs:
         nbr, n = graph.neighbor_masks(), graph.vertex_count
         expected = graphcomp._subset_ways(nbr, n)[-1]
-        # every cube down to vertex 1 through the convolution, then only those past the cutoff
-        for cutoff in (0, shipped):
-            monkeypatch.setattr(graphcomp, "DIRECT_CUBE_BITS", cutoff)
-            assert graphcomp._subset_ways(nbr, n, True)[-1] == expected, (cutoff, sorted(graph.edges))
-            if graphcomp._not_universal(n, graph.edges) == n:  # the route of count_compositions_graph
-                assert graphcomp.count_compositions_graph(graph) == expected
+        assert graphcomp._subset_ways(nbr, n, True)[-1] == expected, sorted(graph.edges)
+        if graphcomp._not_universal(n, graph.edges) == n:  # the route of count_compositions_graph
+            assert graphcomp.count_compositions_graph(graph) == expected
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_complete_graphs_minus_a_perfect_matching_fill_the_widest_fields(n):
+    # no vertex is universal, so the table runs on all n vertices, with the
+    # widest ranks the budget admits there; the closed form is the signed
+    # Bell sum over the matching's edges
+    expected = sum((-1) ** j * math.comb(n // 2, j) * exactnum.bell(n - 2 * j) for j in range(n // 2 + 1))
+    graph = complete_minus_matching(n)
+    assert graphcomp._not_universal(n, graph.edges) == n
+    assert graphcomp.count_compositions_graph(graph) == expected
+    assert graphcomp._subset_ways(graph.neighbor_masks(), n)[-1] == expected
 
 
 def test_the_moebius_pass_inverts_the_zeta_pass():
@@ -357,6 +360,18 @@ def test_the_moebius_pass_inverts_the_zeta_pass():
         summed = list(values)
         graphcomp._zeta(summed, operator.add)
         assert summed == [sum(values[t] for t in range(1 << m) if t & s == t) for s in range(1 << m)]
+        graphcomp._zeta(summed, operator.sub)
+        assert summed == values
+    for m in (11, 12):  # past 2 PACKED_CHUNK entries, a pass goes in bands and chunks
+        values = [rng.getrandbits(64) for _ in range(1 << m)]
+        expected = list(values)
+        for j in range(m):
+            for s in range(1 << m):
+                if s >> j & 1:
+                    expected[s] += expected[s ^ 1 << j]
+        summed = list(values)
+        graphcomp._zeta(summed, operator.add)
+        assert summed == expected
         graphcomp._zeta(summed, operator.sub)
         assert summed == values
 
@@ -1641,7 +1656,7 @@ OLD_PRICE_REFUSED = {(17, 0.5): 2214265144, (18, 0.5): 28103598583, (19, 0.6): 7
 
 @pytest.mark.parametrize("n, p", OLD_PRICE_REFUSED)
 def test_blocks_the_old_subset_price_refused_are_counted(n, p):
-    # priced at 3^h/2 steps they were refused; the ranked convolution counts
+    # priced at 3^h/2 steps they were refused; the ranked table counts
     # them in about 0.5, 1.2 and 3 s under the budget
     graph = graphcomp.random_connected_graph(Random(0), n, p)
     assert graphcomp.reduce_and_count(graph) == OLD_PRICE_REFUSED[n, p]

@@ -130,6 +130,6 @@ def test_forget_restores_the_state_of_a_new_import(tmp_path):
                          "stirling2", "bell", "blocks"}
     # the package's own names, such as compcount.bell, are bound on first use,
     # and no command uses them
-    assert memos == ["compcount.cli._parser", "compcount.exactnum.bell",
+    assert memos == ["compcount.cli._parser", "compcount.exactnum.bell", "compcount.graphcomp._field_bits",
                      "compcount.graphcomp._state_bounds", "compcount.graphcomp._successors"]
     assert changed == []
