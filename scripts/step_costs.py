@@ -3,12 +3,12 @@ the word steps of compcount's work budget, and the blocks that routing on
 the two DPs' prices sends to the slower DP.
 
 The subset DP (graphcomp._subset_ways, which
-graphcomp.count_compositions_graph prices before it runs) keeps the price of
-the per-cube kernel it replaced, graphcomp._subset_charge: SUBSET_STEP_OPERATIONS
-operations a direct step and TRANSFORM_STEP_OPERATIONS a transform step of
-that kernel. This script times the ranked table at 8-16 vertices against
-that price, on K_n minus a Hamiltonian cycle, which has no universal vertex:
-the whole-set count that count_compositions_graph takes, and the whole table.
+graphcomp.count_compositions_graph prices before it runs) is priced at
+TRANSFORM_STEP_OPERATIONS operations for each of the (n - 2) 2^n steps of
+its ranked table (graphcomp._subset_charge). This script times the table at
+8-16 vertices against that price, on K_n minus a Hamiltonian cycle, which
+has no universal vertex: the whole-set count that count_compositions_graph
+takes, and the whole table.
 The frontier DP is priced at FRONTIER_STEP_PRICE word steps and one addition
 of its counts a step of its state bound (graphcomp._frontier_price, in
 graphcomp._frontier_charge), timed here with its successor memo cold and
@@ -77,8 +77,7 @@ def subset_steps(word_ns, repeat):
     """The ranked table on K_n minus a Hamiltonian cycle against its price,
     for the whole-set count and for the whole table."""
     print(f"subset DP on K_n minus a Hamiltonian cycle against its price, graphcomp._subset_charge "
-          f"({graphcomp.SUBSET_STEP_OPERATIONS} operations a direct step, "
-          f"{graphcomp.TRANSFORM_STEP_OPERATIONS} a transform step)")
+          f"({graphcomp.TRANSFORM_STEP_OPERATIONS} operations a step, (n - 2) 2^n steps)")
     print(f"{'n':>4} {'rank bits':>9} {'count s':>9} {'table s':>9} {'priced s':>9} "
           f"{'priced/count':>12} {'priced/table':>12}")
     for n in range(8, 17):
@@ -86,7 +85,7 @@ def subset_steps(word_ns, repeat):
         nbr = graph.neighbor_masks()
         runs = repeat if n < 15 else 1
         count = best_time(lambda: graphcomp.count_compositions_graph(graph), runs)
-        table = best_time(lambda: graphcomp._subset_ways(nbr, n), runs)
+        table = best_time(lambda: graphcomp._subset_ways(nbr), runs)
         priced = errors.word_steps(*graphcomp._subset_charge(n)[1:3]) * word_ns / 1e9
         print(f"{n:>4} {graphcomp._field_bits(n):>9} {count:>9.4f} {table:>9.4f} {priced:>9.4f} "
               f"{priced / count:>12.2f} {priced / table:>12.2f}")

@@ -47,10 +47,8 @@ found in the block memo runs no counter, so it is not priced):
   graphcomp.build_family: 40 operations and 7 held numbers per edge;
 - the graph block counters, each by one charge function of graphcomp that
   gives what check_work reads, (what, operations, bits, held); no counter
-  body prices itself. _subset_charge, the replaced per-cube kernel's price
-  kept as an upper bound on the ranked table: 1.5 operations a direct step,
-  3^m for each cube of m <= 7 vertices above a lowest vertex, and 2 a
-  transform step, m 2^m for each larger cube, on n fields of about
+  body prices itself. _subset_charge: 2 operations for each of the
+  (n - 2) 2^n steps of the subset DP's ranked table, on n fields of about
   2n + n log2 n bits, 2^(n+1) numbers held.
   _frontier_charge: 585 word steps and one addition of min(edges,
   n log2(n + 1)) bits a step of the state bound (_frontier_price), the

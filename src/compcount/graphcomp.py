@@ -289,10 +289,10 @@ def _count_subset(adj: list[list[int]]) -> int:
     bit = {v: 1 << i for i, v in enumerate(rest)}  # a universal neighbour adds none
     nbr = [sum(bit.get(w, 0) for w in adj[v]) for v in rest]
     if h == n:
-        return _subset_ways(nbr, n, True)[-1]
+        return _subset_ways(nbr, True)[-1]
     bells = exactnum.bell_numbers(n)
     by_size = [0] * (h + 1)
-    for subset, ways in enumerate(_subset_ways(nbr, h)):
+    for subset, ways in enumerate(_subset_ways(nbr)):
         by_size[subset.bit_count()] += ways
     g: list[int] = []  # solved forward from by_size[j] = sum of g[k] C(h - k, j - k) Bell(j - k)
     for j, total in enumerate(by_size):
@@ -300,7 +300,7 @@ def _count_subset(adj: list[list[int]]) -> int:
     return sum(gk * bells[n - k] for k, gk in enumerate(g))
 
 
-def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
+def _subset_ways(nbr: list[int], count_only: bool = False) -> list[int]:
     """The subset DP: ways[S] counts the compositions of G[S] for every
     vertex set S, given the neighbour masks of n vertices; over all n it is
     the reference that the tests and verify compare against.
@@ -330,6 +330,7 @@ def _subset_ways(nbr: list[int], n: int, count_only: bool = False) -> list[int]:
     sets without the last vertex, then ways(F), one sum of ways(F minus T)
     over the connected sets T through that vertex, a lookup and an add each.
     Unpriced: count_compositions_graph charges it, at _subset_charge."""
+    n = len(nbr)
     connected = _connected_sets(nbr)
     width = _field_bits(n)
     last = n - 2 if count_only else n - 1  # the last vertex multiplied in
@@ -837,15 +838,14 @@ def _blocks(graph: LabeledGraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
                     yield len(label), edges
 
 
-# The subset DP's price in check_work operations: 1.5 a direct step and 2 a
-# transform step of the per-cube kernel that the ranked table replaced
-# (_subset_charge), kept so that no route or refusal moved.
+# The subset DP's price in check_work operations a step of its ranked table,
+# (n - 2) 2^n steps on n vertices (_subset_charge).
 # scripts/step_costs.py times the table on K_n minus a Hamiltonian cycle at
 # 8-16 vertices, which has no universal vertex: the whole-set count that
-# count_compositions_graph takes there is priced at 1.4-6.6 times its time,
-# and the whole table at 1.1-3.0 (three runs, CPython 3.11, 2-vCPU x86-64
-# guest whose speed drifts by up to 40% between them, 4 ns a word step).
-SUBSET_STEP_OPERATIONS = 1.5
+# count_compositions_graph takes there is priced at 1.06-6.56 times its
+# time, and the whole table at 1.05-2.95 (three runs, CPython 3.11, 2-vCPU
+# x86-64 guest whose speed drifts by up to 40% between them, 4 ns a word
+# step).
 TRANSFORM_STEP_OPERATIONS = 2
 # The frontier DP's price in word steps a step of its state bound (a state
 # tuple built and relabelled), on top of one addition of its counts; it both
@@ -884,37 +884,30 @@ def _state_bounds() -> tuple[tuple[float, ...], tuple[float, ...]]:
 def _subset_charge(n: int) -> tuple[str, float, float, float]:
     """The subset DP on n vertices as check_work reads it: what it is, its
     operations, the bits of the numbers they act on and how many numbers it
-    holds at once, all infinite past n = 600, where a float no longer holds
-    3^n. Its callers pass printed=0, as do those of _frontier_charge and
-    _reductions_charge: no block counter prices a decimal conversion, a
-    block count being a factor of the count printed.
+    holds at once. Its callers pass printed=0, as do those of _frontier_charge
+    and _reductions_charge: no block counter prices a decimal conversion, a
+    block count being a factor of the count printed. count_compositions_graph
+    and _count_block read it outside errors.pricing, so it raises nothing:
+    past n = 600, well before 2^n leaves a float's range, all three are
+    infinite.
 
-    The price is that of the per-cube kernel that the ranked table
-    replaced, kept as it was so that no route or refusal moved: on n <= 8
-    vertices, 3^n direct steps on counts of n log2(n + 1) bits; past that,
-    the direct steps of a cube of 7 vertices and m 2^m transform steps for
-    each cube of m = 8..n - 1 vertices above a lowest vertex, on n fields of
-    2(n - 1) + (n - 1) log2 n + 1 bits. It stays an upper bound: the whole
-    table takes one zeta pass over the 2^u sets below each vertex u and two
-    Möbius passes over 2^(n - 1) sets each, with its packing and products
-    about as many steps as the transform steps priced, and the whole-set
-    count about half as many, each on n + 1 fields of _field_bits(n) bits
-    (37 at 13 vertices, 62 at 19), about 0.57 of the bits priced. Held:
-    2^(n+1) numbers, with 2^n bytes of connected sets: at the end, the table
-    and the last vertex's products are 2^n packed numbers, and the counts
-    read from them 2^n more."""
+    The ranked table of _subset_ways is priced at TRANSFORM_STEP_OPERATIONS
+    for each of (n - 2) 2^n steps (at least 2^n), on n fields of
+    2(n - 1) + (n - 1) log2 n + 1 bits. Its zeta passes over the 2^u sets
+    below each vertex u are about (n - 2) 2^(n - 1) additions in all, and
+    its two Möbius passes over 2^(n - 1) sets each, its packing and its
+    products about as many again; the whole-set count takes about half of
+    that. Each acts on n + 1 fields of _field_bits(n) bits (37 at 13
+    vertices, 62 at 19), about 0.57 of the bits priced, so the price stays
+    an upper bound. Held: 2^(n+1) numbers, with 2^n bytes of connected sets:
+    at the end, the table and the last vertex's products are 2^n packed
+    numbers, and the counts read from them 2^n more."""
     what = f"the subset DP over 2^{n} vertex sets"
     if n > 600:
         return what, math.inf, math.inf, math.inf
-    top = n - 1
-    if top <= 7:
-        return what, SUBSET_STEP_OPERATIONS * (3.0 ** n - 1) / 2, n * math.log2(n + 1), 2.0 ** n
-    low = 7
-    direct = (3.0 ** (low + 1) - 1) / 2
-    transform = (top - 1) * 2.0 ** (top + 1) - (low - 1) * 2.0 ** (low + 1)  # m 2^m for m > low
-    bits = n * (2 * top + top * math.log2(n) + 1)
-    return (what, SUBSET_STEP_OPERATIONS * direct + TRANSFORM_STEP_OPERATIONS * transform, bits,
-            2 * 2.0 ** n)
+    top = max(n - 1, 0)  # the vertices below the last
+    return (what, TRANSFORM_STEP_OPERATIONS * max(n - 2, 1) * 2.0 ** n,
+            n * (2 * top + top * math.log2(n or 1) + 1), 2.0 ** (n + 1))
 
 
 def _frontier_price(widths: list[int]) -> tuple[float, float]:

@@ -250,7 +250,7 @@ def _relabelled(graph: graphcomp.LabeledGraph, rng: Random) -> graphcomp.Labeled
 
 def _whole_table(graph: graphcomp.LabeledGraph) -> int:
     """The count from the subset DP over every vertex, universal or not."""
-    return graphcomp._subset_ways(graph.neighbor_masks(), graph.vertex_count)[-1]
+    return graphcomp._subset_ways(graph.neighbor_masks())[-1]
 
 
 def _partial_two_tree(rng: Random, n: int, keep: float = 0.75) -> graphcomp.LabeledGraph:

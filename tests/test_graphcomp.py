@@ -1,5 +1,6 @@
 """Tests for graph construction, parsing, and composition counting."""
 
+import io
 import json
 import math
 import operator
@@ -14,7 +15,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compcount import compositions, errors, exactnum, graphcomp, verify
+from compcount import cli, compositions, errors, exactnum, graphcomp, verify
 from compcount.errors import ResourceLimitError
 from compcount.graphcomp import GraphParseError, LabeledGraph
 
@@ -315,7 +316,7 @@ def test_the_ranked_table_matches_the_per_state_dp():
     for graph in graphs:
         nbr = graph.neighbor_masks()
         expected = per_state_ways(nbr, graph.vertex_count)
-        assert graphcomp._subset_ways(nbr, graph.vertex_count) == expected, sorted(graph.edges)
+        assert graphcomp._subset_ways(nbr) == expected, sorted(graph.edges)
 
 
 def complete_minus_matching(n):
@@ -335,8 +336,8 @@ def test_the_last_vertex_sum_matches_the_whole_table():
     assert {g.vertex_count for g in graphs} == set(range(15))
     for graph in graphs:
         nbr, n = graph.neighbor_masks(), graph.vertex_count
-        expected = graphcomp._subset_ways(nbr, n)[-1]
-        assert graphcomp._subset_ways(nbr, n, True)[-1] == expected, sorted(graph.edges)
+        expected = graphcomp._subset_ways(nbr)[-1]
+        assert graphcomp._subset_ways(nbr, True)[-1] == expected, sorted(graph.edges)
         if graphcomp._not_universal(n, graph.edges) == n:  # the route of count_compositions_graph
             assert graphcomp.count_compositions_graph(graph) == expected
 
@@ -350,7 +351,7 @@ def test_complete_graphs_minus_a_perfect_matching_fill_the_widest_fields(n):
     graph = complete_minus_matching(n)
     assert graphcomp._not_universal(n, graph.edges) == n
     assert graphcomp.count_compositions_graph(graph) == expected
-    assert graphcomp._subset_ways(graph.neighbor_masks(), n)[-1] == expected
+    assert graphcomp._subset_ways(graph.neighbor_masks())[-1] == expected
 
 
 def test_the_moebius_pass_inverts_the_zeta_pass():
@@ -621,7 +622,7 @@ def _glued_graph(rng):
         size = rng.randint(low, high)
         if family == "crossed":
             piece = crossed_cycle(size)
-            expected *= graphcomp._subset_ways(piece.neighbor_masks(), size)[-1]
+            expected *= graphcomp._subset_ways(piece.neighbor_masks())[-1]
         else:
             piece = graphcomp.build_family(family, size)
             expected *= graphcomp.family_count(family, size)
@@ -799,13 +800,13 @@ def _pool(rng):
     for _ in range(12):
         n = rng.randint(3, 12)
         block = graphcomp.random_connected_graph(rng, n, rng.uniform(0.1, 0.9))
-        pool.append((block, graphcomp._subset_ways(block.neighbor_masks(), n)[-1]))
+        pool.append((block, graphcomp._subset_ways(block.neighbor_masks())[-1]))
     for family, sizes in (("cycle", range(3, 16)), ("ladder", range(2, 7))):
         for size in sizes:
             block = graphcomp.build_family(family, size)
             pool.append((block, per_state_frontier(block.adjacency(), range(block.vertex_count))))
     for m in range(3, 10):
-        pool.append((complete(m), graphcomp._subset_ways(complete(m).neighbor_masks(), m)[-1]))
+        pool.append((complete(m), graphcomp._subset_ways(complete(m).neighbor_masks())[-1]))
     return pool
 
 
@@ -868,7 +869,7 @@ def test_blocks_that_colour_refinement_cannot_tell_apart_keep_their_own_counts(m
     # K_{3,3} and the triangular prism: both 3-regular on 6 vertices
     k33 = LabeledGraph(6, {(u, v) for u in range(3) for v in range(3, 6)})
     prism = LabeledGraph(6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)})
-    counts = {graph: graphcomp._subset_ways(graph.neighbor_masks(), 6)[-1] for graph in (k33, prism)}
+    counts = {graph: graphcomp._subset_ways(graph.neighbor_masks())[-1] for graph in (k33, prism)}
     assert counts[k33] != counts[prism]
     rng = Random(33)
     for first, second in ((k33, prism), (prism, k33)):
@@ -916,6 +917,40 @@ def test_the_refined_key_is_the_key_of_refinement_run_to_the_end(monkeypatch):
         assert graphcomp._refined_key(adj) == _refined_key_refined_to_the_end(adj)
 
 
+# The blocks of each route, by size, on the seed-7 graph workloads, each run
+# from nothing kept. A change that moves a route updates this census and
+# names the blocks that moved in CHANGES.md.
+ROUTE_CENSUS = {
+    "graph-sparse": {("memo", 3): 77, ("memo", 4): 225, ("memo", 5): 149, ("memo", 6): 218, ("memo", 7): 77,
+                     ("memo", 8): 133, ("memo", 9): 75, ("memo", 10): 119, ("memo", 11): 74, ("memo", 12): 100,
+                     ("memo", 13): 74, ("memo", 14): 72, ("series-parallel", 7): 1, ("series-parallel", 8): 17,
+                     ("series-parallel", 9): 1, ("series-parallel", 10): 30, ("series-parallel", 11): 1,
+                     ("series-parallel", 12): 50, ("series-parallel", 13): 1, ("series-parallel", 14): 1,
+                     ("subset", 3): 1, ("subset", 4): 2, ("subset", 5): 2, ("subset", 6): 7},
+    "graph-dense": {("frontier", 10): 2, ("frontier", 11): 4, ("frontier", 12): 2, ("memo", 10): 43,
+                    ("memo", 11): 48, ("memo", 12): 4, ("memo", 13): 2, ("subset", 10): 15, ("subset", 11): 14,
+                    ("subset", 12): 12, ("subset", 13): 4},
+}
+
+
+def test_the_graph_workloads_route_their_blocks_as_the_census_says(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PINNED_DENSE.parent))
+    import workloads  # the benchmark's generator, which reads no compcount code
+
+    monkeypatch.chdir(tmp_path)  # the workload's files sit under paths relative to it
+    recorded = _record_blocks(monkeypatch)
+    for name, census in ROUTE_CENSUS.items():
+        workload = workloads.generate(name, 7)
+        for file, text in workload.files.items():
+            (tmp_path / file).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / file).write_text(text)
+        errors.forget()
+        recorded.clear()
+        for query in workload.queries:
+            assert cli.run(list(query.argv), io.StringIO(), io.StringIO()) == 0, query.argv
+        assert Counter((route, n) for route, n, *_ in recorded) == census, name
+
+
 def test_the_block_memo_stays_bounded_in_entries_and_key_bits(monkeypatch):
     rng = Random(5000)
     memo = CountingMemo()
@@ -961,7 +996,7 @@ def test_a_refused_block_is_not_kept(monkeypatch):
         assert not memo and memo.hits == 0
     monkeypatch.setattr(errors, "WORK_BUDGET", budget)
     count = graphcomp.reduce_and_count(block)
-    assert count == graphcomp._subset_ways(block.neighbor_masks(), 12)[-1]
+    assert count == graphcomp._subset_ways(block.neighbor_masks())[-1]
     assert graphcomp.reduce_and_count(block) == count
     assert (len(memo), memo.hits) == (1, 1)
 
@@ -984,7 +1019,7 @@ def test_each_counter_counts_the_block_its_memo_key_encodes(monkeypatch):
     for (n, bits), count in memo.items():
         edges = [(a, b) for a, b in combinations(range(n), 2) if bits >> a * n + b & 1]
         assert _dfs_key(n, edges) == (n, bits)
-        assert graphcomp._subset_ways(LabeledGraph(n, set(edges)).neighbor_masks(), n)[-1] == count
+        assert graphcomp._subset_ways(LabeledGraph(n, set(edges)).neighbor_masks())[-1] == count
 
 
 def test_count_block_returns_the_route_of_each_count():
@@ -1067,7 +1102,7 @@ def test_the_reductions_match_the_subset_dp_on_random_blocks():
     for n, edges in blocks:
         count = graphcomp._series_parallel(n, edges)
         if verify._no_k4_minor(n, edges):
-            assert count == graphcomp._subset_ways(LabeledGraph(n, edges).neighbor_masks(), n)[-1], edges
+            assert count == graphcomp._subset_ways(LabeledGraph(n, edges).neighbor_masks())[-1], edges
             reduced += 1
         else:
             assert count is None, edges
@@ -1109,7 +1144,7 @@ def test_every_block_with_a_k4_minor_stalls_the_reductions_and_reaches_the_paren
         assert series_parallel(n, list(block.edges)) is None
         errors.forget()
         recorded.clear()
-        assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks(), n)[-1]
+        assert graphcomp.reduce_and_count(block) == graphcomp._subset_ways(block.neighbor_masks())[-1]
         assert _routes(recorded, "subset", "frontier") == [n]
     assert len(tried) > 5 and not any(tried)
 
@@ -1415,7 +1450,7 @@ def test_universal_route_matches_subset_dp_and_enumeration_on_dense_graphs():
         n = rng.randint(0, 12)
         graph = _with_universal(rng, n, rng.uniform(0.5, 0.97), rng.randint(0, n // 3) if trial % 2 else 0)
         count = graphcomp.count_compositions_graph(graph)
-        assert count == graphcomp._subset_ways(graph.neighbor_masks(), n)[-1], sorted(graph.edges)
+        assert count == graphcomp._subset_ways(graph.neighbor_masks())[-1], sorted(graph.edges)
         if n <= 8:
             assert count == len(graphcomp.enumerate_graph_compositions(graph)), sorted(graph.edges)
     for n in (9, 10):
@@ -1453,6 +1488,11 @@ def test_universal_route_caps_the_vertices_that_are_not_universal(monkeypatch):
     # K_30 minus a perfect matching: no vertex is universal
     matching = LabeledGraph(30, set(combinations(range(30), 2)) - {(i, i + 1) for i in range(0, 30, 2)})
     with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^30 vertex sets needs"):
+        graphcomp.count_compositions_graph(matching)
+    # K_40 minus a 10-edge matching: 20 vertices that are not universal, one
+    # past the 19 that K19 minus a Hamiltonian cycle shows are admitted
+    matching = LabeledGraph(40, set(combinations(range(40), 2)) - {(i, i + 1) for i in range(0, 20, 2)})
+    with pytest.raises(ResourceLimitError, match=r"the subset DP over 2\^20 vertex sets needs"):
         graphcomp.count_compositions_graph(matching)
     # the Bell sum over the universal vertices is priced as bell(n), whatever
     # bell's memo and the kept Bell numbers hold
@@ -1497,6 +1537,16 @@ def test_an_estimate_of_infinite_steps_reads_inf_and_one_of_nan_is_refused():
     for operations, held in ((math.nan, 1), (1, math.nan)):
         with pytest.raises(ResourceLimitError, match="nan"):
             errors.check_work("x", operations, 10, held=held, printed=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 19, 20, 600, 601, 10 ** 6])
+def test_the_subset_charge_is_finite_up_to_its_cutoff_and_infinite_past_it(n):
+    # count_compositions_graph and _count_block read it outside errors.pricing,
+    # so it raises nothing, at n = 0 (no log2(0)) or past a float's range
+    what, *estimates = graphcomp._subset_charge(n)
+    assert what == f"the subset DP over 2^{n} vertex sets"
+    assert all(type(estimate) is float for estimate in estimates)
+    assert all(map(math.isfinite, estimates)) if n <= 600 else estimates == [math.inf] * 3
 
 
 def test_a_block_the_subset_side_must_win_builds_no_frontier_order(monkeypatch):
